@@ -54,9 +54,7 @@ def mid_cross(l: Line, pair: LinePair) -> PlanePoint:
         raise DoesNotCross(f"{l} does not cross {pair}")
     p1 = intersect(l, pair.a)
     p2 = intersect(l, pair.b)
-    if isinstance(p1, InfPoint):
-        return l.infinite_point()
-    if isinstance(p2, InfPoint):
+    if isinstance(p1, InfPoint) or isinstance(p2, InfPoint):
         return l.infinite_point()
     return midpoint(p1, p2)
 

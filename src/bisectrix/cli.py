@@ -15,6 +15,7 @@ rejected rather than silently resolved.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ from .errors import GeometryError, NotABisector
 from .field import Field, GF, PrimeField, QQ, Scalar
 from .form import quadratic_data
 from .oracle import TheoremReport, random_quadrilateral, verify_all
-from .pencil import classify, degenerations
+from .pencil import classify, degenerations, format_polynomial, pencil_of
 from .plane import InfPoint, Line, PlanePoint, Point
 from .quad import Quadrilateral, standard_form
 from .svgplot import PLOT_KINDS, render_svg
@@ -38,7 +39,7 @@ _CONFIG_KEYS = (
     "point", "line", "alpha", "beta", "what", "instances",
 )
 
-_COMMANDS = ("analyze", "bisector", "partner", "pencil", "verify", "plot")
+_FORMATS = ("text", "record")
 
 
 class ConfigError(Exception):
@@ -120,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cmd", choices=_COMMANDS)
     parser.add_argument("--seed", help="PRNG seed (default 0)")
     parser.add_argument("--out", help="output path (plot)")
-    parser.add_argument("--format", choices=("text", "record", "svg"))
+    parser.add_argument("--format", choices=_FORMATS)
     parser.add_argument("--point", help="midpoint 'x,y' (bisector)")
     parser.add_argument("--line", help="line literal (partner)")
     parser.add_argument("--alpha", help="pencil coefficient")
@@ -131,7 +132,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(argv) -> JobConfig:
-    args = _build_parser().parse_args(argv)
+    # Attach a value such as "-1/4,0" to the flag before it, as in
+    # "--point=-1/4,0": argparse would read it as an unknown flag, and no
+    # flag starts with '-' and a digit.
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and re.fullmatch(r"--[^=]+", tokens[-1]) and re.match(r"-\d", token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = _build_parser().parse_args(tokens)
     merged: dict[str, str] = {}
     if args.config:
         merged.update(_read_config_file(args.config))
@@ -149,7 +159,7 @@ def load_config(argv) -> JobConfig:
         raise ConfigError(f"unknown command {cmd!r}")
     field = _parse_field(merged.get("field", "Q"))
     fmt = merged.get("format", "text")
-    if fmt not in ("text", "record", "svg"):
+    if fmt not in _FORMATS:
         raise ConfigError(f"unknown format {fmt!r}")
     try:
         seed = int(merged.get("seed", "0"))
@@ -162,8 +172,6 @@ def load_config(argv) -> JobConfig:
         line = Line.parse(field, merged["line"]) if "line" in merged else None
         alpha = field.parse(merged["alpha"]) if "alpha" in merged else None
         beta = field.parse(merged["beta"]) if "beta" in merged else None
-    except GeometryError:
-        raise
     except (ValueError, ZeroDivisionError) as err:
         raise ConfigError(str(err)) from err
     what = merged.get("what")
@@ -191,45 +199,14 @@ def _render_point(p: PlanePoint) -> str:
     return f"{p.x} {p.y}"
 
 
-def _signed_term(sign_terms: list[tuple[str, str]]) -> str:
-    if not sign_terms:
-        return "0"
-    head_sign, head = sign_terms[0]
-    out = ("-" if head_sign == "-" else "") + head
-    for sign, body in sign_terms[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _term(coeff: Scalar, body: str) -> tuple[str, str] | None:
-    if coeff.is_zero():
-        return None
-    text = str(coeff)
-    sign = "-" if text.startswith("-") else "+"
-    mag = text[1:] if text.startswith("-") else text
-    if body and mag == "1":
-        return (sign, body)
-    if body:
-        return (sign, f"{mag}*{body}")
-    return (sign, mag)
-
-
 def _phi_string(alpha: Scalar, beta: Scalar, gamma: Scalar) -> str:
-    terms = [
-        _term(alpha, "Y^2"),
-        _term(-2 * beta, "X*Y"),
-        _term(gamma, "X^2"),
-    ]
-    return _signed_term([t for t in terms if t is not None])
+    return format_polynomial(((alpha, "Y^2"), (-2 * beta, "X*Y"), (gamma, "X^2")))
 
 
 def _centered_factor(var: str, shift: Scalar) -> str:
     if shift.is_zero():
         return var
-    text = str(-shift)
-    if text.startswith("-"):
-        return f"({var} - {text[1:]})"
-    return f"({var} + {text})"
+    return f"({format_polynomial(((shift.field.one, var), (-shift, '')))})"
 
 
 def _locus_string(locus) -> str:
@@ -237,13 +214,12 @@ def _locus_string(locus) -> str:
     h, k = locus.center.x, locus.center.y
     fx = _centered_factor("X", h)
     fy = _centered_factor("Y", k)
-    terms = [
-        _term(data.alpha, f"{fy}^2"),
-        _term(-2 * data.beta, f"{fx}*{fy}"),
-        _term(data.gamma, f"{fx}^2"),
-        _term(-locus.constant, ""),
-    ]
-    return _signed_term([t for t in terms if t is not None])
+    return format_polynomial((
+        (data.alpha, f"{fy}^2"),
+        (-2 * data.beta, f"{fx}*{fy}"),
+        (data.gamma, f"{fx}^2"),
+        (-locus.constant, ""),
+    ))
 
 
 def _emit(records: list[tuple[str, str]], fmt: str) -> list[str]:
@@ -313,8 +289,6 @@ def cmd_partner(cfg: JobConfig) -> tuple[int, list[str]]:
 
 
 def cmd_pencil(cfg: JobConfig) -> tuple[int, list[str]]:
-    from .pencil import pencil_of
-
     alpha = cfg.alpha if cfg.alpha is not None else cfg.field.one
     beta = cfg.beta if cfg.beta is not None else cfg.field.zero
     member = pencil_of(cfg.quad).member(alpha, beta)
@@ -386,43 +360,37 @@ def cmd_plot(cfg: JobConfig) -> tuple[int, list[str]]:
         raise ConfigError("plot needs --out PATH")
     what = cfg.what or "locus"
     document = render_svg(cfg.quad, what)
-    with open(cfg.out, "w", encoding="utf-8") as handle:
-        handle.write(document)
+    try:
+        with open(cfg.out, "w", encoding="utf-8") as handle:
+            handle.write(document)
+    except OSError as err:
+        raise ConfigError(f"cannot write {cfg.out!r}: {err}") from err
     return 0, [f"wrote {cfg.out}"]
 
 
+# Each command: its handler and the JobConfig fields it requires, in the
+# order they are checked.
+_COMMANDS = {
+    "analyze": (cmd_analyze, ("quad",)),
+    "bisector": (cmd_bisector, ("quad", "point")),
+    "partner": (cmd_partner, ("quad", "line")),
+    "pencil": (cmd_pencil, ("quad",)),
+    "verify": (cmd_verify, ()),
+    "plot": (cmd_plot, ("quad",)),
+}
+
+
 def dispatch(cfg: JobConfig) -> tuple[int, list[str]]:
-    needs_quad = cfg.cmd in ("analyze", "bisector", "partner", "pencil", "plot")
-    if needs_quad and cfg.quad is None:
-        raise ConfigError(f"{cfg.cmd} needs --quad")
-    if cfg.cmd == "bisector" and cfg.point is None:
-        raise ConfigError("bisector needs --point")
-    if cfg.cmd == "partner" and cfg.line is None:
-        raise ConfigError("partner needs --line")
-    if cfg.cmd == "analyze":
-        return cmd_analyze(cfg)
-    if cfg.cmd == "bisector":
-        return cmd_bisector(cfg)
-    if cfg.cmd == "partner":
-        return cmd_partner(cfg)
-    if cfg.cmd == "pencil":
-        return cmd_pencil(cfg)
-    if cfg.cmd == "verify":
-        return cmd_verify(cfg)
-    return cmd_plot(cfg)
+    handler, required = _COMMANDS[cfg.cmd]
+    for key in required:
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"{cfg.cmd} needs --{key}")
+    return handler(cfg)
 
 
 def main(argv=None) -> int:
     try:
-        cfg = load_config(argv)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except GeometryError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    try:
-        code, lines = dispatch(cfg)
+        code, lines = dispatch(load_config(argv))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -92,9 +92,6 @@ class Field:
     def _sqrt(self, a):
         raise NotImplementedError
 
-    def _render(self, a) -> str:
-        raise NotImplementedError
-
 
 class Rationals(Field):
     """The field of rational numbers with arbitrary-precision arithmetic."""
@@ -143,9 +140,6 @@ class Rationals(Field):
         if rn * rn != a.numerator or rd * rd != a.denominator:
             return None
         return Fraction(rn, rd)
-
-    def _render(self, a):
-        return str(a)
 
 
 class PrimeField(Field):
@@ -233,9 +227,6 @@ class PrimeField(Field):
             t, r = t * c % p, r * b % p
         return r
 
-    def _render(self, a):
-        return str(a)
-
 
 QQ = Rationals()
 
@@ -317,10 +308,10 @@ class Scalar:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = self.field.one
-        for _ in range(n):
-            out = out * self
-        return out
+        if n == 0:
+            return self.field.one
+        half = self ** (n // 2)
+        return half * half * self if n & 1 else half * half
 
     def inverse(self) -> "Scalar":
         return Scalar(self.field, self.field._inv(self.value))
@@ -348,12 +339,10 @@ class Scalar:
 
     def sort_key(self):
         """Total order on representations, used only for canonical storage."""
-        if isinstance(self.value, Fraction):
-            return self.value
         return self.value
 
     def __str__(self):
-        return self.field._render(self.value)
+        return str(self.value)
 
     def __repr__(self):
         return f"<{self} in {self.field.name}>"

@@ -62,19 +62,22 @@ class Lcg64:
         return (self.next_u64() >> 32) % n
 
 
-def enumerate_lines(field: Field) -> list[Line]:
-    """All p^2 + p affine lines of GF(p)^2 in canonical form."""
+def _p1(field: Field) -> list[tuple[Scalar, Scalar]]:
+    """The p + 1 points of P1(GF(p)): (1, t) for every t, then (0, 1)."""
     if not isinstance(field, PrimeField):
         raise InfiniteField("line enumeration needs a finite field")
-    one, zero = field.one, field.zero
-    lines = []
-    for t in range(field.p):
-        ts = field.scalar(t)
-        for v in range(field.p):
-            lines.append(Line(ts, one, field.scalar(v)))
-    for v in range(field.p):
-        lines.append(Line(one, zero, field.scalar(v)))
-    return lines
+    one = field.one
+    return [(one, field.scalar(t)) for t in range(field.p)] + [(field.zero, one)]
+
+
+def _parallel_class(field: PrimeField, u: Scalar, t: Scalar) -> list[Line]:
+    """The p lines tX - uY + v = 0 with infinite point [u : t]."""
+    return [Line(t, u, field.scalar(v)) for v in range(field.p)]
+
+
+def enumerate_lines(field: Field) -> list[Line]:
+    """All p^2 + p affine lines of GF(p)^2 in canonical form."""
+    return [line for u, t in _p1(field) for line in _parallel_class(field, u, t)]
 
 
 def enumerate_points(field: Field) -> list[Point]:
@@ -86,15 +89,7 @@ def enumerate_points(field: Field) -> list[Point]:
 
 def lines_through(field: Field, p: Point) -> list[Line]:
     """All p + 1 lines of GF(p)^2 through a point."""
-    if not isinstance(field, PrimeField):
-        raise InfiniteField("line enumeration needs a finite field")
-    one, zero = field.one, field.zero
-    out = []
-    for t in range(field.p):
-        ts = field.scalar(t)
-        out.append(Line(ts, one, p.y - ts * p.x))
-    out.append(Line(one, zero, -p.x))
-    return out
+    return [Line(t, u, u * p.y - t * p.x) for u, t in _p1(field)]
 
 
 def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
@@ -232,9 +227,7 @@ def _check_lambda_involution(q, ctx):
             out.append(f"infinite points of {l1} and {l2} are not conjugate")
     instances = 3
     if ctx.exhaustive:
-        field = q.field
-        directions = [InfPoint(field.one, field.scalar(t)) for t in range(field.p)]
-        directions.append(InfPoint(field.zero, field.one))
+        directions = [InfPoint(x, y) for x, y in _p1(q.field)]
         for p in directions:
             fixed = inv.fixes(p)
             null = phi(d, p.x, p.y).is_zero()
@@ -313,17 +306,13 @@ def _check_vertex_lines(q, ctx):
 
 def _check_parallel_bisectors(q, ctx):
     field = q.field
-    bis_lines = {b.line for b in ctx.brute(q)}
+    bis_lines = set(ctx.bisector_lines(q))
     parallel_dirs = {l1.infinite_point() for l1, _ in _side_diag_parallel_pairs(q)}
-    directions = [(field.scalar(t), field.one) for t in range(field.p)]
-    directions.append((field.one, field.zero))
+    directions = _p1(field)
     out = []
-    for t, u in directions:
+    for u, t in directions:
         direction = InfPoint(u, t)
-        if u.is_zero():
-            class_lines = [Line(field.one, field.zero, field.scalar(v)) for v in range(field.p)]
-        else:
-            class_lines = [Line(t, u, field.scalar(v)) for v in range(field.p)]
+        class_lines = _parallel_class(field, u, t)
         in_class = [l for l in class_lines if l in bis_lines]
         if direction in parallel_dirs:
             if len(in_class) != len(class_lines):
@@ -465,15 +454,12 @@ def _member_degeneration_entries(member, field, exhaustive):
 def _pencil_members(q, ctx):
     pen = pencil_of(q)
     field = q.field
-    members = []
     if ctx.exhaustive:
-        for t in range(field.p):
-            members.append(pen.member(field.one, field.scalar(t)))
-        members.append(pen.member(field.zero, field.one))
+        coeffs = _p1(field)
     else:
-        for alpha, beta in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3)):
-            members.append(pen.member(field.scalar(alpha), field.scalar(beta)))
-    return pen, members
+        pairs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
+        coeffs = [(field.scalar(alpha), field.scalar(beta)) for alpha, beta in pairs]
+    return pen, [pen.member(alpha, beta) for alpha, beta in coeffs]
 
 
 def _check_pencil_degenerations(q, ctx):
@@ -493,17 +479,10 @@ def _check_pencil_degenerations(q, ctx):
             ctr = center(member)
             if ctr is not None and not locus.conic.contains(ctr):
                 out.append(f"center {ctr} of a pencil member is off the locus")
-    if ctx.exhaustive:
-        bis_lines = {b.line for b in ctx.brute(q)}
-        if seen_lines != bis_lines:
-            out.append(
-                f"degeneration lines ({len(seen_lines)}) != bisectors ({len(bis_lines)})"
-            )
+    lines = ctx.bisector_lines(q)
+    if ctx.exhaustive and seen_lines != set(lines):
+        out.append(f"degeneration lines ({len(seen_lines)}) != bisectors ({len(lines)})")
     # Converse: every bisector pairs with its partner into a degeneration.
-    if ctx.exhaustive:
-        lines = [b.line for b in ctx.brute(q)]
-    else:
-        lines = _canonical_bisectors(q)
     for line in lines:
         partner = q_partner(q, line)
         if not is_degeneration_of(pen, LinePair(line, partner)):
@@ -522,20 +501,13 @@ def _q_pairs_of(q, lines) -> list[LinePair]:
 
 
 def _check_bisector_field(q, ctx):
-    if ctx.exhaustive:
-        lines = [b.line for b in ctx.brute(q)]
-    else:
-        lines = _canonical_bisectors(q)
-    pairs = _q_pairs_of(q, lines)
+    pairs = _q_pairs_of(q, ctx.bisector_lines(q))
     report = bisector_field_check(q, pairs)
     return report.lines_checked, list(report.violations)
 
 
 def _check_partner_involution(q, ctx):
-    if ctx.exhaustive:
-        lines = [b.line for b in ctx.brute(q)]
-    else:
-        lines = _canonical_bisectors(q)
+    lines = ctx.bisector_lines(q)
     out = []
     for line in lines:
         partner = q_partner(q, line)
@@ -572,31 +544,29 @@ def _check_pair_redundancy(q, ctx):
     return count, out
 
 
+def _image_inner(d, f: AffineMap, v, w) -> Scalar:
+    """The form d on the images of vectors v and w under f's linear part."""
+    fv = (f.m00 * v[0] + f.m01 * v[1], f.m10 * v[0] + f.m11 * v[1])
+    fw = (f.m00 * w[0] + f.m01 * w[1], f.m10 * w[0] + f.m11 * w[1])
+    return inner(d, fv, fw)
+
+
 def _check_affine_invariance(q, ctx):
     rng = Lcg64(ctx.seed ^ 0x5EED)
     field = q.field
     out = []
     trials = 5 if ctx.exhaustive else 10
+    d_q = quadratic_data(q)
+    basis = [(field.one, field.zero), (field.zero, field.one), (field.one, field.one)]
+    probes = [(v, w) for v in basis for w in basis]
     for _ in range(trials):
         f = random_invertible_map(field, rng)
-        fq = q.transform(f)
-        d_q = quadratic_data(q)
-        d_fq = quadratic_data(fq)
-        basis = [
-            (field.one, field.zero),
-            (field.zero, field.one),
-            (field.one, field.one),
-        ]
+        d_fq = quadratic_data(q.transform(f))
         lam = None
-        for v in basis:
-            for w in basis:
-                fv = (f.m00 * v[0] + f.m01 * v[1], f.m10 * v[0] + f.m11 * v[1])
-                fw = (f.m00 * w[0] + f.m01 * w[1], f.m10 * w[0] + f.m11 * w[1])
-                denom = inner(d_fq, fv, fw)
-                if not denom.is_zero():
-                    lam = inner(d_q, v, w) / denom
-                    break
-            if lam is not None:
+        for v, w in probes:
+            denom = _image_inner(d_fq, f, v, w)
+            if not denom.is_zero():
+                lam = inner(d_q, v, w) / denom
                 break
         if lam is None:
             out.append("no probe pair with nonzero inner product")
@@ -604,9 +574,7 @@ def _check_affine_invariance(q, ctx):
         for _ in range(10):
             v = (random_scalar(field, rng), random_scalar(field, rng))
             w = (random_scalar(field, rng), random_scalar(field, rng))
-            fv = (f.m00 * v[0] + f.m01 * v[1], f.m10 * v[0] + f.m11 * v[1])
-            fw = (f.m00 * w[0] + f.m01 * w[1], f.m10 * w[0] + f.m11 * w[1])
-            if inner(d_q, v, w) != lam * inner(d_fq, fv, fw):
+            if inner(d_q, v, w) != lam * _image_inner(d_fq, f, v, w):
                 out.append(f"lambda {lam} fails on a sampled vector pair")
                 break
     return trials, out
@@ -644,6 +612,13 @@ class _Context:
         if cached is None:
             cached = self._brute_cache[q] = brute_bisectors(q)
         return cached
+
+    def bisector_lines(self, q: Quadrilateral) -> list[Line]:
+        """Lines a check iterates: every bisector when exhaustive, else the
+        sides and diagonals."""
+        if self.exhaustive:
+            return [b.line for b in self.brute(q)]
+        return _canonical_bisectors(q)
 
 
 def verify_all(q: Quadrilateral, profile: str = "fixture", seed: int = 0) -> list[TheoremReport]:

@@ -24,6 +24,30 @@ from .quad import Quadrilateral
 _COEFF_NAMES = ("a", "b", "c", "d", "e", "f")
 
 
+def format_polynomial(terms) -> str:
+    """Render (coefficient, monomial) terms as a signed sum such as
+    "X^2 - 1/2*X*Y + 3"; zero terms are skipped, unit coefficients are
+    dropped before a monomial, and an all-zero sum renders as "0"."""
+    out = ""
+    for coeff, mono in terms:
+        if coeff.is_zero():
+            continue
+        text = str(coeff)
+        negative = text.startswith("-")
+        mag = text[1:] if negative else text
+        if mono and mag == "1":
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = mag
+        if out:
+            out += f" {'-' if negative else '+'} {body}"
+        else:
+            out = ("-" if negative else "") + body
+    return out or "0"
+
+
 class Conic:
     """Six normalized coefficients of a quadratic polynomial."""
 
@@ -106,27 +130,7 @@ class Conic:
         return hash(("conic",) + self.coeffs)
 
     def __str__(self):
-        terms = []
-        for coeff, mono in zip(self.coeffs, ("X^2", "X*Y", "Y^2", "X", "Y", "")):
-            if coeff.is_zero():
-                continue
-            text = str(coeff)
-            sign = "-" if text.startswith("-") else "+"
-            mag = text[1:] if text.startswith("-") else text
-            if mono and mag == "1":
-                body = mono
-            elif mono:
-                body = f"{mag}*{mono}"
-            else:
-                body = mag
-            terms.append((sign, body))
-        if not terms:
-            return "0"
-        head_sign, head = terms[0]
-        out = ("-" if head_sign == "-" else "") + head
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+        return format_polynomial(zip(self.coeffs, ("X^2", "X*Y", "Y^2", "X", "Y", "")))
 
     def __repr__(self):
         return f"Conic<{self}>"
@@ -165,9 +169,8 @@ class ParallelFamily:
     base: Degeneration
 
     def pair_at_offset(self, r: Scalar) -> Degeneration:
-        l1 = Line(self.midline.t, self.midline.u, self.midline.v + r)
-        l2 = Line(self.midline.t, self.midline.u, self.midline.v - r)
-        return Degeneration(_lambda_for(self.conic, l1, l2), LinePair(l1, l2))
+        pair = _offset_pair(self.midline, r)
+        return Degeneration(_lambda_for(self.conic, pair.a, pair.b), pair)
 
 
 @dataclass(frozen=True)
@@ -227,25 +230,37 @@ def _factor_degenerate(c: Conic) -> LinePair | None:
         if w1 * w2 != F:
             return None
         return LinePair(Line(field.zero, -field.one, w1), Line(B, -C, w2))
-    # Double direction: the conic is a polynomial in one linear form w.
+    # Double direction.  c has leading coefficient 1, so with the canonical
+    # midline L = tX - uY + v it equals (L^2 - r^2) / scale, where scale is
+    # t^2, or 1 for a horizontal L (t = 0); the factors are L + r and L - r.
+    midline = _midline(c)
+    if midline is None:
+        return None
+    t, v = midline.t, midline.v
+    scale = field.one if t.is_zero() else t * t
+    r = (v * v - scale * F).sqrt()
+    return None if r is None else _offset_pair(midline, r)
+
+
+def _offset_pair(midline: Line, r: Scalar) -> LinePair:
+    """The parallel pair midline + r and midline - r."""
+    t, u, v = midline.t, midline.u, midline.v
+    return LinePair(Line(t, u, v + r), Line(t, u, v - r))
+
+
+def _midline(c: Conic) -> Line | None:
+    """For a conic whose quadratic part is the square of a linear form w,
+    the line w + s/2 = 0 when c = k*(w^2 + s*w) + const: the common midline
+    of every parallel pair c + lam splits into.  None when the linear part
+    is not a multiple of w (a parabola)."""
+    A, B, C, D, E = c.a, c.b, c.c, c.d, c.e
     if not A.is_zero():
         if 2 * A * E != B * D:
             return None
-        m = B / (2 * A)
-        s_sum, s_prod = D / A, F / A
-    else:
-        if not D.is_zero():
-            return None
-        m = None
-        s_sum, s_prod = E / C, F / C
-    inner_root = (s_sum * s_sum - 4 * s_prod).sqrt()
-    if inner_root is None:
+        return Line(c.field.one, -B / (2 * A), D / (2 * A))
+    if not D.is_zero():
         return None
-    v1 = (s_sum + inner_root) / 2
-    v2 = (s_sum - inner_root) / 2
-    if m is not None:
-        return LinePair(Line(field.one, -m, v1), Line(field.one, -m, v2))
-    return LinePair(Line(field.zero, -field.one, v1), Line(field.zero, -field.one, v2))
+    return Line(c.field.zero, -c.field.one, E / (2 * C))
 
 
 def classify(c: Conic) -> ConicClass:
@@ -264,7 +279,7 @@ def classify(c: Conic) -> ConicClass:
 
 def degenerations(c: Conic) -> DegenerationReport:
     """All constants lam with c + lam reducible over the ground field."""
-    A, B, C, D, E = c.a, c.b, c.c, c.d, c.e
+    A, B, C = c.a, c.b, c.c
     disc = c.leading_discriminant()
     if not disc.is_zero():
         # det3 is linear in the constant coefficient with nonzero slope.
@@ -276,15 +291,9 @@ def degenerations(c: Conic) -> DegenerationReport:
         return DegenerationReport(entries=(Degeneration(lam, pair),))
     # Perfect-square leading form: either a parabola (no degenerations) or
     # a one-parameter family of parallel pairs sharing a midline.
-    if not A.is_zero():
-        if 2 * A * E != B * D:
-            return DegenerationReport(entries=())
-        m = B / (2 * A)
-        midline = Line(c.field.one, -m, D / (2 * A))
-    else:
-        if not D.is_zero():
-            return DegenerationReport(entries=())
-        midline = Line(c.field.zero, -c.field.one, E / (2 * C))
+    midline = _midline(c)
+    if midline is None:
+        return DegenerationReport(entries=())
     base = Degeneration(_lambda_for(c, midline, midline), LinePair(midline, midline))
     family = ParallelFamily(c, midline, midline.infinite_point(), base)
     return DegenerationReport(entries=(), family=family)

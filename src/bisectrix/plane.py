@@ -232,9 +232,6 @@ class LinePair:
     def lines(self) -> tuple[Line, Line]:
         return (self.a, self.b)
 
-    def __contains__(self, line: Line) -> bool:
-        return line == self.a or line == self.b
-
     def __eq__(self, other):
         return isinstance(other, LinePair) and other.a == self.a and other.b == self.b
 
@@ -317,13 +314,6 @@ class AffineMap:
             p, q = obj.two_points()
             return line_from_points(self.apply(p), self.apply(q))
         raise TypeError(f"cannot apply an affine map to {obj!r}")
-
-    def apply_direction(self, d: InfPoint) -> InfPoint:
-        """Induced action on the line at infinity (linear part only)."""
-        return InfPoint(
-            self.m00 * d.x + self.m01 * d.y,
-            self.m10 * d.x + self.m11 * d.y,
-        )
 
     def inverse(self) -> "AffineMap":
         det = self.det

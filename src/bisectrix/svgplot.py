@@ -200,12 +200,15 @@ def _sample_q_pairs(q: Quadrilateral, locus, count: int):
                 seen.add(line)
                 lines.append((line, m))
 
-    for line in q.sides + q.diagonal_lines:
+    def add_with_partner(line):
         add(line)
         try:
             add(q_partner(q, line))
         except GeometryError:
             pass
+
+    for line in q.sides + q.diagonal_lines:
+        add_with_partner(line)
     base = None
     if locus.components is None:
         for p in nine_points(q.quadrangle()) if q.proper else []:
@@ -218,11 +221,7 @@ def _sample_q_pairs(q: Quadrilateral, locus, count: int):
                 found = bisector_through(q, m)
                 if isinstance(found, list):
                     for b in found:
-                        add(b.line)
-                        try:
-                            add(q_partner(q, b.line))
-                        except GeometryError:
-                            pass
+                        add_with_partner(b.line)
     else:
         midline = locus.components[0]
         anchor = midline.two_points()[0]
@@ -233,11 +232,7 @@ def _sample_q_pairs(q: Quadrilateral, locus, count: int):
             found = bisector_through(q, m)
             if isinstance(found, list):
                 for b in found:
-                    add(b.line)
-                    try:
-                        add(q_partner(q, b.line))
-                    except GeometryError:
-                        pass
+                    add_with_partner(b.line)
             elif isinstance(found, AllLinesThrough):
                 for s in range(-2, 3):
                     star = Line(

@@ -215,3 +215,31 @@ def test_missing_required_args(capsys):
     assert "needs --quad" in err
     code, _, err = run(capsys, "--field", "Q", "--cmd", "verify")
     assert code == 2
+
+
+def test_plot_unwritable_out_exit_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "e1.svg"
+    code, out, err = run(
+        capsys, "--field", "Q", "--quad", E1_QUAD, "--cmd", "plot",
+        "--what", "locus", "--out", str(out_path),
+    )
+    assert code == 2
+    assert out == []
+    assert err.startswith("error: ")
+    assert str(out_path) in err
+
+
+def test_negative_values_as_separate_arguments(capsys):
+    code, out, _ = run(
+        capsys, "--field", "Q", "--quad", E1_QUAD, "--cmd", "bisector",
+        "--point", "-1/4,0", "--format", "record",
+    )
+    assert code == 0
+    assert out == ["bisector\tY=0", "midpoint\t-1/4 0"]
+    midpoint = dict(line.split("\t", 1) for line in out)["midpoint"]
+    assert run(
+        capsys, "--field", "Q", "--quad", E1_QUAD, "--cmd", "bisector",
+        "--point", midpoint, "--format", "record",
+    ) == (0, out, "")
+    pencil = ("--field", "Q", "--quad", E1_QUAD, "--cmd", "pencil", "--beta", "1")
+    assert run(capsys, *pencil, "--alpha", "-1/2") == run(capsys, *pencil, "--alpha=-1/2")

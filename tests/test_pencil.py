@@ -224,3 +224,15 @@ def test_conic_string_and_normalization():
     assert str(c) == "X^2 - 3/2*X*Y + 1/2*Y^2 + 1/2*X - 1/2"
     with pytest.raises(DegenerateInput):
         conic(QQ, 0, 0, 0, 1, 1, 1)
+
+
+def test_classify_parallel_pair_non_unit_slope():
+    # Double-direction branch with canonical midline Y=2X-1, whose t = 2
+    # rescales the constant term when the conic is split.
+    for field, far in ((QQ, "Y=2X-3"), (GF(7), "Y=2X+4")):
+        l1, l2 = Line.parse(field, "Y=2X+1"), Line.parse(field, "Y=2X-3")
+        assert str(l2) == far
+        result = classify(Conic.from_lines(l1, l2))
+        assert result.kind == "degenerate_pair"
+        assert result.pair == LinePair(l1, l2)
+        assert str(result.pair) == ("{Y=2X-3, Y=2X+1}" if field is QQ else "{Y=2X+1, Y=2X+4}")
