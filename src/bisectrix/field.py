@@ -1,8 +1,10 @@
 """Exact field arithmetic over the rationals and over GF(p), p an odd prime.
 
-Scalars are immutable and tagged with their field; mixing fields raises
-FieldMismatch.  Rationals are backed by fractions.Fraction (always reduced,
-positive denominator), GF(p) values by canonical residues in [0, p).
+Fields are interned (Rationals() is QQ, PrimeField(p) is GF(p)), so field
+equality is identity.  Scalars are immutable and tagged with their field;
+mixing fields raises FieldMismatch.  Rationals are backed by
+fractions.Fraction (always reduced, positive denominator), GF(p) values by
+canonical residues in [0, p).
 Square roots are computed inside the field and absence is a value, not an
 error.
 """
@@ -14,11 +16,13 @@ from math import isqrt
 
 from .errors import DivisionByZero, FieldMismatch
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The witnesses above decide primality of every n below this bound.
+_MR_BOUND = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, valid for all n < _MR_BOUND."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -42,27 +46,44 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface of Rationals and PrimeField."""
+    """Common interface of Rationals and PrimeField.
 
+    Constructing a field returns the one object with those parameters.
+    """
+
+    _interned: dict[tuple, "Field"] = {}
     name: str
+    zero: "Scalar"
+    one: "Scalar"
+
+    def __new__(cls, *params):
+        key = (cls, *params)
+        field = Field._interned.get(key)
+        if field is None:
+            field = object.__new__(cls)
+            field._params = params
+            field._setup(*params)
+            field.zero = Scalar(field, field._coerce(0))
+            field.one = Scalar(field, field._coerce(1))
+            field = Field._interned.setdefault(key, field)
+        return field
+
+    def _setup(self):
+        """Validate the parameters and set the field's attributes."""
+
+    def __reduce__(self):
+        # Copies and unpickled fields resolve to the interned object.
+        return type(self), self._params
 
     def scalar(self, value) -> "Scalar":
         """Coerce an int, Fraction, string or Scalar into this field."""
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self:
                 raise FieldMismatch(f"cannot coerce {value.field.name} into {self.name}")
             return value
         if isinstance(value, str):
             return self.parse(value)
         return Scalar(self, self._coerce(value))
-
-    @property
-    def zero(self) -> "Scalar":
-        return self.scalar(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.scalar(1)
 
     def parse(self, text: str) -> "Scalar":
         return Scalar(self, self._coerce_text(text.strip()))
@@ -89,6 +110,9 @@ class Field:
     def _inv(self, a):
         raise NotImplementedError
 
+    def _div(self, a, b):
+        raise NotImplementedError
+
     def _sqrt(self, a):
         raise NotImplementedError
 
@@ -97,12 +121,6 @@ class Rationals(Field):
     """The field of rational numbers with arbitrary-precision arithmetic."""
 
     name = "Q"
-
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("Q")
 
     def __repr__(self):
         return "Rationals()"
@@ -132,6 +150,11 @@ class Rationals(Field):
             raise DivisionByZero("inverse of 0")
         return 1 / a
 
+    def _div(self, a, b):
+        if b == 0:
+            raise DivisionByZero("inverse of 0")
+        return a / b
+
     def _sqrt(self, a):
         # Reduced fraction is a square iff numerator and denominator both are.
         if a < 0:
@@ -143,19 +166,17 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
-    """GF(p) for an odd prime p, elements stored as residues in [0, p)."""
+    """GF(p) for an odd prime p < _MR_BOUND, elements stored as residues in [0, p)."""
 
-    def __init__(self, p: int):
+    p: int
+
+    def _setup(self, p: int):
+        if p >= _MR_BOUND:
+            raise ValueError(f"modulus must be below {_MR_BOUND} (primality bound), got {p}")
         if p < 3 or p % 2 == 0 or not _is_prime(p):
             raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
         self.p = p
         self.name = f"GF({p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -191,6 +212,9 @@ class PrimeField(Field):
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, self.p - 2, self.p)
+
+    def _div(self, a, b):
+        return a * self._inv(b) % self.p
 
     def _sqrt(self, a):
         if a == 0:
@@ -228,17 +252,32 @@ class PrimeField(Field):
         return r
 
 
-QQ = Rationals()
-
-_prime_fields: dict[int, PrimeField] = {}
+GF = PrimeField
 
 
-def GF(p: int) -> PrimeField:
-    """Return the (cached) prime field GF(p)."""
-    field = _prime_fields.get(p)
-    if field is None:
-        field = _prime_fields[p] = PrimeField(p)
-    return field
+def _binary(hook: str, reflected: bool = False):
+    """A Scalar operator applying the field hook to (self, other), or to
+    (other, self) when reflected; ints are coerced into the field."""
+
+    def operator(self, other):
+        field = self.field
+        if isinstance(other, Scalar):
+            if other.field is not field:
+                raise FieldMismatch(f"{field.name} vs {other.field.name}")
+            b = other.value
+        elif isinstance(other, int):
+            b = field._coerce(other)
+        else:
+            return NotImplemented
+        a = self.value
+        if reflected:
+            a, b = b, a
+        result = _new_object(Scalar)
+        _set_field(result, field)
+        _set_value(result, getattr(field, hook)(a, b))
+        return result
+
+    return operator
 
 
 class Scalar:
@@ -247,60 +286,18 @@ class Scalar:
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
+        _set_field(self, field)
+        _set_value(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
-    def _rhs(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field.name} vs {other.field.name}")
-            return other.value
-        if isinstance(other, int):
-            return self.field._coerce(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._rhs(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._add(self.value, b))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._rhs(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._sub(self.value, b))
-
-    def __rsub__(self, other):
-        b = self._rhs(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._sub(b, self.value))
-
-    def __mul__(self, other):
-        b = self._rhs(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._mul(self.value, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._rhs(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._mul(self.value, self.field._inv(b)))
-
-    def __rtruediv__(self, other):
-        b = self._rhs(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field._mul(b, self.field._inv(self.value)))
+    __add__ = __radd__ = _binary("_add")
+    __sub__ = _binary("_sub")
+    __rsub__ = _binary("_sub", reflected=True)
+    __mul__ = __rmul__ = _binary("_mul")
+    __truediv__ = _binary("_div")
+    __rtruediv__ = _binary("_div", reflected=True)
 
     def __neg__(self):
         return Scalar(self.field, self.field._neg(self.value))
@@ -329,9 +326,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return other.field == self.field and other.value == self.value
-        if isinstance(other, int):
-            return self.value == self.field._coerce(other)
+            return other.field is self.field and other.value == self.value
         return NotImplemented
 
     def __hash__(self):
@@ -346,3 +341,9 @@ class Scalar:
 
     def __repr__(self):
         return f"<{self} in {self.field.name}>"
+
+
+_new_object = object.__new__
+_set_field = Scalar.field.__set__
+_set_value = Scalar.value.__set__
+QQ = Rationals()

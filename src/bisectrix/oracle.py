@@ -14,6 +14,7 @@ the same instances from the same seed.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -70,14 +71,10 @@ def _p1(field: Field) -> list[tuple[Scalar, Scalar]]:
     return [(one, field.scalar(t)) for t in range(field.p)] + [(field.zero, one)]
 
 
-def _parallel_class(field: PrimeField, u: Scalar, t: Scalar) -> list[Line]:
-    """The p lines tX - uY + v = 0 with infinite point [u : t]."""
-    return [Line(t, u, field.scalar(v)) for v in range(field.p)]
-
-
 def enumerate_lines(field: Field) -> list[Line]:
-    """All p^2 + p affine lines of GF(p)^2 in canonical form."""
-    return [line for u, t in _p1(field) for line in _parallel_class(field, u, t)]
+    """All p^2 + p affine lines of GF(p)^2 in canonical form, one parallel
+    class tX - uY + v = 0 (v = 0 .. p-1) per point [u : t] of P1."""
+    return [Line(t, u, field.scalar(v)) for u, t in _p1(field) for v in range(field.p)]
 
 
 def enumerate_points(field: Field) -> list[Point]:
@@ -263,8 +260,10 @@ def _check_desargues(q, ctx):
             for l in enumerate_lines(q.field)
             if all(not l.contains(v) for v in qr.points)
         ]
+        bisecting = set(ctx.bisector_lines(q))
     else:
         lines = _fixture_probe_lines(q)
+        bisecting = {l for l in lines if is_bisector(q, l) is not None}
     out = []
     for line in lines:
         pairs = [
@@ -284,7 +283,7 @@ def _check_desargues(q, ctx):
             out.append(f"{line}: the three conjugate pairs disagree")
         if not inv.conjugate(*pairs[2]):
             out.append(f"{line}: third pair not conjugate")
-        bisects = is_bisector(q, line) is not None
+        bisects = line in bisecting
         if inv.is_reflection() != bisects:
             out.append(f"{line}: reflection={inv.is_reflection()} but bisector={bisects}")
     return len(lines), out
@@ -305,20 +304,17 @@ def _check_vertex_lines(q, ctx):
 
 
 def _check_parallel_bisectors(q, ctx):
-    field = q.field
-    bis_lines = set(ctx.bisector_lines(q))
+    per_direction = Counter(l.infinite_point() for l in ctx.bisector_lines(q))
     parallel_dirs = {l1.infinite_point() for l1, _ in _side_diag_parallel_pairs(q)}
-    directions = _p1(field)
+    directions = [InfPoint(u, t) for u, t in _p1(q.field)]
     out = []
-    for u, t in directions:
-        direction = InfPoint(u, t)
-        class_lines = _parallel_class(field, u, t)
-        in_class = [l for l in class_lines if l in bis_lines]
+    for direction in directions:
+        count = per_direction[direction]
         if direction in parallel_dirs:
-            if len(in_class) != len(class_lines):
-                out.append(f"direction {direction}: only {len(in_class)} of the class bisect")
-        elif len(in_class) > 1:
-            out.append(f"direction {direction}: {len(in_class)} distinct parallel bisectors")
+            if count != q.field.p:
+                out.append(f"direction {direction}: only {count} of the class bisect")
+        elif count > 1:
+            out.append(f"direction {direction}: {count} distinct parallel bisectors")
     return len(directions), out
 
 
@@ -525,18 +521,17 @@ def _check_pair_redundancy(q, ctx):
     bis = sorted(ctx.brute(q), key=lambda b: b.line.sort_key())
     d = quadratic_data(q)
     parallel_dirs = {l1.infinite_point() for l1, _ in _side_diag_parallel_pairs(q)}
+    vectors = [(b.line.u, b.line.t) for b in bis]
+    in_parallel_dirs = [b.line.infinite_point() in parallel_dirs for b in bis]
     out = []
     count = 0
     for i in range(len(bis)):
         for j in range(i, len(bis)):
             b1, b2 = bis[i], bis[j]
             count += 1
-            orth = inner(d, (b1.line.u, b1.line.t), (b2.line.u, b2.line.t)).is_zero()
+            orth = inner(d, vectors[i], vectors[j]).is_zero()
             anti = midpoint(b1.midpoint, b2.midpoint) == q.centroid
-            both_parallel = (
-                b1.line.infinite_point() in parallel_dirs
-                and b2.line.infinite_point() in parallel_dirs
-            )
+            both_parallel = in_parallel_dirs[i] and in_parallel_dirs[j]
             if orth and not both_parallel and not anti:
                 out.append(f"orthogonal pair {{{b1.line}, {b2.line}}} is not antipodal")
             if anti and b1.midpoint != b2.midpoint and not orth:

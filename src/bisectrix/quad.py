@@ -35,7 +35,7 @@ class Quadrilateral:
     __slots__ = (
         "a", "b", "a2", "b2",
         "vertices", "centroid", "proper", "double_vertex",
-        "diagonal_lines", "_standard",
+        "diagonal_lines", "_opposite_pairs", "_standard",
     )
 
     def __init__(self, a: Line, b: Line, a2: Line, b2: Line):
@@ -69,6 +69,7 @@ class Quadrilateral:
         # For an improper quadrilateral these come out as the pair of
         # opposite sides through the double vertex.
         self.diagonal_lines = (line_from_points(v0, v2), line_from_points(v1, v3))
+        self._opposite_pairs = (LinePair(a, a2), LinePair(b, b2))
         self._standard = None
         assert self.centroid == midpoint(midpoint(v0, v3), midpoint(v1, v2))
         assert self.centroid == midpoint(midpoint(v0, v1), midpoint(v2, v3))
@@ -82,7 +83,7 @@ class Quadrilateral:
         return self.a.field
 
     def opposite_pairs(self) -> tuple[LinePair, LinePair]:
-        return (LinePair(self.a, self.a2), LinePair(self.b, self.b2))
+        return self._opposite_pairs
 
     def diagonal_points(self) -> tuple[PlanePoint, PlanePoint, PlanePoint]:
         """A.A', B.B' and the diagonal intersection, each possibly at infinity.
@@ -146,7 +147,7 @@ class Quadrilateral:
 class Quadrangle:
     """Four distinct affine points and the six lines through them."""
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "_side_pairs")
 
     def __init__(self, p0: Point, p1: Point, p2: Point, p3: Point):
         points = (p0, p1, p2, p3)
@@ -157,6 +158,11 @@ class Quadrangle:
                 if points[i] == points[j]:
                     raise DegenerateInput("quadrangle needs four distinct points")
         object.__setattr__(self, "points", points)
+        object.__setattr__(self, "_side_pairs", (
+            LinePair(line_from_points(p0, p1), line_from_points(p2, p3)),
+            LinePair(line_from_points(p0, p2), line_from_points(p1, p3)),
+            LinePair(line_from_points(p0, p3), line_from_points(p1, p2)),
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("Quadrangle is immutable")
@@ -166,12 +172,7 @@ class Quadrangle:
         return self.points[0].field
 
     def opposite_side_pairs(self) -> tuple[LinePair, LinePair, LinePair]:
-        p0, p1, p2, p3 = self.points
-        return (
-            LinePair(line_from_points(p0, p1), line_from_points(p2, p3)),
-            LinePair(line_from_points(p0, p2), line_from_points(p1, p3)),
-            LinePair(line_from_points(p0, p3), line_from_points(p1, p2)),
-        )
+        return self._side_pairs
 
     def __eq__(self, other):
         return isinstance(other, Quadrangle) and other.points == self.points

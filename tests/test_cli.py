@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import bisectrix.cli
 from bisectrix.cli import main
 
 E1_QUAD = "Y=0; Y=X+1; X=0; Y=2X-1"
@@ -243,3 +248,30 @@ def test_negative_values_as_separate_arguments(capsys):
     ) == (0, out, "")
     pencil = ("--field", "Q", "--quad", E1_QUAD, "--cmd", "pencil", "--beta", "1")
     assert run(capsys, *pencil, "--alpha", "-1/2") == run(capsys, *pencil, "--alpha=-1/2")
+
+
+def test_modulus_above_primality_bound_exit_2(capsys):
+    code, out, err = run(
+        capsys, "--field", f"GFp:{2**89 - 1}", "--quad", E1_QUAD, "--cmd", "analyze"
+    )
+    assert code == 2
+    assert out == []
+    assert "3317044064679887385961981" in err
+
+
+def test_verify_imports_no_numpy():
+    """An exhaustive verify must not pull numpy in (it would add ~11 MB RSS)."""
+    argv = ["--field", "GFp:7", "--cmd", "verify", "--seed", "1", "--instances", "2"]
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "import bisectrix.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert bisectrix.cli.main({argv!r}) == 0",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ))
+    src = Path(bisectrix.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,8 +1,10 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from bisectrix import GF, QQ
+from bisectrix import GF, QQ, PrimeField, Rationals
 from bisectrix.errors import DivisionByZero, FieldMismatch
 from bisectrix.oracle import Lcg64
 
@@ -28,6 +30,8 @@ def test_int_coercion_in_expressions():
     x = g7.scalar(3)
     assert 2 * x == g7.scalar(6)
     assert x - 10 == g7.scalar(0)
+    assert 10 - x == g7.scalar(0)
+    assert 4 + x == g7.scalar(0)
     assert 1 / x == g7.scalar(5)
 
 
@@ -42,10 +46,45 @@ def test_inverse():
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        QQ.one + GF(7).one
-    with pytest.raises(FieldMismatch):
-        GF(5).one * GF(7).one
+    for x, y in ((GF(5).one, GF(7).one), (GF(7).one, QQ.one)):
+        for name in ("add", "sub", "mul", "truediv"):
+            for method in (f"__{name}__", f"__r{name}__"):
+                for left, right in ((x, y), (y, x)):
+                    with pytest.raises(FieldMismatch):
+                        getattr(left, method)(right)
+    with pytest.raises(TypeError):
+        GF(7).one + 0.5
+    with pytest.raises(TypeError):
+        0.5 * QQ.one
+
+
+def test_fields_are_interned():
+    assert PrimeField(7) is GF(7)
+    assert Rationals() is QQ
+    assert PrimeField(7).scalar(3) + GF(7).scalar(5) == GF(7).one
+    assert Rationals().scalar(2) * QQ.scalar(Fraction(1, 2)) == QQ.one
+    assert GF(7).one is GF(7).one
+    for field in (GF(7), QQ):
+        assert copy.deepcopy(field) is field
+        assert pickle.loads(pickle.dumps(field)) is field
+
+
+def test_scalar_never_equals_int():
+    x = GF(7).scalar(3)
+    assert x != 10 and x != 3
+    assert len({x, 3}) == 2
+    assert x + 7 == x
+
+
+def test_primality_bound():
+    # A strong pseudoprime to the bases 2..37: witness 41 exposes it.
+    with pytest.raises(ValueError, match="odd prime"):
+        GF(318665857834031151167461)
+    # One to the bases 2..41 (the bound itself), and a prime above the bound.
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="3317044064679887385961981"):
+            GF(n)
+    assert GF(2**61 - 1).p == 2**61 - 1
 
 
 def brute_sqrt_mod(field, a):

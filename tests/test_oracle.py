@@ -121,6 +121,22 @@ def test_verify_all_flags_corrupted_data():
     assert "closed_form_oracle" in failing
 
 
+def test_exhaustive_desargues_compares_every_swept_line(monkeypatch):
+    """With reflections suppressed, every swept bisector is a violation."""
+    from bisectrix import Involution
+
+    monkeypatch.setattr(Involution, "is_reflection", lambda self: False)
+    for seed in (1, 2, 4):
+        q = random_quadrilateral(GF(7), seed)
+        assert q.proper
+        swept = [
+            b for b in brute_bisectors(q) if not any(b.line.contains(v) for v in q.vertices)
+        ]
+        report = {r.tag: r for r in verify_all(q, "exhaustive")}["desargues_reflection"]
+        assert len(report.violations) == len(swept) > 0
+        assert all("reflection=False but bisector=True" in v for v in report.violations)
+
+
 def test_report_summary_format():
     q = random_quadrilateral(GF(7), 1)
     report = verify_all(q, "fixture")[0]
