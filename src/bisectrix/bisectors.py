@@ -119,15 +119,9 @@ class LocusConic:
         return self.conic.contains(p)
 
 
-def _side_midpoint_pairs(q: Quadrilateral):
-    """(pair of lines, their midpoints) for {A, A'}, {B, B'} and the diagonals."""
-    v0, v1, v2, v3 = q.vertices
-    d1, d2 = q.diagonal_lines
-    return (
-        (q.a, q.a2, midpoint(v0, v3), midpoint(v1, v2)),
-        (q.b, q.b2, midpoint(v0, v1), midpoint(v2, v3)),
-        (d1, d2, midpoint(v0, v2), midpoint(v1, v3)),
-    )
+# For each pair of Quadrilateral.line_pairs, the vertex indices of the
+# segment that the quadrilateral cuts on each of its two lines.
+_PAIR_SEGMENTS = (((0, 3), (1, 2)), ((0, 1), (2, 3)), ((0, 2), (1, 3)))
 
 
 def bisector_locus(q: Quadrilateral) -> LocusConic:
@@ -148,9 +142,11 @@ def bisector_locus(q: Quadrilateral) -> LocusConic:
         phi(d, h, k) - constant,
     )
     components = None
-    for l1, l2, m1, m2 in _side_midpoint_pairs(q):
+    v = q.vertices
+    for (l1, l2), ((i1, j1), (i2, j2)) in zip(q.line_pairs, _PAIR_SEGMENTS):
         if l1.is_parallel(l2):
             mid_line = Line(l1.t, l1.u, (l1.v + l2.v) / 2)
+            m1, m2 = midpoint(v[i1], v[j1]), midpoint(v[i2], v[j2])
             components = (mid_line, line_from_points(m1, m2))
             break
     assert (components is not None) == constant.is_zero()

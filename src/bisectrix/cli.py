@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .bisectors import (
@@ -34,12 +35,11 @@ from .plane import InfPoint, Line, PlanePoint, Point
 from .quad import Quadrilateral, standard_form
 from .svgplot import PLOT_KINDS, render_svg
 
-_CONFIG_KEYS = (
-    "field", "quad", "cmd", "seed", "out", "format",
-    "point", "line", "alpha", "beta", "what", "instances",
-)
-
 _FORMATS = ("text", "record")
+
+# The largest p for which verify runs its exhaustive profile over GF(p): its
+# cost grows as p^2, about 4 s at p = 101 and so about 7 min at p = 997.
+_VERIFY_MAX_P = 1000
 
 
 class ConfigError(Exception):
@@ -48,21 +48,21 @@ class ConfigError(Exception):
 
 @dataclass
 class JobConfig:
-    field: Field
     cmd: str
-    quad: Quadrilateral | None
-    seed: int
-    out: str | None
-    format: str
-    point: Point | None
-    line: Line | None
-    alpha: Scalar | None
-    beta: Scalar | None
-    what: str | None
-    instances: int
+    field: Field = QQ
+    quad: Quadrilateral | None = None
+    seed: int = 0
+    out: str | None = None
+    format: str = "text"
+    point: Point | None = None
+    line: Line | None = None
+    alpha: Scalar | None = None
+    beta: Scalar | None = None
+    what: str = "locus"
+    instances: int = 0
 
 
-def _parse_field(text: str) -> Field:
+def _parse_field(_, text: str) -> Field:
     if text == "Q":
         return QQ
     if text.startswith("GFp:"):
@@ -88,6 +88,18 @@ def _parse_point(field: Field, text: str) -> Point:
     return Point(field.parse(parts[0]), field.parse(parts[1]))
 
 
+def _one_of(kind: str, names) -> tuple[str, Callable]:
+    """Help text and parser of a key whose value must be one of names."""
+    listed = ", ".join(names)
+
+    def parse(_, text: str) -> str:
+        if text not in names:
+            raise ConfigError(f"unknown {kind} {text!r}: expected one of {listed}")
+        return text
+
+    return f"{kind}: {listed}", parse
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
@@ -100,7 +112,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if not value:
                     key, _, value = line.partition(" ")
                 key, value = key.strip(), value.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in _KEYS:
                     raise ConfigError(f"unknown config key {key!r}")
                 if key in out:
                     raise ConfigError(f"duplicate config key {key!r}")
@@ -108,27 +120,6 @@ def _read_config_file(path: str) -> dict[str, str]:
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     return out
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bisectrix",
-        description="Exact bisector geometry of quadrilaterals over Q and GF(p).",
-    )
-    parser.add_argument("--config", help="config file of 'key value' lines")
-    parser.add_argument("--field", help="Q or GFp:<p>")
-    parser.add_argument("--quad", help="four line literals: \"A; B; A'; B'\"")
-    parser.add_argument("--cmd", choices=_COMMANDS)
-    parser.add_argument("--seed", help="PRNG seed (default 0)")
-    parser.add_argument("--out", help="output path (plot)")
-    parser.add_argument("--format", choices=_FORMATS)
-    parser.add_argument("--point", help="midpoint 'x,y' (bisector)")
-    parser.add_argument("--line", help="line literal (partner)")
-    parser.add_argument("--alpha", help="pencil coefficient")
-    parser.add_argument("--beta", help="pencil coefficient")
-    parser.add_argument("--what", choices=PLOT_KINDS, help="plot kind")
-    parser.add_argument("--instances", help="random instances (verify)")
-    return parser
 
 
 def load_config(argv) -> JobConfig:
@@ -141,56 +132,24 @@ def load_config(argv) -> JobConfig:
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    args = _build_parser().parse_args(tokens)
-    merged: dict[str, str] = {}
-    if args.config:
-        merged.update(_read_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    args = _PARSER.parse_args(tokens)
+    texts = _read_config_file(args.config) if args.config else {}
+    for key in _KEYS:
         value = getattr(args, key)
-        if value is None:
-            continue
-        if key in merged:
-            raise ConfigError(f"key {key!r} given both in config file and as a flag")
-        merged[key] = value
-    if "cmd" not in merged:
+        if value is not None:
+            if key in texts:
+                raise ConfigError(f"key {key!r} given both in config file and as a flag")
+            texts[key] = value
+    if "cmd" not in texts:
         raise ConfigError("missing --cmd")
-    cmd = merged["cmd"]
-    if cmd not in _COMMANDS:
-        raise ConfigError(f"unknown command {cmd!r}")
-    field = _parse_field(merged.get("field", "Q"))
-    fmt = merged.get("format", "text")
-    if fmt not in _FORMATS:
-        raise ConfigError(f"unknown format {fmt!r}")
+    values = {"field": QQ}
     try:
-        seed = int(merged.get("seed", "0"))
-        instances = int(merged.get("instances", "0"))
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    try:
-        quad = _parse_quad(field, merged["quad"]) if "quad" in merged else None
-        point = _parse_point(field, merged["point"]) if "point" in merged else None
-        line = Line.parse(field, merged["line"]) if "line" in merged else None
-        alpha = field.parse(merged["alpha"]) if "alpha" in merged else None
-        beta = field.parse(merged["beta"]) if "beta" in merged else None
+        for key, (_, parse) in _KEYS.items():
+            if key in texts:
+                values[key] = parse(values["field"], texts[key])
     except (ValueError, ZeroDivisionError) as err:
         raise ConfigError(str(err)) from err
-    what = merged.get("what")
-    if what is not None and what not in PLOT_KINDS:
-        raise ConfigError(f"unknown plot kind {what!r}")
-    return JobConfig(
-        field=field,
-        cmd=cmd,
-        quad=quad,
-        seed=seed,
-        out=merged.get("out"),
-        format=fmt,
-        point=point,
-        line=line,
-        alpha=alpha,
-        beta=beta,
-        what=what,
-        instances=instances,
-    )
+    return JobConfig(**values)
 
 
 def _render_point(p: PlanePoint) -> str:
@@ -337,6 +296,8 @@ def _aggregate(reports: list[TheoremReport]) -> list[TheoremReport]:
 
 def cmd_verify(cfg: JobConfig) -> tuple[int, list[str]]:
     profile = "exhaustive" if isinstance(cfg.field, PrimeField) else "fixture"
+    if profile == "exhaustive" and cfg.field.p > _VERIFY_MAX_P:
+        raise ConfigError(f"verify over GF(p) needs p <= {_VERIFY_MAX_P}, got {cfg.field.name}")
     reports: list[TheoremReport] = []
     if cfg.quad is not None:
         reports.extend(verify_all(cfg.quad, profile, seed=cfg.seed))
@@ -358,8 +319,7 @@ def cmd_plot(cfg: JobConfig) -> tuple[int, list[str]]:
         raise ConfigError("plotting is only available over Q (no embedding of GF(p))")
     if cfg.out is None:
         raise ConfigError("plot needs --out PATH")
-    what = cfg.what or "locus"
-    document = render_svg(cfg.quad, what)
+    document = render_svg(cfg.quad, cfg.what)
     try:
         with open(cfg.out, "w", encoding="utf-8") as handle:
             handle.write(document)
@@ -378,6 +338,39 @@ _COMMANDS = {
     "verify": (cmd_verify, ()),
     "plot": (cmd_plot, ("quad",)),
 }
+
+
+# Each key, given as a flag or as a config-file line: its help text and the
+# parser of its text over the field.  Keys are parsed in this order, so the
+# field comes first and the other parsers read it.
+_KEYS = {
+    "field": ("Q or GFp:<p> (default Q)", _parse_field),
+    "cmd": _one_of("command", _COMMANDS),
+    "format": _one_of("format", _FORMATS),
+    "seed": ("PRNG seed (default 0)", lambda _, text: int(text)),
+    "instances": ("random instances (verify)", lambda _, text: int(text)),
+    "quad": ("four line literals: \"A; B; A'; B'\"", _parse_quad),
+    "point": ("midpoint 'x,y' (bisector)", _parse_point),
+    "line": ("line literal (partner)", Line.parse),
+    "alpha": ("pencil coefficient", Field.parse),
+    "beta": ("pencil coefficient", Field.parse),
+    "what": _one_of("plot kind", PLOT_KINDS),
+    "out": ("output path (plot)", lambda _, text: text),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bisectrix",
+        description="Exact bisector geometry of quadrilaterals over Q and GF(p).",
+    )
+    parser.add_argument("--config", help="config file of 'key value' lines")
+    for key, (text, _) in _KEYS.items():
+        parser.add_argument(f"--{key}", help=text)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def dispatch(cfg: JobConfig) -> tuple[int, list[str]]:

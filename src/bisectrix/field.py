@@ -255,6 +255,19 @@ class PrimeField(Field):
 GF = PrimeField
 
 
+class Frozen:
+    """Base of every kernel value: once its constructor has written the slots
+    (with object.__setattr__), no attribute can be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _binary(hook: str, reflected: bool = False):
     """A Scalar operator applying the field hook to (self, other), or to
     (other, self) when reflected; ints are coerced into the field."""
@@ -280,7 +293,7 @@ def _binary(hook: str, reflected: bool = False):
     return operator
 
 
-class Scalar:
+class Scalar(Frozen):
     """An immutable field element; arithmetic never leaves the field."""
 
     __slots__ = ("field", "value")
@@ -288,9 +301,6 @@ class Scalar:
     def __init__(self, field: Field, value):
         _set_field(self, field)
         _set_value(self, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
 
     __add__ = __radd__ = _binary("_add")
     __sub__ = _binary("_sub")

@@ -19,7 +19,7 @@ from .errors import (
     LineThroughVertex,
     UnderdeterminedPairs,
 )
-from .field import Scalar
+from .field import Frozen, Scalar
 from .plane import InfPoint, Line, PlanePoint, Point, intersect
 from .quad import Quadrangle, Quadrilateral
 
@@ -70,7 +70,7 @@ def q_orthogonal(d: QuadraticData, l1: Line, l2: Line) -> bool:
     return inner(d, (l1.u, l1.t), (l2.u, l2.t)).is_zero()
 
 
-class Involution:
+class Involution(Frozen):
     """An involutive homography of P1, stored as a matrix up to scale.
 
     The matrix acts by [x : y] |-> [m00*x + m01*y : m10*x + m11*y]; equality
@@ -92,9 +92,6 @@ class Involution:
             raise DegenerateInput("scalar matrix is not an involution")
         for name, value in zip(self.__slots__, (m00, m01, m10, m11)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Involution is immutable")
 
     def apply(self, p: InfPoint) -> InfPoint:
         return InfPoint(self.m00 * p.x + self.m01 * p.y, self.m10 * p.x + self.m11 * p.y)

@@ -172,23 +172,17 @@ class TheoremReport:
         return f"{self.tag} {self.field_name} {self.instances} {len(self.violations)}"
 
 
+# Violation names of the pairs in Quadrilateral.line_pairs.
+_PAIR_NAMES = ("A,A'", "B,B'", "diagonals")
+
+
 def _side_diag_parallel_pairs(q: Quadrilateral) -> list[tuple[Line, Line]]:
-    d1, d2 = q.diagonal_lines
-    return [
-        (l1, l2)
-        for l1, l2 in ((q.a, q.a2), (q.b, q.b2), (d1, d2))
-        if l1.is_parallel(l2)
-    ]
+    return [(l1, l2) for l1, l2 in q.line_pairs if l1.is_parallel(l2)]
 
 
 def _canonical_bisectors(q: Quadrilateral) -> list[Line]:
     """Sides and diagonals, deduplicated (they overlap for improper quads)."""
-    seen, out = set(), []
-    for line in q.sides + q.diagonal_lines:
-        if line not in seen:
-            seen.add(line)
-            out.append(line)
-    return out
+    return list(dict.fromkeys(q.sides + q.diagonal_lines))
 
 
 def _check_eq1(q, ctx):
@@ -207,9 +201,8 @@ def _check_eq1(q, ctx):
 
 def _check_opposite_orthogonal(q, ctx):
     d = quadratic_data(q)
-    d1, d2 = q.diagonal_lines
     out = []
-    for name, l1, l2 in (("A,A'", q.a, q.a2), ("B,B'", q.b, q.b2), ("diagonals", d1, d2)):
+    for name, (l1, l2) in zip(_PAIR_NAMES, q.line_pairs):
         if not inner(d, (l1.u, l1.t), (l2.u, l2.t)).is_zero():
             out.append(f"pair {name} is not Q-orthogonal")
     return 3, out
@@ -219,7 +212,7 @@ def _check_lambda_involution(q, ctx):
     d = quadratic_data(q)
     inv = lambda_q(d)
     out = []
-    for l1, l2 in ((q.a, q.a2), (q.b, q.b2), q.diagonal_lines):
+    for l1, l2 in q.line_pairs:
         if not inv.conjugate(l1.infinite_point(), l2.infinite_point()):
             out.append(f"infinite points of {l1} and {l2} are not conjugate")
     instances = 3

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInput
-from .field import Scalar
+from .field import Frozen, Scalar
 from .plane import InfPoint, Line, LinePair, PlanePoint, Point
 from .quad import Quadrilateral
 
@@ -48,7 +48,7 @@ def format_polynomial(terms) -> str:
     return out or "0"
 
 
-class Conic:
+class Conic(Frozen):
     """Six normalized coefficients of a quadratic polynomial."""
 
     __slots__ = _COEFF_NAMES
@@ -60,9 +60,6 @@ class Conic:
         lead = next(x for x in coeffs if not x.is_zero())
         for name, value in zip(_COEFF_NAMES, coeffs):
             object.__setattr__(self, name, value / lead)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Conic is immutable")
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:

@@ -12,10 +12,10 @@ import re
 from typing import Union
 
 from .errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
-from .field import Field, Scalar
+from .field import Field, Frozen, Scalar
 
 
-class Point:
+class Point(Frozen):
     """An affine point (x, y)."""
 
     __slots__ = ("x", "y")
@@ -25,9 +25,6 @@ class Point:
             raise FieldMismatch("point coordinates from different fields")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
 
     @property
     def field(self) -> Field:
@@ -46,7 +43,7 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-class InfPoint:
+class InfPoint(Frozen):
     """A point on the line at infinity, i.e. a point of P1(k).
 
     Stored as a normalized homogeneous pair [x : y]: x = 1 when x != 0,
@@ -68,9 +65,6 @@ class InfPoint:
             y = y.field.one
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("InfPoint is immutable")
 
     @property
     def field(self) -> Field:
@@ -94,7 +88,7 @@ PlanePoint = Union[Point, InfPoint]
 _SLOPE_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)\*?X(.*)$", re.IGNORECASE)
 
 
-class Line:
+class Line(Frozen):
     """The affine line tX - uY + v = 0 with canonical coefficients."""
 
     __slots__ = ("t", "u", "v")
@@ -111,9 +105,6 @@ class Line:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Line is immutable")
 
     @property
     def field(self) -> Field:
@@ -210,7 +201,7 @@ class Line:
         return f"Line<{self}>"
 
 
-class LinePair:
+class LinePair(Frozen):
     """An unordered pair of lines; the two lines may coincide.
 
     Stored in a fixed order (lexicographic on coefficients) so equal pairs
@@ -224,9 +215,6 @@ class LinePair:
             l1, l2 = l2, l1
         object.__setattr__(self, "a", l1)
         object.__setattr__(self, "b", l2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinePair is immutable")
 
     @property
     def lines(self) -> tuple[Line, Line]:
@@ -270,7 +258,7 @@ def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
 
 
-class AffineMap:
+class AffineMap(Frozen):
     """x |-> Mx + b with invertible linear part M."""
 
     __slots__ = ("m00", "m01", "m10", "m11", "b0", "b1")
@@ -281,9 +269,6 @@ class AffineMap:
             raise SingularMap("linear part has determinant 0")
         for name, value in zip(self.__slots__, (m00, m01, m10, m11, b0, b1)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineMap is immutable")
 
     @classmethod
     def identity(cls, field: Field) -> "AffineMap":

@@ -4,7 +4,8 @@ A quadrilateral ABA'B' is four distinct lines in cyclic order with opposite
 pairs {A, A'} and {B, B'}; adjacent sides may not be parallel and the four
 lines may not be concurrent.  Three sides through one point are allowed
 (improper case, two coincident vertices).  All derived data is computed
-eagerly at validation time.
+eagerly at validation time, except the standard form, which is memoised on
+first use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import (
     DuplicateLine,
     GeometryError,
 )
-from .field import Scalar
+from .field import Frozen, Scalar
 from .plane import (
     AffineMap,
     Line,
@@ -29,13 +30,13 @@ from .plane import (
 )
 
 
-class Quadrilateral:
+class Quadrilateral(Frozen):
     """Four lines A, B, A', B' with vertices (A.B, B.A', A'.B', B'.A)."""
 
     __slots__ = (
         "a", "b", "a2", "b2",
         "vertices", "centroid", "proper", "double_vertex",
-        "diagonal_lines", "_opposite_pairs", "_standard",
+        "diagonal_lines", "line_pairs", "_opposite_pairs", "_standard",
     )
 
     def __init__(self, a: Line, b: Line, a2: Line, b2: Line):
@@ -54,25 +55,26 @@ class Quadrilateral:
         v2 = intersect(a2, b2)
         v3 = intersect(b2, a)
         vertices = (v0, v1, v2, v3)
-        self.a, self.b, self.a2, self.b2 = a, b, a2, b2
-        self.vertices = vertices
-        self.centroid = Point(
+        centroid = Point(
             (v0.x + v1.x + v2.x + v3.x) / 4,
             (v0.y + v1.y + v2.y + v3.y) / 4,
         )
+        assert centroid == midpoint(midpoint(v0, v3), midpoint(v1, v2))
+        assert centroid == midpoint(midpoint(v0, v1), midpoint(v2, v3))
         double = None
         for i in range(4):
             if vertices[i] == vertices[(i + 1) % 4]:
                 double = vertices[i]
-        self.proper = double is None
-        self.double_vertex = double
         # For an improper quadrilateral these come out as the pair of
         # opposite sides through the double vertex.
-        self.diagonal_lines = (line_from_points(v0, v2), line_from_points(v1, v3))
-        self._opposite_pairs = (LinePair(a, a2), LinePair(b, b2))
-        self._standard = None
-        assert self.centroid == midpoint(midpoint(v0, v3), midpoint(v1, v2))
-        assert self.centroid == midpoint(midpoint(v0, v1), midpoint(v2, v3))
+        diagonals = (line_from_points(v0, v2), line_from_points(v1, v3))
+        # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
+        values = (
+            a, b, a2, b2, vertices, centroid, double is None, double, diagonals,
+            ((a, a2), (b, b2), diagonals), (LinePair(a, a2), LinePair(b, b2)), None,
+        )
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     @property
     def sides(self) -> tuple[Line, Line, Line, Line]:
@@ -92,8 +94,7 @@ class Quadrilateral:
         (their diagonals coincide with opposite sides); multiplicities are
         reported as they come.
         """
-        d1, d2 = self.diagonal_lines
-        return (intersect(self.a, self.a2), intersect(self.b, self.b2), intersect(d1, d2))
+        return tuple(intersect(l1, l2) for l1, l2 in self.line_pairs)
 
     def is_parallelogram(self) -> bool:
         """Both pairs of opposite sides parallel."""
@@ -144,7 +145,7 @@ class Quadrilateral:
         return f"Quadrilateral({self.a!r}, {self.b!r}, {self.a2!r}, {self.b2!r})"
 
 
-class Quadrangle:
+class Quadrangle(Frozen):
     """Four distinct affine points and the six lines through them."""
 
     __slots__ = ("points", "_side_pairs")
@@ -163,9 +164,6 @@ class Quadrangle:
             LinePair(line_from_points(p0, p2), line_from_points(p1, p3)),
             LinePair(line_from_points(p0, p3), line_from_points(p1, p2)),
         ))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quadrangle is immutable")
 
     @property
     def field(self):
@@ -254,5 +252,6 @@ def standard_form(q: Quadrilateral) -> tuple[AffineMap, Quadrilateral, Scalar]:
     assert std.is_standard
     mu = std.mu
     assert mu is not None and not mu.is_zero()
-    q._standard = (f, std, mu)
+    # The memo is the one slot written after __init__.
+    object.__setattr__(q, "_standard", (f, std, mu))
     return q._standard

@@ -1,8 +1,12 @@
+import argparse
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 import bisectrix.cli
 from bisectrix.cli import main
@@ -275,3 +279,84 @@ def test_verify_imports_no_numpy():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_verify_refuses_large_prime_fields(capsys):
+    """Exhaustive verify costs p^2 line tests per check; large p is refused
+    before any quadrilateral is sampled."""
+    for argv in (
+        ("--field", "GFp:1000003", "--cmd", "verify", "--seed", "2", "--instances", "1"),
+        ("--field", "GFp:1009", "--cmd", "verify", "--quad", "Y=0; Y=X+1; X=0; Y=2X+5"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert "p <= 1000" in err
+
+
+# One non-default value per key of bisectrix.cli._KEYS.
+KEY_SAMPLES = {
+    "field": "GFp:7",
+    "cmd": "pencil",
+    "format": "record",
+    "seed": "5",
+    "instances": "2",
+    "quad": E1_QUAD,
+    "point": "1/2,0",
+    "line": "Y=X+1",
+    "alpha": "-1/2",
+    "beta": "3",
+    "what": "bisector-field-sample",
+    "out": "e1.svg",
+}
+
+
+def test_flag_and_config_line_agree_for_every_key(tmp_path):
+    assert set(KEY_SAMPLES) == set(bisectrix.cli._KEYS)
+    load = bisectrix.cli.load_config
+    config = tmp_path / "job.cfg"
+    for key, value in KEY_SAMPLES.items():
+        base = [] if key == "cmd" else ["--cmd", "analyze"]
+        config.write_text(f"{key} {value}\n", encoding="utf-8")
+        from_flag = load(base + [f"--{key}", value])
+        assert from_flag == load(base + ["--config", str(config)])
+        if key != "cmd":
+            assert from_flag != load(base), key
+    config.write_text("".join(f"{k}\t{v}\n" for k, v in KEY_SAMPLES.items()), encoding="utf-8")
+    flags = [arg for k, v in KEY_SAMPLES.items() for arg in (f"--{k}", v)]
+    assert load(flags) == load(["--config", str(config)])
+
+
+def test_unknown_choice_exits_2_from_flag_or_file(tmp_path, capsys):
+    config = tmp_path / "job.cfg"
+    for key in ("cmd", "format", "what"):
+        bad = f"no-such-{key}"
+        base = [] if key == "cmd" else ["--quad", E1_QUAD, "--cmd", "analyze"]
+        config.write_text(f"{key} {bad}\n", encoding="utf-8")
+        for argv in (base + [f"--{key}", bad], base + ["--config", str(config)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert out == []
+            assert err.startswith("error: unknown ") and repr(bad) in err
+
+
+def test_load_config_builds_no_parser(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_config built an ArgumentParser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    cfg = bisectrix.cli.load_config(["--quad", E1_QUAD, "--cmd", "analyze"])
+    assert cfg.cmd == "analyze"
+
+
+def test_help_lists_every_key(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for key in ("config", *bisectrix.cli._KEYS):
+        assert f"--{key}" in out
+    for name in ("verify", "record", "bisector-field-sample"):
+        assert name in out
