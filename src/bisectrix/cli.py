@@ -38,12 +38,20 @@ from .svgplot import PLOT_KINDS, render_svg
 _FORMATS = ("text", "record")
 
 # The largest p for which verify runs its exhaustive profile over GF(p): its
-# cost grows as p^2, about 4 s at p = 101 and so about 7 min at p = 997.
+# cost grows as p^2, about 2 s at p = 101 and so about 3.5 min at p = 997.
 _VERIFY_MAX_P = 1000
 
 
 class ConfigError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (unknown flag, flag without its value,
+    ambiguous abbreviation) raise ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @dataclass
@@ -294,24 +302,34 @@ def _aggregate(reports: list[TheoremReport]) -> list[TheoremReport]:
     return list(by_tag.values())
 
 
+def _reproduce(field: Field, seed: int, q: Quadrilateral) -> str:
+    """The shell command that verifies q alone with the same seed (the --quad
+    literal holds no quote character, so single quotes protect it)."""
+    flag = f"GFp:{field.p}" if isinstance(field, PrimeField) else "Q"
+    literal = "; ".join(f"{side.t} {side.u} {side.v}" for side in q.sides)
+    return f"bisectrix --cmd verify --field {flag} --seed {seed} --quad '{literal}'"
+
+
 def cmd_verify(cfg: JobConfig) -> tuple[int, list[str]]:
     profile = "exhaustive" if isinstance(cfg.field, PrimeField) else "fixture"
     if profile == "exhaustive" and cfg.field.p > _VERIFY_MAX_P:
         raise ConfigError(f"verify over GF(p) needs p <= {_VERIFY_MAX_P}, got {cfg.field.name}")
-    reports: list[TheoremReport] = []
-    if cfg.quad is not None:
-        reports.extend(verify_all(cfg.quad, profile, seed=cfg.seed))
-    for i in range(cfg.instances):
-        q = random_quadrilateral(cfg.field, cfg.seed + i)
-        reports.extend(verify_all(q, profile, seed=cfg.seed + i))
-    if not reports:
+    runs = [(cfg.quad, cfg.seed)] if cfg.quad is not None else []
+    seeds = range(cfg.seed, cfg.seed + cfg.instances)
+    runs += [(random_quadrilateral(cfg.field, seed), seed) for seed in seeds]
+    if not runs:
         raise ConfigError("verify needs --quad and/or --instances")
-    lines = [r.summary() for r in _aggregate(reports)]
-    failures = [r for r in reports if not r.passed]
-    for r in failures:
-        for violation in r.violations:
-            lines.append(f"violation {r.tag}: {violation}")
-    return (1 if failures else 0), lines
+    reports: list[TheoremReport] = []
+    violations: list[str] = []
+    for q, seed in runs:
+        found = verify_all(q, profile, seed=seed)
+        reports.extend(found)
+        where = _reproduce(cfg.field, seed, q)
+        violations += [
+            f"violation {r.tag}: {v} [reproduce: {where}]" for r in found for v in r.violations
+        ]
+    lines = [r.summary() for r in _aggregate(reports)] + violations
+    return (1 if violations else 0), lines
 
 
 def cmd_plot(cfg: JobConfig) -> tuple[int, list[str]]:
@@ -360,7 +378,7 @@ _KEYS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bisectrix",
         description="Exact bisector geometry of quadrilaterals over Q and GF(p).",
     )

@@ -49,6 +49,10 @@ class UnderdeterminedPairs(GeometryError):
     """Point pairs do not determine a unique involution."""
 
 
+class NotConjugate(GeometryError):
+    """Points that a theorem makes conjugate under an involution are not."""
+
+
 class LineThroughVertex(GeometryError):
     """Line passes through a vertex where that is not allowed."""
 

@@ -17,10 +17,11 @@ from .errors import (
     DegenerateForm,
     DegenerateInput,
     LineThroughVertex,
+    NotConjugate,
     UnderdeterminedPairs,
 )
 from .field import Frozen, Scalar
-from .plane import InfPoint, Line, PlanePoint, Point, intersect
+from .plane import InfPoint, Line, PlanePoint
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -178,21 +179,33 @@ def chart_point(line: Line, p: PlanePoint) -> InfPoint:
     return InfPoint(param, field.one)
 
 
+def _crossing_parameter(line: Line, other: Line) -> InfPoint:
+    """chart_point(line, intersect(line, other)) for a line other than line,
+    as the homogeneous pair [numerator : det] of Cramer's rule."""
+    det = line.u * other.t - line.t * other.u
+    if det.is_zero():
+        return InfPoint(det.field.one, det.field.zero)
+    if line.is_vertical:
+        return InfPoint(line.v * other.t - line.t * other.v, det)
+    return InfPoint(line.v * other.u - line.u * other.v, det)
+
+
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     """The involution induced on a line by the conics through a quadrangle.
 
     Built from where two pairs of opposite sides of the quadrangle meet the
     line; the third pair is conjugate under the same involution, which is
-    checked.  The involution acts on chart parameters (see chart_point).
+    checked (NotConjugate otherwise).  The involution acts on chart
+    parameters (see chart_point).
     """
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
-    params = []
-    for pair in qr.opposite_side_pairs():
-        params.append(
-            tuple(chart_point(line, intersect(line, member)) for member in pair.lines)
-        )
+    params = [
+        tuple(_crossing_parameter(line, member) for member in pair.lines)
+        for pair in qr.opposite_side_pairs()
+    ]
     inv = involution_from_pairs(params[0], params[1])
-    assert inv.conjugate(*params[2])
+    if not inv.conjugate(*params[2]):
+        raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

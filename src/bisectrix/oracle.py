@@ -29,7 +29,13 @@ from .bisectors import (
     nine_points,
     q_partner,
 )
-from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisectors
+from .errors import (
+    ExhaustedSampling,
+    GeometryError,
+    InfiniteField,
+    NotBisectors,
+    NotConjugate,
+)
 from .field import Field, PrimeField, Scalar
 from .form import (
     chart_point,
@@ -42,7 +48,7 @@ from .form import (
 )
 from .pencil import center, degenerations, is_degeneration_of, pencil_of
 from .plane import AffineMap, InfPoint, Line, LinePair, Point, intersect, midpoint
-from .quad import Quadrilateral, requadrilate
+from .quad import Quadrangle, Quadrilateral, requadrilate
 
 
 class Lcg64:
@@ -89,15 +95,65 @@ def lines_through(field: Field, p: Point) -> list[Line]:
     return [Line(t, u, u * p.y - t * p.x) for u, t in _p1(field)]
 
 
+# A swept line's crossing with a reference line, when it is not an affine point.
+_PARALLEL = "parallel"
+_SAME = "same line"
+
+
+def _sweep(field: PrimeField, refs):
+    """Every line tX - uY + v = 0 of GF(p)^2 in enumerate_lines order, as
+    raw residues (t, u, v, crossings): crossings[i] is where the line meets
+    refs[i], an affine (x, y), _PARALLEL or _SAME.
+
+    The lines of one parallel class share each intersection determinant, so
+    it is inverted once per class and reference line, and the crossing is
+    then affine in the offset v.
+    """
+    p = field.p
+    raw = [(l.t.value, l.u.value, l.v.value) for l in refs]
+    for u_s, t_s in _p1(field):
+        u, t = u_s.value, t_s.value
+        columns = []
+        for rt, ru, rv in raw:
+            det = (u * rt - t * ru) % p
+            if det:
+                inv = pow(det, -1, p)
+                x0, dx = -u * rv * inv, ru * inv
+                y0, dy = -t * rv * inv, rt * inv
+                columns.append([((x0 + v * dx) % p, (y0 + v * dy) % p) for v in range(p)])
+            else:
+                # The reference line is in this class: it is the line at offset rv.
+                column = [_PARALLEL] * p
+                column[rv] = _SAME
+                columns.append(column)
+        for v, crossings in enumerate(zip(*columns)):
+            yield t, u, v, crossings
+
+
 def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
-    """Every line of the finite plane tested against the definition."""
-    if not isinstance(q.field, PrimeField):
+    """Every line of the finite plane tested against the definition (the
+    rules of bisectors.is_bisector, applied to raw residues)."""
+    field = q.field
+    if not isinstance(field, PrimeField):
         raise InfiniteField("brute-force bisectors need a finite field")
+    p = field.p
+    half = pow(2, -1, p)
     found = set()
-    for line in enumerate_lines(q.field):
-        m = is_bisector(q, line)
-        if m is not None:
-            found.add(Bisector(line, m))
+    for t, u, v, (a, a2, b, b2) in _sweep(field, (q.a, q.a2, q.b, q.b2)):
+        # The midpoints across the opposite pairs the line crosses; None is
+        # the line's own infinite point.
+        mids = []
+        for c1, c2 in ((a, a2), (b, b2)):
+            if c1 is _SAME or c2 is _SAME or (c1 is _PARALLEL and c2 is _PARALLEL):
+                continue
+            if c1 is _PARALLEL or c2 is _PARALLEL:
+                mids.append(None)
+            else:
+                mids.append(((c1[0] + c2[0]) * half % p, (c1[1] + c2[1]) * half % p))
+        if len(set(mids)) == 1 and mids[0] is not None:
+            x, y = (field.scalar(c) for c in mids[0])
+            line = Line(field.scalar(t), field.scalar(u), field.scalar(v))
+            found.add(Bisector(line, Point(x, y)))
     return found
 
 
@@ -243,32 +299,55 @@ def _fixture_probe_lines(q) -> list[Line]:
     return out[:4]
 
 
+def _desargues_sweep(qr: Quadrangle):
+    """Each line of the finite plane that avoids qr's vertices, with the
+    chart parameters (see form.chart_point) where it meets the three pairs
+    of opposite sides, read off one raw-residue sweep."""
+    field = qr.field
+    p = field.p
+    scalars = [field.scalar(i) for i in range(p)]
+    # charts[k] is the parameter [k : 1]; charts[p] is the line's infinite point.
+    charts = [InfPoint(s, field.one) for s in scalars] + [InfPoint(field.one, field.zero)]
+    vertices = [(pt.x.value, pt.y.value) for pt in qr.points]
+    sides = [l for pair in qr.opposite_side_pairs() for l in pair.lines]
+    for t, u, v, crossings in _sweep(field, sides):
+        if any((t * x - u * y + v) % p == 0 for x, y in vertices):
+            continue
+        # Each side holds two vertices, so no crossing here is _SAME.  The
+        # chart reads X, or Y on a vertical line.
+        axis = 0 if u else 1
+        params = [charts[p] if c is _PARALLEL else charts[c[axis]] for c in crossings]
+        line = Line(scalars[t], scalars[u], scalars[v])
+        yield line, [(params[0], params[1]), (params[2], params[3]), (params[4], params[5])]
+
+
 def _check_desargues(q, ctx):
     if not q.proper:
         return 0, []
     qr = q.quadrangle()
     if ctx.exhaustive:
-        lines = [
-            l
-            for l in enumerate_lines(q.field)
-            if all(not l.contains(v) for v in qr.points)
-        ]
+        swept = _desargues_sweep(qr)
         bisecting = set(ctx.bisector_lines(q))
     else:
         lines = _fixture_probe_lines(q)
         bisecting = {l for l in lines if is_bisector(q, l) is not None}
+        swept = (
+            (line, [
+                tuple(chart_point(line, intersect(line, member)) for member in pair.lines)
+                for pair in qr.opposite_side_pairs()
+            ])
+            for line in lines
+        )
     out = []
-    for line in lines:
-        pairs = [
-            tuple(
-                chart_point(line, intersect(line, member))
-                for member in side_pair.lines
-            )
-            for side_pair in qr.opposite_side_pairs()
-        ]
+    count = 0
+    for line, pairs in swept:
+        count += 1
         try:
             inv = desargues_involution(qr, line)
             inv13 = involution_from_pairs(pairs[0], pairs[2])
+        except NotConjugate:
+            out.append(f"{line}: third pair not conjugate")
+            continue
         except GeometryError as err:
             out.append(f"{line}: involution underdetermined ({err})")
             continue
@@ -279,7 +358,7 @@ def _check_desargues(q, ctx):
         bisects = line in bisecting
         if inv.is_reflection() != bisects:
             out.append(f"{line}: reflection={inv.is_reflection()} but bisector={bisects}")
-    return len(lines), out
+    return count, out
 
 
 def _check_vertex_lines(q, ctx):

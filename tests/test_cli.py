@@ -1,5 +1,6 @@
 import argparse
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -360,3 +361,53 @@ def test_help_lists_every_key(capsys):
         assert f"--{key}" in out
     for name in ("verify", "record", "bisector-field-sample"):
         assert name in out
+
+
+def test_argparse_errors_exit_2_naming_the_flag(capsys):
+    for argv, flag in (
+        (["--cmd", "analyze", "--bogus", "1"], "--bogus"),
+        (["--cmd"], "--cmd"),
+        (["--f", "Q", "--cmd", "verify"], "--f"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == []
+        assert err.startswith("error: ") and flag in err, err
+
+
+def test_violation_line_reproduces_through_main(monkeypatch, capsys):
+    """Every violation line carries its seed, field and --quad literal, and
+    the command it names prints that violation again."""
+    from bisectrix import Involution
+
+    monkeypatch.setattr(Involution, "is_reflection", lambda self: False)
+    code, out, _ = run(capsys, "--field", "GFp:7", "--cmd", "verify", "--seed", "1",
+                       "--instances", "2")
+    assert code == 1
+    violations = [line for line in out if line.startswith("violation ")]
+    assert violations
+    assert all(" --field GFp:7 --seed " in line for line in violations)
+    line = violations[-1]
+    assert " --seed 2 --quad " in line
+    command = line.rpartition(" [reproduce: ")[2].removesuffix("]")
+    argv = shlex.split(command)
+    assert argv[0] == "bisectrix"
+    code, again, _ = run(capsys, *argv[1:], "--instances", "0")
+    assert code == 1
+    assert line in again
+
+
+def test_verify_output_unchanged_under_optimize():
+    """No kernel check is an assert: python -O prints the same verify output."""
+    argv = ["--field", "GFp:7", "--cmd", "verify", "--seed", "0", "--instances", "3",
+            "--format", "record"]
+    script = f"import sys, bisectrix.cli; sys.exit(bisectrix.cli.main({argv!r}))"
+    src = Path(bisectrix.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = [
+        subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                       capture_output=True, text=True, timeout=120)
+        for flags in ([], ["-O"])
+    ]
+    assert done[0].returncode == done[1].returncode == 0, done[1].stderr
+    assert done[0].stdout and done[0].stdout == done[1].stdout

@@ -24,6 +24,7 @@ from bisectrix import (
 from bisectrix.errors import (
     DegenerateForm,
     LineThroughVertex,
+    NotConjugate,
     UnderdeterminedPairs,
 )
 from bisectrix.oracle import enumerate_lines, random_quadrilateral
@@ -172,6 +173,15 @@ def test_desargues_involution_e1(e1):
     assert not inv.is_reflection()
     with pytest.raises(LineThroughVertex):
         desargues_involution(qr, Line.parse(QQ, "X=0"))
+
+
+def test_desargues_involution_raises_when_third_pair_not_conjugate(e1, monkeypatch):
+    """The third-pair check is a raise, so it also holds under python -O."""
+    qr = e1.quadrangle()
+    line = Line.parse(QQ, "X=3")
+    monkeypatch.setattr(Involution, "conjugate", lambda self, p, q: False)
+    with pytest.raises(NotConjugate, match="third pair"):
+        desargues_involution(qr, line)
 
 
 def test_desargues_reflection_iff_bisector_gf7(e1_mod7):

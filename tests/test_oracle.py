@@ -2,18 +2,31 @@ import pytest
 
 from bisectrix import (
     GF,
+    Bisector,
     Point,
     QQ,
     brute_bisectors,
+    chart_point,
     closed_form_bisectors,
     enumerate_lines,
+    intersect,
+    is_bisector,
     lines_through,
     random_quadrilateral,
     verify_all,
 )
 from bisectrix.errors import InfiniteField
-from bisectrix.oracle import Lcg64, enumerate_points
-from conftest import E1_SIDES, make_quad
+from bisectrix.oracle import Lcg64, _desargues_sweep, enumerate_points
+from conftest import E1_SIDES, E2_SIDES, make_quad
+
+# Parallelogram, improper (A, B, A' through the origin), parallel pair
+# (A parallel to A') and parallelogram vertices (the unit square, crossed).
+SPECIAL_SIDES = (
+    E2_SIDES,
+    ("Y=0", "Y=X", "X=0", "Y=2X+1"),
+    ("Y=0", "X=0", "Y=1", "Y=X+2"),
+    ("X=0", "Y=X", "X=1", "Y=-X+1"),
+)
 
 
 def test_enumerate_lines_counts():
@@ -63,6 +76,44 @@ def test_oracle_equivalence():
         for seed in range(count):
             q = random_quadrilateral(field, seed)
             assert brute_bisectors(q) == closed_form_bisectors(q)
+
+
+def test_brute_bisectors_equal_definition_per_line():
+    """The raw-residue sweep finds exactly the lines that is_bisector accepts,
+    with the same midpoints."""
+    for p in (3, 5, 7, 11, 13):
+        field = GF(p)
+        quads = [random_quadrilateral(field, seed) for seed in range(60)]
+        quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+        lines = enumerate_lines(field)
+        for q in quads:
+            expected = set()
+            for line in lines:
+                m = is_bisector(q, line)
+                if m is not None:
+                    expected.add(Bisector(line, m))
+            assert brute_bisectors(q) == expected, (p, q)
+
+
+def test_desargues_sweep_pairs_equal_chart_points():
+    """The oracle's conjugate pairs on every swept line equal the chart
+    parameters of the kernel's intersection points."""
+    for p in (7, 11):
+        field = GF(p)
+        quads = [random_quadrilateral(field, seed) for seed in range(12)]
+        quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+        for q in (q for q in quads if q.proper):
+            qr = q.quadrangle()
+            swept = list(_desargues_sweep(qr))
+            avoiding = [
+                l for l in enumerate_lines(field) if not any(l.contains(v) for v in qr.points)
+            ]
+            assert [line for line, _ in swept] == avoiding
+            for line, pairs in swept:
+                assert pairs == [
+                    tuple(chart_point(line, intersect(line, m)) for m in pair.lines)
+                    for pair in qr.opposite_side_pairs()
+                ]
 
 
 def test_random_quadrilateral_deterministic():
