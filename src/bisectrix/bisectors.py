@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DoesNotCross, NotABisector, NotBisectors
+from .errors import DoesNotCross, InvariantViolation, NotABisector, NotBisectors
 from .field import Scalar
 from .form import QuadraticData, phi, q_orthogonal, quadratic_data
 from .pencil import Conic
@@ -67,7 +67,8 @@ def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
     the quadrangle is a theorem, not part of the predicate.
     """
     mids = [mid_cross(l, pair) for pair in q.opposite_pairs() if crosses(l, pair)]
-    assert mids, "a line always crosses at least one opposite-side pair"
+    if not mids:
+        raise InvariantViolation("a line always crosses at least one opposite-side pair")
     if len(mids) == 2 and mids[0] != mids[1]:
         return None
     m = mids[0]
@@ -149,9 +150,10 @@ def bisector_locus(q: Quadrilateral) -> LocusConic:
             m1, m2 = midpoint(v[i1], v[j1]), midpoint(v[i2], v[j2])
             components = (mid_line, line_from_points(m1, m2))
             break
-    assert (components is not None) == constant.is_zero()
-    if components is not None:
-        assert Conic.from_lines(*components) == conic
+    if (components is not None) != constant.is_zero():
+        raise InvariantViolation("the locus splits exactly when its constant vanishes")
+    if components is not None and Conic.from_lines(*components) != conic:
+        raise InvariantViolation("a split locus is the product of its two lines")
     return LocusConic(conic, c, components, d, constant)
 
 
@@ -194,7 +196,8 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     antipode = Point(2 * c.x - m.x, 2 * c.y - m.y)
     if antipode != m:
         found = bisector_through(q, antipode)
-        assert isinstance(found, list) and len(found) == 1
+        if not (isinstance(found, list) and len(found) == 1):
+            raise InvariantViolation(f"{antipode} lies on exactly one bisector")
         return found[0].line
     # Midpoint at the centroid: the partner is the unique line through the
     # centroid Q-orthogonal to l (possibly l itself).

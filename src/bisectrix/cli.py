@@ -151,12 +151,13 @@ def load_config(argv) -> JobConfig:
     if "cmd" not in texts:
         raise ConfigError("missing --cmd")
     values = {"field": QQ}
-    try:
-        for key, (_, parse) in _KEYS.items():
-            if key in texts:
+    for key, (_, parse) in _KEYS.items():
+        if key in texts:
+            try:
                 values[key] = parse(values["field"], texts[key])
-    except (ValueError, ZeroDivisionError) as err:
-        raise ConfigError(str(err)) from err
+            except (ValueError, ZeroDivisionError, GeometryError) as err:
+                rule = f"{type(err).__name__}: " if isinstance(err, GeometryError) else ""
+                raise ConfigError(f"{key} {texts[key]!r}: {rule}{err}") from err
     return JobConfig(**values)
 
 

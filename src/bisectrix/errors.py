@@ -53,6 +53,10 @@ class NotConjugate(GeometryError):
     """Points that a theorem makes conjugate under an involution are not."""
 
 
+class InvariantViolation(GeometryError):
+    """A result breaks an identity the kernel guarantees (a kernel bug)."""
+
+
 class LineThroughVertex(GeometryError):
     """Line passes through a vertex where that is not allowed."""
 

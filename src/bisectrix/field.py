@@ -1,10 +1,10 @@
 """Exact field arithmetic over the rationals and over GF(p), p an odd prime.
 
 Fields are interned (Rationals() is QQ, PrimeField(p) is GF(p)), so field
-equality is identity.  Scalars are immutable and tagged with their field;
-mixing fields raises FieldMismatch.  Rationals are backed by
-fractions.Fraction (always reduced, positive denominator), GF(p) values by
-canonical residues in [0, p).
+equality is identity, and each field has its own Scalar subclass, so field
+identity is class identity.  Scalars are immutable; mixing fields raises
+FieldMismatch.  Rationals are backed by fractions.Fraction (always reduced,
+positive denominator), GF(p) values by canonical residues in [0, p).
 Square roots are computed inside the field and absence is a value, not an
 error.
 """
@@ -48,7 +48,8 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Common interface of Rationals and PrimeField.
 
-    Constructing a field returns the one object with those parameters.
+    Constructing a field returns the one object with those parameters, and
+    its elements are built only through it: scalar, parse, zero and one.
     """
 
     _interned: dict[tuple, "Field"] = {}
@@ -63,8 +64,9 @@ class Field:
             field = object.__new__(cls)
             field._params = params
             field._setup(*params)
-            field.zero = Scalar(field, field._coerce(0))
-            field.one = Scalar(field, field._coerce(1))
+            field._make = _scalar_class(field, getattr(field, "p", None))
+            field.zero = field._make(field._coerce(0))
+            field.one = field._make(field._coerce(1))
             field = Field._interned.setdefault(key, field)
         return field
 
@@ -83,10 +85,10 @@ class Field:
             return value
         if isinstance(value, str):
             return self.parse(value)
-        return Scalar(self, self._coerce(value))
+        return self._make(self._coerce(value))
 
     def parse(self, text: str) -> "Scalar":
-        return Scalar(self, self._coerce_text(text.strip()))
+        return self._make(self._coerce_text(text.strip()))
 
     # raw-representation hooks implemented by subclasses
     def _coerce(self, value):
@@ -95,22 +97,7 @@ class Field:
     def _coerce_text(self, text: str):
         raise NotImplementedError
 
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _sub(self, a, b):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
     def _inv(self, a):
-        raise NotImplementedError
-
-    def _div(self, a, b):
         raise NotImplementedError
 
     def _sqrt(self, a):
@@ -133,27 +120,10 @@ class Rationals(Field):
     def _coerce_text(self, text):
         return Fraction(text)
 
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return 1 / a
-
-    def _div(self, a, b):
-        if b == 0:
-            raise DivisionByZero("inverse of 0")
-        return a / b
 
     def _sqrt(self, a):
         # Reduced fraction is a square iff numerator and denominator both are.
@@ -193,28 +163,13 @@ class PrimeField(Field):
     def _coerce_text(self, text):
         if "/" in text:
             num, den = text.split("/", 1)
-            return self._mul(self._coerce(int(num)), self._inv(self._coerce(int(den))))
+            return self._coerce(int(num)) * self._inv(self._coerce(int(den))) % self.p
         return self._coerce(int(text))
-
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _sub(self, a, b):
-        return (a - b) % self.p
-
-    def _mul(self, a, b):
-        return a * b % self.p
-
-    def _neg(self, a):
-        return -a % self.p
 
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def _div(self, a, b):
-        return a * self._inv(b) % self.p
 
     def _sqrt(self, a):
         if a == 0:
@@ -268,49 +223,34 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _binary(hook: str, reflected: bool = False):
-    """A Scalar operator applying the field hook to (self, other), or to
-    (other, self) when reflected; ints are coerced into the field."""
+class Scalar(Frozen):
+    """An immutable field element; arithmetic never leaves the field.
 
-    def operator(self, other):
-        field = self.field
+    Every field's elements belong to that field's own subclass (built by
+    _scalar_class), whose class attribute `field` is the field.
+    """
+
+    __slots__ = ("value",)
+    field: Field
+
+    def _slow(self, other, op):
+        """op(self, other) when other may not be of self's class: an int is
+        coerced into the field, a Scalar of another field raises
+        FieldMismatch, and anything else is NotImplemented."""
         if isinstance(other, Scalar):
-            if other.field is not field:
-                raise FieldMismatch(f"{field.name} vs {other.field.name}")
-            b = other.value
+            if other.field is not self.field:
+                raise FieldMismatch(f"{self.field.name} vs {other.field.name}")
         elif isinstance(other, int):
-            b = field._coerce(other)
+            other = self.field._make(self.field._coerce(other))
         else:
             return NotImplemented
-        a = self.value
-        if reflected:
-            a, b = b, a
-        result = _new_object(Scalar)
-        _set_field(result, field)
-        _set_value(result, getattr(field, hook)(a, b))
-        return result
+        return op(self, other)
 
-    return operator
+    def __rsub__(self, other):
+        return self._slow(other, lambda a, b: b - a)
 
-
-class Scalar(Frozen):
-    """An immutable field element; arithmetic never leaves the field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        _set_field(self, field)
-        _set_value(self, value)
-
-    __add__ = __radd__ = _binary("_add")
-    __sub__ = _binary("_sub")
-    __rsub__ = _binary("_sub", reflected=True)
-    __mul__ = __rmul__ = _binary("_mul")
-    __truediv__ = _binary("_div")
-    __rtruediv__ = _binary("_div", reflected=True)
-
-    def __neg__(self):
-        return Scalar(self.field, self.field._neg(self.value))
+    def __rtruediv__(self, other):
+        return self._slow(other, lambda a, b: b / a)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -320,13 +260,10 @@ class Scalar(Frozen):
         half = self ** (n // 2)
         return half * half * self if n & 1 else half * half
 
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field._inv(self.value))
-
     def sqrt(self):
         """The canonical square root in the field, or None if there is none."""
         root = self.field._sqrt(self.value)
-        return None if root is None else Scalar(self.field, root)
+        return None if root is None else self.field._make(root)
 
     def is_zero(self) -> bool:
         return self.value == 0
@@ -336,7 +273,7 @@ class Scalar(Frozen):
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return other.field is self.field and other.value == self.value
+            return type(other) is type(self) and other.value == self.value
         return NotImplemented
 
     def __hash__(self):
@@ -353,7 +290,58 @@ class Scalar(Frozen):
         return f"<{self} in {self.field.name}>"
 
 
-_new_object = object.__new__
-_set_field = Scalar.field.__set__
-_set_value = Scalar.value.__set__
+def _scalar_class(field: Field, p: int | None):
+    """Build the field's own Scalar subclass and return its constructor from
+    a raw value.  Results are reduced mod p over GF(p) and not at all over Q
+    (p None); `type(other) is cls` is the whole field check of the fast path.
+    """
+    new, set_value, inv = object.__new__, Scalar.value.__set__, field._inv
+
+    def make(value):
+        x = new(cls)
+        set_value(x, value)
+        return x
+
+    def __add__(self, other):
+        if type(other) is not cls:
+            return self._slow(other, __add__)
+        v = self.value + other.value
+        return make(v % p if p else v)
+
+    def __sub__(self, other):
+        if type(other) is not cls:
+            return self._slow(other, __sub__)
+        v = self.value - other.value
+        return make(v % p if p else v)
+
+    def __mul__(self, other):
+        if type(other) is not cls:
+            return self._slow(other, __mul__)
+        v = self.value * other.value
+        return make(v % p if p else v)
+
+    def __truediv__(self, other):
+        if type(other) is not cls:
+            return self._slow(other, __truediv__)
+        if p:
+            return make(self.value * inv(other.value) % p)
+        if not other.value:
+            raise DivisionByZero("inverse of 0")
+        return make(self.value / other.value)  # one Fraction division
+
+    def __neg__(self):
+        return make(-self.value % p if p else -self.value)
+
+    def inverse(self) -> Scalar:
+        return make(inv(self.value))
+
+    cls = type("Scalar", (Scalar,), {
+        "__slots__": (), "__module__": __name__, "field": field,
+        "__add__": __add__, "__radd__": __add__, "__sub__": __sub__,
+        "__mul__": __mul__, "__rmul__": __mul__, "__truediv__": __truediv__,
+        "__neg__": __neg__, "inverse": inverse,
+    })
+    return make
+
+
 QQ = Rationals()

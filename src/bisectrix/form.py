@@ -104,9 +104,9 @@ class Involution(Frozen):
         return self.apply(p) == p
 
     def is_reflection(self) -> bool:
-        """Fixes the point [1 : 0], i.e. the infinite point of a chart."""
-        field = self.m00.field
-        return self.fixes(InfPoint(field.one, field.zero))
+        """Fixes the point [1 : 0], i.e. the infinite point of a chart: m10 = 0
+        (m00 is then nonzero, since the matrix squares to a nonzero scalar)."""
+        return self.m10.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Involution):

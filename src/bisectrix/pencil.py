@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, InvariantViolation
 from .field import Frozen, Scalar
 from .plane import InfPoint, Line, LinePair, PlanePoint, Point
 from .quad import Quadrilateral
@@ -194,7 +194,8 @@ def _lambda_for(conic: Conic, l1: Line, l2: Line) -> Scalar:
             scale = mine / theirs
             break
     lam = scale * product.f - conic.f
-    assert conic.shift(lam) == product
+    if conic.shift(lam) != product:
+        raise InvariantViolation(f"{conic} shifted by {lam} is not {product}")
     return lam
 
 
@@ -322,8 +323,8 @@ class Pencil:
 def pencil_of(q: Quadrilateral) -> Pencil:
     f1 = Conic.from_lines(q.a, q.a2)
     f2 = Conic.from_lines(q.b, q.b2)
-    if q.proper:
-        assert all(f1.contains(v) and f2.contains(v) for v in q.vertices)
+    if q.proper and not all(f1.contains(v) and f2.contains(v) for v in q.vertices):
+        raise InvariantViolation("both generators of the pencil pass through every vertex")
     return Pencil(f1, f2)
 
 

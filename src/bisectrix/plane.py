@@ -310,17 +310,6 @@ class AffineMap(Frozen):
             -(i10 * self.b0 + i11 * self.b1),
         )
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """The map x |-> self(other(x))."""
-        return AffineMap(
-            self.m00 * other.m00 + self.m01 * other.m10,
-            self.m00 * other.m01 + self.m01 * other.m11,
-            self.m10 * other.m00 + self.m11 * other.m10,
-            self.m10 * other.m01 + self.m11 * other.m11,
-            self.m00 * other.b0 + self.m01 * other.b1 + self.b0,
-            self.m10 * other.b0 + self.m11 * other.b1 + self.b1,
-        )
-
     def __eq__(self, other):
         return isinstance(other, AffineMap) and all(
             getattr(other, name) == getattr(self, name) for name in self.__slots__

@@ -16,6 +16,7 @@ from .errors import (
     DegenerateInput,
     DuplicateLine,
     GeometryError,
+    InvariantViolation,
 )
 from .field import Frozen, Scalar
 from .plane import (
@@ -59,8 +60,10 @@ class Quadrilateral(Frozen):
             (v0.x + v1.x + v2.x + v3.x) / 4,
             (v0.y + v1.y + v2.y + v3.y) / 4,
         )
-        assert centroid == midpoint(midpoint(v0, v3), midpoint(v1, v2))
-        assert centroid == midpoint(midpoint(v0, v1), midpoint(v2, v3))
+        m03_12 = midpoint(midpoint(v0, v3), midpoint(v1, v2))
+        m01_23 = midpoint(midpoint(v0, v1), midpoint(v2, v3))
+        if not centroid == m03_12 == m01_23:
+            raise InvariantViolation("the centroid is the midpoint of both bimedians")
         double = None
         for i in range(4):
             if vertices[i] == vertices[(i + 1) % 4]:
@@ -249,9 +252,9 @@ def standard_form(q: Quadrilateral) -> tuple[AffineMap, Quadrilateral, Scalar]:
                 base = Quadrilateral(base.b, base.a2, base.b2, base.a)
     f = _axis_map(base)
     std = base.transform(f)
-    assert std.is_standard
     mu = std.mu
-    assert mu is not None and not mu.is_zero()
+    if not std.is_standard or mu is None or mu.is_zero():
+        raise InvariantViolation("the axis map gives no standard form with nonzero mu")
     # The memo is the one slot written after __init__.
     object.__setattr__(q, "_standard", (f, std, mu))
     return q._standard

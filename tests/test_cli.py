@@ -1,4 +1,5 @@
 import argparse
+import ast
 import os
 import shlex
 import subprocess
@@ -343,6 +344,25 @@ def test_unknown_choice_exits_2_from_flag_or_file(tmp_path, capsys):
             assert err.startswith("error: unknown ") and repr(bad) in err
 
 
+def test_bad_value_exits_2_naming_the_key(tmp_path, capsys):
+    """A value that fails to parse exits 2 naming its key and text, from a
+    flag or a config line; a kernel rule keeps its class name."""
+    config = tmp_path / "job.cfg"
+    cases = [  # (other flags, key, value, what the message names)
+        (["--quad", E1_QUAD], "seed", "1e3", "invalid literal for int()"),
+        (["--quad", E1_QUAD], "point", "1/0,0", "Fraction(1, 0)"),
+        (["--field", "GFp:7", "--quad", E1_QUAD], "alpha", "1/7", "DivisionByZero: "),
+        ([], "quad", "Y=0; Y=1; X=0; Y=X", "AdjacentParallel: "),
+    ]
+    for flags, key, value, named in cases:
+        config.write_text(f"{key} {value}\n", encoding="utf-8")
+        for extra in ([f"--{key}", value], ["--config", str(config)]):
+            code, out, err = run(capsys, *flags, "--cmd", "analyze", *extra)
+            assert code == 2, (key, extra)
+            assert out == []
+            assert err.startswith(f"error: {key} {value!r}: ") and named in err, err
+
+
 def test_load_config_builds_no_parser(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("load_config built an ArgumentParser")
@@ -399,15 +419,29 @@ def test_violation_line_reproduces_through_main(monkeypatch, capsys):
 
 def test_verify_output_unchanged_under_optimize():
     """No kernel check is an assert: python -O prints the same verify output."""
-    argv = ["--field", "GFp:7", "--cmd", "verify", "--seed", "0", "--instances", "3",
-            "--format", "record"]
-    script = f"import sys, bisectrix.cli; sys.exit(bisectrix.cli.main({argv!r}))"
+    argvs = [
+        ["--field", "GFp:7", "--cmd", "verify", "--seed", "0", "--instances", "3",
+         "--format", "record"],
+        ["--field", "Q", "--quad", E1_QUAD, "--cmd", "verify", "--format", "record"],
+    ]
     src = Path(bisectrix.cli.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = [
-        subprocess.run([sys.executable, *flags, "-c", script], env=env,
-                       capture_output=True, text=True, timeout=120)
-        for flags in ([], ["-O"])
-    ]
-    assert done[0].returncode == done[1].returncode == 0, done[1].stderr
-    assert done[0].stdout and done[0].stdout == done[1].stdout
+    for argv in argvs:
+        script = f"import sys, bisectrix.cli; sys.exit(bisectrix.cli.main({argv!r}))"
+        done = [
+            subprocess.run([sys.executable, *flags, "-c", script], env=env,
+                           capture_output=True, text=True, timeout=120)
+            for flags in ([], ["-O"])
+        ]
+        assert done[0].returncode == done[1].returncode == 0, done[1].stderr
+        assert done[0].stdout and done[0].stdout == done[1].stdout
+
+
+def test_package_has_no_assert_statement():
+    """Kernel checks raise errors, so none of them vanishes under python -O."""
+    found = []
+    for path in sorted(Path(bisectrix.cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

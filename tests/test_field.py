@@ -6,6 +6,7 @@ import pytest
 
 from bisectrix import GF, QQ, PrimeField, Rationals
 from bisectrix.errors import DivisionByZero, FieldMismatch
+from bisectrix.field import Scalar
 from bisectrix.oracle import Lcg64
 
 
@@ -74,6 +75,21 @@ def test_scalar_never_equals_int():
     assert x != 10 and x != 3
     assert len({x, 3}) == 2
     assert x + 7 == x
+
+
+def test_each_field_has_its_own_scalar_class():
+    g5, g7, g11 = GF(5), GF(7), GF(11)
+    assert type(g7.one) is type(g7.scalar(5))
+    assert type(g7.one) is not type(g11.one)
+    assert g5.scalar(3) != g7.scalar(3)
+    assert QQ.one != g7.one
+    for a in range(7):
+        x = g7.scalar(a)
+        assert isinstance(x, Scalar)
+        assert x.field is g7
+        with pytest.raises(AttributeError):
+            x.field = g11
+    assert Scalar.__slots__ == ("value",)
 
 
 def test_primality_bound():

@@ -194,6 +194,7 @@ def test_desargues_reflection_iff_bisector_gf7(e1_mod7):
         inv = desargues_involution(qr, line)
         bisects = is_bisector(q, line) is not None
         assert inv.is_reflection() == bisects
+        assert inv.is_reflection() == inv.fixes(InfPoint(q.field.one, q.field.zero))
         if not bisects:
             non_bisector_seen = True
     assert non_bisector_seen
