@@ -210,9 +210,18 @@ class PrimeField(Field):
 GF = PrimeField
 
 
+def _thaw(cls, state):
+    """Rebuild a Frozen value from its (slot, value) pairs."""
+    obj = object.__new__(cls)
+    for name, value in state:
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class Frozen:
     """Base of every kernel value: once its constructor has written the slots
-    (with object.__setattr__), no attribute can be assigned or deleted."""
+    (with object.__setattr__), no attribute can be assigned or deleted;
+    copy and pickle rebuild it through _thaw instead of setattr."""
 
     __slots__ = ()
 
@@ -221,6 +230,10 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        slots = [name for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ())]
+        return _thaw, (type(self), tuple((name, getattr(self, name)) for name in slots))
 
 
 class Scalar(Frozen):
@@ -275,6 +288,10 @@ class Scalar(Frozen):
         if isinstance(other, Scalar):
             return type(other) is type(self) and other.value == self.value
         return NotImplemented
+
+    def __reduce__(self):
+        # Each field's Scalar class is built at run time; the field pickles.
+        return self.field.scalar, (self.value,)
 
     def __hash__(self):
         return hash((self.field, self.value))

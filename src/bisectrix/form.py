@@ -72,58 +72,42 @@ def q_orthogonal(d: QuadraticData, l1: Line, l2: Line) -> bool:
 
 
 class Involution(Frozen):
-    """An involutive homography of P1, stored as a matrix up to scale.
+    """An involutive homography of P1: the trace-free matrix [[m0, m1],
+    [m2, -m0]] up to scale (a non-scalar matrix squares to a scalar exactly
+    when its trace is 0).  Conjugacy is one exchange row dotted with the
+    triple; equality up to scale is a vanishing cross product."""
 
-    The matrix acts by [x : y] |-> [m00*x + m01*y : m10*x + m11*y]; equality
-    of involutions is proportionality of matrices.
-    """
+    __slots__ = ("m0", "m1", "m2")
 
-    __slots__ = ("m00", "m01", "m10", "m11")
-
-    def __init__(self, m00: Scalar, m01: Scalar, m10: Scalar, m11: Scalar):
-        sq_diag = m00 * m00 + m01 * m10
-        if (
-            not (m01 * (m00 + m11)).is_zero()
-            or not (m10 * (m00 + m11)).is_zero()
-            or sq_diag != m11 * m11 + m01 * m10
-            or sq_diag.is_zero()
-        ):
+    def __init__(self, m0: Scalar, m1: Scalar, m2: Scalar):
+        if (m0 * m0 + m1 * m2).is_zero():
             raise DegenerateInput("matrix does not square to a nonzero scalar")
-        if m01.is_zero() and m10.is_zero() and m00 == m11:
-            raise DegenerateInput("scalar matrix is not an involution")
-        for name, value in zip(self.__slots__, (m00, m01, m10, m11)):
+        for name, value in zip(self.__slots__, (m0, m1, m2)):
             object.__setattr__(self, name, value)
 
-    def apply(self, p: InfPoint) -> InfPoint:
-        return InfPoint(self.m00 * p.x + self.m01 * p.y, self.m10 * p.x + self.m11 * p.y)
-
     def conjugate(self, p: InfPoint, q: InfPoint) -> bool:
-        return self.apply(p) == q
+        r0, r1, r2 = _exchange_row(p, q)
+        return (r0 * self.m0 + r1 * self.m1 + r2 * self.m2).is_zero()
 
     def fixes(self, p: InfPoint) -> bool:
-        return self.apply(p) == p
+        return self.conjugate(p, p)
 
     def is_reflection(self) -> bool:
-        """Fixes the point [1 : 0], i.e. the infinite point of a chart: m10 = 0
-        (m00 is then nonzero, since the matrix squares to a nonzero scalar)."""
-        return self.m10.is_zero()
+        """Fixes the point [1 : 0], i.e. the infinite point of a chart: m2 = 0
+        (m0 is then nonzero, since the matrix squares to a nonzero scalar)."""
+        return self.m2.is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, Involution):
             return NotImplemented
-        mine = (self.m00, self.m01, self.m10, self.m11)
-        theirs = (other.m00, other.m01, other.m10, other.m11)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if mine[i] * theirs[j] != mine[j] * theirs[i]:
-                    return False
-        return True
+        cross = _cross((self.m0, self.m1, self.m2), (other.m0, other.m1, other.m2))
+        return all(x.is_zero() for x in cross)
 
     def __hash__(self):
         raise TypeError("involutions compare up to scale and are unhashable")
 
     def __repr__(self):
-        return f"Involution([[{self.m00}, {self.m01}], [{self.m10}, {self.m11}]])"
+        return f"Involution([[{self.m0}, {self.m1}], [{self.m2}, {-self.m0}]])"
 
 
 def lambda_q(d: QuadraticData) -> Involution:
@@ -131,13 +115,21 @@ def lambda_q(d: QuadraticData) -> Involution:
     infinite points of Q-orthogonal lines."""
     if d.discriminant().is_zero():
         raise DegenerateForm("beta^2 - alpha*gamma = 0")
-    return Involution(d.beta, -d.alpha, d.gamma, -d.beta)
+    return Involution(d.beta, -d.alpha, d.gamma)
 
 
 def _exchange_row(p: InfPoint, q: InfPoint) -> tuple[Scalar, Scalar, Scalar]:
     # Linear constraint on (m0, m1, m2) with M = [[m0, m1], [m2, -m0]]
     # expressing M(p) proportional to q.
     return (p.x * q.y + p.y * q.x, p.y * q.y, -(p.x * q.x))
+
+
+def _cross(r1, r2) -> tuple[Scalar, Scalar, Scalar]:
+    return (
+        r1[1] * r2[2] - r1[2] * r2[1],
+        r1[2] * r2[0] - r1[0] * r2[2],
+        r1[0] * r2[1] - r1[1] * r2[0],
+    )
 
 
 def involution_from_pairs(
@@ -149,15 +141,11 @@ def involution_from_pairs(
     to p, so each pair contributes one linear constraint; the solution is
     the cross product of the two constraint rows.
     """
-    r1 = _exchange_row(*pair1)
-    r2 = _exchange_row(*pair2)
-    m0 = r1[1] * r2[2] - r1[2] * r2[1]
-    m1 = r1[2] * r2[0] - r1[0] * r2[2]
-    m2 = r1[0] * r2[1] - r1[1] * r2[0]
-    if m0.is_zero() and m1.is_zero() and m2.is_zero():
+    m = _cross(_exchange_row(*pair1), _exchange_row(*pair2))
+    if all(x.is_zero() for x in m):
         raise UnderdeterminedPairs("constraints are linearly dependent")
     try:
-        return Involution(m0, m1, m2, -m0)
+        return Involution(*m)
     except DegenerateInput as err:
         raise UnderdeterminedPairs(str(err)) from err
 

@@ -50,6 +50,8 @@ from .pencil import center, degenerations, is_degeneration_of, pencil_of
 from .plane import AffineMap, InfPoint, Line, LinePair, Point, intersect, midpoint
 from .quad import Quadrangle, Quadrilateral, requadrilate
 
+_MAX_TRIES = 10000  # rejection-sampling attempts of random_quadrilateral
+
 
 class Lcg64:
     """Deterministic 64-bit LCG with the Knuth MMIX constants."""
@@ -194,15 +196,15 @@ def random_line(field: Field, rng: Lcg64) -> Line:
     return Line(random_scalar(field, rng), field.one, random_scalar(field, rng))
 
 
-def random_quadrilateral(field: Field, seed: int, max_tries: int = 10000) -> Quadrilateral:
+def random_quadrilateral(field: Field, seed: int) -> Quadrilateral:
     """Rejection-sample four lines until they validate; deterministic per seed."""
     rng = Lcg64(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         try:
             return Quadrilateral(*(random_line(field, rng) for _ in range(4)))
         except GeometryError:
             continue
-    raise ExhaustedSampling(f"no valid quadrilateral after {max_tries} tries")
+    raise ExhaustedSampling(f"no valid quadrilateral after {_MAX_TRIES} tries")
 
 
 def random_invertible_map(field: Field, rng: Lcg64) -> AffineMap:

@@ -328,48 +328,20 @@ def pencil_of(q: Quadrilateral) -> Pencil:
     return Pencil(f1, f2)
 
 
-def _solve_exact(matrix: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
-    """Gauss-Jordan over the field; returns one solution or None."""
-    rows = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    pivot_cols: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next(
-            (i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None
-        )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        rows[rank] = [x / pivot for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not rows[i][col].is_zero():
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
-        pivot_cols.append(col)
-        rank += 1
-        if rank == len(rows):
-            break
-    for i in range(rank, len(rows)):
-        if not rows[i][ncols].is_zero():
-            return None
-    zero = matrix[0][0].field.zero
-    solution = [zero] * ncols
-    for i, col in enumerate(pivot_cols):
-        solution[col] = rows[i][ncols]
-    return solution
-
-
 def is_degeneration_of(p: Pencil, pair: LinePair) -> bool:
     """Whether the pair's product equals alpha*f1 + beta*f2 + lam for some
-    scalars, decided by an exact linear solve on the six coefficients."""
-    product = Conic.from_lines(pair.a, pair.b)
-    field = product.field
-    one, zero = field.one, field.zero
-    unit_constant = (zero, zero, zero, zero, zero, one)
-    matrix = [
-        [c1, c2, cu]
-        for c1, c2, cu in zip(p.f1.coeffs, p.f2.coeffs, unit_constant)
-    ]
-    return _solve_exact(matrix, list(product.coeffs)) is not None
+    scalars.  lam absorbs the constant coefficient, and the first five of f1
+    and f2 are independent (else f1 - k*f2 is a constant that vanishes where
+    the generators meet, and the two line pairs coincide), so Cramer's rule
+    on the first nonzero 2x2 minor, scaled by the minor, gives alpha and
+    beta; all five coefficients must then agree."""
+    f1, f2 = p.f1.coeffs[:5], p.f2.coeffs[:5]
+    product = Conic.from_lines(pair.a, pair.b).coeffs[:5]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            det = f1[i] * f2[j] - f1[j] * f2[i]
+            if not det.is_zero():
+                alpha = product[i] * f2[j] - product[j] * f2[i]
+                beta = f1[i] * product[j] - f1[j] * product[i]
+                return all(alpha * x + beta * y == det * z for x, y, z in zip(f1, f2, product))
+    raise InvariantViolation(f"the generators {p.f1} and {p.f2} differ by a constant")

@@ -29,6 +29,7 @@ from .plane import Line, Point
 from .quad import Quadrilateral
 
 PLOT_KINDS = ("locus", "pencil-sample", "bisector-field-sample")
+_SAMPLES = 160  # polyline steps across the box for each conic branch
 
 
 def _f(s: Scalar) -> float:
@@ -136,15 +137,15 @@ def _clip_line(line: Line, box) -> tuple[float, float, float, float] | None:
     return (px + tmin * dx, py + tmin * dy, px + tmax * dx, py + tmax * dy)
 
 
-def _conic_branches(conic: Conic, box, samples: int) -> list[list[tuple[float, float]]]:
+def _conic_branches(conic: Conic, box) -> list[list[tuple[float, float]]]:
     """Polyline approximations of a conic inside the box (float only)."""
     xmin, ymin, xmax, ymax = box
     a, b, c = _f(conic.a), _f(conic.b), _f(conic.c)
     d, e, f = _f(conic.d), _f(conic.e), _f(conic.f)
-    step = (xmax - xmin) / samples
+    step = (xmax - xmin) / _SAMPLES
     uppers: list[tuple[float, float] | None] = []
     lowers: list[tuple[float, float] | None] = []
-    for i in range(samples + 1):
+    for i in range(_SAMPLES + 1):
         x = xmin + i * step
         if abs(c) > 1e-12:
             qb = b * x + e
@@ -244,7 +245,7 @@ def _sample_q_pairs(q: Quadrilateral, locus, count: int):
     return lines
 
 
-def render_svg(q: Quadrilateral, what: str, samples: int = 160) -> str:
+def render_svg(q: Quadrilateral, what: str) -> str:
     """Render the requested figure; returns the SVG document text."""
     if q.field != QQ:
         raise GeometryError("plotting is defined over the rationals only")
@@ -300,7 +301,7 @@ def render_svg(q: Quadrilateral, what: str, samples: int = 160) -> str:
             if seg is not None:
                 canvas.segment("locus", *seg, stroke="#3366cc", width=width)
     else:
-        for branch in _conic_branches(_flip_conic(locus.conic), box, samples):
+        for branch in _conic_branches(_flip_conic(locus.conic), box):
             canvas.polyline("locus", branch, stroke="#3366cc", width=width)
 
     for line, _m in pair_lines:
@@ -311,7 +312,7 @@ def render_svg(q: Quadrilateral, what: str, samples: int = 160) -> str:
     for member in members:
         if member.is_degenerate():
             continue
-        for branch in _conic_branches(_flip_conic(member), box, samples):
+        for branch in _conic_branches(_flip_conic(member), box):
             canvas.polyline("members", branch, stroke="#cc6633", width=width * 0.8)
 
     seen_markers = set()

@@ -23,11 +23,12 @@ from bisectrix import (
 )
 from bisectrix.errors import (
     DegenerateForm,
+    DegenerateInput,
     LineThroughVertex,
     NotConjugate,
     UnderdeterminedPairs,
 )
-from bisectrix.oracle import enumerate_lines, random_quadrilateral
+from bisectrix.oracle import _p1, enumerate_lines, random_quadrilateral
 from bisectrix.quad import Quadrilateral
 
 
@@ -108,9 +109,12 @@ def test_opposite_sides_orthogonal_random():
 def test_lambda_q_e1(e1):
     d = quadratic_data(e1)
     inv = lambda_q(d)
-    assert inv == Involution(QQ.zero, -QQ.one, QQ.scalar(-2), QQ.zero)
-    assert inv.apply(ip(1, 0)) == ip(0, 1)
-    assert inv.apply(ip(1, 1)) == ip(1, 2)
+    assert inv == Involution(QQ.zero, -QQ.one, QQ.scalar(-2))
+    assert inv.conjugate(ip(1, 0), ip(0, 1))
+    assert inv.conjugate(ip(1, 1), ip(1, 2))
+    assert inv == Involution(QQ.zero, QQ.scalar(3), QQ.scalar(6))
+    with pytest.raises(DegenerateInput):
+        Involution(QQ.one, QQ.one, -QQ.one)
 
 
 def test_lambda_q_fixed_points_are_null_directions(e2):
@@ -126,14 +130,17 @@ def test_lambda_q_fixed_points_are_null_directions(e2):
 
 
 def test_lambda_q_squares_to_discriminant():
+    field = GF(11)
+    directions = [InfPoint(x, y) for x, y in _p1(field)]
     for seed in range(20):
-        q = random_quadrilateral(GF(11), seed)
+        q = random_quadrilateral(field, seed)
         d = quadratic_data(q)
         inv = lambda_q(d)
-        disc = d.discriminant()
-        m00 = inv.m00 * inv.m00 + inv.m01 * inv.m10
-        m01 = inv.m01 * (inv.m00 + inv.m11)
-        assert m00 == disc and m01.is_zero()
+        assert inv.m0 * inv.m0 + inv.m1 * inv.m2 == d.discriminant()
+        for p in directions:
+            for r in directions:
+                conjugate = inner(d, (p.x, p.y), (r.x, r.y)).is_zero()
+                assert inv.conjugate(p, r) == conjugate
 
 
 def test_involution_from_pairs_solution():
@@ -141,9 +148,9 @@ def test_involution_from_pairs_solution():
     pair2 = (ip(1, 1), ip(1, -1))
     inv = involution_from_pairs(pair1, pair2)
     # The solve gives [x:y] |-> [y:-x], not the coordinate swap.
-    assert inv == Involution(QQ.zero, QQ.one, -QQ.one, QQ.zero)
-    assert inv.apply(ip(1, 1)) == ip(1, -1)
-    assert inv.apply(ip(1, -1)) == ip(1, 1)
+    assert inv == Involution(QQ.zero, QQ.one, -QQ.one)
+    assert inv.conjugate(ip(1, 1), ip(1, -1))
+    assert inv.conjugate(ip(1, -1), ip(1, 1))
 
 
 def test_involution_from_pairs_underdetermined():

@@ -1,12 +1,15 @@
 """Every kernel value is frozen through one base class, Frozen."""
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
 
 import bisectrix
 from bisectrix import (
+    GF,
     AffineMap,
     InfPoint,
     Line,
@@ -59,6 +62,18 @@ def test_values_reject_assignment_and_deletion(e1):
             assert getattr(value, name, None) is before
     with pytest.raises(AttributeError):
         e1.a = Line.parse(QQ, "Y=5")
+
+
+def test_values_copy_and_pickle(e1):
+    """copy, deepcopy and a pickle round trip rebuild an equal value of the
+    same type, although the slots refuse setattr."""
+    standard_form(e1)  # the memo slot is copied too
+    for value in _values(e1) + [GF(7).scalar(3)]:
+        for clone in (
+            copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+        ):
+            assert type(clone) is type(value)
+            assert clone == value
 
 
 def test_standard_form_memo_keeps_equality_and_hash(e1, e2, improper):

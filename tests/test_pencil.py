@@ -18,7 +18,7 @@ from bisectrix import (
     q_partner,
 )
 from bisectrix.errors import DegenerateInput
-from bisectrix.oracle import brute_bisectors, random_quadrilateral
+from bisectrix.oracle import brute_bisectors, enumerate_lines, random_quadrilateral
 
 
 def conic(field, *values):
@@ -157,6 +157,28 @@ def test_is_degeneration_of_examples(e1):
     report = degenerations(member)
     for entry in report.entries:
         assert is_degeneration_of(pen, entry.pair)
+
+
+def test_is_degeneration_of_matches_vertex_values_gf7():
+    """No three vertices of a proper quadrilateral are collinear, so the
+    conics through all four form the pencil, and a line pair belongs to it
+    up to a constant exactly when its product is constant on the vertices."""
+    g7 = GF(7)
+    lines = enumerate_lines(g7)
+    checked = 0
+    for seed in range(10):
+        q = random_quadrilateral(g7, seed)
+        if not q.proper:
+            continue
+        pen = pencil_of(q)
+        forms = [[l.t * v.x - l.u * v.y + l.v for v in q.vertices] for l in lines]
+        for i, l1 in enumerate(lines):
+            for j in range(i, len(lines)):
+                values = {x * y for x, y in zip(forms[i], forms[j])}
+                member = is_degeneration_of(pen, LinePair(l1, lines[j]))
+                assert member == (len(values) == 1), (seed, l1, lines[j])
+                checked += member
+    assert checked > 0
 
 
 def test_center_examples(e1):
