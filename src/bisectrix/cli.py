@@ -125,7 +125,7 @@ def _read_config_file(path: str) -> dict[str, str]:
                 if key in out:
                     raise ConfigError(f"duplicate config key {key!r}")
                 out[key] = value
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     return out
 
@@ -291,15 +291,9 @@ def cmd_pencil(cfg: JobConfig) -> tuple[int, list[str]]:
 def _aggregate(reports: list[TheoremReport]) -> list[TheoremReport]:
     by_tag: dict[str, TheoremReport] = {}
     for r in reports:
-        agg = by_tag.get(r.tag)
-        if agg is None:
-            by_tag[r.tag] = TheoremReport(
-                r.tag, r.field_name, r.instances, list(r.violations), r.elapsed
-            )
-        else:
-            agg.instances += r.instances
-            agg.violations.extend(r.violations)
-            agg.elapsed += r.elapsed
+        agg = by_tag.setdefault(r.tag, TheoremReport(r.tag, r.field_name, 0))
+        agg.instances += r.instances
+        agg.violations += r.violations
     return list(by_tag.values())
 
 

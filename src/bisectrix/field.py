@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import attrgetter
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -210,20 +211,37 @@ class PrimeField(Field):
 GF = PrimeField
 
 
-def _thaw(cls, state):
-    """Rebuild a Frozen value from its (slot, value) pairs."""
+def _thaw(cls, values):
+    """Rebuild a Frozen value from its slot values."""
     obj = object.__new__(cls)
-    for name, value in state:
-        object.__setattr__(obj, name, value)
+    obj._write(*values)
     return obj
 
 
 class Frozen:
     """Base of every kernel value: once its constructor has written the slots
-    (with object.__setattr__), no attribute can be assigned or deleted;
-    copy and pickle rebuild it through _thaw instead of setattr."""
+    (through _write, with the slots' own descriptors), no attribute can be
+    assigned or deleted; copy and pickle rebuild it through _thaw instead of
+    setattr.
+
+    Two values are equal when they have the same type and equal identity
+    slots, which are the class's own __slots__ unless it names a subset with
+    the class keyword identity=(...); the hash is that of the same slots.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, identity=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        slots = cls.__dict__.get("__slots__")
+        if slots:
+            cls._identity = attrgetter(*(identity or slots))
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in slots)
+
+    def _write(self, *values):
+        """Set the slots, in __slots__ order; constructors call it last."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -231,9 +249,20 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __eq__(self, other):
+        key = self._identity
+        return type(other) is type(self) and key(other) == key(self)
+
+    def __hash__(self):
+        return hash(self._identity(self))
+
+    @property
+    def field(self) -> Field:
+        """The field of the first slot's value."""
+        return getattr(self, self.__slots__[0]).field
+
     def __reduce__(self):
-        slots = [name for cls in type(self).__mro__ for name in getattr(cls, "__slots__", ())]
-        return _thaw, (type(self), tuple((name, getattr(self, name)) for name in slots))
+        return _thaw, (type(self), tuple(getattr(self, name) for name in self.__slots__))
 
 
 class Scalar(Frozen):

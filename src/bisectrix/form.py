@@ -82,8 +82,7 @@ class Involution(Frozen):
     def __init__(self, m0: Scalar, m1: Scalar, m2: Scalar):
         if (m0 * m0 + m1 * m2).is_zero():
             raise DegenerateInput("matrix does not square to a nonzero scalar")
-        for name, value in zip(self.__slots__, (m0, m1, m2)):
-            object.__setattr__(self, name, value)
+        self._write(m0, m1, m2)
 
     def conjugate(self, p: InfPoint, q: InfPoint) -> bool:
         r0, r1, r2 = _exchange_row(p, q)

@@ -58,16 +58,11 @@ class Conic(Frozen):
         if a.is_zero() and b.is_zero() and c.is_zero():
             raise DegenerateInput("quadratic part vanishes")
         lead = next(x for x in coeffs if not x.is_zero())
-        for name, value in zip(_COEFF_NAMES, coeffs):
-            object.__setattr__(self, name, value / lead)
+        self._write(*(x / lead for x in coeffs))
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
         return tuple(getattr(self, name) for name in _COEFF_NAMES)
-
-    @property
-    def field(self):
-        return self.a.field
 
     @classmethod
     def from_lines(cls, l1: Line, l2: Line) -> "Conic":
@@ -120,12 +115,6 @@ class Conic(Frozen):
     def is_degenerate(self) -> bool:
         return self.det3().is_zero()
 
-    def __eq__(self, other):
-        return isinstance(other, Conic) and other.coeffs == self.coeffs
-
-    def __hash__(self):
-        return hash(("conic",) + self.coeffs)
-
     def __str__(self):
         return format_polynomial(zip(self.coeffs, ("X^2", "X*Y", "Y^2", "X", "Y", "")))
 
@@ -162,7 +151,6 @@ class ParallelFamily:
 
     conic: "Conic"
     midline: Line
-    direction: InfPoint
     base: Degeneration
 
     def pair_at_offset(self, r: Scalar) -> Degeneration:
@@ -293,7 +281,7 @@ def degenerations(c: Conic) -> DegenerationReport:
     if midline is None:
         return DegenerationReport(entries=())
     base = Degeneration(_lambda_for(c, midline, midline), LinePair(midline, midline))
-    family = ParallelFamily(c, midline, midline.infinite_point(), base)
+    family = ParallelFamily(c, midline, base)
     return DegenerationReport(entries=(), family=family)
 
 

@@ -23,18 +23,7 @@ class Point(Frozen):
     def __init__(self, x: Scalar, y: Scalar):
         if x.field != y.field:
             raise FieldMismatch("point coordinates from different fields")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def field(self) -> Field:
-        return self.x.field
-
-    def __eq__(self, other):
-        return isinstance(other, Point) and other.x == self.x and other.y == self.y
-
-    def __hash__(self):
-        return hash(("pt", self.x, self.y))
+        self._write(x, y)
 
     def __str__(self):
         return f"({self.x}, {self.y})"
@@ -63,18 +52,7 @@ class InfPoint(Frozen):
             x, y = x.field.one, y / x
         else:
             y = y.field.one
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def field(self) -> Field:
-        return self.x.field
-
-    def __eq__(self, other):
-        return isinstance(other, InfPoint) and other.x == self.x and other.y == self.y
-
-    def __hash__(self):
-        return hash(("inf", self.x, self.y))
+        self._write(x, y)
 
     def __str__(self):
         return f"[{self.x}:{self.y}:0]"
@@ -102,13 +80,7 @@ class Line(Frozen):
             t, v, u = t / u, v / u, u.field.one
         else:
             v, t = v / t, t.field.one
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def field(self) -> Field:
-        return self.t.field
+        self._write(t, u, v)
 
     @property
     def is_vertical(self) -> bool:
@@ -142,17 +114,6 @@ class Line(Frozen):
 
     def sort_key(self):
         return (self.t.sort_key(), self.u.sort_key(), self.v.sort_key())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Line)
-            and other.t == self.t
-            and other.u == self.u
-            and other.v == self.v
-        )
-
-    def __hash__(self):
-        return hash(("line", self.t, self.u, self.v))
 
     @classmethod
     def parse(cls, field: Field, text: str) -> "Line":
@@ -213,18 +174,11 @@ class LinePair(Frozen):
     def __init__(self, l1: Line, l2: Line):
         if l2.sort_key() < l1.sort_key():
             l1, l2 = l2, l1
-        object.__setattr__(self, "a", l1)
-        object.__setattr__(self, "b", l2)
+        self._write(l1, l2)
 
     @property
     def lines(self) -> tuple[Line, Line]:
         return (self.a, self.b)
-
-    def __eq__(self, other):
-        return isinstance(other, LinePair) and other.a == self.a and other.b == self.b
-
-    def __hash__(self):
-        return hash(("pair", self.a, self.b))
 
     def __str__(self):
         return f"{{{self.a}, {self.b}}}"
@@ -267,8 +221,7 @@ class AffineMap(Frozen):
         det = m00 * m11 - m01 * m10
         if det.is_zero():
             raise SingularMap("linear part has determinant 0")
-        for name, value in zip(self.__slots__, (m00, m01, m10, m11, b0, b1)):
-            object.__setattr__(self, name, value)
+        self._write(m00, m01, m10, m11, b0, b1)
 
     @classmethod
     def identity(cls, field: Field) -> "AffineMap":
@@ -279,10 +232,6 @@ class AffineMap(Frozen):
     def linear(cls, m00, m01, m10, m11) -> "AffineMap":
         zero = m00.field.zero
         return cls(m00, m01, m10, m11, zero, zero)
-
-    @property
-    def field(self) -> Field:
-        return self.m00.field
 
     @property
     def det(self) -> Scalar:
@@ -309,14 +258,6 @@ class AffineMap(Frozen):
             -(i00 * self.b0 + i01 * self.b1),
             -(i10 * self.b0 + i11 * self.b1),
         )
-
-    def __eq__(self, other):
-        return isinstance(other, AffineMap) and all(
-            getattr(other, name) == getattr(self, name) for name in self.__slots__
-        )
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, name) for name in self.__slots__))
 
     def __repr__(self):
         return (

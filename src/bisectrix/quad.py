@@ -31,7 +31,7 @@ from .plane import (
 )
 
 
-class Quadrilateral(Frozen):
+class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
     """Four lines A, B, A', B' with vertices (A.B, B.A', A'.B', B'.A)."""
 
     __slots__ = (
@@ -72,20 +72,14 @@ class Quadrilateral(Frozen):
         # opposite sides through the double vertex.
         diagonals = (line_from_points(v0, v2), line_from_points(v1, v3))
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
-        values = (
+        self._write(
             a, b, a2, b2, vertices, centroid, double is None, double, diagonals,
             ((a, a2), (b, b2), diagonals), (LinePair(a, a2), LinePair(b, b2)), None,
         )
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     @property
     def sides(self) -> tuple[Line, Line, Line, Line]:
         return (self.a, self.b, self.a2, self.b2)
-
-    @property
-    def field(self):
-        return self.a.field
 
     def opposite_pairs(self) -> tuple[LinePair, LinePair]:
         return self._opposite_pairs
@@ -138,17 +132,11 @@ class Quadrilateral(Frozen):
             return None
         return self.b.slope * self.b2.slope
 
-    def __eq__(self, other):
-        return isinstance(other, Quadrilateral) and other.sides == self.sides
-
-    def __hash__(self):
-        return hash(("quad",) + self.sides)
-
     def __repr__(self):
         return f"Quadrilateral({self.a!r}, {self.b!r}, {self.a2!r}, {self.b2!r})"
 
 
-class Quadrangle(Frozen):
+class Quadrangle(Frozen, identity=("points",)):
     """Four distinct affine points and the six lines through them."""
 
     __slots__ = ("points", "_side_pairs")
@@ -161,8 +149,7 @@ class Quadrangle(Frozen):
             for j in range(i + 1, 4):
                 if points[i] == points[j]:
                     raise DegenerateInput("quadrangle needs four distinct points")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "_side_pairs", (
+        self._write(points, (
             LinePair(line_from_points(p0, p1), line_from_points(p2, p3)),
             LinePair(line_from_points(p0, p2), line_from_points(p1, p3)),
             LinePair(line_from_points(p0, p3), line_from_points(p1, p2)),
@@ -174,12 +161,6 @@ class Quadrangle(Frozen):
 
     def opposite_side_pairs(self) -> tuple[LinePair, LinePair, LinePair]:
         return self._side_pairs
-
-    def __eq__(self, other):
-        return isinstance(other, Quadrangle) and other.points == self.points
-
-    def __hash__(self):
-        return hash(("quadrangle",) + self.points)
 
     def __repr__(self):
         return "Quadrangle" + repr(self.points)

@@ -42,20 +42,49 @@ def test_analyze_e2_degenerate(capsys):
 
 
 def test_analyze_record_round_trip(capsys):
-    code, out, _ = run(
-        capsys, "--field", "Q", "--quad", E1_QUAD, "--cmd", "analyze",
-        "--format", "record",
+    """Every exact value that analyze and pencil print as a record parses
+    back to the kernel's own value, over Q, GF(7) and GF(101)."""
+    from bisectrix import (
+        GF, QQ, AffineMap, Line, Point, bisector_locus, pencil_of, quadratic_data,
+        random_quadrilateral, standard_form,
     )
-    assert code == 0
-    records = dict(line.split("\t", 1) for line in out)
-    from bisectrix import Line, QQ
 
-    for key in ("side_a", "side_b", "side_a2", "side_b2"):
-        assert Line.parse(QQ, records[key]) == Line.parse(QQ, records[key])
-    assert records["mu"] == "2"
-    assert QQ.parse(records["mu"]) == QQ.scalar(2)
-    coeffs = [QQ.parse(c) for c in records["locus_conic"].split()]
-    assert len(coeffs) == 6
+    for field, flag in ((QQ, "Q"), (GF(7), "GFp:7"), (GF(101), "GFp:101")):
+        parse = field.parse
+        for seed in range(60):
+            q = random_quadrilateral(field, seed)
+            literal = "; ".join(f"{s.t} {s.u} {s.v}" for s in q.sides)
+            code, out, _ = run(
+                capsys, "--field", flag, "--quad", literal, "--cmd", "analyze",
+                "--format", "record",
+            )
+            assert code == 0
+            records = dict(line.split("\t", 1) for line in out)
+            keys = ("side_a", "side_b", "side_a2", "side_b2")
+            assert tuple(Line.parse(field, records[key]) for key in keys) == q.sides
+            for i, vertex in enumerate(q.vertices):  # adjacent sides meet: affine
+                x, y = records[f"vertex_{i}"].split()
+                assert Point(parse(x), parse(y)) == vertex
+            x, y = records["centroid"].split(", ")
+            assert Point(parse(x), parse(y)) == q.centroid
+            d = quadratic_data(q)
+            assert tuple(map(parse, records["alpha_beta_gamma"].split())) == (
+                d.alpha, d.beta, d.gamma,
+            )
+            f, _, mu = standard_form(q)
+            assert parse(records["mu"]) == mu
+            assert AffineMap(*map(parse, records["map"].split())) == f
+            assert tuple(map(parse, records["locus_conic"].split())) == (
+                bisector_locus(q).conic.coeffs
+            )
+            code, out, _ = run(
+                capsys, "--field", flag, "--quad", literal, "--cmd", "pencil",
+                "--alpha", "2", "--beta", "3", "--format", "record",
+            )
+            assert code == 0
+            records = dict(line.split("\t", 1) for line in out)
+            member = pencil_of(q).member(field.scalar(2), field.scalar(3))
+            assert tuple(map(parse, records["conic"].split())) == member.coeffs
 
 
 def test_partner(capsys):
@@ -164,6 +193,17 @@ def test_config_unknown_key(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(config))
     assert code == 2
     assert "unknown config key" in err
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfecmd analyze\n")
+    code, out, err = run(capsys, "--config", str(config))
+    assert code == 2
+    assert out == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read config '{config}': ")
+    assert "Traceback" not in err
 
 
 def _counts(svg_path):
