@@ -83,20 +83,17 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     Empty when m is not on the bisector locus; AllLinesThrough(m) when m is
     the center of a parallelogram's vertex set.
     """
-    f, std, mu = standard_form(q)
+    f, mu = standard_form(q)
     center = f.apply(q.centroid)
     h, k = center.x, center.y
     image = f.apply(m)
     p, qq = image.x, image.y
-    finv = f.inverse()
     if not (p.is_zero() and qq.is_zero()):
         if not (qq * (qq - 2 * k) - mu * p * (p - 2 * h)).is_zero():
             return []
-        std_line = Line(qq, -p, -2 * p * qq)
-        return [Bisector(finv.apply(std_line), m)]
+        return [Bisector(f.pullback(Line(qq, -p, -2 * p * qq)), m)]
     if not (h.is_zero() and k.is_zero()):
-        std_line = Line(mu * h, -k, h.field.zero)
-        return [Bisector(finv.apply(std_line), m)]
+        return [Bisector(f.pullback(Line(mu * h, -k, h.field.zero)), m)]
     return AllLinesThrough(m)
 
 

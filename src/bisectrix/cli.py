@@ -96,6 +96,13 @@ def _parse_point(field: Field, text: str) -> Point:
     return Point(field.parse(parts[0]), field.parse(parts[1]))
 
 
+def _parse_count(_, text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError("a count cannot be negative")
+    return n
+
+
 def _one_of(kind: str, names) -> tuple[str, Callable]:
     """Help text and parser of a key whose value must be one of names."""
     listed = ", ".join(names)
@@ -155,7 +162,7 @@ def load_config(argv) -> JobConfig:
         if key in texts:
             try:
                 values[key] = parse(values["field"], texts[key])
-            except (ValueError, ZeroDivisionError, GeometryError) as err:
+            except (ValueError, GeometryError) as err:
                 rule = f"{type(err).__name__}: " if isinstance(err, GeometryError) else ""
                 raise ConfigError(f"{key} {texts[key]!r}: {rule}{err}") from err
     return JobConfig(**values)
@@ -199,7 +206,7 @@ def _emit(records: list[tuple[str, str]], fmt: str) -> list[str]:
 def cmd_analyze(cfg: JobConfig) -> tuple[int, list[str]]:
     q = cfg.quad
     d = quadratic_data(q)
-    f, std, mu = standard_form(q)
+    f, mu = standard_form(q)
     locus = bisector_locus(q)
     records = [
         ("field", cfg.field.name),
@@ -361,7 +368,7 @@ _KEYS = {
     "cmd": _one_of("command", _COMMANDS),
     "format": _one_of("format", _FORMATS),
     "seed": ("PRNG seed (default 0)", lambda _, text: int(text)),
-    "instances": ("random instances (verify)", lambda _, text: int(text)),
+    "instances": ("random instances (verify)", _parse_count),
     "quad": ("four line literals: \"A; B; A'; B'\"", _parse_quad),
     "point": ("midpoint 'x,y' (bisector)", _parse_point),
     "line": ("line literal (partner)", Line.parse),

@@ -119,7 +119,10 @@ class Rationals(Field):
         raise TypeError(f"cannot make a rational out of {value!r}")
 
     def _coerce_text(self, text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise DivisionByZero(f"zero denominator in {text!r}") from None
 
     def _inv(self, a):
         if a == 0:

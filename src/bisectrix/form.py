@@ -21,7 +21,7 @@ from .errors import (
     UnderdeterminedPairs,
 )
 from .field import Frozen, Scalar
-from .plane import InfPoint, Line, PlanePoint
+from .plane import InfPoint, Line, PlanePoint, line_det
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -169,7 +169,7 @@ def chart_point(line: Line, p: PlanePoint) -> InfPoint:
 def _crossing_parameter(line: Line, other: Line) -> InfPoint:
     """chart_point(line, intersect(line, other)) for a line other than line,
     as the homogeneous pair [numerator : det] of Cramer's rule."""
-    det = line.u * other.t - line.t * other.u
+    det = line_det(line, other)
     if det.is_zero():
         return InfPoint(det.field.one, det.field.zero)
     if line.is_vertical:

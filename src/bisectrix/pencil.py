@@ -146,12 +146,11 @@ class ParallelFamily:
     """All degenerations of a parallel-line-pair conic.
 
     The pairs are exactly {midline shifted by +r, midline shifted by -r}
-    for r in the field; base is the double midline (r = 0).
+    for r in the field (r = 0 gives the double midline).
     """
 
     conic: "Conic"
     midline: Line
-    base: Degeneration
 
     def pair_at_offset(self, r: Scalar) -> Degeneration:
         pair = _offset_pair(self.midline, r)
@@ -280,9 +279,7 @@ def degenerations(c: Conic) -> DegenerationReport:
     midline = _midline(c)
     if midline is None:
         return DegenerationReport(entries=())
-    base = Degeneration(_lambda_for(c, midline, midline), LinePair(midline, midline))
-    family = ParallelFamily(c, midline, base)
-    return DegenerationReport(entries=(), family=family)
+    return DegenerationReport(entries=(), family=ParallelFamily(c, midline))
 
 
 def center(c: Conic) -> Point | None:

@@ -86,11 +86,6 @@ class Line(Frozen):
     def is_vertical(self) -> bool:
         return self.u.is_zero()
 
-    @property
-    def slope(self):
-        """Slope t for Y = tX + v lines, None for vertical ones."""
-        return None if self.is_vertical else self.t
-
     def evaluate(self, p: Point) -> Scalar:
         return self.t * p.x - self.u * p.y + self.v
 
@@ -195,11 +190,17 @@ def line_from_points(p: Point, q: Point) -> Line:
     return Line(dy, dx, dx * p.y - dy * p.x)
 
 
+def line_det(l1: Line, l2: Line) -> Scalar:
+    """[L, M] = L.u M.t - L.t M.u, Cramer's determinant of two lines: zero
+    exactly when they are parallel."""
+    return l1.u * l2.t - l1.t * l2.u
+
+
 def intersect(l1: Line, l2: Line) -> PlanePoint:
     """Intersection point; at infinity when the lines are parallel."""
     if l1 == l2:
         raise IdenticalLines("lines coincide")
-    det = l1.u * l2.t - l1.t * l2.u
+    det = line_det(l1, l2)
     if det.is_zero():
         return l1.infinite_point()
     x = (l1.v * l2.u - l1.u * l2.v) / det
@@ -233,10 +234,6 @@ class AffineMap(Frozen):
         zero = m00.field.zero
         return cls(m00, m01, m10, m11, zero, zero)
 
-    @property
-    def det(self) -> Scalar:
-        return self.m00 * self.m11 - self.m01 * self.m10
-
     def apply(self, obj):
         """Image of a Point or a Line (lines move by mapping two points)."""
         if isinstance(obj, Point):
@@ -249,14 +246,13 @@ class AffineMap(Frozen):
             return line_from_points(self.apply(p), self.apply(q))
         raise TypeError(f"cannot apply an affine map to {obj!r}")
 
-    def inverse(self) -> "AffineMap":
-        det = self.det
-        i00, i01 = self.m11 / det, -self.m01 / det
-        i10, i11 = -self.m10 / det, self.m00 / det
-        return AffineMap(
-            i00, i01, i10, i11,
-            -(i00 * self.b0 + i01 * self.b1),
-            -(i10 * self.b0 + i11 * self.b1),
+    def pullback(self, line: Line) -> Line:
+        """The line whose image under this map is line."""
+        t, u = line.t, line.u
+        return Line(
+            t * self.m00 - u * self.m10,
+            u * self.m11 - t * self.m01,
+            t * self.b0 - u * self.b1 + line.v,
         )
 
     def __repr__(self):

@@ -26,6 +26,7 @@ from .plane import (
     PlanePoint,
     Point,
     intersect,
+    line_det,
     line_from_points,
     midpoint,
 )
@@ -116,22 +117,6 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
     def transform(self, f: AffineMap) -> "Quadrilateral":
         return Quadrilateral(*(f.apply(side) for side in self.sides))
 
-    @property
-    def is_standard(self) -> bool:
-        """A is the line Y = 0 and A' is the line X = 0."""
-        field = self.field
-        return (
-            self.a == Line(field.zero, field.one, field.zero)
-            and self.a2 == Line(field.one, field.zero, field.zero)
-        )
-
-    @property
-    def mu(self) -> Scalar | None:
-        """Product of the slopes of B and B'; defined only in standard form."""
-        if not self.is_standard:
-            return None
-        return self.b.slope * self.b2.slope
-
     def __repr__(self):
         return f"Quadrilateral({self.a!r}, {self.b!r}, {self.a2!r}, {self.b2!r})"
 
@@ -195,47 +180,43 @@ def requadrilate(qr: Quadrangle) -> list[Quadrilateral | GeometryError]:
     return out
 
 
-def _axis_map(q: Quadrilateral) -> AffineMap:
+def _axis_map(a: Line, a2: Line) -> AffineMap:
     """The map sending A to the X-axis and A' to the Y-axis.
 
     f(x, y) = (A'(x, y), -A(x, y)) where each side contributes its canonical
     linear form tX - uY + v; the sign on the second coordinate makes the map
     the identity when the quadrilateral is already in standard form.
     """
-    a, a2 = q.a, q.a2
     return AffineMap(a2.t, -a2.u, -a.t, a.u, a2.v, -a.v)
 
 
-def standard_form(q: Quadrilateral) -> tuple[AffineMap, Quadrilateral, Scalar]:
-    """Reduce to a quadrilateral with A: Y=0 and A': X=0; returns (f, f(Q), mu).
+def standard_form(q: Quadrilateral) -> tuple[AffineMap, Scalar]:
+    """The map f carrying Q to standard form (A: Y=0, A': X=0) and mu.
 
     The opposite pair carried to the axes is {A, A'} when those are not
     parallel, else {B, B'} (relabelled), else the quadrilateral is a
     parallelogram and is first re-paired through its quadrangle, taking the
     first valid non-parallelogram pairing.  The coefficient mu is the
-    product of the images' slopes; it never vanishes.
+    product of the slopes of f(B) and f(B'), where f(L) has slope
+    [A, L] / [L, A'] in terms of line_det; it never vanishes.
     """
     if q._standard is not None:
         return q._standard
-    base = q
-    if base.a.is_parallel(base.a2):
-        if not base.b.is_parallel(base.b2):
-            # Rotate the cyclic labels one step: BA'B'A.
-            base = Quadrilateral(base.b, base.a2, base.b2, base.a)
+    a, b, a2, b2 = q.sides
+    if q.is_parallelogram():
+        for candidate in requadrilate(q.quadrangle()):
+            if isinstance(candidate, Quadrilateral) and not candidate.is_parallelogram():
+                a, b, a2, b2 = candidate.sides
+                break
         else:
-            for candidate in requadrilate(base.quadrangle()):
-                if isinstance(candidate, Quadrilateral) and not candidate.is_parallelogram():
-                    base = candidate
-                    break
-            else:
-                raise DegenerateInput("no non-parallelogram pairing found")
-            if base.a.is_parallel(base.a2):
-                base = Quadrilateral(base.b, base.a2, base.b2, base.a)
-    f = _axis_map(base)
-    std = base.transform(f)
-    mu = std.mu
-    if not std.is_standard or mu is None or mu.is_zero():
-        raise InvariantViolation("the axis map gives no standard form with nonzero mu")
+            raise DegenerateInput("no non-parallelogram pairing found")
+    if a.is_parallel(a2):
+        # Rotate the cyclic labels one step: BA'B'A.
+        a, b, a2, b2 = b, a2, b2, a
+    f = _axis_map(a, a2)
+    mu = line_det(a, b) * line_det(a, b2) / (line_det(a2, b) * line_det(a2, b2))
+    if mu.is_zero():
+        raise InvariantViolation("the standard form has nonzero mu")
     # The memo is the one slot written after __init__.
-    object.__setattr__(q, "_standard", (f, std, mu))
+    object.__setattr__(q, "_standard", (f, mu))
     return q._standard

@@ -7,6 +7,31 @@ def make_quad(field, *literals):
     return Quadrilateral(*(Line.parse(field, text) for text in literals))
 
 
+def standard_by_transform(q, f):
+    """The transform route to standard form, the reference for standard_form.
+
+    f must carry one of q's line pairs (sides or diagonals) onto the axes
+    Y = 0 and X = 0.  Returns the quadrilaterals (Y=0, f(B), X=0, f(B')) for
+    each opposite-side pair {B, B'} of q not carried there: one, or both
+    side pairs of a parallelogram, whose diagonals go to the axes.
+    """
+    field = q.field
+    axes = (Line(field.zero, field.one, field.zero), Line(field.one, field.zero, field.zero))
+    images = [(f.apply(l1), f.apply(l2)) for l1, l2 in q.line_pairs]
+    assert set(axes) in [set(pair) for pair in images]
+    out = [Quadrilateral(axes[0], b, axes[1], b2)
+           for b, b2 in images[:2] if set((b, b2)) != set(axes)]
+    assert len(out) == (2 if q.is_parallelogram() else 1)
+    return out
+
+
+def slope_product(std):
+    """mu by its definition: the product of the slopes of B and B' of a
+    quadrilateral with A: Y=0 and A': X=0 (B and B' are not parallel to A',
+    so each is Y = tX + v)."""
+    return std.b.t * std.b2.t
+
+
 E1_SIDES = ("Y=0", "Y=X+1", "X=0", "Y=2X-1")
 E2_SIDES = ("Y=0", "X=0", "Y=1", "X=1")
 

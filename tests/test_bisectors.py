@@ -24,6 +24,7 @@ from bisectrix import (
 from bisectrix.errors import DoesNotCross, NotABisector, NotBisectors
 from bisectrix.oracle import brute_bisectors, random_quadrilateral
 from bisectrix.pencil import Conic, center
+from conftest import slope_product
 
 
 def pt(x, y, field=QQ):
@@ -201,7 +202,7 @@ def test_same_mu_centroid_same_bisectors():
                         )
                     except GeometryError:
                         continue
-                    found.setdefault((quad.mu, quad.centroid), []).append(quad)
+                    found.setdefault((slope_product(quad), quad.centroid), []).append(quad)
     multi = [quads for quads in found.values() if len(quads) >= 2]
     assert multi, "expected standard-form quadrilaterals sharing (mu, centroid)"
     checked = 0

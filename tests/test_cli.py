@@ -71,7 +71,7 @@ def test_analyze_record_round_trip(capsys):
             assert tuple(map(parse, records["alpha_beta_gamma"].split())) == (
                 d.alpha, d.beta, d.gamma,
             )
-            f, _, mu = standard_form(q)
+            f, mu = standard_form(q)
             assert parse(records["mu"]) == mu
             assert AffineMap(*map(parse, records["map"].split())) == f
             assert tuple(map(parse, records["locus_conic"].split())) == (
@@ -390,7 +390,7 @@ def test_bad_value_exits_2_naming_the_key(tmp_path, capsys):
     config = tmp_path / "job.cfg"
     cases = [  # (other flags, key, value, what the message names)
         (["--quad", E1_QUAD], "seed", "1e3", "invalid literal for int()"),
-        (["--quad", E1_QUAD], "point", "1/0,0", "Fraction(1, 0)"),
+        (["--quad", E1_QUAD], "point", "1/0,0", "DivisionByZero: "),
         (["--field", "GFp:7", "--quad", E1_QUAD], "alpha", "1/7", "DivisionByZero: "),
         ([], "quad", "Y=0; Y=1; X=0; Y=X", "AdjacentParallel: "),
     ]
@@ -410,6 +410,44 @@ def test_load_config_builds_no_parser(monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     cfg = bisectrix.cli.load_config(["--quad", E1_QUAD, "--cmd", "analyze"])
     assert cfg.cmd == "analyze"
+
+
+def test_standard_form_builds_no_quadrilateral(monkeypatch):
+    """Past the input, standard_form, bisector_through, q_partner and analyze
+    build no further Quadrilateral for a non-parallelogram: mu is read off
+    the sides and lines are pulled back through the axis map."""
+    from bisectrix import (
+        Quadrilateral, bisector_through, is_bisector, q_partner, standard_form,
+    )
+
+    cfg = bisectrix.cli.load_config(["--quad", E1_QUAD, "--cmd", "analyze"])
+    quads = [bisectrix.cli.load_config(["--quad", text, "--cmd", "analyze"]).quad
+             for text in (E1_QUAD, "Y=0; X=0; Y=1; Y=X+3") for _ in range(3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Quadrilateral")
+
+    monkeypatch.setattr(Quadrilateral, "__init__", refuse)
+    for q in quads[0::3]:  # A and A' of the second are parallel
+        assert not q.is_parallelogram()
+        standard_form(q)
+    for q in quads[1::3]:
+        m = is_bisector(q, q.b)
+        assert [b.line for b in bisector_through(q, m)] == [q.b]
+    for q in quads[2::3]:
+        assert q_partner(q, q.b) != q.b
+    assert bisectrix.cli.dispatch(cfg)[0] == 0
+
+
+def test_negative_instances_exits_2(tmp_path, capsys):
+    config = tmp_path / "job.cfg"
+    config.write_text("instances -3\n", encoding="utf-8")
+    for quad in ([], ["--quad", E1_QUAD]):
+        for extra in (["--instances", "-3"], ["--config", str(config)]):
+            code, out, err = run(capsys, "--field", "GFp:7", "--cmd", "verify", *quad, *extra)
+            assert code == 2, extra
+            assert out == []
+            assert err.startswith("error: instances '-3': ") and err.count("\n") == 1, err
 
 
 def test_help_lists_every_key(capsys):

@@ -26,6 +26,12 @@ def test_gf_arithmetic():
     assert -g7.zero == g7.zero
 
 
+def test_zero_denominator_text_is_division_by_zero():
+    for field, text in ((QQ, "1/0"), (QQ, "-3/0"), (GF(7), "1/7")):
+        with pytest.raises(DivisionByZero):
+            field.parse(text)
+
+
 def test_int_coercion_in_expressions():
     g7 = GF(7)
     x = g7.scalar(3)

@@ -30,6 +30,7 @@ from bisectrix.errors import (
 )
 from bisectrix.oracle import _p1, enumerate_lines, random_quadrilateral
 from bisectrix.quad import Quadrilateral
+from conftest import standard_by_transform
 
 
 def ip(x, y, field=QQ):
@@ -52,11 +53,12 @@ def test_standard_form_data_shape():
         q = random_quadrilateral(GF(7), seed)
         from bisectrix import standard_form
 
-        _, std, mu = standard_form(q)
-        d = quadratic_data(std)
-        assert d.alpha == std.field.one
-        assert d.beta == std.field.zero
-        assert d.gamma == -mu
+        f, mu = standard_form(q)
+        for std in standard_by_transform(q, f):
+            d = quadratic_data(std)
+            assert d.alpha == std.field.one
+            assert d.beta == std.field.zero
+            assert d.gamma == -mu
 
 
 def test_phi_examples(e1):

@@ -165,9 +165,9 @@ def test_verify_all_flags_corrupted_data():
     from bisectrix import standard_form
 
     q = random_quadrilateral(GF(7), 3)
-    f, std, mu = standard_form(q)
+    f, mu = standard_form(q)
     # The memo is a frozen slot: inject the corruption past the guard.
-    object.__setattr__(q, "_standard", (f, std, 2 * mu))
+    object.__setattr__(q, "_standard", (f, 2 * mu))
     reports = verify_all(q, "exhaustive")
     failing = {r.tag for r in reports if not r.passed}
     assert "closed_form_oracle" in failing

@@ -117,7 +117,7 @@ def test_degenerations_parallel_family():
     family = report.family
     assert family is not None
     assert family.midline == Line.parse(QQ, "X=0")
-    base = family.base
+    base = family.pair_at_offset(QQ.zero)
     assert base.pair == LinePair(Line.parse(QQ, "X=0"), Line.parse(QQ, "X=0"))
     assert base.lam == QQ.one
     for r in (1, 2, 3):

@@ -74,8 +74,11 @@ def test_map_compose_inverse():
             f = AffineMap(*entries)
         except SingularMap:
             continue
-        p = pt(rng.below(9) - 4, rng.below(9) - 4)
-        assert f.inverse().apply(f.apply(p)) == p
+        t, u, v = (QQ.scalar(rng.below(9) - 4) for _ in range(3))
+        if t.is_zero() and u.is_zero():
+            continue
+        l = Line(t, u, v)
+        assert f.apply(f.pullback(l)) == l
 
 
 def test_canonicalization_idempotent_and_round_trip():
@@ -128,7 +131,7 @@ def test_inf_point_normalization():
 
 def test_vertical_line_accessors():
     l = Line.parse(QQ, "X=3")
-    assert l.is_vertical and l.slope is None
+    assert l.is_vertical
     assert str(l) == "X=3"
     l2 = Line.parse(QQ, "Y=3")
-    assert not l2.is_vertical and l2.slope == QQ.zero
+    assert not l2.is_vertical and l2.t == QQ.zero

@@ -22,7 +22,8 @@ from bisectrix.errors import (
     DuplicateLine,
     GeometryError,
 )
-from conftest import make_quad
+from bisectrix.oracle import random_quadrilateral
+from conftest import make_quad, slope_product, standard_by_transform
 
 
 def pt(x, y, field=QQ):
@@ -115,26 +116,26 @@ def test_requadrilate_collinear_flagged():
 
 
 def test_standard_form_e1(e1):
-    f, std, mu = standard_form(e1)
+    f, mu = standard_form(e1)
     assert f == AffineMap.identity(QQ)
-    assert std == e1
+    assert standard_by_transform(e1, f) == [e1]
     assert mu == QQ.scalar(2)
-    assert e1.is_standard and e1.mu == QQ.scalar(2)
+    assert slope_product(e1) == QQ.scalar(2)
 
 
 def test_standard_form_translated(e1):
     shift = AffineMap(QQ.one, QQ.zero, QQ.zero, QQ.one, QQ.one, QQ.zero)
     moved = e1.transform(shift)
-    f, std, mu = standard_form(moved)
+    f, mu = standard_form(moved)
     # The map subtracts the image of A.A' = (1, 0).
     assert f == AffineMap(QQ.one, QQ.zero, QQ.zero, QQ.one, -QQ.one, QQ.zero)
     assert mu == QQ.scalar(2)
-    assert std.is_standard
+    assert [slope_product(std) for std in standard_by_transform(moved, f)] == [mu]
 
 
 def test_standard_form_parallelogram(e2):
-    f, std, mu = standard_form(e2)
-    assert std.is_standard
+    f, mu = standard_form(e2)
+    assert [slope_product(std) for std in standard_by_transform(e2, f)] == [mu, mu]
     assert mu == QQ.one
     # The re-pairing sends the diagonals of the square to the axes.
     for diagonal in e2.diagonal_lines:
@@ -144,14 +145,31 @@ def test_standard_form_parallelogram(e2):
 
 def test_standard_form_always_nonzero_mu():
     g7 = GF(7)
-    from bisectrix.oracle import random_quadrilateral
-
     for seed in range(30):
         q = random_quadrilateral(g7, seed)
-        f, std, mu = standard_form(q)
-        assert std.is_standard
+        f, mu = standard_form(q)
+        for std in standard_by_transform(q, f):
+            assert slope_product(std) == mu
+            assert std.centroid == f.apply(q.centroid)
         assert not mu.is_zero()
-        assert std.centroid == f.apply(q.centroid)
+
+
+def test_standard_form_matches_transform_route(e1, e2, improper):
+    """(f, mu) against the definition: f carries a pair of opposite sides
+    (or a parallelogram's diagonals) onto the axes, and mu is the product of
+    the slopes of the images of the other pair."""
+    shift = AffineMap(QQ.one, QQ.zero, QQ.zero, QQ.one, QQ.one, QQ.zero)
+    rotated = make_quad(QQ, "Y=0", "X=0", "Y=1", "Y=X+3")  # A || A': relabelled
+    quads = [e1, e2, improper, e1.transform(shift), rotated]
+    quads += [random_quadrilateral(GF(7), seed) for seed in range(60)]
+    quads += [random_quadrilateral(GF(101), seed) for seed in range(20)]
+    cases = set()
+    for q in quads:
+        f, mu = standard_form(q)
+        for std in standard_by_transform(q, f):
+            assert slope_product(std) == mu, q
+        cases.add((q.is_parallelogram(), q.a.is_parallel(q.a2), q.proper))
+    assert {(True, True, True), (False, True, True), (False, False, False)} <= cases
 
 
 def test_origin_centroid_iff_parallelogram_vertices_gf5():
