@@ -22,6 +22,7 @@ from .form import (
     QuadraticData,
     chart_point,
     desargues_involution,
+    desargues_pencil,
     inner,
     involution_from_pairs,
     lambda_q,

@@ -165,10 +165,12 @@ class PrimeField(Field):
         raise TypeError(f"cannot make a GF({self.p}) element out of {value!r}")
 
     def _coerce_text(self, text):
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self._coerce(int(num)) * self._inv(self._coerce(int(den))) % self.p
-        return self._coerce(int(text))
+        # The rationals' grammar, reduced mod p; plain integers skip the
+        # Fraction parser, which costs about thirty times as much.
+        try:
+            return int(text) % self.p
+        except ValueError:
+            return self._coerce(QQ._coerce_text(text))
 
     def _inv(self, a):
         if a == 0:

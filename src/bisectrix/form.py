@@ -12,6 +12,7 @@ with matrix [[beta, -alpha], [gamma, -beta]] on the line at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     DegenerateForm,
@@ -85,7 +86,7 @@ class Involution(Frozen):
         self._write(m0, m1, m2)
 
     def conjugate(self, p: InfPoint, q: InfPoint) -> bool:
-        r0, r1, r2 = _exchange_row(p, q)
+        r0, r1, r2 = _exchange_row((p.x, p.y), (q.x, q.y))
         return (r0 * self.m0 + r1 * self.m1 + r2 * self.m2).is_zero()
 
     def fixes(self, p: InfPoint) -> bool:
@@ -117,13 +118,15 @@ def lambda_q(d: QuadraticData) -> Involution:
     return Involution(d.beta, -d.alpha, d.gamma)
 
 
-def _exchange_row(p: InfPoint, q: InfPoint) -> tuple[Scalar, Scalar, Scalar]:
+def _exchange_row(p, q) -> tuple:
     # Linear constraint on (m0, m1, m2) with M = [[m0, m1], [m2, -m0]]
-    # expressing M(p) proportional to q.
-    return (p.x * q.y + p.y * q.x, p.y * q.y, -(p.x * q.x))
+    # expressing M(p) proportional to q, for homogeneous pairs p = (x, y)
+    # and q of any ring: scalars, or polynomials in v (desargues_pencil).
+    (px, py), (qx, qy) = p, q
+    return (px * qy + py * qx, py * qy, -(px * qx))
 
 
-def _cross(r1, r2) -> tuple[Scalar, Scalar, Scalar]:
+def _cross(r1, r2) -> tuple:
     return (
         r1[1] * r2[2] - r1[2] * r2[1],
         r1[2] * r2[0] - r1[0] * r2[2],
@@ -140,7 +143,11 @@ def involution_from_pairs(
     to p, so each pair contributes one linear constraint; the solution is
     the cross product of the two constraint rows.
     """
-    m = _cross(_exchange_row(*pair1), _exchange_row(*pair2))
+    return _solved(_cross(*(_exchange_row((p.x, p.y), (q.x, q.y)) for p, q in (pair1, pair2))))
+
+
+def _solved(m) -> Involution:
+    """The involution of a triple solving two exchange constraints."""
     if all(x.is_zero() for x in m):
         raise UnderdeterminedPairs("constraints are linearly dependent")
     try:
@@ -166,33 +173,91 @@ def chart_point(line: Line, p: PlanePoint) -> InfPoint:
     return InfPoint(param, field.one)
 
 
-def _crossing_parameter(line: Line, other: Line) -> InfPoint:
-    """chart_point(line, intersect(line, other)) for a line other than line,
-    as the homogeneous pair [numerator : det] of Cramer's rule."""
-    det = line_det(line, other)
-    if det.is_zero():
-        return InfPoint(det.field.one, det.field.zero)
-    if line.is_vertical:
-        return InfPoint(line.v * other.t - line.t * other.v, det)
-    return InfPoint(line.v * other.u - line.u * other.v, det)
+class _Poly(tuple):
+    """A polynomial in the offset v of a parallel class, as its coefficient
+    scalars, lowest degree first; the ring desargues_pencil computes in."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        zero = self[0].field.zero
+        return _Poly(a + b for a, b in zip_longest(self, other, fillvalue=zero))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _Poly(-a for a in self)
+
+    def __mul__(self, other):
+        out = [self[0].field.zero] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for j, b in enumerate(other):
+                out[i + j] = out[i + j] + a * b
+        return _Poly(out)
+
+
+def _class_parameters(qr: Quadrangle, line: Line):
+    """Where the lines tX - uY + v = 0 of line's parallel class meet each
+    side of qr, as the chart parameter (see chart_point) [a + b*v : det] of
+    Cramer's rule: one (a, b, det) per side, two per pair of opposite sides.
+    det is the same for every line of the class; a side of the class's
+    direction meets each of its lines at the line's infinite point [1 : 0].
+    """
+    t, u = line.t, line.u
+    one, zero = t.field.one, t.field.zero
+
+    def parameter(side):
+        det = line_det(line, side)
+        if det.is_zero():
+            return (one, zero, det)
+        if u.is_zero():  # the chart reads Y on a vertical line
+            return (-t * side.v, side.t, det)
+        return (-u * side.v, side.u, det)
+
+    return [[parameter(side) for side in pair.lines] for pair in qr.opposite_side_pairs()]
+
+
+def _desargues_triple(params) -> tuple:
+    """The unnormalised (m0, m1, m2) exchanging the first two pairs of
+    homogeneous parameters: one formula for polynomials and for scalars."""
+    return _cross(*(_exchange_row(p, q) for p, q in params[:2]))
+
+
+def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple[Scalar, ...], ...]:
+    """The Desargues involution along the whole parallel class tX - uY + v = 0.
+
+    Returns the coefficient lists (lowest degree first) of the polynomials
+    m0, m1, m2 in v, of degree at most 2, 3 and 1, such that on each line of
+    the class that avoids qr's vertices desargues_involution is the matrix
+    [[m0(v), m1(v)], [m2(v), -m0(v)]] up to scale.  Its reflections, the
+    class's bisectors, are the roots of m2.  (t, u) is normalised as in
+    Line, so v is the offset of the canonical line.
+    """
+    params = [
+        [(_Poly((a, b)), _Poly((det,))) for a, b, det in pair]
+        for pair in _class_parameters(qr, Line(t, u, t.field.zero))
+    ]
+    return tuple(tuple(m) for m in _desargues_triple(params))
 
 
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     """The involution induced on a line by the conics through a quadrangle.
 
-    Built from where two pairs of opposite sides of the quadrangle meet the
-    line; the third pair is conjugate under the same involution, which is
-    checked (NotConjugate otherwise).  The involution acts on chart
-    parameters (see chart_point).
+    desargues_pencil of the line's class at the line's offset v, with v
+    substituted into the crossing parameters before they are multiplied
+    (see _class_parameters); the third pair of opposite sides is conjugate
+    under the same involution, which is checked (NotConjugate otherwise).
+    The involution acts on chart parameters (see chart_point).
     """
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
     params = [
-        tuple(_crossing_parameter(line, member) for member in pair.lines)
-        for pair in qr.opposite_side_pairs()
+        [(a + b * line.v, det) for a, b, det in pair]
+        for pair in _class_parameters(qr, line)
     ]
-    inv = involution_from_pairs(params[0], params[1])
-    if not inv.conjugate(*params[2]):
+    inv = _solved(_desargues_triple(params))
+    if not inv.conjugate(*(InfPoint(x, y) for x, y in params[2])):
         raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

@@ -40,6 +40,7 @@ from .field import Field, PrimeField, Scalar
 from .form import (
     chart_point,
     desargues_involution,
+    desargues_pencil,
     inner,
     involution_from_pairs,
     lambda_q,
@@ -302,25 +303,87 @@ def _fixture_probe_lines(q) -> list[Line]:
 
 
 def _desargues_sweep(qr: Quadrangle):
-    """Each line of the finite plane that avoids qr's vertices, with the
-    chart parameters (see form.chart_point) where it meets the three pairs
-    of opposite sides, read off one raw-residue sweep."""
-    field = qr.field
-    p = field.p
-    scalars = [field.scalar(i) for i in range(p)]
-    # charts[k] is the parameter [k : 1]; charts[p] is the line's infinite point.
-    charts = [InfPoint(s, field.one) for s in scalars] + [InfPoint(field.one, field.zero)]
+    """Each line tX - uY + v = 0 of the finite plane that avoids qr's
+    vertices, as raw residues (t, u, v, pairs): pairs holds the chart
+    parameters (see form.chart_point) where it meets the three pairs of
+    opposite sides, as homogeneous int pairs read off one raw-residue sweep.
+    """
+    p = qr.field.p
     vertices = [(pt.x.value, pt.y.value) for pt in qr.points]
     sides = [l for pair in qr.opposite_side_pairs() for l in pair.lines]
-    for t, u, v, crossings in _sweep(field, sides):
+    for t, u, v, crossings in _sweep(qr.field, sides):
         if any((t * x - u * y + v) % p == 0 for x, y in vertices):
             continue
         # Each side holds two vertices, so no crossing here is _SAME.  The
-        # chart reads X, or Y on a vertical line.
+        # chart reads X, or Y on a vertical line; [1 : 0] is the line's
+        # infinite point.
         axis = 0 if u else 1
-        params = [charts[p] if c is _PARALLEL else charts[c[axis]] for c in crossings]
-        line = Line(scalars[t], scalars[u], scalars[v])
-        yield line, [(params[0], params[1]), (params[2], params[3]), (params[4], params[5])]
+        params = [(1, 0) if c is _PARALLEL else (c[axis], 1) for c in crossings]
+        yield t, u, v, [(params[0], params[1]), (params[2], params[3]), (params[4], params[5])]
+
+
+def _int_exchange_row(pair, p: int) -> tuple[int, int, int]:
+    """The oracle's own form of the linear constraint on (m0, m1, m2) saying
+    that [[m0, m1], [m2, -m0]] exchanges the two points of an int pair."""
+    (x1, y1), (x2, y2) = pair
+    return ((x1 * y2 + y1 * x2) % p, y1 * y2 % p, -x1 * x2 % p)
+
+
+def _int_cross(r, s, p: int) -> tuple[int, int, int]:
+    return tuple((r[i] * s[j] - r[j] * s[i]) % p for i, j in ((1, 2), (2, 0), (0, 1)))
+
+
+def _degeneracy(m, p: int) -> str | None:
+    """Why the int triple m is no involution, or None when it is one."""
+    if not any(m):
+        return "constraints are linearly dependent"
+    if (m[0] * m[0] + m[1] * m[2]) % p == 0:
+        return "matrix does not square to a nonzero scalar"
+    return None
+
+
+def _check_desargues_exhaustive(q, qr, ctx):
+    """The kernel's class polynomials (form.desargues_pencil), evaluated at
+    each offset on ints, against the conjugate pairs of the sweep."""
+    field = q.field
+    p = field.p
+    pencils = {
+        (t.value, u.value): [[c.value for c in m] for m in desargues_pencil(qr, t, u)]
+        for u, t in _p1(field)
+    }
+    bisecting = {(b.line.t.value, b.line.u.value, b.line.v.value) for b in ctx.brute(q)}
+    out = []
+    count = 0
+    for t, u, v, pairs in _desargues_sweep(qr):
+        count += 1
+        m = []
+        for coeffs in pencils[t, u]:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = (acc * v + c) % p
+            m.append(acc)
+        problems = []
+        reason = _degeneracy(m, p)
+        if reason:
+            problems.append(f"involution underdetermined ({reason})")
+        rows = [_int_exchange_row(pair, p) for pair in pairs]
+        conjugate = [sum(r * x for r, x in zip(row, m)) % p == 0 for row in rows]
+        if not conjugate[2]:
+            problems.append("third pair not conjugate")
+        m13 = _int_cross(rows[0], rows[2], p)
+        reason = _degeneracy(m13, p)
+        if reason:
+            problems.append(f"involution underdetermined ({reason})")
+        elif any(_int_cross(m, m13, p)) or not (conjugate[0] and conjugate[1]):
+            problems.append("the three conjugate pairs disagree")
+        reflection = m[2] == 0
+        bisects = (t, u, v) in bisecting
+        if reflection != bisects:
+            problems.append(f"reflection={reflection} but bisector={bisects}")
+        if problems:
+            line = Line(field.scalar(t), field.scalar(u), field.scalar(v))
+            out.extend(f"{line}: {problem}" for problem in problems)
+    return count, out
 
 
 def _check_desargues(q, ctx):
@@ -328,22 +391,15 @@ def _check_desargues(q, ctx):
         return 0, []
     qr = q.quadrangle()
     if ctx.exhaustive:
-        swept = _desargues_sweep(qr)
-        bisecting = set(ctx.bisector_lines(q))
-    else:
-        lines = _fixture_probe_lines(q)
-        bisecting = {l for l in lines if is_bisector(q, l) is not None}
-        swept = (
-            (line, [
-                tuple(chart_point(line, intersect(line, member)) for member in pair.lines)
-                for pair in qr.opposite_side_pairs()
-            ])
-            for line in lines
-        )
+        return _check_desargues_exhaustive(q, qr, ctx)
+    lines = _fixture_probe_lines(q)
+    bisecting = {l for l in lines if is_bisector(q, l) is not None}
     out = []
-    count = 0
-    for line, pairs in swept:
-        count += 1
+    for line in lines:
+        pairs = [
+            tuple(chart_point(line, intersect(line, member)) for member in pair.lines)
+            for pair in qr.opposite_side_pairs()
+        ]
         try:
             inv = desargues_involution(qr, line)
             inv13 = involution_from_pairs(pairs[0], pairs[2])
@@ -360,7 +416,7 @@ def _check_desargues(q, ctx):
         bisects = line in bisecting
         if inv.is_reflection() != bisects:
             out.append(f"{line}: reflection={inv.is_reflection()} but bisector={bisects}")
-    return count, out
+    return len(lines), out
 
 
 def _check_vertex_lines(q, ctx):

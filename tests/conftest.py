@@ -35,6 +35,15 @@ def slope_product(std):
 E1_SIDES = ("Y=0", "Y=X+1", "X=0", "Y=2X-1")
 E2_SIDES = ("Y=0", "X=0", "Y=1", "X=1")
 
+# Parallelogram, improper (A, B, A' through the origin), parallel pair
+# (A parallel to A') and parallelogram vertices (the unit square, crossed).
+SPECIAL_SIDES = (
+    E2_SIDES,
+    ("Y=0", "Y=X", "X=0", "Y=2X+1"),
+    ("Y=0", "X=0", "Y=1", "Y=X+2"),
+    ("X=0", "Y=X", "X=1", "Y=-X+1"),
+)
+
 
 @pytest.fixture
 def e1():

@@ -476,9 +476,13 @@ def test_argparse_errors_exit_2_naming_the_flag(capsys):
 def test_violation_line_reproduces_through_main(monkeypatch, capsys):
     """Every violation line carries its seed, field and --quad literal, and
     the command it names prints that violation again."""
-    from bisectrix import Involution
+    from bisectrix import oracle
 
-    monkeypatch.setattr(Involution, "is_reflection", lambda self: False)
+    # m2 a nonzero constant: no line is a reflection, so bisectors violate.
+    pencil = oracle.desargues_pencil
+    monkeypatch.setattr(
+        oracle, "desargues_pencil", lambda qr, t, u: (*pencil(qr, t, u)[:2], (qr.field.one,))
+    )
     code, out, _ = run(capsys, "--field", "GFp:7", "--cmd", "verify", "--seed", "1",
                        "--instances", "2")
     assert code == 1

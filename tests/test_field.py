@@ -32,6 +32,31 @@ def test_zero_denominator_text_is_division_by_zero():
             field.parse(text)
 
 
+def test_prime_field_parses_the_rational_grammar():
+    """GF(p) accepts every literal QQ accepts and reduces its value mod p;
+    a denominator divisible by p is DivisionByZero, as in the other fields'
+    division."""
+    texts = ["0", "3", "-7", "+5", "12", "1_000", "1.5", "-0.25", "1e3", "2E-2",
+             "-12/7", "5/6", " 3/4 ", "-1/2", "100/25"]
+    for p in (3, 7, 11, 101):
+        field = GF(p)
+        for text in texts:
+            value = QQ.parse(text).value
+            if value.denominator % p == 0:
+                with pytest.raises(DivisionByZero):
+                    field.parse(text)
+            else:
+                assert field.parse(text) == field.scalar(value), (p, text)
+        for text in ("x", "1/-2", "1//2", "0x10", ""):
+            with pytest.raises(ValueError):
+                QQ.parse(text)
+            with pytest.raises(ValueError):
+                field.parse(text)
+    assert GF(7).parse("14/7") == GF(7).scalar(2)
+    with pytest.raises(DivisionByZero):
+        GF(7).parse("1/0")
+
+
 def test_int_coercion_in_expressions():
     g7 = GF(7)
     x = g7.scalar(3)

@@ -11,6 +11,7 @@ from bisectrix import (
     QQ,
     chart_point,
     desargues_involution,
+    desargues_pencil,
     inner,
     intersect,
     involution_from_pairs,
@@ -30,7 +31,7 @@ from bisectrix.errors import (
 )
 from bisectrix.oracle import _p1, enumerate_lines, random_quadrilateral
 from bisectrix.quad import Quadrilateral
-from conftest import standard_by_transform
+from conftest import SPECIAL_SIDES, make_quad, standard_by_transform
 
 
 def ip(x, y, field=QQ):
@@ -207,6 +208,59 @@ def test_desargues_reflection_iff_bisector_gf7(e1_mod7):
         if not bisects:
             non_bisector_seen = True
     assert non_bisector_seen
+
+
+def _at(coeffs, v):
+    acc = v.field.zero
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+def test_desargues_pencil_at_v_is_the_involution_of_each_line():
+    """The class form evaluated at v equals involution_from_pairs on the
+    chart parameters of the line's crossings, on every line of GF(7),
+    GF(11) and GF(13) that avoids the vertices."""
+    for p in (7, 11, 13):
+        field = GF(p)
+        quads = [random_quadrilateral(field, seed) for seed in range(4)]
+        quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+        for q in (q for q in quads if q.proper):
+            qr = q.quadrangle()
+            pencils = {(t, u): desargues_pencil(qr, t, u) for u, t in _p1(field)}
+            for line in enumerate_lines(field):
+                if any(line.contains(v) for v in qr.points):
+                    continue
+                pairs = [
+                    tuple(chart_point(line, intersect(line, m)) for m in pair.lines)
+                    for pair in qr.opposite_side_pairs()
+                ]
+                expected = involution_from_pairs(pairs[0], pairs[1])
+                m = [_at(c, line.v) for c in pencils[line.t, line.u]]
+                assert Involution(*m) == expected, (p, q, line)
+                assert desargues_involution(qr, line) == expected
+
+
+def test_desargues_pencil_degree_and_parallel_directions():
+    """Each coefficient list has degree at most 3, and m2 vanishes
+    identically exactly in the direction of a parallel pair of sides or
+    diagonals, whose whole class bisects."""
+    for p in (11, 13):
+        field = GF(p)
+        quads = [random_quadrilateral(field, seed) for seed in range(12)]
+        quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+        for q in (q for q in quads if q.proper):
+            qr = q.quadrangle()
+            parallel = {l1.infinite_point() for l1, l2 in q.line_pairs if l1.is_parallel(l2)}
+            for u, t in _p1(field):
+                pencil = desargues_pencil(qr, t, u)
+                for coeffs in pencil:
+                    degree = max((i for i, c in enumerate(coeffs) if c), default=-1)
+                    assert degree <= 3, (p, q, t, u)
+                m2_zero = not any(pencil[2])
+                assert m2_zero == (InfPoint(u, t) in parallel), (p, q, t, u)
+        with pytest.raises(DegenerateInput):
+            desargues_pencil(qr, field.zero, field.zero)
 
 
 def test_repairings_share_orthogonality(e1):

@@ -3,6 +3,7 @@ import pytest
 from bisectrix import (
     GF,
     Bisector,
+    Line,
     Point,
     QQ,
     brute_bisectors,
@@ -17,16 +18,7 @@ from bisectrix import (
 )
 from bisectrix.errors import InfiniteField
 from bisectrix.oracle import Lcg64, _desargues_sweep, enumerate_points
-from conftest import E1_SIDES, E2_SIDES, make_quad
-
-# Parallelogram, improper (A, B, A' through the origin), parallel pair
-# (A parallel to A') and parallelogram vertices (the unit square, crossed).
-SPECIAL_SIDES = (
-    E2_SIDES,
-    ("Y=0", "Y=X", "X=0", "Y=2X+1"),
-    ("Y=0", "X=0", "Y=1", "Y=X+2"),
-    ("X=0", "Y=X", "X=1", "Y=-X+1"),
-)
+from conftest import E1_SIDES, SPECIAL_SIDES, make_quad
 
 
 def test_enumerate_lines_counts():
@@ -96,8 +88,8 @@ def test_brute_bisectors_equal_definition_per_line():
 
 
 def test_desargues_sweep_pairs_equal_chart_points():
-    """The oracle's conjugate pairs on every swept line equal the chart
-    parameters of the kernel's intersection points."""
+    """The oracle's homogeneous int pairs on every swept line equal, up to
+    scale, the chart parameters of the kernel's intersection points."""
     for p in (7, 11):
         field = GF(p)
         quads = [random_quadrilateral(field, seed) for seed in range(12)]
@@ -108,12 +100,18 @@ def test_desargues_sweep_pairs_equal_chart_points():
             avoiding = [
                 l for l in enumerate_lines(field) if not any(l.contains(v) for v in qr.points)
             ]
-            assert [line for line, _ in swept] == avoiding
-            for line, pairs in swept:
-                assert pairs == [
-                    tuple(chart_point(line, intersect(line, m)) for m in pair.lines)
-                    for pair in qr.opposite_side_pairs()
+            lines = [Line(*(field.scalar(c) for c in (t, u, v))) for t, u, v, _ in swept]
+            assert lines == avoiding
+            for line, (*_, pairs) in zip(lines, swept):
+                expected = [
+                    chart_point(line, intersect(line, m))
+                    for pair in qr.opposite_side_pairs() for m in pair.lines
                 ]
+                got = [point for pair in pairs for point in pair]
+                assert len(got) == len(expected) == 6
+                for (x, y), point in zip(got, expected):
+                    assert (x, y) != (0, 0)
+                    assert (point.x.value * y - point.y.value * x) % p == 0, (line, point)
 
 
 def test_random_quadrilateral_deterministic():
@@ -174,19 +172,56 @@ def test_verify_all_flags_corrupted_data():
 
 
 def test_exhaustive_desargues_compares_every_swept_line(monkeypatch):
-    """With reflections suppressed, every swept bisector is a violation."""
-    from bisectrix import Involution
+    """With m2 made a nonzero constant, so that no line is a reflection,
+    every swept bisector is a violation, and the triple fails the sweep's
+    conjugate pairs elsewhere."""
+    from bisectrix import oracle
 
-    monkeypatch.setattr(Involution, "is_reflection", lambda self: False)
+    pencil = oracle.desargues_pencil
+    monkeypatch.setattr(
+        oracle, "desargues_pencil", lambda qr, t, u: (*pencil(qr, t, u)[:2], (qr.field.one,))
+    )
     for seed in (1, 2, 4):
         q = random_quadrilateral(GF(7), seed)
         assert q.proper
-        swept = [
-            b for b in brute_bisectors(q) if not any(b.line.contains(v) for v in q.vertices)
-        ]
+        swept = {
+            str(b.line) for b in brute_bisectors(q)
+            if not any(b.line.contains(v) for v in q.vertices)
+        }
         report = {r.tag: r for r in verify_all(q, "exhaustive")}["desargues_reflection"]
-        assert len(report.violations) == len(swept) > 0
-        assert all("reflection=False but bisector=True" in v for v in report.violations)
+        reflections = [v for v in report.violations if "reflection=" in v]
+        assert all(v.endswith(": reflection=False but bisector=True") for v in reflections)
+        assert sorted(v.partition(":")[0] for v in reflections) == sorted(swept)
+        assert len(swept) > 0
+        # Off the bisectors the corrupted triple fails the conjugate pairs.
+        problems = {v.partition(": ")[2] for v in report.violations}
+        assert {"third pair not conjugate", "the three conjugate pairs disagree"} <= problems
+
+
+def test_exhaustive_desargues_builds_one_pencil_per_class(monkeypatch):
+    """Over GF(11) the exhaustive desargues_reflection check asks the kernel
+    for one desargues_pencil per parallel class and builds no Involution."""
+    from bisectrix import Involution, oracle
+
+    field = GF(11)
+    quads = [q for q in (random_quadrilateral(field, seed) for seed in range(6)) if q.proper]
+    calls = []
+    pencil = oracle.desargues_pencil
+    monkeypatch.setattr(
+        oracle, "desargues_pencil", lambda *args: calls.append(args) or pencil(*args)
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an Involution")
+
+    monkeypatch.setattr(Involution, "__init__", refuse)
+    for q in quads:
+        del calls[:]
+        instances, violations = oracle._check_desargues(q, oracle._Context(True, 0))
+        assert violations == []
+        assert instances > 0
+        assert len(calls) == field.p + 1
+    assert len(quads) >= 3
 
 
 def test_report_summary_format():
