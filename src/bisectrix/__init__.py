@@ -13,7 +13,6 @@ from .bisectors import (
     is_q_pair,
     mid_cross,
     nine_points,
-    q_antipodal,
     q_partner,
 )
 from .field import GF, PrimeField, QQ, Rationals, Scalar
@@ -36,7 +35,6 @@ from .oracle import (
     brute_bisectors,
     closed_form_bisectors,
     enumerate_lines,
-    enumerate_points,
     lines_through,
     random_quadrilateral,
     verify_all,

@@ -170,10 +170,6 @@ def nine_points(qr: Quadrangle) -> list[PlanePoint]:
     return points
 
 
-def q_antipodal(q: Quadrilateral, b1: Bisector, b2: Bisector) -> bool:
-    return midpoint(b1.midpoint, b2.midpoint) == q.centroid
-
-
 def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:
     """Q-antipodal and Q-orthogonal; the two lines may coincide."""
     m1 = is_bisector(q, pair.a)

@@ -5,6 +5,13 @@ testing every line of a finite plane against the midpoint condition, never
 through the closed-form equations, so this module is the independent side
 of every dual-route check.
 
+Over GF(p) the sweeps run on raw residues (ints in [0, p)) by the same
+rules as the kernel's predicates: the line sweep of brute_bisectors and of
+desargues_reflection, the crossings of bisector_field, the direction and
+midpoint buckets of pair_redundancy, and the locus zero set shared by
+closed_form_oracle and locus_midpoints.  Objects are built only for
+violation texts.  Over Q the fixture checks use Scalar arithmetic.
+
 The sampler is a plain 64-bit linear congruential generator
 (state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64,
 drawing from the top 32 bits), chosen so any implementation can reproduce
@@ -48,7 +55,7 @@ from .form import (
     quadratic_data,
 )
 from .pencil import center, degenerations, is_degeneration_of, pencil_of
-from .plane import AffineMap, InfPoint, Line, LinePair, Point, intersect, midpoint
+from .plane import AffineMap, InfPoint, Line, LinePair, Point, intersect
 from .quad import Quadrangle, Quadrilateral, requadrilate
 
 _MAX_TRIES = 10000  # rejection-sampling attempts of random_quadrilateral
@@ -86,21 +93,73 @@ def enumerate_lines(field: Field) -> list[Line]:
     return [Line(t, u, field.scalar(v)) for u, t in _p1(field) for v in range(field.p)]
 
 
-def enumerate_points(field: Field) -> list[Point]:
-    if not isinstance(field, PrimeField):
-        raise InfiniteField("point enumeration needs a finite field")
-    scalars = [field.scalar(i) for i in range(field.p)]
-    return [Point(x, y) for x in scalars for y in scalars]
-
-
 def lines_through(field: Field, p: Point) -> list[Line]:
     """All p + 1 lines of GF(p)^2 through a point."""
     return [Line(t, u, u * p.y - t * p.x) for u, t in _p1(field)]
 
 
-# A swept line's crossing with a reference line, when it is not an affine point.
+# Raw residues (see the module docstring): a line is its canonical
+# (t, u, v) and a point its (x, y), as ints in [0, p).
+
+# A raw line's crossing with another, when it is not an affine point.
 _PARALLEL = "parallel"
 _SAME = "same line"
+
+
+def _raw_line(line: Line) -> tuple[int, int, int]:
+    return (line.t.value, line.u.value, line.v.value)
+
+
+def _raw_point(point: Point) -> tuple[int, int]:
+    return (point.x.value, point.y.value)
+
+
+def _point(field: PrimeField, xy) -> Point:
+    return Point(field.scalar(xy[0]), field.scalar(xy[1]))
+
+
+def _meet(l, m, p: int):
+    """Where raw line l meets raw line m (plane.intersect): an affine
+    (x, y), _PARALLEL or _SAME."""
+    t, u, v = l
+    mt, mu, mv = m
+    det = (u * mt - t * mu) % p
+    if not det:
+        return _SAME if l == m else _PARALLEL
+    inv = pow(det, -1, p)
+    return ((v * mu - u * mv) * inv % p, (v * mt - t * mv) * inv % p)
+
+
+def _mid(c1, c2, p: int):
+    """A line's midpoint across a pair it meets at c1 and c2 (see _meet), by
+    the rules of bisectors.mid_cross: None when the line does not cross the
+    pair, _PARALLEL for the line's own infinite point."""
+    if c1 is _SAME or c2 is _SAME or (c1 is _PARALLEL and c2 is _PARALLEL):
+        return None
+    if c1 is _PARALLEL or c2 is _PARALLEL:
+        return _PARALLEL
+    half = (p + 1) // 2
+    return ((c1[0] + c2[0]) * half % p, (c1[1] + c2[1]) * half % p)
+
+
+def _bisector_mid(crossings, p: int):
+    """The midpoint of a line as a bisector (bisectors.is_bisector) from its
+    crossings with A, A', B and B', or None when it does not bisect."""
+    a, a2, b, b2 = crossings
+    mids = [m for m in (_mid(a, a2, p), _mid(b, b2, p)) if m is not None]
+    if len(set(mids)) == 1 and mids[0] is not _PARALLEL:
+        return mids[0]
+    return None
+
+
+def _zero_set(conic, p: int) -> set[tuple[int, int]]:
+    """The affine points of GF(p)^2 on a conic, as raw residues."""
+    a, b, c, d, e, f = (x.value for x in conic.coeffs)
+    found = set()
+    for x in range(p):
+        linear, const = b * x + e, (a * x + d) * x + f
+        found.update((x, y) for y in range(p) if ((c * y + linear) * y + const) % p == 0)
+    return found
 
 
 def _sweep(field: PrimeField, refs):
@@ -113,7 +172,7 @@ def _sweep(field: PrimeField, refs):
     then affine in the offset v.
     """
     p = field.p
-    raw = [(l.t.value, l.u.value, l.v.value) for l in refs]
+    raw = [_raw_line(l) for l in refs]
     for u_s, t_s in _p1(field):
         u, t = u_s.value, t_s.value
         columns = []
@@ -139,39 +198,28 @@ def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
     field = q.field
     if not isinstance(field, PrimeField):
         raise InfiniteField("brute-force bisectors need a finite field")
-    p = field.p
-    half = pow(2, -1, p)
     found = set()
-    for t, u, v, (a, a2, b, b2) in _sweep(field, (q.a, q.a2, q.b, q.b2)):
-        # The midpoints across the opposite pairs the line crosses; None is
-        # the line's own infinite point.
-        mids = []
-        for c1, c2 in ((a, a2), (b, b2)):
-            if c1 is _SAME or c2 is _SAME or (c1 is _PARALLEL and c2 is _PARALLEL):
-                continue
-            if c1 is _PARALLEL or c2 is _PARALLEL:
-                mids.append(None)
-            else:
-                mids.append(((c1[0] + c2[0]) * half % p, (c1[1] + c2[1]) * half % p))
-        if len(set(mids)) == 1 and mids[0] is not None:
-            x, y = (field.scalar(c) for c in mids[0])
+    for t, u, v, crossings in _sweep(field, (q.a, q.a2, q.b, q.b2)):
+        m = _bisector_mid(crossings, field.p)
+        if m is not None:
             line = Line(field.scalar(t), field.scalar(u), field.scalar(v))
-            found.add(Bisector(line, Point(x, y)))
+            found.add(Bisector(line, _point(field, m)))
     return found
 
 
-def closed_form_bisectors(q: Quadrilateral) -> set[Bisector]:
-    """The closed-form route: sweep the locus and solve for each midpoint."""
-    if not isinstance(q.field, PrimeField):
+def closed_form_bisectors(q: Quadrilateral, zeros=None) -> set[Bisector]:
+    """The closed-form route: solve for the bisector at each point of the
+    locus; zeros is the locus's zero set (see _zero_set) when known."""
+    field = q.field
+    if not isinstance(field, PrimeField):
         raise InfiniteField("locus sweep needs a finite field")
-    locus = bisector_locus(q)
+    if zeros is None:
+        zeros = _zero_set(bisector_locus(q).conic, field.p)
     found = set()
-    for pt in enumerate_points(q.field):
-        if not locus.conic.contains(pt):
-            continue
-        result = bisector_through(q, pt)
+    for xy in zeros:
+        result = bisector_through(q, _point(field, xy))
         if isinstance(result, AllLinesThrough):
-            for line in lines_through(q.field, result.center):
+            for line in lines_through(field, result.center):
                 found.add(Bisector(line, result.center))
         else:
             found.update(result)
@@ -309,7 +357,7 @@ def _desargues_sweep(qr: Quadrangle):
     opposite sides, as homogeneous int pairs read off one raw-residue sweep.
     """
     p = qr.field.p
-    vertices = [(pt.x.value, pt.y.value) for pt in qr.points]
+    vertices = [_raw_point(pt) for pt in qr.points]
     sides = [l for pair in qr.opposite_side_pairs() for l in pair.lines]
     for t, u, v, crossings in _sweep(qr.field, sides):
         if any((t * x - u * y + v) % p == 0 for x, y in vertices):
@@ -351,7 +399,7 @@ def _check_desargues_exhaustive(q, qr, ctx):
         (t.value, u.value): [[c.value for c in m] for m in desargues_pencil(qr, t, u)]
         for u, t in _p1(field)
     }
-    bisecting = {(b.line.t.value, b.line.u.value, b.line.v.value) for b in ctx.brute(q)}
+    bisecting = {_raw_line(b.line) for b in ctx.brute(q)}
     out = []
     count = 0
     for t, u, v, pairs in _desargues_sweep(qr):
@@ -490,7 +538,7 @@ def _check_unique_midpoints(q, ctx):
 
 def _check_closed_form(q, ctx):
     brute = ctx.brute(q)
-    closed = closed_form_bisectors(q)
+    closed = closed_form_bisectors(q, ctx.locus_zeros(q))
     out = []
     if brute != closed:
         missing = brute - closed
@@ -518,8 +566,8 @@ def _check_locus(q, ctx):
                 out.append(f"locus depends on the diagonal point choice at {dp}")
     instances = 1
     if ctx.exhaustive:
-        midpoints = {b.midpoint for b in ctx.brute(q)}
-        zero_set = {p for p in enumerate_points(q.field) if locus.conic.contains(p)}
+        midpoints = {_raw_point(b.midpoint) for b in ctx.brute(q)}
+        zero_set = ctx.locus_zeros(q)
         if midpoints != zero_set:
             out.append(
                 f"midpoint set ({len(midpoints)}) != zero set ({len(zero_set)})"
@@ -627,9 +675,37 @@ def _q_pairs_of(q, lines) -> list[LinePair]:
 
 
 def _check_bisector_field(q, ctx):
+    """bisectors.bisector_field_check, on raw residues over GF(p): each line
+    of each Q-pair is intersected with both lines of every pair it crosses,
+    and the midpoint compared with its own."""
     pairs = _q_pairs_of(q, ctx.bisector_lines(q))
-    report = bisector_field_check(q, pairs)
-    return report.lines_checked, list(report.violations)
+    field = q.field
+    if not isinstance(field, PrimeField):
+        report = bisector_field_check(q, pairs)
+        return report.lines_checked, list(report.violations)
+    p = field.p
+    sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
+    raw_pairs = [(_raw_line(pair.a), _raw_line(pair.b)) for pair in pairs]
+    out = []
+    seen = set()
+    for pair in pairs:
+        for line in pair.lines:
+            l = _raw_line(line)
+            if l in seen:
+                continue
+            seen.add(l)
+            m = _bisector_mid([_meet(l, side, p) for side in sides], p)
+            if m is None:
+                out.append(f"{line} is not a bisector")
+                continue
+            for other, (a, b) in zip(pairs, raw_pairs):
+                got = _mid(_meet(l, a, p), _meet(l, b, p), p)
+                if got is not None and got != m:
+                    shown = line.infinite_point() if got is _PARALLEL else _point(field, got)
+                    out.append(
+                        f"{line} crosses {other} at midpoint {shown}, expected {_point(field, m)}"
+                    )
+    return len(seen), out
 
 
 def _check_partner_involution(q, ctx):
@@ -648,25 +724,46 @@ def _check_partner_involution(q, ctx):
 
 
 def _check_pair_redundancy(q, ctx):
+    """Every pair of bisectors, taken once: Q-orthogonal exactly when
+    Q-antipodal, up to the stated exceptions.  Only pairs in the direction
+    bucket Q-orthogonal to a bisector, or in the midpoint bucket of its
+    antipode 2c - m, can be either, so the others are counted, not visited."""
+    p = q.field.p
     bis = sorted(ctx.brute(q), key=lambda b: b.line.sort_key())
     d = quadratic_data(q)
-    parallel_dirs = {l1.infinite_point() for l1, _ in _side_diag_parallel_pairs(q)}
-    vectors = [(b.line.u, b.line.t) for b in bis]
-    in_parallel_dirs = [b.line.infinite_point() in parallel_dirs for b in bis]
+    alpha, beta, gamma = d.alpha.value, d.beta.value, d.gamma.value
+    cx, cy = _raw_point(q.centroid)
+    parallel_dirs = {_raw_line(l1)[:2] for l1, _ in _side_diag_parallel_pairs(q)}
+    lines = [_raw_line(b.line) for b in bis]
+    mids = [_raw_point(b.midpoint) for b in bis]
+    by_direction: dict[tuple[int, int], list[int]] = {}
+    by_midpoint: dict[tuple[int, int], list[int]] = {}
+    for j, ((t, u, _), m) in enumerate(zip(lines, mids)):
+        by_direction.setdefault((t, u), []).append(j)
+        by_midpoint.setdefault(m, []).append(j)
     out = []
-    count = 0
-    for i in range(len(bis)):
-        for j in range(i, len(bis)):
+    for i, ((t, u, _), (mx, my)) in enumerate(zip(lines, mids)):
+        # form.inner of (u, t) with (u', t') is r u' + s t', so the
+        # Q-orthogonal direction is [u' : t'] = [s : -r], keyed as (t', u').
+        r, s = (gamma * u - beta * t) % p, (alpha * t - beta * u) % p
+        antipode = ((2 * cx - mx) % p, (2 * cy - my) % p)
+        if r == s == 0:
+            candidates = range(i, len(bis))
+        else:
+            orthogonal = ((-r * pow(s, -1, p)) % p, 1) if s else (1, 0)
+            found = by_direction.get(orthogonal, []) + by_midpoint.get(antipode, [])
+            candidates = sorted({j for j in found if j >= i})
+        for j in candidates:
+            tj, uj, _ = lines[j]
+            orth = (r * uj + s * tj) % p == 0
+            anti = mids[j] == antipode
+            both_parallel = (t, u) in parallel_dirs and (tj, uj) in parallel_dirs
             b1, b2 = bis[i], bis[j]
-            count += 1
-            orth = inner(d, vectors[i], vectors[j]).is_zero()
-            anti = midpoint(b1.midpoint, b2.midpoint) == q.centroid
-            both_parallel = in_parallel_dirs[i] and in_parallel_dirs[j]
             if orth and not both_parallel and not anti:
                 out.append(f"orthogonal pair {{{b1.line}, {b2.line}}} is not antipodal")
-            if anti and b1.midpoint != b2.midpoint and not orth:
+            if anti and mids[i] != mids[j] and not orth:
                 out.append(f"antipodal pair {{{b1.line}, {b2.line}}} is not orthogonal")
-    return count, out
+    return len(bis) * (len(bis) + 1) // 2, out
 
 
 def _image_inner(d, f: AffineMap, v, w) -> Scalar:
@@ -731,11 +828,19 @@ class _Context:
         self.exhaustive = exhaustive
         self.seed = seed
         self._brute_cache: dict[Quadrilateral, set[Bisector]] = {}
+        self._zeros_cache: dict[Quadrilateral, set[tuple[int, int]]] = {}
 
     def brute(self, q: Quadrilateral) -> set[Bisector]:
         cached = self._brute_cache.get(q)
         if cached is None:
             cached = self._brute_cache[q] = brute_bisectors(q)
+        return cached
+
+    def locus_zeros(self, q: Quadrilateral) -> set[tuple[int, int]]:
+        """The zero set of q's locus conic over GF(p), as raw residues."""
+        cached = self._zeros_cache.get(q)
+        if cached is None:
+            cached = self._zeros_cache[q] = _zero_set(bisector_locus(q).conic, q.field.p)
         return cached
 
     def bisector_lines(self, q: Quadrilateral) -> list[Line]:
@@ -766,7 +871,7 @@ def verify_all(q: Quadrilateral, profile: str = "fixture", seed: int = 0) -> lis
         start = time.perf_counter()
         try:
             instances, violations = fn(q, ctx)
-        except (GeometryError, AssertionError) as err:
+        except GeometryError as err:
             # A crashing check is a failed check, not an aborted run.
             instances, violations = 0, [f"check aborted: {type(err).__name__}: {err}"]
         reports.append(

@@ -18,7 +18,6 @@ from bisectrix import (
     is_q_pair,
     mid_cross,
     nine_points,
-    q_antipodal,
     q_partner,
 )
 from bisectrix.errors import DoesNotCross, NotABisector, NotBisectors
@@ -117,18 +116,11 @@ def test_nine_points_square(e2):
     assert pt("1/2", "1/2") in pts
 
 
-def test_q_antipodal_examples(e1, e2):
-    b = Bisector(Line.parse(QQ, "Y=X+1"), pt("-1/2", "1/2"))
-    b2 = Bisector(Line.parse(QQ, "Y=2X-1"), pt("1/4", "-1/2"))
-    assert q_antipodal(e1, b, b2)
-    assert not q_antipodal(e1, b, b)
-    midline = Bisector(Line.parse(QQ, "X=1/2"), pt("1/2", "1/2"))
-    assert q_antipodal(e2, midline, midline)
-
-
 def test_is_q_pair_examples(e1, e2):
     assert is_q_pair(e1, pair(QQ, "Y=X+1", "Y=2X-1"))
     assert not is_q_pair(e1, pair(QQ, "Y=0", "Y=X+1"))
+    # Y=X+1 has midpoint (-1/2, 1/2), not the centroid: not antipodal to itself.
+    assert not is_q_pair(e1, pair(QQ, "Y=X+1", "Y=X+1"))
     assert is_q_pair(e2, pair(QQ, "X=1/2", "X=1/2"))
     with pytest.raises(NotBisectors):
         is_q_pair(e1, pair(QQ, "X=3", "Y=X+1"))
@@ -169,13 +161,13 @@ def test_bisectors_share_midpoint_iff_parallelogram():
 
 
 def test_locus_is_midpoint_set_gf7():
-    from bisectrix.oracle import enumerate_points
-
+    g7 = GF(7)
+    points = [Point(g7.scalar(x), g7.scalar(y)) for x in range(7) for y in range(7)]
     for seed in range(10):
-        q = random_quadrilateral(GF(7), seed)
+        q = random_quadrilateral(g7, seed)
         locus = bisector_locus(q)
         midpoints = {b.midpoint for b in brute_bisectors(q)}
-        zero_set = {p for p in enumerate_points(q.field) if locus.conic.contains(p)}
+        zero_set = {p for p in points if locus.conic.contains(p)}
         assert midpoints == zero_set
 
 

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -352,6 +353,7 @@ KEY_SAMPLES = {
     "beta": "3",
     "what": "bisector-field-sample",
     "out": "e1.svg",
+    "timing": "on",
 }
 
 
@@ -497,6 +499,25 @@ def test_violation_line_reproduces_through_main(monkeypatch, capsys):
     code, again, _ = run(capsys, *argv[1:], "--instances", "0")
     assert code == 1
     assert line in again
+
+
+def test_verify_timing_lines_are_opt_in(capsys):
+    """--timing on appends one timing<TAB>tag<TAB>ms line per check, in the
+    order of the summaries, to otherwise unchanged record output."""
+    base = ["--field", "GFp:7", "--cmd", "verify", "--seed", "1", "--instances", "2",
+            "--format", "record"]
+    code, plain, _ = run(capsys, *base)
+    assert code == 0
+    code, timed, _ = run(capsys, *base, "--timing", "on")
+    assert code == 0
+    assert timed[:len(plain)] == plain
+    rows = [line.split("\t") for line in timed[len(plain):]]
+    assert [row[:2] for row in rows] == [["timing", line.split()[0]] for line in plain]
+    assert len(plain) == 17
+    assert all(len(row) == 3 and re.fullmatch(r"\d+\.\d{3}", row[2]) for row in rows)
+    code, out, err = run(capsys, *base[:-1], "text", "--timing", "on")
+    assert (code, out) == (2, [])
+    assert "timing needs --format record" in err
 
 
 def test_verify_output_unchanged_under_optimize():

@@ -24,11 +24,11 @@ def _shifted(line):
     return Line(line.t, line.u, line.v + line.field.one)
 
 
-def _partner_shifted(q_partner):
+def partner_shifted(q_partner):
     return lambda q, line: _shifted(q_partner(q, line))
 
 
-def _alpha_plus_one(quadratic_data):
+def alpha_plus_one(quadratic_data):
     def defect(q):
         d = quadratic_data(q)
         return QuadraticData(d.alpha + d.field.one, d.beta, d.gamma)
@@ -59,11 +59,11 @@ def _bisector_shifted(bisector_through):
 # defect: (defining module, name, wrapper, its tag, every tag that fires on SEEDS)
 DEFECTS = {
     "q_partner_shifted": (
-        bisectors, "q_partner", _partner_shifted, "bisector_field",
+        bisectors, "q_partner", partner_shifted, "bisector_field",
         {"bisector_field", "partner_involution", "pencil_degenerations"},
     ),
     "alpha_plus_one": (
-        form, "quadratic_data", _alpha_plus_one, "pair_redundancy",
+        form, "quadratic_data", alpha_plus_one, "pair_redundancy",
         {"affine_invariance", "bisector_field", "closed_form_oracle", "eq1_discriminant",
          "lambda_involution", "locus_degeneracy", "locus_midpoints", "nine_points",
          "opposite_orthogonal", "pair_redundancy", "partner_involution",

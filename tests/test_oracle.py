@@ -6,19 +6,24 @@ from bisectrix import (
     Line,
     Point,
     QQ,
+    bisector_field_check,
+    bisector_locus,
     brute_bisectors,
     chart_point,
     closed_form_bisectors,
     enumerate_lines,
+    inner,
     intersect,
     is_bisector,
     lines_through,
+    midpoint,
     random_quadrilateral,
     verify_all,
 )
 from bisectrix.errors import InfiniteField
-from bisectrix.oracle import Lcg64, _desargues_sweep, enumerate_points
+from bisectrix.oracle import Lcg64, _desargues_sweep
 from conftest import E1_SIDES, SPECIAL_SIDES, make_quad
+from test_defects import alpha_plus_one, partner_shifted
 
 
 def test_enumerate_lines_counts():
@@ -32,9 +37,8 @@ def test_enumerate_lines_counts():
         enumerate_lines(QQ)
 
 
-def test_enumerate_points_and_lines_through():
+def test_lines_through_a_point():
     g5 = GF(5)
-    assert len(enumerate_points(g5)) == 25
     p = Point(g5.scalar(2), g5.scalar(3))
     through = lines_through(g5, p)
     assert len(through) == 6
@@ -230,3 +234,60 @@ def test_report_summary_format():
     parts = report.summary().split()
     assert parts[0] == report.tag
     assert parts[-1] == "0"
+
+
+def _pair_redundancy_by_definition(q, bisectors):
+    """Every unordered pair of bisectors, in sort_key order, through the
+    kernel's Scalar inner product and midpoint."""
+    from bisectrix import oracle
+
+    bis = sorted(bisectors, key=lambda b: b.line.sort_key())
+    d = oracle.quadratic_data(q)
+    parallel = {l1.infinite_point() for l1, l2 in q.line_pairs if l1.is_parallel(l2)}
+    out = []
+    for i, b1 in enumerate(bis):
+        for b2 in bis[i:]:
+            orth = inner(d, (b1.line.u, b1.line.t), (b2.line.u, b2.line.t)).is_zero()
+            anti = midpoint(b1.midpoint, b2.midpoint) == q.centroid
+            both = b1.line.infinite_point() in parallel and b2.line.infinite_point() in parallel
+            if orth and not both and not anti:
+                out.append(f"orthogonal pair {{{b1.line}, {b2.line}}} is not antipodal")
+            if anti and b1.midpoint != b2.midpoint and not orth:
+                out.append(f"antipodal pair {{{b1.line}, {b2.line}}} is not orthogonal")
+    return len(bis) * (len(bis) + 1) // 2, out
+
+
+def test_raw_routes_equal_the_scalar_definitions(monkeypatch):
+    """At p = 7, 11 and 13 the raw-residue routes of exhaustive verify equal
+    the Scalar definitions, on sound kernels and on a wrong Q-partner and
+    quadratic form: bisector_field against bisectors.bisector_field_check,
+    the shared locus zero set against Conic.contains on every point, and the
+    bucketed pair_redundancy against a loop over every pair."""
+    from bisectrix import oracle
+
+    sound = (oracle.q_partner, oracle.quadratic_data)
+    wrong = (partner_shifted(oracle.q_partner), alpha_plus_one(oracle.quadratic_data))
+    violations = 0
+    for p in (7, 11, 13):
+        field = GF(p)
+        quads = [random_quadrilateral(field, seed) for seed in (1, 2)]
+        # Improper, parallel pair and parallelogram vertices.
+        quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES[1:]]
+        points = [Point(field.scalar(x), field.scalar(y)) for x in range(p) for y in range(p)]
+        for q in quads:
+            conic = bisector_locus(q).conic
+            for c in (conic, conic.shift(field.one)):
+                expected = {(pt.x.value, pt.y.value) for pt in points if c.contains(pt)}
+                assert oracle._zero_set(c, p) == expected
+            assert oracle._Context(True, 0).locus_zeros(q) == oracle._zero_set(conic, p)
+            for q_partner, quadratic_data in (sound, wrong):
+                monkeypatch.setattr(oracle, "q_partner", q_partner)
+                monkeypatch.setattr(oracle, "quadratic_data", quadratic_data)
+                ctx = oracle._Context(True, 0)
+                report = bisector_field_check(q, oracle._q_pairs_of(q, ctx.bisector_lines(q)))
+                field_check = oracle._check_bisector_field(q, ctx)
+                assert field_check == (report.lines_checked, report.violations)
+                redundancy = oracle._check_pair_redundancy(q, ctx)
+                assert redundancy == _pair_redundancy_by_definition(q, ctx.brute(q))
+                violations += len(field_check[1]) + len(redundancy[1])
+    assert violations > 0
