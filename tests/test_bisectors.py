@@ -17,6 +17,7 @@ from bisectrix import (
     is_bisector,
     is_q_pair,
     mid_cross,
+    midpoint,
     nine_points,
     q_partner,
 )
@@ -116,11 +117,26 @@ def test_nine_points_square(e2):
     assert pt("1/2", "1/2") in pts
 
 
+def q_antipodal(q, l1, l2):
+    """Q-antipodal by definition: the two bisector midpoints average to the centroid."""
+    return midpoint(is_bisector(q, l1), is_bisector(q, l2)) == q.centroid
+
+
+def test_q_antipodal_examples(e1, e2):
+    l = Line.parse(QQ, "Y=X+1")
+    assert is_bisector(e1, l) == pt("-1/2", "1/2")
+    assert q_antipodal(e1, l, Line.parse(QQ, "Y=2X-1"))
+    # Y=X+1 has midpoint (-1/2, 1/2), not the centroid: not antipodal to itself.
+    assert not q_antipodal(e1, l, l)
+    assert not is_q_pair(e1, LinePair(l, l))
+    midline = Line.parse(QQ, "X=1/2")
+    assert q_antipodal(e2, midline, midline)
+    assert is_q_pair(e2, LinePair(midline, midline))
+
+
 def test_is_q_pair_examples(e1, e2):
     assert is_q_pair(e1, pair(QQ, "Y=X+1", "Y=2X-1"))
     assert not is_q_pair(e1, pair(QQ, "Y=0", "Y=X+1"))
-    # Y=X+1 has midpoint (-1/2, 1/2), not the centroid: not antipodal to itself.
-    assert not is_q_pair(e1, pair(QQ, "Y=X+1", "Y=X+1"))
     assert is_q_pair(e2, pair(QQ, "X=1/2", "X=1/2"))
     with pytest.raises(NotBisectors):
         is_q_pair(e1, pair(QQ, "X=3", "Y=X+1"))
