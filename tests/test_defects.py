@@ -3,8 +3,9 @@
 Each defect wraps one closed form of the kernel so that it answers wrongly,
 and is patched into every bisectrix module that holds the name: the oracle
 and the CLI bind names at import, so patching the defining module alone is
-not enough.  Over GF(7), exhaustive verify must report each defect under
-its tag on every seed, the set of tags that fire is pinned, and every
+not enough.  Each defect has two columns: exhaustive verify over GF(7) and
+fixture verify over Q.  In each, verify must report the defect under the
+column's tag on every seed, the set of tags that fire is pinned, and every
 violation line must end in a reproduce command that prints it again.
 """
 
@@ -46,6 +47,16 @@ def _locus_constant_off(bisector_locus):
     return defect
 
 
+def _inner_off(inner):
+    """The inner product off by one on distinct vectors."""
+
+    def defect(d, v, w):
+        value = inner(d, v, w)
+        return value if tuple(v) == tuple(w) else value + d.field.one
+
+    return defect
+
+
 def _bisector_shifted(bisector_through):
     def defect(q, m):
         found = bisector_through(q, m)
@@ -56,28 +67,55 @@ def _bisector_shifted(bisector_through):
     return defect
 
 
-# defect: (defining module, name, wrapper, its tag, every tag that fires on SEEDS)
+# defect: (defining module, name, wrapper,
+#          {field: (its tag, every tag that fires on SEEDS)})
 DEFECTS = {
     "q_partner_shifted": (
-        bisectors, "q_partner", partner_shifted, "bisector_field",
-        {"bisector_field", "partner_involution", "pencil_degenerations"},
+        bisectors, "q_partner", partner_shifted, {
+            "GFp:7": ("bisector_field",
+                      {"bisector_field", "partner_involution", "pencil_degenerations"}),
+            "Q": ("bisector_field",
+                  {"bisector_field", "partner_involution", "pencil_degenerations"}),
+        },
     ),
     "alpha_plus_one": (
-        form, "quadratic_data", alpha_plus_one, "pair_redundancy",
-        {"affine_invariance", "bisector_field", "closed_form_oracle", "eq1_discriminant",
-         "lambda_involution", "locus_degeneracy", "locus_midpoints", "nine_points",
-         "opposite_orthogonal", "pair_redundancy", "partner_involution",
-         "pencil_degenerations", "repairing_bisectors"},
+        form, "quadratic_data", alpha_plus_one, {
+            "GFp:7": ("pair_redundancy",
+                      {"affine_invariance", "bisector_field", "closed_form_oracle",
+                       "eq1_discriminant", "lambda_involution", "locus_degeneracy",
+                       "locus_midpoints", "nine_points", "opposite_orthogonal",
+                       "pair_redundancy", "partner_involution", "pencil_degenerations",
+                       "repairing_bisectors"}),
+            "Q": ("eq1_discriminant",
+                  {"affine_invariance", "eq1_discriminant", "lambda_involution",
+                   "locus_midpoints", "nine_points", "opposite_orthogonal",
+                   "partner_involution", "pencil_degenerations"}),
+        },
     ),
     "locus_constant_off": (
-        bisectors, "bisector_locus", _locus_constant_off, "locus_midpoints",
-        {"closed_form_oracle", "locus_degeneracy", "locus_midpoints", "nine_points",
-         "pencil_degenerations"},
+        bisectors, "bisector_locus", _locus_constant_off, {
+            "GFp:7": ("locus_midpoints",
+                      {"closed_form_oracle", "locus_degeneracy", "locus_midpoints",
+                       "nine_points", "pencil_degenerations"}),
+            "Q": ("locus_midpoints", {"locus_midpoints", "nine_points", "pencil_degenerations"}),
+        },
     ),
     "bisector_through_shifted": (
-        bisectors, "bisector_through", _bisector_shifted, "closed_form_oracle",
-        {"bisector_field", "closed_form_oracle", "partner_involution",
-         "pencil_degenerations"},
+        bisectors, "bisector_through", _bisector_shifted, {
+            "GFp:7": ("closed_form_oracle",
+                      {"bisector_field", "closed_form_oracle", "partner_involution",
+                       "pencil_degenerations"}),
+            "Q": ("bisector_field",
+                  {"bisector_field", "partner_involution", "pencil_degenerations"}),
+        },
+    ),
+    "inner_off_by_one": (
+        form, "inner", _inner_off, {
+            "GFp:7": ("opposite_orthogonal",
+                      {"opposite_orthogonal", "partner_involution", "pencil_degenerations"}),
+            "Q": ("opposite_orthogonal",
+                  {"opposite_orthogonal", "partner_involution", "pencil_degenerations"}),
+        },
     ),
 }
 
@@ -96,11 +134,8 @@ def _run(capsys, argv):
     return code, capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("defect", sorted(DEFECTS))
-def test_defect_fires_its_tag_and_reproduces(defect, monkeypatch, capsys):
-    home, name, wrap, tag, fired = DEFECTS[defect]
-    _inject(monkeypatch, home, name, wrap)
-    code, out = _run(capsys, ["--field", "GFp:7", "--cmd", "verify", "--seed", str(SEEDS[0]),
+def _check_column(capsys, field, tag, fired):
+    code, out = _run(capsys, ["--field", field, "--cmd", "verify", "--seed", str(SEEDS[0]),
                               "--instances", str(len(SEEDS))])
     assert code == 1
     by_command: dict[str, list[str]] = {}
@@ -112,13 +147,21 @@ def test_defect_fires_its_tag_and_reproduces(defect, monkeypatch, capsys):
         assert sep and tail.endswith("]"), line
         by_command.setdefault(tail[:-1], []).append(line)
         tags.add(head.split()[1].rstrip(":"))
-    assert tags == fired
+    assert tags == fired, field
     tagged = {c for c, lines in by_command.items()
               if any(l.startswith(f"violation {tag}: ") for l in lines)}
-    assert len(tagged) == len(SEEDS)
+    assert len(tagged) == len(SEEDS), field
     for command, lines in by_command.items():
         argv = shlex.split(command)
         assert argv[:3] == ["bisectrix", "--cmd", "verify"]
         code, again = _run(capsys, argv[1:])
         assert code == 1
         assert set(lines) <= set(again), command
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_defect_fires_its_tag_and_reproduces(defect, monkeypatch, capsys):
+    home, name, wrap, columns = DEFECTS[defect]
+    _inject(monkeypatch, home, name, wrap)
+    for field, (tag, fired) in columns.items():
+        _check_column(capsys, field, tag, fired)

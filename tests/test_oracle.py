@@ -284,10 +284,83 @@ def test_raw_routes_equal_the_scalar_definitions(monkeypatch):
                 monkeypatch.setattr(oracle, "q_partner", q_partner)
                 monkeypatch.setattr(oracle, "quadratic_data", quadratic_data)
                 ctx = oracle._Context(True, 0)
-                report = bisector_field_check(q, oracle._q_pairs_of(q, ctx.bisector_lines(q)))
+                report = bisector_field_check(q, oracle._q_pairs_of(q, ctx))
                 field_check = oracle._check_bisector_field(q, ctx)
                 assert field_check == (report.lines_checked, report.violations)
                 redundancy = oracle._check_pair_redundancy(q, ctx)
                 assert redundancy == _pair_redundancy_by_definition(q, ctx.brute(q))
                 violations += len(field_check[1]) + len(redundancy[1])
     assert violations > 0
+
+
+def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
+    """One verify_all asks the kernel for bisector_locus once, q_partner once
+    per distinct line, and quadratic_data once for q, once per
+    affine_invariance trial and, when exhaustive, once per re-paired
+    quadrilateral."""
+    from bisectrix import Quadrilateral, oracle, requadrilate
+
+    for field, profile, trials in ((QQ, "fixture", 10), (GF(7), "exhaustive", 5)):
+        q = random_quadrilateral(field, 1)
+        calls = {}
+        for name in ("q_partner", "quadratic_data", "bisector_locus"):
+            def counted(*args, _name=name, _real=getattr(oracle, name)):
+                calls.setdefault(_name, []).append(args[1:])
+                return _real(*args)
+
+            monkeypatch.setattr(oracle, name, counted)
+        reports = verify_all(q, profile, seed=1)
+        monkeypatch.undo()
+        assert all(r.passed for r in reports)
+        assert len(calls["bisector_locus"]) == 1
+        if profile == "exhaustive":
+            lines = {b.line for b in brute_bisectors(q)}
+            repaired = [c for c in requadrilate(q.quadrangle()) if isinstance(c, Quadrilateral)]
+        else:
+            lines, repaired = set(q.sides + q.diagonal_lines), []
+        partnered = [line for (line,) in calls["q_partner"]]
+        assert len(partnered) == len(set(partnered)) and set(partnered) == lines
+        assert len(calls["quadratic_data"]) == 1 + trials + len(repaired)
+        assert q.proper and (profile == "fixture" or repaired)
+
+
+def test_bisector_lines_come_in_the_same_order_in_every_process():
+    """Scalar hashes follow the field object's address, so a set of lines
+    iterates differently per process; the lines a check walks do not."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bisectrix
+
+    script = (
+        "from bisectrix import GF; from bisectrix.oracle import _Context, random_quadrilateral; "
+        "print([str(l) for l in _Context(True, 0).bisector_lines(random_quadrilateral(GF(7), 1))])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bisectrix.__file__).resolve().parents[1]))
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
+        for _ in range(3)
+    ]
+    printed = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs)
+    assert printed[0].startswith("[") and printed.count(printed[0]) == 3
+
+
+def test_verify_all_frees_its_memo_when_it_returns():
+    """The context of one verify_all call holds its sweeps and kernel
+    answers; no reference cycle may keep it alive until the next cyclic
+    collection."""
+    import gc
+
+    from bisectrix import oracle
+
+    gc.collect()
+    gc.disable()
+    try:
+        verify_all(random_quadrilateral(GF(7), 1), "exhaustive", seed=1)
+        alive = [o for o in gc.get_objects() if isinstance(o, oracle._Context)]
+    finally:
+        gc.enable()
+    assert alive == []
