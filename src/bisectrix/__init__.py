@@ -3,9 +3,7 @@
 from .bisectors import (
     AllLinesThrough,
     Bisector,
-    FieldCheckReport,
     LocusConic,
-    bisector_field_check,
     bisector_locus,
     bisector_through,
     crosses,

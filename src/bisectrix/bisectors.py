@@ -1,4 +1,4 @@
-"""Bisector predicates, the bisector locus, Q-pairs and bisector fields.
+"""Bisector predicates, the bisector locus and Q-pairs.
 
 A line crosses a pair of lines when it is distinct from both and not
 parallel to both; its midpoint across the pair is the midpoint of the two
@@ -10,7 +10,7 @@ midpoint of the bisector and is always affine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import DoesNotCross, InvariantViolation, NotABisector, NotBisectors
 from .field import Scalar
@@ -200,40 +200,3 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     u_dir, t_dir = -s, r
     return Line(t_dir, u_dir, u_dir * c.y - t_dir * c.x)
 
-
-@dataclass
-class FieldCheckReport:
-    """Outcome of checking the simultaneous-bisection property."""
-
-    lines_checked: int = 0
-    violations: list[str] = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def bisector_field_check(q: Quadrilateral, pairs: list[LinePair]) -> FieldCheckReport:
-    """Check that every line of every pair bisects every pair it crosses,
-    always with its own midpoint as a bisector of q."""
-    report = FieldCheckReport()
-    seen: set[Line] = set()
-    for pair in pairs:
-        for l in pair.lines:
-            if l in seen:
-                continue
-            seen.add(l)
-            report.lines_checked += 1
-            m = is_bisector(q, l)
-            if m is None:
-                report.violations.append(f"{l} is not a bisector")
-                continue
-            for other in pairs:
-                if not crosses(l, other):
-                    continue
-                got = mid_cross(l, other)
-                if got != m:
-                    report.violations.append(
-                        f"{l} crosses {other} at midpoint {got}, expected {m}"
-                    )
-    return report

@@ -299,14 +299,6 @@ class Scalar(Frozen):
     def __rtruediv__(self, other):
         return self._slow(other, lambda a, b: b / a)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if n == 0:
-            return self.field.one
-        half = self ** (n // 2)
-        return half * half * self if n & 1 else half * half
-
     def sqrt(self):
         """The canonical square root in the field, or None if there is none."""
         root = self.field._sqrt(self.value)

@@ -10,7 +10,10 @@ rules as the kernel's predicates: the line sweep of brute_bisectors and of
 desargues_reflection, the crossings of bisector_field, the direction and
 midpoint buckets of pair_redundancy, and the locus zero set shared by
 closed_form_oracle and locus_midpoints.  Objects are built only for
-violation texts.  Over Q the fixture checks use Scalar arithmetic.
+violation texts.  Over Q the same helpers take p = None and run on the
+Scalars' Fractions, so bisector_field and desargues_reflection each judge
+both fields by one rule and differ only in the lines fed in: every line when
+exhaustive, the sides and diagonals or the probe lines in the fixture.
 
 One verify_all call asks the kernel once per quadrilateral for each of
 quadratic_data, bisector_locus and q_partner of a line (_Context.once), and
@@ -33,7 +36,6 @@ from fractions import Fraction
 from .bisectors import (
     AllLinesThrough,
     Bisector,
-    bisector_field_check,
     bisector_locus,
     bisector_through,
     is_bisector,
@@ -41,26 +43,11 @@ from .bisectors import (
     nine_points,
     q_partner,
 )
-from .errors import (
-    ExhaustedSampling,
-    GeometryError,
-    InfiniteField,
-    NotBisectors,
-    NotConjugate,
-)
+from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisectors
 from .field import Field, PrimeField, Scalar
-from .form import (
-    chart_point,
-    desargues_involution,
-    desargues_pencil,
-    inner,
-    involution_from_pairs,
-    lambda_q,
-    phi,
-    quadratic_data,
-)
+from .form import desargues_pencil, inner, lambda_q, phi, quadratic_data
 from .pencil import center, degenerations, is_degeneration_of, pencil_of
-from .plane import AffineMap, InfPoint, Line, LinePair, Point, intersect
+from .plane import AffineMap, InfPoint, Line, LinePair, Point
 from .quad import Quadrangle, Quadrilateral, requadrilate
 
 _MAX_TRIES = 10000  # rejection-sampling attempts of random_quadrilateral
@@ -103,39 +90,41 @@ def lines_through(field: Field, p: Point) -> list[Line]:
     return [Line(t, u, u * p.y - t * p.x) for u, t in _p1(field)]
 
 
-# Raw residues (see the module docstring): a line is its canonical
-# (t, u, v) and a point its (x, y), as ints in [0, p).
+# Raw values (see the module docstring): a line is its canonical (t, u, v)
+# and a point its (x, y), as ints in [0, p) over GF(p) or as the Scalars'
+# Fractions over Q, where p is None and nothing is reduced.
 
 # A raw line's crossing with another, when it is not an affine point.
 _PARALLEL = "parallel"
 _SAME = "same line"
 
 
-def _raw_line(line: Line) -> tuple[int, int, int]:
+def _raw_line(line: Line) -> tuple:
     return (line.t.value, line.u.value, line.v.value)
 
 
-def _raw_point(point: Point) -> tuple[int, int]:
+def _raw_point(point: Point) -> tuple:
     return (point.x.value, point.y.value)
 
 
-def _point(field: PrimeField, xy) -> Point:
+def _point(field: Field, xy) -> Point:
     return Point(field.scalar(xy[0]), field.scalar(xy[1]))
 
 
-def _meet(l, m, p: int):
+def _meet(l, m, p: int | None):
     """Where raw line l meets raw line m (plane.intersect): an affine
     (x, y), _PARALLEL or _SAME."""
     t, u, v = l
     mt, mu, mv = m
-    det = (u * mt - t * mu) % p
-    if not det:
+    det = u * mt - t * mu
+    if not (det % p if p else det):
         return _SAME if l == m else _PARALLEL
-    inv = pow(det, -1, p)
-    return ((v * mu - u * mv) * inv % p, (v * mt - t * mv) * inv % p)
+    inv = pow(det, -1, p) if p else 1 / det
+    x, y = (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
+    return (x % p, y % p) if p else (x, y)
 
 
-def _mid(c1, c2, p: int):
+def _mid(c1, c2, p: int | None):
     """A line's midpoint across a pair it meets at c1 and c2 (see _meet), by
     the rules of bisectors.mid_cross: None when the line does not cross the
     pair, _PARALLEL for the line's own infinite point."""
@@ -143,11 +132,14 @@ def _mid(c1, c2, p: int):
         return None
     if c1 is _PARALLEL or c2 is _PARALLEL:
         return _PARALLEL
-    half = (p + 1) // 2
-    return ((c1[0] + c2[0]) * half % p, (c1[1] + c2[1]) * half % p)
+    x, y = c1[0] + c2[0], c1[1] + c2[1]
+    if p:
+        half = (p + 1) // 2
+        return (x * half % p, y * half % p)
+    return (x / 2, y / 2)
 
 
-def _bisector_mid(crossings, p: int):
+def _bisector_mid(crossings, p: int | None):
     """The midpoint of a line as a bisector (bisectors.is_bisector) from its
     crossings with A, A', B and B', or None when it does not bisect."""
     a, a2, b, b2 = crossings
@@ -355,79 +347,108 @@ def _fixture_probe_lines(q) -> list[Line]:
     return out[:4]
 
 
+def _chart_pairs(u, crossings):
+    """The chart parameters (see form.chart_point) of a raw line's crossings
+    with the three pairs of opposite sides of a quadrangle, as homogeneous
+    pairs: the chart reads X, or Y on a vertical line (u = 0), and [1 : 0]
+    is the line's infinite point.  The line avoids the vertices and each
+    side holds two, so no crossing is _SAME."""
+    axis = 0 if u else 1
+    params = [(1, 0) if c is _PARALLEL else (c[axis], 1) for c in crossings]
+    return [(params[0], params[1]), (params[2], params[3]), (params[4], params[5])]
+
+
+def _quadrangle_sides(qr: Quadrangle) -> list[Line]:
+    return [l for pair in qr.opposite_side_pairs() for l in pair.lines]
+
+
 def _desargues_sweep(qr: Quadrangle):
     """Each line tX - uY + v = 0 of the finite plane that avoids qr's
     vertices, as raw residues (t, u, v, pairs): pairs holds the chart
-    parameters (see form.chart_point) where it meets the three pairs of
-    opposite sides, as homogeneous int pairs read off one raw-residue sweep.
-    """
+    parameters (see _chart_pairs) where it meets the three pairs of opposite
+    sides, read off one raw-residue sweep."""
     p = qr.field.p
     vertices = [_raw_point(pt) for pt in qr.points]
-    sides = [l for pair in qr.opposite_side_pairs() for l in pair.lines]
-    for t, u, v, crossings in _sweep(qr.field, sides):
-        if any((t * x - u * y + v) % p == 0 for x, y in vertices):
-            continue
-        # Each side holds two vertices, so no crossing here is _SAME.  The
-        # chart reads X, or Y on a vertical line; [1 : 0] is the line's
-        # infinite point.
-        axis = 0 if u else 1
-        params = [(1, 0) if c is _PARALLEL else (c[axis], 1) for c in crossings]
-        yield t, u, v, [(params[0], params[1]), (params[2], params[3]), (params[4], params[5])]
+    for t, u, v, crossings in _sweep(qr.field, _quadrangle_sides(qr)):
+        if not any((t * x - u * y + v) % p == 0 for x, y in vertices):
+            yield t, u, v, _chart_pairs(u, crossings)
 
 
-def _int_exchange_row(pair, p: int) -> tuple[int, int, int]:
+def _raw_exchange_row(pair) -> tuple:
     """The oracle's own form of the linear constraint on (m0, m1, m2) saying
-    that [[m0, m1], [m2, -m0]] exchanges the two points of an int pair."""
+    that [[m0, m1], [m2, -m0]] exchanges the two points of a raw pair."""
     (x1, y1), (x2, y2) = pair
-    return ((x1 * y2 + y1 * x2) % p, y1 * y2 % p, -x1 * x2 % p)
+    return (x1 * y2 + y1 * x2, y1 * y2, -x1 * x2)
 
 
-def _int_cross(r, s, p: int) -> tuple[int, int, int]:
-    return tuple((r[i] * s[j] - r[j] * s[i]) % p for i, j in ((1, 2), (2, 0), (0, 1)))
+def _raw_cross(r, s, p: int | None) -> tuple:
+    c0 = r[1] * s[2] - r[2] * s[1]
+    c1 = r[2] * s[0] - r[0] * s[2]
+    c2 = r[0] * s[1] - r[1] * s[0]
+    return (c0 % p, c1 % p, c2 % p) if p else (c0, c1, c2)
 
 
-def _degeneracy(m, p: int) -> str | None:
-    """Why the int triple m is no involution, or None when it is one."""
+def _degeneracy(m, p: int | None) -> str | None:
+    """Why the reduced raw triple m is no involution, or None when it is one."""
     if not any(m):
         return "constraints are linearly dependent"
-    if (m[0] * m[0] + m[1] * m[2]) % p == 0:
+    square = m[0] * m[0] + m[1] * m[2]
+    if not (square % p if p else square):
         return "matrix does not square to a nonzero scalar"
     return None
 
 
-def _check_desargues_exhaustive(q, qr, ctx):
-    """The kernel's class polynomials (form.desargues_pencil), evaluated at
-    each offset on ints, against the conjugate pairs of the sweep."""
+def _check_desargues(q, ctx):
+    """On each line that avoids the vertices (every one when exhaustive,
+    else the probe lines), the kernel's class polynomials
+    (form.desargues_pencil) at the line's offset against the oracle's own
+    exchange rows of the line's three conjugate pairs, and the reflection
+    m2 = 0 against the line's bisecting."""
+    if not q.proper:
+        return 0, []
+    qr = q.quadrangle()
     field = q.field
-    p = field.p
-    pencils = {
-        (t.value, u.value): [[c.value for c in m] for m in desargues_pencil(qr, t, u)]
-        for u, t in _p1(field)
-    }
-    bisecting = {_raw_line(b.line) for b in ctx.brute(q)}
+    p = getattr(field, "p", None)
+    if ctx.exhaustive:
+        lines = _desargues_sweep(qr)
+        bisecting = {_raw_line(b.line) for b in ctx.brute(q)}
+    else:
+        probes = [_raw_line(l) for l in _fixture_probe_lines(q)]
+        sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
+        bisecting = {l for l in probes if _bisector_mid([_meet(l, s, p) for s in sides], p)}
+        opposite = [_raw_line(l) for l in _quadrangle_sides(qr)]
+        lines = [(*l, _chart_pairs(l[1], [_meet(l, s, p) for s in opposite])) for l in probes]
+    pencils = {}
     out = []
     count = 0
-    for t, u, v, pairs in _desargues_sweep(qr):
+    for t, u, v, pairs in lines:
         count += 1
+        pencil = pencils.get((t, u))
+        if pencil is None:
+            triple = desargues_pencil(qr, field.scalar(t), field.scalar(u))
+            pencil = pencils[t, u] = [[c.value for c in reversed(m)] for m in triple]
         m = []
-        for coeffs in pencils[t, u]:
+        for coeffs in pencil:
             acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * v + c) % p
-            m.append(acc)
+            for c in coeffs:
+                acc = acc * v + c
+            m.append(acc % p if p else acc)
         problems = []
         reason = _degeneracy(m, p)
         if reason:
             problems.append(f"involution underdetermined ({reason})")
-        rows = [_int_exchange_row(pair, p) for pair in pairs]
-        conjugate = [sum(r * x for r, x in zip(row, m)) % p == 0 for row in rows]
+        rows = [_raw_exchange_row(pair) for pair in pairs]
+        conjugate = []
+        for r0, r1, r2 in rows:
+            dot = r0 * m[0] + r1 * m[1] + r2 * m[2]
+            conjugate.append(not (dot % p if p else dot))
         if not conjugate[2]:
             problems.append("third pair not conjugate")
-        m13 = _int_cross(rows[0], rows[2], p)
+        m13 = _raw_cross(rows[0], rows[2], p)
         reason = _degeneracy(m13, p)
         if reason:
             problems.append(f"involution underdetermined ({reason})")
-        elif any(_int_cross(m, m13, p)) or not (conjugate[0] and conjugate[1]):
+        elif any(_raw_cross(m, m13, p)) or not (conjugate[0] and conjugate[1]):
             problems.append("the three conjugate pairs disagree")
         reflection = m[2] == 0
         bisects = (t, u, v) in bisecting
@@ -437,39 +458,6 @@ def _check_desargues_exhaustive(q, qr, ctx):
             line = Line(field.scalar(t), field.scalar(u), field.scalar(v))
             out.extend(f"{line}: {problem}" for problem in problems)
     return count, out
-
-
-def _check_desargues(q, ctx):
-    if not q.proper:
-        return 0, []
-    qr = q.quadrangle()
-    if ctx.exhaustive:
-        return _check_desargues_exhaustive(q, qr, ctx)
-    lines = _fixture_probe_lines(q)
-    bisecting = {l for l in lines if is_bisector(q, l) is not None}
-    out = []
-    for line in lines:
-        pairs = [
-            tuple(chart_point(line, intersect(line, member)) for member in pair.lines)
-            for pair in qr.opposite_side_pairs()
-        ]
-        try:
-            inv = desargues_involution(qr, line)
-            inv13 = involution_from_pairs(pairs[0], pairs[2])
-        except NotConjugate:
-            out.append(f"{line}: third pair not conjugate")
-            continue
-        except GeometryError as err:
-            out.append(f"{line}: involution underdetermined ({err})")
-            continue
-        if inv != inv13:
-            out.append(f"{line}: the three conjugate pairs disagree")
-        if not inv.conjugate(*pairs[2]):
-            out.append(f"{line}: third pair not conjugate")
-        bisects = line in bisecting
-        if inv.is_reflection() != bisects:
-            out.append(f"{line}: reflection={inv.is_reflection()} but bisector={bisects}")
-    return len(lines), out
 
 
 def _check_vertex_lines(q, ctx):
@@ -680,15 +668,13 @@ def _q_pairs_of(q, ctx) -> list[LinePair]:
 
 
 def _check_bisector_field(q, ctx):
-    """bisectors.bisector_field_check, on raw residues over GF(p): each line
-    of each Q-pair is intersected with both lines of every pair it crosses,
-    and the midpoint compared with its own."""
+    """Every line of every Q-pair (of every bisector when exhaustive, else of
+    the sides and diagonals) bisects every pair it crosses, always with its
+    own midpoint as a bisector of q: on raw values, each line is met with
+    both lines of every pair and the midpoint compared with its own."""
     pairs = _q_pairs_of(q, ctx)
     field = q.field
-    if not isinstance(field, PrimeField):
-        report = bisector_field_check(q, pairs)
-        return report.lines_checked, list(report.violations)
-    p = field.p
+    p = getattr(field, "p", None)
     sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
     raw_pairs = [(_raw_line(pair.a), _raw_line(pair.b)) for pair in pairs]
     out = []

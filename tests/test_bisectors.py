@@ -11,7 +11,6 @@ from bisectrix import (
     LinePair,
     Point,
     QQ,
-    bisector_field_check,
     bisector_locus,
     bisector_through,
     is_bisector,
@@ -22,9 +21,10 @@ from bisectrix import (
     q_partner,
 )
 from bisectrix.errors import DoesNotCross, NotABisector, NotBisectors
-from bisectrix.oracle import brute_bisectors, random_quadrilateral
+from bisectrix.oracle import brute_bisectors, random_quadrilateral, verify_all
 from bisectrix.pencil import Conic, center
 from conftest import slope_product
+from test_oracle import bisector_field_by_definition
 
 
 def pt(x, y, field=QQ):
@@ -229,9 +229,10 @@ def test_bisector_field_check_e1(e1):
         LinePair(e1.b, e1.b2),
         LinePair(d1, d2),
     ]
-    report = bisector_field_check(e1, pairs)
-    assert report.ok
-    assert report.lines_checked == 6
+    assert bisector_field_by_definition(e1, pairs) == (6, [])
+    # The sides and diagonals pair up with their Q-partners into these pairs.
+    report = {r.tag: r for r in verify_all(e1, "fixture")}["bisector_field"]
+    assert (report.instances, report.violations) == (6, [])
 
 
 def test_bisector_field_check_gf7():
@@ -244,8 +245,11 @@ def test_bisector_field_check_gf7():
             if p not in seen:
                 seen.add(p)
                 pairs.append(p)
-        report = bisector_field_check(q, pairs)
-        assert report.ok, report.violations
+        checked, violations = bisector_field_by_definition(q, pairs)
+        assert checked == len({b.line for b in brute_bisectors(q)})
+        assert violations == []
+        report = {r.tag: r for r in verify_all(q, "exhaustive")}["bisector_field"]
+        assert (report.instances, report.violations) == (checked, [])
 
 
 def test_bisector_field_check_corrupted_pair(e1):
@@ -253,6 +257,6 @@ def test_bisector_field_check_corrupted_pair(e1):
         LinePair(e1.a, e1.a2),
         LinePair(e1.b, Line.parse(QQ, "X=3")),
     ]
-    report = bisector_field_check(e1, pairs)
-    assert not report.ok
-    assert any("not a bisector" in v for v in report.violations)
+    checked, violations = bisector_field_by_definition(e1, pairs)
+    assert checked == 4
+    assert any("not a bisector" in v for v in violations)

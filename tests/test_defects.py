@@ -5,8 +5,9 @@ and is patched into every bisectrix module that holds the name: the oracle
 and the CLI bind names at import, so patching the defining module alone is
 not enough.  Each defect has two columns: exhaustive verify over GF(7) and
 fixture verify over Q.  In each, verify must report the defect under the
-column's tag on every seed, the set of tags that fire is pinned, and every
-violation line must end in a reproduce command that prints it again.
+column's tag on every seed (SEEDS, unless _SEEDS names others), the set of
+tags that fire is pinned, and every violation line must end in a reproduce
+command that prints it again.
 """
 
 import shlex
@@ -67,6 +68,26 @@ def _bisector_shifted(bisector_through):
     return defect
 
 
+def _m2_constant_plus_one(desargues_pencil):
+    """The class polynomial m2 with its constant term off by one."""
+
+    def defect(qr, t, u):
+        m0, m1, m2 = desargues_pencil(qr, t, u)
+        return m0, m1, (m2[0] + qr.field.one, *m2[1:])
+
+    return defect
+
+
+def _exchange_row_first_negated(exchange_row):
+    """The exchange constraint with its first entry's sign flipped."""
+
+    def defect(p, q):
+        r0, r1, r2 = exchange_row(p, q)
+        return -r0, r1, r2
+
+    return defect
+
+
 # defect: (defining module, name, wrapper,
 #          {field: (its tag, every tag that fires on SEEDS)})
 DEFECTS = {
@@ -117,7 +138,23 @@ DEFECTS = {
                   {"opposite_orthogonal", "partner_involution", "pencil_degenerations"}),
         },
     ),
+    "desargues_m2_constant_plus_one": (
+        form, "desargues_pencil", _m2_constant_plus_one, {
+            "GFp:7": ("desargues_reflection", {"desargues_reflection"}),
+            "Q": ("desargues_reflection", {"desargues_reflection"}),
+        },
+    ),
+    "exchange_row_first_negated": (
+        form, "_exchange_row", _exchange_row_first_negated, {
+            "GFp:7": ("lambda_involution", {"desargues_reflection", "lambda_involution"}),
+            "Q": ("desargues_reflection", {"desargues_reflection", "lambda_involution"}),
+        },
+    ),
 }
+
+# Seed 3 over GF(7) draws an improper quadrilateral, on which
+# desargues_reflection does not run.
+_SEEDS = {"desargues_m2_constant_plus_one": (1, 2)}
 
 
 def _inject(monkeypatch, home, name, wrap):
@@ -134,9 +171,9 @@ def _run(capsys, argv):
     return code, capsys.readouterr().out.splitlines()
 
 
-def _check_column(capsys, field, tag, fired):
-    code, out = _run(capsys, ["--field", field, "--cmd", "verify", "--seed", str(SEEDS[0]),
-                              "--instances", str(len(SEEDS))])
+def _check_column(capsys, field, tag, fired, seeds):
+    code, out = _run(capsys, ["--field", field, "--cmd", "verify", "--seed", str(seeds[0]),
+                              "--instances", str(len(seeds))])
     assert code == 1
     by_command: dict[str, list[str]] = {}
     tags = set()
@@ -150,7 +187,7 @@ def _check_column(capsys, field, tag, fired):
     assert tags == fired, field
     tagged = {c for c, lines in by_command.items()
               if any(l.startswith(f"violation {tag}: ") for l in lines)}
-    assert len(tagged) == len(SEEDS), field
+    assert len(tagged) == len(seeds), field
     for command, lines in by_command.items():
         argv = shlex.split(command)
         assert argv[:3] == ["bisectrix", "--cmd", "verify"]
@@ -164,4 +201,4 @@ def test_defect_fires_its_tag_and_reproduces(defect, monkeypatch, capsys):
     home, name, wrap, columns = DEFECTS[defect]
     _inject(monkeypatch, home, name, wrap)
     for field, (tag, fired) in columns.items():
-        _check_column(capsys, field, tag, fired)
+        _check_column(capsys, field, tag, fired, _SEEDS.get(defect, SEEDS))

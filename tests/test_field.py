@@ -238,16 +238,3 @@ def test_scalar_hash_and_immutability():
     assert a == b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.value = Fraction(1)
-
-
-def test_pow_square_and_multiply():
-    for field, x in ((QQ, QQ.scalar(Fraction(-3, 2))), (GF(7), GF(7).scalar(3))):
-        assert x ** 0 == field.one
-        expected = field.one
-        for n in range(13):
-            assert x ** n == expected
-            expected = expected * x
-    big = GF(2**61 - 1)
-    x = big.scalar(123456789)
-    assert x ** (big.p - 1) == big.one
-    assert x ** big.p == x

@@ -6,24 +6,27 @@ from bisectrix import (
     Line,
     Point,
     QQ,
-    bisector_field_check,
     bisector_locus,
     brute_bisectors,
     chart_point,
     closed_form_bisectors,
+    crosses,
+    desargues_involution,
     enumerate_lines,
     inner,
     intersect,
+    involution_from_pairs,
     is_bisector,
     lines_through,
+    mid_cross,
     midpoint,
     random_quadrilateral,
     verify_all,
 )
-from bisectrix.errors import InfiniteField
+from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
 from bisectrix.oracle import Lcg64, _desargues_sweep
 from conftest import E1_SIDES, SPECIAL_SIDES, make_quad
-from test_defects import alpha_plus_one, partner_shifted
+from test_defects import _inject, alpha_plus_one, partner_shifted
 
 
 def test_enumerate_lines_counts():
@@ -228,6 +231,27 @@ def test_exhaustive_desargues_builds_one_pencil_per_class(monkeypatch):
     assert len(quads) >= 3
 
 
+def test_fixture_verify_builds_no_kernel_involution(monkeypatch, capsys):
+    """Over Q, desargues_reflection reads the kernel only through
+    desargues_pencil: with desargues_involution, involution_from_pairs and
+    chart_point made to raise, verify prints the same lines and exits 0."""
+    from bisectrix import form
+    from bisectrix.cli import main
+
+    argv = ["--field", "Q", "--cmd", "verify", "--instances", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert "desargues_reflection Q 0 " not in expected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called a kernel Involution route")
+
+    for name in ("desargues_involution", "involution_from_pairs", "chart_point"):
+        _inject(monkeypatch, form, name, lambda original: refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_report_summary_format():
     q = random_quadrilateral(GF(7), 1)
     report = verify_all(q, "fixture")[0]
@@ -257,10 +281,67 @@ def _pair_redundancy_by_definition(q, bisectors):
     return len(bis) * (len(bis) + 1) // 2, out
 
 
+def bisector_field_by_definition(q, pairs):
+    """Every line of every pair, taken once, bisects every pair it crosses,
+    always with its own midpoint as a bisector of q: the kernel's Scalar
+    predicates, as (lines checked, violations)."""
+    seen = set()
+    out = []
+    for pair in pairs:
+        for line in pair.lines:
+            if line in seen:
+                continue
+            seen.add(line)
+            m = is_bisector(q, line)
+            if m is None:
+                out.append(f"{line} is not a bisector")
+                continue
+            for other in pairs:
+                if not crosses(line, other):
+                    continue
+                got = mid_cross(line, other)
+                if got != m:
+                    out.append(f"{line} crosses {other} at midpoint {got}, expected {m}")
+    return len(seen), out
+
+
+def _desargues_by_definition(q):
+    """desargues_reflection on the fixture's probe lines through the
+    kernel's Involution: chart_point of each crossing, the involution of the
+    first and third pairs, and desargues_involution of the line."""
+    from bisectrix import oracle
+
+    if not q.proper:
+        return 0, []
+    qr = q.quadrangle()
+    lines = oracle._fixture_probe_lines(q)
+    out = []
+    for line in lines:
+        pairs = [
+            tuple(chart_point(line, intersect(line, member)) for member in pair.lines)
+            for pair in qr.opposite_side_pairs()
+        ]
+        try:
+            inv = desargues_involution(qr, line)
+            inv13 = involution_from_pairs(pairs[0], pairs[2])
+        except NotConjugate:
+            out.append(f"{line}: third pair not conjugate")
+            continue
+        except GeometryError as err:
+            out.append(f"{line}: involution underdetermined ({err})")
+            continue
+        if inv != inv13:
+            out.append(f"{line}: the three conjugate pairs disagree")
+        bisects = is_bisector(q, line) is not None
+        if inv.is_reflection() != bisects:
+            out.append(f"{line}: reflection={inv.is_reflection()} but bisector={bisects}")
+    return len(lines), out
+
+
 def test_raw_routes_equal_the_scalar_definitions(monkeypatch):
     """At p = 7, 11 and 13 the raw-residue routes of exhaustive verify equal
     the Scalar definitions, on sound kernels and on a wrong Q-partner and
-    quadratic form: bisector_field against bisectors.bisector_field_check,
+    quadratic form: bisector_field against bisector_field_by_definition,
     the shared locus zero set against Conic.contains on every point, and the
     bucketed pair_redundancy against a loop over every pair."""
     from bisectrix import oracle
@@ -284,13 +365,37 @@ def test_raw_routes_equal_the_scalar_definitions(monkeypatch):
                 monkeypatch.setattr(oracle, "q_partner", q_partner)
                 monkeypatch.setattr(oracle, "quadratic_data", quadratic_data)
                 ctx = oracle._Context(True, 0)
-                report = bisector_field_check(q, oracle._q_pairs_of(q, ctx))
                 field_check = oracle._check_bisector_field(q, ctx)
-                assert field_check == (report.lines_checked, report.violations)
+                assert field_check == bisector_field_by_definition(q, oracle._q_pairs_of(q, ctx))
                 redundancy = oracle._check_pair_redundancy(q, ctx)
                 assert redundancy == _pair_redundancy_by_definition(q, ctx.brute(q))
                 violations += len(field_check[1]) + len(redundancy[1])
     assert violations > 0
+
+
+def test_raw_routes_over_q_equal_the_scalar_definitions(e1, monkeypatch):
+    """Over Q the raw routes of bisector_field and desargues_reflection (on
+    Fractions, p = None) equal the Scalar definitions on e1 and the special
+    quadrilaterals (among them e2 and the improper fixture), on sound
+    kernels and on a wrong Q-partner and quadratic form."""
+    from bisectrix import oracle
+
+    sound = (oracle.q_partner, oracle.quadratic_data)
+    wrong = (partner_shifted(oracle.q_partner), alpha_plus_one(oracle.quadratic_data))
+    quads = [e1] + [make_quad(QQ, *sides) for sides in SPECIAL_SIDES]
+    violations = probed = 0
+    for q in quads:
+        for q_partner, quadratic_data in (sound, wrong):
+            monkeypatch.setattr(oracle, "q_partner", q_partner)
+            monkeypatch.setattr(oracle, "quadratic_data", quadratic_data)
+            ctx = oracle._Context(False, 0)
+            field_check = oracle._check_bisector_field(q, ctx)
+            assert field_check == bisector_field_by_definition(q, oracle._q_pairs_of(q, ctx))
+            desargues = oracle._check_desargues(q, ctx)
+            assert desargues == _desargues_by_definition(q)
+            violations += len(field_check[1])
+            probed += desargues[0]
+    assert violations > 0 and probed > 0
 
 
 def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
