@@ -462,13 +462,14 @@ def _check_desargues(q, ctx):
 
 def _check_vertex_lines(q, ctx):
     canonical = set(_canonical_bisectors(q))
+    bisecting = set(ctx.bisector_lines(q))
     out = []
     count = 0
     seen_vertices = set(q.vertices)
     for v in seen_vertices:
         for line in lines_through(q.field, v):
             count += 1
-            bisects = is_bisector(q, line) is not None
+            bisects = line in bisecting
             if bisects != (line in canonical):
                 out.append(f"{line} through {v}: bisector={bisects}")
     return count, out

@@ -173,14 +173,10 @@ class DegenerationReport:
 
 
 def _lambda_for(conic: Conic, l1: Line, l2: Line) -> Scalar:
-    """The constant lam with conic + lam proportional to the product l1*l2,
-    rescaled so the identity is exact on the normalized representation."""
+    """The constant lam with conic + lam equal to the product l1*l2: both
+    are normalized, so their constant terms differ by exactly lam."""
     product = Conic.from_lines(l1, l2)
-    for mine, theirs in zip(conic.coeffs[:3], product.coeffs[:3]):
-        if not theirs.is_zero():
-            scale = mine / theirs
-            break
-    lam = scale * product.f - conic.f
+    lam = product.f - conic.f
     if conic.shift(lam) != product:
         raise InvariantViolation(f"{conic} shifted by {lam} is not {product}")
     return lam
@@ -191,30 +187,21 @@ def _factor_degenerate(c: Conic) -> LinePair | None:
 
     Returns None when the factorization needs a quadratic extension.
     """
-    A, B, C, D, E, F = c.coeffs
+    A, B, C, F = c.a, c.b, c.c, c.f
     field = c.field
     disc = c.leading_discriminant()
     root = disc.sqrt()
     if root is None:
         return None
     if not disc.is_zero():
-        if not A.is_zero():
-            r1 = (-B + root) / (2 * A)
-            r2 = (-B - root) / (2 * A)
-            # A*(x - r1*y + w1)(x - r2*y + w2): match the linear coefficients.
-            s1 = D / A
-            s2 = -E / A
-            w1 = (r1 * s1 - s2) / (r1 - r2)
-            w2 = s1 - w1
-            if A * w1 * w2 != F:
-                return None
-            return LinePair(Line(field.one, r1, w1), Line(field.one, r2, w2))
-        # A = 0, B != 0: (y + w1)(B*x + C*y + w2).
-        w1 = D / B
-        w2 = E - C * w1
-        if w1 * w2 != F:
-            return None
-        return LinePair(Line(field.zero, -field.one, w1), Line(B, -C, w2))
+        # The lines through the center along the null directions [dx : dy]
+        # of the quadratic part.
+        o = center(c)
+        if A.is_zero():
+            directions = ((field.one, field.zero), (-C, B))
+        else:
+            directions = ((r / (2 * A), field.one) for r in (-B + root, -B - root))
+        return LinePair(*(Line(dy, dx, dx * o.y - dy * o.x) for dx, dy in directions))
     # Double direction.  c has leading coefficient 1, so with the canonical
     # midline L = tX - uY + v it equals (L^2 - r^2) / scale, where scale is
     # t^2, or 1 for a horizontal L (t = 0); the factors are L + r and L - r.
@@ -264,12 +251,12 @@ def classify(c: Conic) -> ConicClass:
 
 def degenerations(c: Conic) -> DegenerationReport:
     """All constants lam with c + lam reducible over the ground field."""
-    A, B, C = c.a, c.b, c.c
     disc = c.leading_discriminant()
     if not disc.is_zero():
-        # det3 is linear in the constant coefficient with nonzero slope.
-        slope = A * C - B * B / 4
-        lam = -c.det3() / slope
+        # c is its value at the center plus a form in the offset from it;
+        # the gradient vanishes there, so that value is f + (d*x + e*y)/2.
+        o = center(c)
+        lam = -(c.f + (c.d * o.x + c.e * o.y) / 2)
         pair = _factor_degenerate(c.shift(lam))
         if pair is None:
             return DegenerationReport(entries=(), absent_witness=disc)

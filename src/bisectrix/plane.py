@@ -99,14 +99,6 @@ class Line(Frozen):
         # Canonical coefficients make parallelism a direct comparison.
         return self.t == other.t and self.u == other.u
 
-    def two_points(self) -> tuple[Point, Point]:
-        """Two distinct points on the line, used to transport it through maps."""
-        field = self.field
-        if self.is_vertical:
-            x = -self.v
-            return Point(x, field.zero), Point(x, field.one)
-        return Point(field.zero, self.v), Point(field.one, self.t + self.v)
-
     def sort_key(self):
         return (self.t.sort_key(), self.u.sort_key(), self.v.sort_key())
 
@@ -235,15 +227,16 @@ class AffineMap(Frozen):
         return cls(m00, m01, m10, m11, zero, zero)
 
     def apply(self, obj):
-        """Image of a Point or a Line (lines move by mapping two points)."""
+        """Image of a Point or a Line (lines move by the adjugate of M)."""
         if isinstance(obj, Point):
             return Point(
                 self.m00 * obj.x + self.m01 * obj.y + self.b0,
                 self.m10 * obj.x + self.m11 * obj.y + self.b1,
             )
         if isinstance(obj, Line):
-            p, q = obj.two_points()
-            return line_from_points(self.apply(p), self.apply(q))
+            t, u = obj.t * self.m11 + obj.u * self.m10, obj.t * self.m01 + obj.u * self.m00
+            det = self.m00 * self.m11 - self.m01 * self.m10
+            return Line(t, u, det * obj.v - t * self.b0 + u * self.b1)
         raise TypeError(f"cannot apply an affine map to {obj!r}")
 
     def pullback(self, line: Line) -> Line:

@@ -225,7 +225,7 @@ def _sample_q_pairs(q: Quadrilateral, locus, count: int):
                         add_with_partner(b.line)
     else:
         midline = locus.components[0]
-        anchor = midline.two_points()[0]
+        anchor = Point(-midline.v, QQ.zero) if midline.is_vertical else Point(QQ.zero, midline.v)
         direction = midline.infinite_point()
         for k in range(-count, count + 1):
             t = QQ.scalar(Fraction(k, 2))

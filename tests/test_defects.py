@@ -16,7 +16,9 @@ from dataclasses import replace
 
 import pytest
 
-from bisectrix import Bisector, Line, QuadraticData, bisectors, form
+from bisectrix import (
+    AffineMap, Bisector, Line, LinePair, QuadraticData, bisectors, form, pencil,
+)
 from bisectrix.cli import main
 
 SEEDS = (1, 2, 3)
@@ -88,7 +90,31 @@ def _exchange_row_first_negated(exchange_row):
     return defect
 
 
-# defect: (defining module, name, wrapper,
+def _degenerations_pair_shifted(degenerations):
+    """Each isolated degeneration with the first line of its pair shifted."""
+
+    def defect(c):
+        report = degenerations(c)
+        entries = tuple(replace(e, pair=LinePair(_shifted(e.pair.a), e.pair.b))
+                        for e in report.entries)
+        return replace(report, entries=entries)
+
+    return defect
+
+
+def _apply_line_sheared(apply):
+    """Every image line tX - uY + v = 0 carried to (t + u)X - uY + v = 0."""
+
+    def defect(f, obj):
+        image = apply(f, obj)
+        if isinstance(image, Line):
+            return Line(image.t + image.u, image.u, image.v)
+        return image
+
+    return defect
+
+
+# defect: (defining module or class, name, wrapper,
 #          {field: (its tag, every tag that fires on SEEDS)})
 DEFECTS = {
     "q_partner_shifted": (
@@ -150,6 +176,18 @@ DEFECTS = {
             "Q": ("desargues_reflection", {"desargues_reflection", "lambda_involution"}),
         },
     ),
+    "degenerations_pair_shifted": (
+        pencil, "degenerations", _degenerations_pair_shifted, {
+            "GFp:7": ("pencil_degenerations", {"pencil_degenerations"}),
+            "Q": ("pencil_degenerations", {"pencil_degenerations"}),
+        },
+    ),
+    "apply_line_sheared": (
+        AffineMap, "apply", _apply_line_sheared, {
+            "GFp:7": ("affine_invariance", {"affine_invariance"}),
+            "Q": ("affine_invariance", {"affine_invariance"}),
+        },
+    ),
 }
 
 # Seed 3 over GF(7) draws an improper quadrilateral, on which
@@ -160,6 +198,10 @@ _SEEDS = {"desargues_m2_constant_plus_one": (1, 2)}
 def _inject(monkeypatch, home, name, wrap):
     original = getattr(home, name)
     defect = wrap(original)
+    if isinstance(home, type):
+        # A method: every caller reaches it through the class.
+        monkeypatch.setattr(home, name, defect)
+        return
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "bisectrix"]
     for module in modules:
         if getattr(module, name, None) is original:

@@ -65,6 +65,12 @@ def test_classify_degenerate_pair():
     result = classify(xy)
     assert result.kind == "degenerate_pair"
     assert result.pair == LinePair(Line.parse(QQ, "X=0"), Line.parse(QQ, "Y=0"))
+    # Every pair of lines: crossing with A != 0 or A = 0, parallel, double.
+    for field in (GF(5), GF(7)):
+        lines = enumerate_lines(field)
+        for i, l1 in enumerate(lines):
+            for l2 in lines[i:]:
+                assert classify(Conic.from_lines(l1, l2)).pair == LinePair(l1, l2)
 
 
 def test_classify_field_dependent():
@@ -193,6 +199,7 @@ def test_center_examples(e1):
 
 def test_degenerations_are_q_pairs_gf7():
     g7 = GF(7)
+    central = 0
     for seed in range(12):
         q = random_quadrilateral(g7, seed)
         pen = pencil_of(q)
@@ -201,12 +208,15 @@ def test_degenerations_are_q_pairs_gf7():
         for member in members:
             report = degenerations(member)
             entries = list(report.entries)
+            central += len(entries)
             if report.family is not None:
                 entries.extend(
                     report.family.pair_at_offset(g7.scalar(r)) for r in range(4)
                 )
             for entry in entries:
                 assert is_q_pair(q, entry.pair)
+                assert member.shift(entry.lam) == Conic.from_lines(*entry.pair.lines)
+    assert central > 0
 
 
 def test_bisector_partner_pairs_are_degenerations_gf7():

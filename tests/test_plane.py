@@ -79,6 +79,19 @@ def test_map_compose_inverse():
             continue
         l = Line(t, u, v)
         assert f.apply(f.pullback(l)) == l
+    g7 = GF(7)
+    maps = 0
+    while maps < 12:
+        entries = [g7.scalar(rng.below(7)) for _ in range(6)]
+        if entries[4].is_zero() or entries[5].is_zero():
+            continue
+        try:
+            f = AffineMap(*entries)
+        except SingularMap:
+            continue
+        maps += 1
+        for l in enumerate_lines(g7):
+            assert f.pullback(f.apply(l)) == l
 
 
 def test_canonicalization_idempotent_and_round_trip():
