@@ -6,10 +6,8 @@ from .bisectors import (
     LocusConic,
     bisector_locus,
     bisector_through,
-    crosses,
     is_bisector,
     is_q_pair,
-    mid_cross,
     nine_points,
     q_partner,
 )

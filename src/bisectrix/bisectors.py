@@ -5,19 +5,19 @@ parallel to both; its midpoint across the pair is the midpoint of the two
 intersection points (the line's own infinite point if exactly one of them
 is at infinity).  A line bisects a quadrilateral when its midpoints across
 the two opposite-side pairs it crosses agree; that common point is the
-midpoint of the bisector and is always affine.
+midpoint of the bisector and is always affine.  is_bisector runs this rule
+on raw coefficients (_bisector_mid), and so do the oracle's sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DoesNotCross, InvariantViolation, NotABisector, NotBisectors
+from .errors import FieldMismatch, InvariantViolation, NotABisector, NotBisectors
 from .field import Scalar
 from .form import QuadraticData, phi, q_orthogonal, quadratic_data
 from .pencil import Conic
 from .plane import (
-    InfPoint,
     Line,
     LinePair,
     PlanePoint,
@@ -42,21 +42,61 @@ class AllLinesThrough:
     center: Point
 
 
-def crosses(l: Line, pair: LinePair) -> bool:
-    if l == pair.a or l == pair.b:
-        return False
-    return not (l.is_parallel(pair.a) and l.is_parallel(pair.b))
+# Raw values: a line is its canonical (t, u, v) and a point its (x, y), as
+# ints in [0, p) over GF(p) or as the Scalars' Fractions over Q, where p is
+# None and nothing is reduced.
+
+# A raw line's crossing with another, when it is not an affine point.
+_PARALLEL = "parallel"
+_SAME = "same line"
 
 
-def mid_cross(l: Line, pair: LinePair) -> PlanePoint:
-    """Midpoint of the two points where l meets the pair."""
-    if not crosses(l, pair):
-        raise DoesNotCross(f"{l} does not cross {pair}")
-    p1 = intersect(l, pair.a)
-    p2 = intersect(l, pair.b)
-    if isinstance(p1, InfPoint) or isinstance(p2, InfPoint):
-        return l.infinite_point()
-    return midpoint(p1, p2)
+def _raw_line(line: Line) -> tuple:
+    return (line.t.value, line.u.value, line.v.value)
+
+
+def _point(field, xy) -> Point:
+    return Point(field.scalar(xy[0]), field.scalar(xy[1]))
+
+
+def _meet(l, m, p: int | None):
+    """Where raw line l meets raw line m (plane.intersect): an affine
+    (x, y), _PARALLEL or _SAME."""
+    t, u, v = l
+    mt, mu, mv = m
+    det = u * mt - t * mu
+    if not (det % p if p else det):
+        return _SAME if l == m else _PARALLEL
+    inv = pow(det, -1, p) if p else 1 / det
+    x, y = (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
+    return (x % p, y % p) if p else (x, y)
+
+
+def _mid(c1, c2, p: int | None):
+    """A line's midpoint across a pair it meets at c1 and c2 (see _meet):
+    None when the line does not cross the pair, _PARALLEL for the line's
+    own infinite point."""
+    if c1 is _SAME or c2 is _SAME or (c1 is _PARALLEL and c2 is _PARALLEL):
+        return None
+    if c1 is _PARALLEL or c2 is _PARALLEL:
+        return _PARALLEL
+    x, y = c1[0] + c2[0], c1[1] + c2[1]
+    if p:
+        half = (p + 1) // 2
+        return (x * half % p, y * half % p)
+    return (x / 2, y / 2)
+
+
+def _bisector_mid(crossings, p: int | None):
+    """The midpoint of a line as a bisector from its crossings with A, A',
+    B and B', or None when it does not bisect."""
+    a, a2, b, b2 = crossings
+    mids = [m for m in (_mid(a, a2, p), _mid(b, b2, p)) if m is not None]
+    if len(set(mids)) == 1 and mids[0] is not _PARALLEL:
+        return mids[0]
+    if not mids:
+        raise InvariantViolation("a line always crosses at least one opposite-side pair")
+    return None
 
 
 def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
@@ -66,15 +106,13 @@ def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
     come out as bisectors of themselves); agreement with the third pair of
     the quadrangle is a theorem, not part of the predicate.
     """
-    mids = [mid_cross(l, pair) for pair in q.opposite_pairs() if crosses(l, pair)]
-    if not mids:
-        raise InvariantViolation("a line always crosses at least one opposite-side pair")
-    if len(mids) == 2 and mids[0] != mids[1]:
-        return None
-    m = mids[0]
-    if isinstance(m, InfPoint):
-        return None
-    return m
+    field = q.field
+    if l.field is not field:
+        raise FieldMismatch(f"{l.field.name} vs {field.name}")
+    p = getattr(field, "p", None)
+    raw = _raw_line(l)
+    m = _bisector_mid([_meet(raw, _raw_line(side), p) for side in (q.a, q.a2, q.b, q.b2)], p)
+    return None if m is None else _point(field, m)
 
 
 def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThrough:

@@ -61,10 +61,6 @@ class LineThroughVertex(GeometryError):
     """Line passes through a vertex where that is not allowed."""
 
 
-class DoesNotCross(GeometryError):
-    """Line does not cross the given pair of lines."""
-
-
 class NotABisector(GeometryError):
     """Line does not bisect the quadrilateral."""
 

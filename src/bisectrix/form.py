@@ -103,9 +103,6 @@ class Involution(Frozen):
         cross = _cross((self.m0, self.m1, self.m2), (other.m0, other.m1, other.m2))
         return all(x.is_zero() for x in cross)
 
-    def __hash__(self):
-        raise TypeError("involutions compare up to scale and are unhashable")
-
     def __repr__(self):
         return f"Involution([[{self.m0}, {self.m1}], [{self.m2}, {-self.m0}]])"
 

@@ -5,15 +5,18 @@ testing every line of a finite plane against the midpoint condition, never
 through the closed-form equations, so this module is the independent side
 of every dual-route check.
 
-Over GF(p) the sweeps run on raw residues (ints in [0, p)) by the same
-rules as the kernel's predicates: the line sweep of brute_bisectors and of
-desargues_reflection, the crossings of bisector_field, the direction and
-midpoint buckets of pair_redundancy, and the locus zero set shared by
-closed_form_oracle and locus_midpoints.  Objects are built only for
-violation texts.  Over Q the same helpers take p = None and run on the
-Scalars' Fractions, so bisector_field and desargues_reflection each judge
-both fields by one rule and differ only in the lines fed in: every line when
-exhaustive, the sides and diagonals or the probe lines in the fixture.
+Over GF(p) the sweeps run on raw residues (ints in [0, p)): the line sweep
+of brute_bisectors and of desargues_reflection, the crossings of
+bisector_field, the direction and midpoint buckets of pair_redundancy, and
+the locus zero set shared by closed_form_oracle and locus_midpoints.
+Objects are built only for violation texts.  Over Q the same helpers take
+p = None and run on the Scalars' Fractions, so bisector_field and
+desargues_reflection each judge both fields by one rule and differ only in
+the lines fed in: every line when exhaustive, the sides and diagonals or the
+probe lines in the fixture.  Whether a line bisects is judged by the
+kernel's own rule, the raw functions of bisectors that is_bisector runs: it
+is the definition itself, not a closed form, so every closed form is still
+checked against an independent route.
 
 One verify_all call asks the kernel once per quadrilateral for each of
 quadratic_data, bisector_locus and q_partner of a line (_Context.once), and
@@ -34,8 +37,15 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .bisectors import (
+    _PARALLEL,
+    _SAME,
     AllLinesThrough,
     Bisector,
+    _bisector_mid,
+    _meet,
+    _mid,
+    _point,
+    _raw_line,
     bisector_locus,
     bisector_through,
     is_bisector,
@@ -90,63 +100,8 @@ def lines_through(field: Field, p: Point) -> list[Line]:
     return [Line(t, u, u * p.y - t * p.x) for u, t in _p1(field)]
 
 
-# Raw values (see the module docstring): a line is its canonical (t, u, v)
-# and a point its (x, y), as ints in [0, p) over GF(p) or as the Scalars'
-# Fractions over Q, where p is None and nothing is reduced.
-
-# A raw line's crossing with another, when it is not an affine point.
-_PARALLEL = "parallel"
-_SAME = "same line"
-
-
-def _raw_line(line: Line) -> tuple:
-    return (line.t.value, line.u.value, line.v.value)
-
-
 def _raw_point(point: Point) -> tuple:
     return (point.x.value, point.y.value)
-
-
-def _point(field: Field, xy) -> Point:
-    return Point(field.scalar(xy[0]), field.scalar(xy[1]))
-
-
-def _meet(l, m, p: int | None):
-    """Where raw line l meets raw line m (plane.intersect): an affine
-    (x, y), _PARALLEL or _SAME."""
-    t, u, v = l
-    mt, mu, mv = m
-    det = u * mt - t * mu
-    if not (det % p if p else det):
-        return _SAME if l == m else _PARALLEL
-    inv = pow(det, -1, p) if p else 1 / det
-    x, y = (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
-    return (x % p, y % p) if p else (x, y)
-
-
-def _mid(c1, c2, p: int | None):
-    """A line's midpoint across a pair it meets at c1 and c2 (see _meet), by
-    the rules of bisectors.mid_cross: None when the line does not cross the
-    pair, _PARALLEL for the line's own infinite point."""
-    if c1 is _SAME or c2 is _SAME or (c1 is _PARALLEL and c2 is _PARALLEL):
-        return None
-    if c1 is _PARALLEL or c2 is _PARALLEL:
-        return _PARALLEL
-    x, y = c1[0] + c2[0], c1[1] + c2[1]
-    if p:
-        half = (p + 1) // 2
-        return (x * half % p, y * half % p)
-    return (x / 2, y / 2)
-
-
-def _bisector_mid(crossings, p: int | None):
-    """The midpoint of a line as a bisector (bisectors.is_bisector) from its
-    crossings with A, A', B and B', or None when it does not bisect."""
-    a, a2, b, b2 = crossings
-    mids = [m for m in (_mid(a, a2, p), _mid(b, b2, p)) if m is not None]
-    if len(set(mids)) == 1 and mids[0] is not _PARALLEL:
-        return mids[0]
-    return None
 
 
 def _zero_set(conic, p: int) -> set[tuple[int, int]]:
@@ -191,7 +146,7 @@ def _sweep(field: PrimeField, refs):
 
 def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
     """Every line of the finite plane tested against the definition (the
-    rules of bisectors.is_bisector, applied to raw residues)."""
+    rule of bisectors.is_bisector, applied to raw residues)."""
     field = q.field
     if not isinstance(field, PrimeField):
         raise InfiniteField("brute-force bisectors need a finite field")

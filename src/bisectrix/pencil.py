@@ -187,21 +187,12 @@ def _factor_degenerate(c: Conic) -> LinePair | None:
 
     Returns None when the factorization needs a quadratic extension.
     """
-    A, B, C, F = c.a, c.b, c.c, c.f
-    field = c.field
     disc = c.leading_discriminant()
     root = disc.sqrt()
     if root is None:
         return None
     if not disc.is_zero():
-        # The lines through the center along the null directions [dx : dy]
-        # of the quadratic part.
-        o = center(c)
-        if A.is_zero():
-            directions = ((field.one, field.zero), (-C, B))
-        else:
-            directions = ((r / (2 * A), field.one) for r in (-B + root, -B - root))
-        return LinePair(*(Line(dy, dx, dx * o.y - dy * o.x) for dx, dy in directions))
+        return _central_pair(c, center(c), root)
     # Double direction.  c has leading coefficient 1, so with the canonical
     # midline L = tX - uY + v it equals (L^2 - r^2) / scale, where scale is
     # t^2, or 1 for a horizontal L (t = 0); the factors are L + r and L - r.
@@ -209,9 +200,20 @@ def _factor_degenerate(c: Conic) -> LinePair | None:
     if midline is None:
         return None
     t, v = midline.t, midline.v
-    scale = field.one if t.is_zero() else t * t
-    r = (v * v - scale * F).sqrt()
+    scale = c.field.one if t.is_zero() else t * t
+    r = (v * v - scale * c.f).sqrt()
     return None if r is None else _offset_pair(midline, r)
+
+
+def _central_pair(c: Conic, o: Point, root: Scalar) -> LinePair:
+    """The lines through o along the null directions [dx : dy] of c's
+    quadratic part, whose discriminant has the nonzero square root root."""
+    A, B, C, field = c.a, c.b, c.c, c.field
+    if A.is_zero():
+        directions = ((field.one, field.zero), (-C, B))
+    else:
+        directions = ((r / (2 * A), field.one) for r in (-B + root, -B - root))
+    return LinePair(*(Line(dy, dx, dx * o.y - dy * o.x) for dx, dy in directions))
 
 
 def _offset_pair(midline: Line, r: Scalar) -> LinePair:
@@ -253,14 +255,15 @@ def degenerations(c: Conic) -> DegenerationReport:
     """All constants lam with c + lam reducible over the ground field."""
     disc = c.leading_discriminant()
     if not disc.is_zero():
+        root = disc.sqrt()
+        if root is None:
+            return DegenerationReport(entries=(), absent_witness=disc)
         # c is its value at the center plus a form in the offset from it;
         # the gradient vanishes there, so that value is f + (d*x + e*y)/2.
+        # c + lam has c's quadratic part and center, so it splits as c does.
         o = center(c)
         lam = -(c.f + (c.d * o.x + c.e * o.y) / 2)
-        pair = _factor_degenerate(c.shift(lam))
-        if pair is None:
-            return DegenerationReport(entries=(), absent_witness=disc)
-        return DegenerationReport(entries=(Degeneration(lam, pair),))
+        return DegenerationReport(entries=(Degeneration(lam, _central_pair(c, o, root)),))
     # Perfect-square leading form: either a parabola (no degenerations) or
     # a one-parameter family of parallel pairs sharing a midline.
     midline = _midline(c)

@@ -38,7 +38,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
     __slots__ = (
         "a", "b", "a2", "b2",
         "vertices", "centroid", "proper", "double_vertex",
-        "diagonal_lines", "line_pairs", "_opposite_pairs", "_standard",
+        "diagonal_lines", "line_pairs", "_standard",
     )
 
     def __init__(self, a: Line, b: Line, a2: Line, b2: Line):
@@ -75,15 +75,12 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
         self._write(
             a, b, a2, b2, vertices, centroid, double is None, double, diagonals,
-            ((a, a2), (b, b2), diagonals), (LinePair(a, a2), LinePair(b, b2)), None,
+            ((a, a2), (b, b2), diagonals), None,
         )
 
     @property
     def sides(self) -> tuple[Line, Line, Line, Line]:
         return (self.a, self.b, self.a2, self.b2)
-
-    def opposite_pairs(self) -> tuple[LinePair, LinePair]:
-        return self._opposite_pairs
 
     def diagonal_points(self) -> tuple[PlanePoint, PlanePoint, PlanePoint]:
         """A.A', B.B' and the diagonal intersection, each possibly at infinity.
@@ -195,21 +192,17 @@ def standard_form(q: Quadrilateral) -> tuple[AffineMap, Scalar]:
 
     The opposite pair carried to the axes is {A, A'} when those are not
     parallel, else {B, B'} (relabelled), else the quadrilateral is a
-    parallelogram and is first re-paired through its quadrangle, taking the
-    first valid non-parallelogram pairing.  The coefficient mu is the
-    product of the slopes of f(B) and f(B'), where f(L) has slope
+    parallelogram and its diagonals D0, D1 go to the axes, re-paired as the
+    quadrilateral (D0, A', D1, A) of its quadrangle.  The coefficient mu is
+    the product of the slopes of f(B) and f(B'), where f(L) has slope
     [A, L] / [L, A'] in terms of line_det; it never vanishes.
     """
     if q._standard is not None:
         return q._standard
     a, b, a2, b2 = q.sides
     if q.is_parallelogram():
-        for candidate in requadrilate(q.quadrangle()):
-            if isinstance(candidate, Quadrilateral) and not candidate.is_parallelogram():
-                a, b, a2, b2 = candidate.sides
-                break
-        else:
-            raise DegenerateInput("no non-parallelogram pairing found")
+        d0, d1 = q.diagonal_lines
+        a, b, a2, b2 = d0, q.a2, d1, q.a
     if a.is_parallel(a2):
         # Rotate the cyclic labels one step: BA'B'A.
         a, b, a2, b2 = b, a2, b2, a

@@ -1,6 +1,6 @@
 import pytest
 
-from bisectrix import GF, Line, QQ, Quadrilateral
+from bisectrix import GF, InfPoint, Line, LinePair, QQ, Quadrilateral, intersect, midpoint
 
 
 def make_quad(field, *literals):
@@ -23,6 +23,33 @@ def standard_by_transform(q, f):
            for b, b2 in images[:2] if set((b, b2)) != set(axes)]
     assert len(out) == (2 if q.is_parallelogram() else 1)
     return out
+
+
+# The bisector definition on Scalar objects, the tests' reference for the
+# kernel's raw rule (bisectors._bisector_mid).
+
+
+def mid_cross(l, pair):
+    """The midpoint of the two points where l meets the pair (l's own
+    infinite point if one of them is at infinity), or None when l does not
+    cross the pair: when l is one of its lines or parallel to both."""
+    if l in pair.lines or (l.is_parallel(pair.a) and l.is_parallel(pair.b)):
+        return None
+    p1, p2 = intersect(l, pair.a), intersect(l, pair.b)
+    if isinstance(p1, InfPoint) or isinstance(p2, InfPoint):
+        return l.infinite_point()
+    return midpoint(p1, p2)
+
+
+def bisector_by_definition(q, l):
+    """The midpoint of l as a bisector of q, or None: l's midpoints across
+    the opposite-side pairs it crosses agree and are affine."""
+    mids = [mid_cross(l, LinePair(q.a, q.a2)), mid_cross(l, LinePair(q.b, q.b2))]
+    mids = [m for m in mids if m is not None]
+    assert mids, f"{l} crosses no opposite-side pair"
+    if len(mids) == 2 and mids[0] != mids[1]:
+        return None
+    return None if isinstance(mids[0], InfPoint) else mids[0]
 
 
 def slope_product(std):

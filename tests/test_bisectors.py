@@ -15,15 +15,14 @@ from bisectrix import (
     bisector_through,
     is_bisector,
     is_q_pair,
-    mid_cross,
     midpoint,
     nine_points,
     q_partner,
 )
-from bisectrix.errors import DoesNotCross, NotABisector, NotBisectors
+from bisectrix.errors import FieldMismatch, InvariantViolation, NotABisector, NotBisectors
 from bisectrix.oracle import brute_bisectors, random_quadrilateral, verify_all
 from bisectrix.pencil import Conic, center
-from conftest import slope_product
+from conftest import mid_cross, slope_product
 from test_oracle import bisector_field_by_definition
 
 
@@ -36,19 +35,35 @@ def pair(field, t1, t2):
 
 
 def test_mid_cross_examples():
+    """The test-side Scalar reference of the definition."""
     l = Line.parse(QQ, "Y=0")
     assert mid_cross(l, pair(QQ, "X=0", "X=2")) == pt(1, 0)
     assert mid_cross(l, pair(QQ, "X=0", "Y=1")) == InfPoint(QQ.one, QQ.zero)
-    with pytest.raises(DoesNotCross):
-        mid_cross(l, pair(QQ, "Y=0", "X=1"))
-    with pytest.raises(DoesNotCross):
-        mid_cross(Line.parse(QQ, "X=5"), pair(QQ, "X=0", "X=2"))
+    assert mid_cross(l, pair(QQ, "Y=0", "X=1")) is None
+    assert mid_cross(Line.parse(QQ, "X=5"), pair(QQ, "X=0", "X=2")) is None
 
 
 def test_is_bisector_examples(e1):
     assert is_bisector(e1, Line.parse(QQ, "Y=X+1")) == pt("-1/2", "1/2")
     assert is_bisector(e1, Line.parse(QQ, "X=3")) is None
     assert is_bisector(e1, Line.parse(QQ, "Y=0")) == pt("-1/4", 0)
+
+
+def test_is_bisector_rejects_a_line_of_another_field():
+    q = random_quadrilateral(GF(7), 1)
+    for field in (QQ, GF(11)):
+        with pytest.raises(FieldMismatch):
+            is_bisector(q, Line.parse(field, "Y=X+1"))
+
+
+def test_bisector_rule_needs_a_crossed_pair():
+    """No valid quadrilateral has a line that crosses neither opposite-side
+    pair, so the raw rule reports one as a kernel bug."""
+    from bisectrix.bisectors import _PARALLEL, _SAME, _bisector_mid
+
+    for p in (7, None):
+        with pytest.raises(InvariantViolation):
+            _bisector_mid((_SAME, _PARALLEL, _PARALLEL, _PARALLEL), p)
 
 
 def test_bisector_through_examples(e1, e2):

@@ -7,7 +7,8 @@ not enough.  Each defect has two columns: exhaustive verify over GF(7) and
 fixture verify over Q.  In each, verify must report the defect under the
 column's tag on every seed (SEEDS, unless _SEEDS names others), the set of
 tags that fire is pinned, and every violation line must end in a reproduce
-command that prints it again.
+command that prints it again.  A defect that only an exhaustive-only tag
+can see has the GF(7) column alone.
 """
 
 import shlex
@@ -17,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from bisectrix import (
-    AffineMap, Bisector, Line, LinePair, QuadraticData, bisectors, form, pencil,
+    AffineMap, Bisector, Line, LinePair, QuadraticData, Quadrilateral, bisectors, form, pencil,
 )
 from bisectrix.cli import main
 
@@ -114,6 +115,10 @@ def _apply_line_sheared(apply):
     return defect
 
 
+def _negated(predicate):
+    return lambda *args: not predicate(*args)
+
+
 # defect: (defining module or class, name, wrapper,
 #          {field: (its tag, every tag that fires on SEEDS)})
 DEFECTS = {
@@ -186,6 +191,11 @@ DEFECTS = {
         AffineMap, "apply", _apply_line_sheared, {
             "GFp:7": ("affine_invariance", {"affine_invariance"}),
             "Q": ("affine_invariance", {"affine_invariance"}),
+        },
+    ),
+    "parallelogram_vertices_negated": (
+        Quadrilateral, "has_parallelogram_vertices", _negated, {
+            "GFp:7": ("unique_midpoints", {"unique_midpoints"}),
         },
     ),
 }

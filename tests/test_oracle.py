@@ -10,7 +10,6 @@ from bisectrix import (
     brute_bisectors,
     chart_point,
     closed_form_bisectors,
-    crosses,
     desargues_involution,
     enumerate_lines,
     inner,
@@ -18,14 +17,13 @@ from bisectrix import (
     involution_from_pairs,
     is_bisector,
     lines_through,
-    mid_cross,
     midpoint,
     random_quadrilateral,
     verify_all,
 )
 from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
 from bisectrix.oracle import Lcg64, _desargues_sweep
-from conftest import E1_SIDES, SPECIAL_SIDES, make_quad
+from conftest import E1_SIDES, SPECIAL_SIDES, bisector_by_definition, make_quad, mid_cross
 from test_defects import _inject, alpha_plus_one, partner_shifted
 
 
@@ -78,8 +76,9 @@ def test_oracle_equivalence():
 
 
 def test_brute_bisectors_equal_definition_per_line():
-    """The raw-residue sweep finds exactly the lines that is_bisector accepts,
-    with the same midpoints."""
+    """is_bisector answers every line as the Scalar definition does, and the
+    raw-residue sweep finds exactly the lines it accepts, with the same
+    midpoints."""
     for p in (3, 5, 7, 11, 13):
         field = GF(p)
         quads = [random_quadrilateral(field, seed) for seed in range(60)]
@@ -88,7 +87,8 @@ def test_brute_bisectors_equal_definition_per_line():
         for q in quads:
             expected = set()
             for line in lines:
-                m = is_bisector(q, line)
+                m = bisector_by_definition(q, line)
+                assert is_bisector(q, line) == m, (p, q, line)
                 if m is not None:
                     expected.add(Bisector(line, m))
             assert brute_bisectors(q) == expected, (p, q)
@@ -283,8 +283,8 @@ def _pair_redundancy_by_definition(q, bisectors):
 
 def bisector_field_by_definition(q, pairs):
     """Every line of every pair, taken once, bisects every pair it crosses,
-    always with its own midpoint as a bisector of q: the kernel's Scalar
-    predicates, as (lines checked, violations)."""
+    always with its own midpoint as a bisector of q: the Scalar definition,
+    as (lines checked, violations)."""
     seen = set()
     out = []
     for pair in pairs:
@@ -292,15 +292,13 @@ def bisector_field_by_definition(q, pairs):
             if line in seen:
                 continue
             seen.add(line)
-            m = is_bisector(q, line)
+            m = bisector_by_definition(q, line)
             if m is None:
                 out.append(f"{line} is not a bisector")
                 continue
             for other in pairs:
-                if not crosses(line, other):
-                    continue
                 got = mid_cross(line, other)
-                if got != m:
+                if got is not None and got != m:
                     out.append(f"{line} crosses {other} at midpoint {got}, expected {m}")
     return len(seen), out
 
@@ -308,7 +306,8 @@ def bisector_field_by_definition(q, pairs):
 def _desargues_by_definition(q):
     """desargues_reflection on the fixture's probe lines through the
     kernel's Involution: chart_point of each crossing, the involution of the
-    first and third pairs, and desargues_involution of the line."""
+    first and third pairs, and desargues_involution of the line, against the
+    Scalar definition of a bisector."""
     from bisectrix import oracle
 
     if not q.proper:
@@ -332,7 +331,7 @@ def _desargues_by_definition(q):
             continue
         if inv != inv13:
             out.append(f"{line}: the three conjugate pairs disagree")
-        bisects = is_bisector(q, line) is not None
+        bisects = bisector_by_definition(q, line) is not None
         if inv.is_reflection() != bisects:
             out.append(f"{line}: reflection={inv.is_reflection()} but bisector={bisects}")
     return len(lines), out
@@ -469,3 +468,22 @@ def test_verify_all_frees_its_memo_when_it_returns():
     finally:
         gc.enable()
     assert alive == []
+
+
+def test_oracle_runs_the_kernel_bisector_rule():
+    """oracle.py defines no bisector rule of its own: the raw rule it uses
+    is the one bisectors defines and is_bisector runs."""
+    import ast
+    from pathlib import Path
+
+    from bisectrix import bisectors, oracle
+
+    rule = ("_PARALLEL", "_SAME", "_meet", "_mid", "_bisector_mid")
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert defined.isdisjoint(rule)
+    for name in rule:
+        assert getattr(oracle, name) is getattr(bisectors, name), name

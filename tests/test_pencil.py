@@ -143,6 +143,29 @@ def test_degenerations_absent_over_q():
     assert report.absent_witness.sqrt() is None
 
 
+def test_degenerations_witness_builds_no_shifted_conic(monkeypatch):
+    """A pencil member whose asymptotes need a square root is answered by
+    its witness alone, without shifting the conic."""
+
+    def refuse(self, lam):
+        raise AssertionError("degenerations shifted a conic")
+
+    monkeypatch.setattr(Conic, "shift", refuse)
+    absent = 0
+    for seed in range(30):
+        pen = pencil_of(random_quadrilateral(QQ, seed))
+        for beta in range(1, 8):
+            member = pen.member(QQ.one, QQ.scalar(beta))
+            disc = member.leading_discriminant()
+            if disc.is_zero() or disc.sqrt() is not None:
+                continue
+            report = degenerations(member)
+            assert report.entries == () and report.family is None
+            assert report.absent_witness == disc
+            absent += 1
+    assert absent > 100
+
+
 def test_degenerations_ellipse_parabola_empty():
     ellipse = conic(QQ, 1, 0, 1, 0, 0, -1)
     parabola = conic(QQ, 1, 0, 0, 0, -1, 0)

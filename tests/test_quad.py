@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -22,7 +23,7 @@ from bisectrix.errors import (
     DuplicateLine,
     GeometryError,
 )
-from bisectrix.oracle import random_quadrilateral
+from bisectrix.oracle import enumerate_lines, random_quadrilateral
 from conftest import make_quad, slope_product, standard_by_transform
 
 
@@ -141,6 +142,38 @@ def test_standard_form_parallelogram(e2):
     for diagonal in e2.diagonal_lines:
         image = f.apply(diagonal)
         assert image in (Line.parse(QQ, "Y=0"), Line.parse(QQ, "X=0"))
+
+
+def _standard_form_by_repairing(q):
+    """A parallelogram's standard form by re-pairing: that of the first
+    valid quadrilateral of its quadrangle that is no parallelogram, with the
+    cyclic labels rotated one step (BA'B'A) when its A and A' are parallel."""
+    other = next(c for c in requadrilate(q.quadrangle())
+                 if isinstance(c, Quadrilateral) and not c.is_parallelogram())
+    if other.a.is_parallel(other.a2):
+        other = Quadrilateral(other.b, other.a2, other.b2, other.a)
+    return standard_form(other)
+
+
+def test_standard_form_parallelograms_gf5():
+    """Every ordered parallelogram over GF(5) with A.B at the origin: the
+    diagonals carried to the axes give the re-pairing's (f, mu).  Every
+    ordered parallelogram is a translate of one of these, and translation
+    changes neither parallelism nor the pairing the re-pairing takes."""
+    g5 = GF(5)
+    classes = {}
+    for line in enumerate_lines(g5):
+        classes.setdefault(line.infinite_point(), []).append(line)
+    checked = 0
+    for lines_a, lines_b in permutations(classes.values(), 2):
+        a, b = (next(l for l in ls if l.v.is_zero()) for ls in (lines_a, lines_b))
+        for a2 in lines_a:
+            for b2 in lines_b:
+                if a2 != a and b2 != b:
+                    q = Quadrilateral(a, b, a2, b2)
+                    assert standard_form(q) == _standard_form_by_repairing(q), q
+                    checked += 1
+    assert checked == 6 * 5 * 4 * 4
 
 
 def test_standard_form_always_nonzero_mu():
