@@ -20,6 +20,7 @@ import pytest
 from bisectrix import (
     AffineMap, Bisector, Line, LinePair, QuadraticData, Quadrilateral, bisectors, form, pencil,
 )
+from bisectrix.bisectors import _mid
 from bisectrix.cli import main
 
 SEEDS = (1, 2, 3)
@@ -115,6 +116,18 @@ def _apply_line_sheared(apply):
     return defect
 
 
+def _both_pairs_crossed(bisector_mid):
+    """The bisector rule demanding that a line cross both opposite-side pairs."""
+
+    def defect(crossings, p):
+        a, a2, b, b2 = crossings
+        if _mid(a, a2, p) is None or _mid(b, b2, p) is None:
+            return None
+        return bisector_mid(crossings, p)
+
+    return defect
+
+
 def _negated(predicate):
     return lambda *args: not predicate(*args)
 
@@ -191,6 +204,17 @@ DEFECTS = {
         AffineMap, "apply", _apply_line_sheared, {
             "GFp:7": ("affine_invariance", {"affine_invariance"}),
             "Q": ("affine_invariance", {"affine_invariance"}),
+        },
+    ),
+    "bisector_rule_both_pairs": (
+        bisectors, "_bisector_mid", _both_pairs_crossed, {
+            "GFp:7": ("vertex_line_bisectors",
+                      {"closed_form_oracle", "desargues_reflection", "locus_midpoints",
+                       "parallel_bisectors", "pencil_degenerations", "repairing_bisectors",
+                       "vertex_line_bisectors"}),
+            "Q": ("locus_midpoints",
+                  {"bisector_field", "locus_midpoints", "partner_involution",
+                   "pencil_degenerations"}),
         },
     ),
     "parallelogram_vertices_negated": (
