@@ -6,7 +6,8 @@ intersection points (the line's own infinite point if exactly one of them
 is at infinity).  A line bisects a quadrilateral when its midpoints across
 the two opposite-side pairs it crosses agree; that common point is the
 midpoint of the bisector and is always affine.  is_bisector runs this rule
-on raw coefficients (_bisector_mid), and so do the oracle's sweeps.
+on raw coefficients (_bisector_mid); the oracle solves it once per parallel
+class and applies it line by line only to the lines that are sides.
 """
 
 from __future__ import annotations

@@ -1,22 +1,30 @@
 """Definition-level reference computations and theorem verification.
 
 Everything here goes straight to the definitions: bisectors are found by
-testing every line of a finite plane against the midpoint condition, never
+judging every line of a finite plane against the midpoint condition, never
 through the closed-form equations, so this module is the independent side
 of every dual-route check.
 
-Over GF(p) the sweeps run on raw residues (ints in [0, p)): the line sweep
-of brute_bisectors and of desargues_reflection, the crossings of
-bisector_field, the direction and midpoint buckets of pair_redundancy, and
-the locus zero set shared by closed_form_oracle and locus_midpoints.
-Objects are built only for violation texts.  Over Q the same helpers take
-p = None and run on the Scalars' Fractions, so bisector_field and
-desargues_reflection each judge both fields by one rule and differ only in
-the lines fed in: every line when exhaustive, the sides and diagonals or the
-probe lines in the fixture.  Whether a line bisects is judged by the
-kernel's own rule, the raw functions of bisectors that is_bisector runs: it
-is the definition itself, not a closed form, so every closed form is still
-checked against an independent route.
+Over GF(p) the exhaustive checks run on raw residues (ints in [0, p)), one
+parallel class tX - uY + v = 0 at a time, where every crossing with a fixed
+line is affine in the offset v.  brute_bisectors solves the definition once
+per class: the bisecting offsets of a class are none, one or every v, and
+only the lines that are sides are judged one by one.  desargues_reflection
+clears a class whole by exact identities in v between the kernel's class
+polynomials and the oracle's own exchange rows, and walks it line by line,
+by the same per-line judgement as over Q, only when that fails.  The
+crossings of bisector_field, the direction and midpoint buckets of
+pair_redundancy, and the locus zero set shared by closed_form_oracle and
+locus_midpoints are raw as well.  Objects are built only for violation
+texts.  Over Q the same helpers take p = None and run on the Scalars'
+Fractions, so bisector_field and desargues_reflection each judge both fields
+by one rule and differ only in the lines fed in: every line when
+exhaustive, the sides and diagonals or the probe lines in the fixture.
+Whether a line bisects is judged by the kernel's own rule, the raw
+functions of bisectors that is_bisector runs, or by its per-class solution
+in brute_bisectors, which a small-p test pins to it line by line: it is the
+definition itself, not a closed form, so every closed form is still checked
+against an independent route.
 
 One verify_all call asks the kernel once per quadrilateral for each of
 quadratic_data, bisector_locus and q_partner of a line (_Context.once), and
@@ -114,48 +122,77 @@ def _zero_set(conic, p: int) -> set[tuple[int, int]]:
     return found
 
 
-def _sweep(field: PrimeField, refs):
-    """Every line tX - uY + v = 0 of GF(p)^2 in enumerate_lines order, as
-    raw residues (t, u, v, crossings): crossings[i] is where the line meets
-    refs[i], an affine (x, y), _PARALLEL or _SAME.
+def _class_crossings(t, u, refs, p: int | None) -> list:
+    """Where the lines tX - uY + v = 0 of one parallel class meet each raw
+    line (rt, ru, rv) of refs, by Cramer's rule with the class's determinant
+    inverted once: (x0, x1, y0, y1) for the crossing (x0 + x1*v, y0 + y1*v),
+    or None when the reference line is in the class (it is then the line at
+    offset rv, and parallel to every other line of the class)."""
+    out = []
+    for rt, ru, rv in refs:
+        det = u * rt - t * ru
+        if not (det % p if p else det):
+            out.append(None)
+            continue
+        inv = pow(det, -1, p) if p else 1 / det
+        crossing = (-u * rv * inv, ru * inv, -t * rv * inv, rt * inv)
+        out.append(tuple(c % p for c in crossing) if p else crossing)
+    return out
 
-    The lines of one parallel class share each intersection determinant, so
-    it is inverted once per class and reference line, and the crossing is
-    then affine in the offset v.
+
+def _class_bisectors(t, u, sides, p: int):
+    """The bisectors of the class tX - uY + v = 0 of GF(p)^2, for the raw
+    sides A, A', B and B': (v, midpoint) in increasing v.
+
+    Off the offsets of the sides in the class, the midpoint of a pair with
+    no side in the class is affine in v, so the definition is solved once
+    for the class.  With no side in the class, the two midpoints agree at
+    no v, one v or every v.  With one side of a pair in the class, that
+    pair's midpoint is at infinity and no line bisects.  With both sides of
+    a pair in the class, only the other pair is crossed and every line
+    bisects.  The lines that are sides are judged by the rule itself,
+    _bisector_mid.
     """
-    p = field.p
-    raw = [_raw_line(l) for l in refs]
-    for u_s, t_s in _p1(field):
-        u, t = u_s.value, t_s.value
-        columns = []
-        for rt, ru, rv in raw:
-            det = (u * rt - t * ru) % p
-            if det:
-                inv = pow(det, -1, p)
-                x0, dx = -u * rv * inv, ru * inv
-                y0, dy = -t * rv * inv, rt * inv
-                columns.append([((x0 + v * dx) % p, (y0 + v * dy) % p) for v in range(p)])
-            else:
-                # The reference line is in this class: it is the line at offset rv.
-                column = [_PARALLEL] * p
-                column[rv] = _SAME
-                columns.append(column)
-        for v, crossings in enumerate(zip(*columns)):
-            yield t, u, v, crossings
+    crossings = _class_crossings(t, u, sides, p)
+    in_class = {side[2] for side, c in zip(sides, crossings) if c is None}
+    # Each pair's midpoint doubled, (x0, x1, y0, y1) as for a crossing.
+    sums = [None if c1 is None or c2 is None else [a + b for a, b in zip(c1, c2)]
+            for c1, c2 in (crossings[:2], crossings[2:])]
+    if None not in sums:
+        d0, d1, e0, e1 = ((a - b) % p for a, b in zip(*sums))
+        if d1 or e1:
+            v = -d0 * pow(d1, -1, p) % p if d1 else -e0 * pow(e1, -1, p) % p
+            solved = [v] if (d0 + d1 * v) % p == (e0 + e1 * v) % p == 0 else []
+        else:
+            solved = range(p) if d0 == e0 == 0 else []
+    else:
+        solved = range(p) if len(in_class) == 2 else []
+    x0, x1, y0, y1 = next(s for s in sums if s is not None)
+    half = (p + 1) // 2
+    for v in sorted({*solved, *in_class}):
+        if v in in_class:
+            at = [(_SAME if side[2] == v else _PARALLEL) if c is None
+                  else ((c[0] + c[1] * v) % p, (c[2] + c[3] * v) % p)
+                  for side, c in zip(sides, crossings)]
+            m = _bisector_mid(at, p)
+            if m is not None:
+                yield v, m
+        else:
+            yield v, ((x0 + x1 * v) * half % p, (y0 + y1 * v) * half % p)
 
 
 def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
-    """Every line of the finite plane tested against the definition (the
-    rule of bisectors.is_bisector, applied to raw residues)."""
+    """Every line of the finite plane judged by the definition, the rule of
+    bisectors.is_bisector: solved once per parallel class on raw residues
+    (see _class_bisectors)."""
     field = q.field
     if not isinstance(field, PrimeField):
         raise InfiniteField("brute-force bisectors need a finite field")
+    sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
     found = set()
-    for t, u, v, crossings in _sweep(field, (q.a, q.a2, q.b, q.b2)):
-        m = _bisector_mid(crossings, field.p)
-        if m is not None:
-            line = Line(field.scalar(t), field.scalar(u), field.scalar(v))
-            found.add(Bisector(line, _point(field, m)))
+    for u, t in _p1(field):
+        for v, m in _class_bisectors(t.value, u.value, sides, field.p):
+            found.add(Bisector(Line(t, u, field.scalar(v)), _point(field, m)))
     return found
 
 
@@ -302,31 +339,33 @@ def _fixture_probe_lines(q) -> list[Line]:
     return out[:4]
 
 
-def _chart_pairs(u, crossings):
-    """The chart parameters (see form.chart_point) of a raw line's crossings
-    with the three pairs of opposite sides of a quadrangle, as homogeneous
-    pairs: the chart reads X, or Y on a vertical line (u = 0), and [1 : 0]
-    is the line's infinite point.  The line avoids the vertices and each
-    side holds two, so no crossing is _SAME."""
-    axis = 0 if u else 1
-    params = [(1, 0) if c is _PARALLEL else (c[axis], 1) for c in crossings]
-    return [(params[0], params[1]), (params[2], params[3]), (params[4], params[5])]
+def _chart_parameters(t, u, refs, p: int | None) -> list[tuple]:
+    """The chart parameters (see form.chart_point) where the lines of the
+    class tX - uY + v = 0 meet each raw line of refs, as homogeneous
+    [x0 + x1*v : y] triples (x0, x1, y): the chart reads X, or Y on a
+    vertical line (u = 0), and [1 : 0] is the line's infinite point, where
+    it meets a reference line of its own direction."""
+    axis = 0 if u else 2
+    return [(1, 0, 0) if c is None else (c[axis], c[axis + 1], 1)
+            for c in _class_crossings(t, u, refs, p)]
 
 
 def _quadrangle_sides(qr: Quadrangle) -> list[Line]:
     return [l for pair in qr.opposite_side_pairs() for l in pair.lines]
 
 
-def _desargues_sweep(qr: Quadrangle):
-    """Each line tX - uY + v = 0 of the finite plane that avoids qr's
-    vertices, as raw residues (t, u, v, pairs): pairs holds the chart
-    parameters (see _chart_pairs) where it meets the three pairs of opposite
-    sides, read off one raw-residue sweep."""
+def _desargues_classes(qr: Quadrangle):
+    """Each parallel class tX - uY + v = 0 of the finite plane, in
+    enumerate_lines order, as raw residues (t, u, offsets, params): the
+    offsets v whose line passes through a vertex of qr, and the chart
+    parameters (see _chart_parameters) of the class's crossings with the
+    six sides of qr, two per pair of opposite sides."""
     p = qr.field.p
     vertices = [_raw_point(pt) for pt in qr.points]
-    for t, u, v, crossings in _sweep(qr.field, _quadrangle_sides(qr)):
-        if not any((t * x - u * y + v) % p == 0 for x, y in vertices):
-            yield t, u, v, _chart_pairs(u, crossings)
+    sides = [_raw_line(l) for l in _quadrangle_sides(qr)]
+    for u, t in _p1(qr.field):
+        t, u = t.value, u.value
+        yield t, u, {(u * y - t * x) % p for x, y in vertices}, _chart_parameters(t, u, sides, p)
 
 
 def _raw_exchange_row(pair) -> tuple:
@@ -353,62 +392,195 @@ def _degeneracy(m, p: int | None) -> str | None:
     return None
 
 
+def _desargues_line(pencil, params, v, bisects: bool, p: int | None) -> list[str]:
+    """The Desargues check on the line at offset v of a class: the kernel's
+    class polynomials (pencil, lowest degree first) at v against the
+    oracle's exchange rows of the line's three conjugate pairs (params, see
+    _chart_parameters), and the reflection m2 = 0 against bisects."""
+    m = []
+    for coeffs in pencil:
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * v + c
+        m.append(acc % p if p else acc)
+    points = [((x0 + x1 * v) % p if p else x0 + x1 * v, y) for x0, x1, y in params]
+    problems = []
+    reason = _degeneracy(m, p)
+    if reason:
+        problems.append(f"involution underdetermined ({reason})")
+    rows = [_raw_exchange_row(points[i:i + 2]) for i in (0, 2, 4)]
+    conjugate = []
+    for r0, r1, r2 in rows:
+        dot = r0 * m[0] + r1 * m[1] + r2 * m[2]
+        conjugate.append(not (dot % p if p else dot))
+    if not conjugate[2]:
+        problems.append("third pair not conjugate")
+    m13 = _raw_cross(rows[0], rows[2], p)
+    reason = _degeneracy(m13, p)
+    if reason:
+        problems.append(f"involution underdetermined ({reason})")
+    elif any(_raw_cross(m, m13, p)) or not (conjugate[0] and conjugate[1]):
+        problems.append("the three conjugate pairs disagree")
+    reflection = m[2] == 0
+    if reflection != bisects:
+        problems.append(f"reflection={reflection} but bisector={bisects}")
+    return problems
+
+
+def _vanishes_off(poly, offsets, p: int) -> bool:
+    """Whether a polynomial in v (ints, lowest degree first) vanishes at
+    every v of GF(p) outside offsets: exactly when poly * prod(v - k) over
+    the offsets k is 0 modulo v^p - v.  A product of degree below p needs no
+    reduction, and is nonzero when poly is."""
+    if not any(c % p for c in poly):
+        return True
+    if len(poly) + len(offsets) <= p:
+        return False
+    poly = list(poly)
+    for k in offsets:
+        poly = [(a - k * b) % p for a, b in zip([0, *poly], [*poly, 0])]
+    for i in range(len(poly) - 1, p - 1, -1):  # v^i = v^(i - p + 1) on GF(p)
+        poly[i - p + 1] += poly[i]
+        poly[i] = 0
+    return not any(c % p for c in poly)
+
+
+def _roots_within(poly, offsets, p: int) -> bool:
+    """Whether every root in GF(p) of a polynomial of degree at most 2
+    (reduced ints, lowest degree first) lies in offsets, which miss some v."""
+    c0, c1, c2 = (*poly, 0, 0)[:3]
+    if not c2:
+        return c0 != 0 if not c1 else -c0 * pow(c1, -1, p) % p in offsets
+    disc = (c1 * c1 - 4 * c0 * c2) % p
+    if not disc:
+        return -c1 * pow(2 * c2, -1, p) % p in offsets
+    if pow(disc, (p - 1) // 2, p) != 1:
+        return True
+    return sum(1 for k in offsets if (c0 + k * (c1 + k * c2)) % p == 0) == 2
+
+
+def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool:
+    """Whether _desargues_line passes every line of a class off its vertex
+    offsets, decided by exact identities in v; a class not cleared is
+    walked line by line.
+
+    The chart parameters (params) are affine in v, so the exchange row
+    (s, e, -pi) of each pair has degrees at most (1, 0, 2); the kernel's
+    triple m (pencil) is decided only within degrees (2, 3, 1).  Off the
+    offsets, a class is cleared when:
+    - each row dotted with m vanishes (_vanishes_off): all three pairs are
+      conjugate;
+    - m13 = r0 x r2 of the first and third pairs is nondegenerate: its
+      m13_0^2 + m13_1*m13_2 equals the product of the four cross
+      determinants [P, Q] = x_P*y_Q - x_Q*y_P of their points (an identity,
+      checked here rather than trusted), and every root of each factor is
+      a vertex offset.  Then m, orthogonal to two independent rows, is
+      c*m13, so the pairs agree and m0^2 + m1*m2 = c^2 (m13_0^2 + ...);
+    - m is nonzero: at a root of m2, m0 or m1 is nonzero; where m2 vanishes
+      on the whole class, m0 has no root, since m0^2 = c^2 (...) there;
+    - the roots of m2 are the offsets in bisecting.
+    """
+    m = []
+    for coeffs, size in zip(pencil, (3, 4, 2)):
+        coeffs = [c % p for c in coeffs]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        if len(coeffs) > size:
+            return False
+        m.append(coeffs + [0] * (size - len(coeffs)))
+    (a0, a1, a2), (b0, b1, b2, b3), (c0, c1) = m
+    rows = []
+    for (x0, x1, y), (z0, z1, w) in zip(params[::2], params[1::2]):
+        s, e, q = (x0 * w + y * z0, x1 * w + y * z1), y * w, (x0 * z0, x0 * z1 + x1 * z0, x1 * z1)
+        dot = (
+            s[0] * a0 + e * b0 - q[0] * c0,
+            s[0] * a1 + s[1] * a0 + e * b1 - q[0] * c1 - q[1] * c0,
+            s[0] * a2 + s[1] * a1 + e * b2 - q[1] * c1 - q[2] * c0,
+            s[1] * a2 + e * b3 - q[2] * c1,
+        )
+        if not _vanishes_off(dot, offsets, p):
+            return False
+        rows.append((s, e, q))
+    (s, e, q), _, (s2, e2, q2) = rows
+    n0 = [e2 * x - e * y for x, y in zip(q, q2)]
+    n1 = [s[0] * q2[0] - s2[0] * q[0],
+          s[0] * q2[1] + s[1] * q2[0] - s2[0] * q[1] - s2[1] * q[0],
+          s[0] * q2[2] + s[1] * q2[1] - s2[0] * q[2] - s2[1] * q[1],
+          s[1] * q2[2] - s2[1] * q[2]]
+    n2 = [x * e2 - y * e for x, y in zip(s, s2)]
+    f, g, h, k = [(x0 * w - z0 * y, x1 * w - z1 * y)
+                  for x0, x1, y in params[:2] for z0, z1, w in params[4:]]
+    fg = (f[0] * g[0], f[0] * g[1] + f[1] * g[0], f[1] * g[1])
+    hk = (h[0] * k[0], h[0] * k[1] + h[1] * k[0], h[1] * k[1])
+    if any(x % p for x in (
+        n0[0] * n0[0] + n1[0] * n2[0] - fg[0] * hk[0],
+        2 * n0[0] * n0[1] + n1[0] * n2[1] + n1[1] * n2[0] - fg[0] * hk[1] - fg[1] * hk[0],
+        n0[1] * n0[1] + 2 * n0[0] * n0[2] + n1[1] * n2[1] + n1[2] * n2[0]
+        - fg[0] * hk[2] - fg[1] * hk[1] - fg[2] * hk[0],
+        2 * n0[1] * n0[2] + n1[2] * n2[1] + n1[3] * n2[0] - fg[1] * hk[2] - fg[2] * hk[1],
+        n0[2] * n0[2] + n1[3] * n2[1] - fg[2] * hk[2],
+    )):
+        return False
+    if not all(_roots_within([c % p for c in factor], offsets, p) for factor in (f, g, h, k)):
+        return False
+    on_lines = bisecting - offsets
+    if _vanishes_off(m[2], offsets, p):
+        return len(on_lines) == p - len(offsets) and _roots_within(m[0], offsets, p)
+    reflections = {-c0 * pow(c1, -1, p) % p} - offsets if c1 else set()
+    return reflections == on_lines and all(
+        (a0 + r * (a1 + r * a2)) % p or (b0 + r * (b1 + r * (b2 + r * b3))) % p
+        for r in reflections
+    )
+
+
 def _check_desargues(q, ctx):
     """On each line that avoids the vertices (every one when exhaustive,
     else the probe lines), the kernel's class polynomials
-    (form.desargues_pencil) at the line's offset against the oracle's own
-    exchange rows of the line's three conjugate pairs, and the reflection
-    m2 = 0 against the line's bisecting."""
+    (form.desargues_pencil) against the oracle's own exchange rows of the
+    line's three conjugate pairs, and the reflection m2 = 0 against the
+    line's bisecting (_desargues_line).  Exhaustive verify judges each
+    parallel class whole (_desargues_class_cleared) against the bisecting
+    offsets of brute_bisectors, and walks it line by line only when that
+    cannot clear it."""
     if not q.proper:
         return 0, []
     qr = q.quadrangle()
     field = q.field
     p = getattr(field, "p", None)
+    pencils = {}
+
+    def pencil(t, u):
+        if (t, u) not in pencils:
+            triple = desargues_pencil(qr, field.scalar(t), field.scalar(u))
+            pencils[t, u] = [[c.value for c in m] for m in triple]
+        return pencils[t, u]
+
+    count = 0
     if ctx.exhaustive:
-        lines = _desargues_sweep(qr)
-        bisecting = {_raw_line(b.line) for b in ctx.brute(q)}
+        bisecting = {}
+        for b in ctx.brute(q):
+            t, u, v = _raw_line(b.line)
+            bisecting.setdefault((t, u), set()).add(v)
+        lines = []
+        for t, u, offsets, params in _desargues_classes(qr):
+            if len(offsets) == p:  # every line of the class meets a vertex
+                continue
+            on_class = bisecting.get((t, u), set())
+            if _desargues_class_cleared(pencil(t, u), params, offsets, on_class, p):
+                count += p - len(offsets)
+            else:
+                lines += [(t, u, v, params, v in on_class) for v in range(p) if v not in offsets]
     else:
         probes = [_raw_line(l) for l in _fixture_probe_lines(q)]
         sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
-        bisecting = {l for l in probes if _bisector_mid([_meet(l, s, p) for s in sides], p)}
         opposite = [_raw_line(l) for l in _quadrangle_sides(qr)]
-        lines = [(*l, _chart_pairs(l[1], [_meet(l, s, p) for s in opposite])) for l in probes]
-    pencils = {}
+        lines = [(*l, _chart_parameters(*l[:2], opposite, p),
+                  _bisector_mid([_meet(l, s, p) for s in sides], p) is not None)
+                 for l in probes]
     out = []
-    count = 0
-    for t, u, v, pairs in lines:
+    for t, u, v, params, bisects in lines:
         count += 1
-        pencil = pencils.get((t, u))
-        if pencil is None:
-            triple = desargues_pencil(qr, field.scalar(t), field.scalar(u))
-            pencil = pencils[t, u] = [[c.value for c in reversed(m)] for m in triple]
-        m = []
-        for coeffs in pencil:
-            acc = 0
-            for c in coeffs:
-                acc = acc * v + c
-            m.append(acc % p if p else acc)
-        problems = []
-        reason = _degeneracy(m, p)
-        if reason:
-            problems.append(f"involution underdetermined ({reason})")
-        rows = [_raw_exchange_row(pair) for pair in pairs]
-        conjugate = []
-        for r0, r1, r2 in rows:
-            dot = r0 * m[0] + r1 * m[1] + r2 * m[2]
-            conjugate.append(not (dot % p if p else dot))
-        if not conjugate[2]:
-            problems.append("third pair not conjugate")
-        m13 = _raw_cross(rows[0], rows[2], p)
-        reason = _degeneracy(m13, p)
-        if reason:
-            problems.append(f"involution underdetermined ({reason})")
-        elif any(_raw_cross(m, m13, p)) or not (conjugate[0] and conjugate[1]):
-            problems.append("the three conjugate pairs disagree")
-        reflection = m[2] == 0
-        bisects = (t, u, v) in bisecting
-        if reflection != bisects:
-            problems.append(f"reflection={reflection} but bisector={bisects}")
+        problems = _desargues_line(pencil(t, u), params, v, bisects, p)
         if problems:
             line = Line(field.scalar(t), field.scalar(u), field.scalar(v))
             out.extend(f"{line}: {problem}" for problem in problems)
@@ -769,7 +941,7 @@ class _Context:
     def __init__(self, exhaustive: bool, seed: int):
         self.exhaustive = exhaustive
         self.seed = seed
-        # Keys hold no reference back to the context: the sweeps it keeps
+        # Keys hold no reference back to the context: the bisector sets it keeps
         # are freed when verify_all returns, not by the cycle collector.
         self._answers: dict = {}
         self._lines: dict[Quadrilateral, list[Line]] = {}
@@ -805,7 +977,7 @@ def verify_all(q: Quadrilateral, profile: str = "fixture", seed: int = 0) -> lis
     """Run the registered theorem checks against one quadrilateral.
 
     profile "fixture" runs the non-enumerative checks over any field;
-    "exhaustive" additionally sweeps every line, point and pencil member
+    "exhaustive" additionally judges every line, point and pencil member
     and requires a finite field.
     """
     if profile not in ("fixture", "exhaustive"):

@@ -209,9 +209,9 @@ DEFECTS = {
     "bisector_rule_both_pairs": (
         bisectors, "_bisector_mid", _both_pairs_crossed, {
             "GFp:7": ("vertex_line_bisectors",
-                      {"closed_form_oracle", "desargues_reflection", "locus_midpoints",
-                       "parallel_bisectors", "pencil_degenerations", "repairing_bisectors",
-                       "vertex_line_bisectors"}),
+                      {"bisector_field", "closed_form_oracle", "locus_midpoints",
+                       "parallel_bisectors", "partner_involution", "pencil_degenerations",
+                       "repairing_bisectors", "vertex_line_bisectors"}),
             "Q": ("locus_midpoints",
                   {"bisector_field", "locus_midpoints", "partner_involution",
                    "pencil_degenerations"}),

@@ -22,9 +22,11 @@ from bisectrix import (
     verify_all,
 )
 from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
-from bisectrix.oracle import Lcg64, _desargues_sweep
+from bisectrix.oracle import Lcg64, _desargues_classes
 from conftest import E1_SIDES, SPECIAL_SIDES, bisector_by_definition, make_quad, mid_cross
-from test_defects import _inject, alpha_plus_one, partner_shifted
+from test_defects import (
+    _exchange_row_first_negated, _inject, _m2_constant_plus_one, alpha_plus_one, partner_shifted,
+)
 
 
 def test_enumerate_lines_counts():
@@ -77,8 +79,8 @@ def test_oracle_equivalence():
 
 def test_brute_bisectors_equal_definition_per_line():
     """is_bisector answers every line as the Scalar definition does, and the
-    raw-residue sweep finds exactly the lines it accepts, with the same
-    midpoints."""
+    per-class solve of brute_bisectors finds exactly the lines it accepts,
+    with the same midpoints."""
     for p in (3, 5, 7, 11, 13):
         field = GF(p)
         quads = [random_quadrilateral(field, seed) for seed in range(60)]
@@ -94,31 +96,153 @@ def test_brute_bisectors_equal_definition_per_line():
             assert brute_bisectors(q) == expected, (p, q)
 
 
-def test_desargues_sweep_pairs_equal_chart_points():
-    """The oracle's homogeneous int pairs on every swept line equal, up to
-    scale, the chart parameters of the kernel's intersection points."""
+def test_desargues_class_parameters_equal_chart_points():
+    """Each class's chart-parameter polynomials, evaluated at every offset
+    off the vertices, equal up to scale the chart parameters of the kernel's
+    intersection points, and the offsets left are exactly the lines that
+    avoid the vertices, in enumerate_lines order."""
     for p in (7, 11):
         field = GF(p)
         quads = [random_quadrilateral(field, seed) for seed in range(12)]
         quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
         for q in (q for q in quads if q.proper):
             qr = q.quadrangle()
-            swept = list(_desargues_sweep(qr))
             avoiding = [
                 l for l in enumerate_lines(field) if not any(l.contains(v) for v in qr.points)
             ]
-            lines = [Line(*(field.scalar(c) for c in (t, u, v))) for t, u, v, _ in swept]
+            lines = []
+            for t, u, offsets, params in _desargues_classes(qr):
+                assert len(params) == 6
+                for v in (v for v in range(p) if v not in offsets):
+                    line = Line(*(field.scalar(c) for c in (t, u, v)))
+                    lines.append(line)
+                    expected = [
+                        chart_point(line, intersect(line, m))
+                        for pair in qr.opposite_side_pairs() for m in pair.lines
+                    ]
+                    for (x0, x1, y), point in zip(params, expected):
+                        x = (x0 + x1 * v) % p
+                        assert (x, y) != (0, 0)
+                        assert (point.x.value * y - point.y.value * x) % p == 0, (line, point)
             assert lines == avoiding
-            for line, (*_, pairs) in zip(lines, swept):
-                expected = [
-                    chart_point(line, intersect(line, m))
-                    for pair in qr.opposite_side_pairs() for m in pair.lines
-                ]
-                got = [point for pair in pairs for point in pair]
-                assert len(got) == len(expected) == 6
-                for (x, y), point in zip(got, expected):
-                    assert (x, y) != (0, 0)
-                    assert (point.x.value * y - point.y.value * x) % p == 0, (line, point)
+
+
+def test_exhaustive_desargues_decides_classes_as_the_walk_does(monkeypatch):
+    """Exhaustive desargues_reflection, which clears whole parallel classes
+    by identities in v, reports exactly what it reports when every class is
+    walked line by line: at p = 3, 5, 7 and 11, where degrees reach p and
+    the reduction modulo v^p - v decides, on sound kernels (where no class
+    is walked) and with two Desargues defects."""
+    from bisectrix import form, oracle
+
+    defects = (None, ("desargues_pencil", _m2_constant_plus_one),
+               ("_exchange_row", _exchange_row_first_negated))
+    cleared = oracle._desargues_class_cleared
+    decisions = []
+
+    def counted(*args):
+        decisions.append(cleared(*args))
+        return decisions[-1]
+
+    for defect in defects:
+        with monkeypatch.context() as patch:
+            if defect:
+                _inject(patch, form, *defect)
+            violations = 0
+            for p in (3, 5, 7, 11):
+                field = GF(p)
+                quads = [random_quadrilateral(field, seed) for seed in range(12)]
+                quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+                for q in (q for q in quads if q.proper):
+                    ctx = oracle._Context(True, 0)
+                    patch.setattr(oracle, "_desargues_class_cleared", counted)
+                    decided = oracle._check_desargues(q, ctx)
+                    patch.setattr(oracle, "_desargues_class_cleared", lambda *args: False)
+                    assert decided == oracle._check_desargues(q, ctx), (defect, p, q)
+                    violations += len(decided[1])
+            assert (violations > 0) == (defect is not None)
+        # Sound kernels clear every class; a defect sends some to the walk.
+        assert decisions and all(decisions) == (defect is None), defect
+        del decisions[:]
+
+
+def test_class_decision_root_rules_equal_evaluation():
+    """The two root rules of the class decision against evaluation at every
+    v of GF(p): a polynomial vanishes off the offsets, and a polynomial of
+    degree at most 2 has its roots among them."""
+    from bisectrix import oracle
+
+    rng = Lcg64(7)
+    for p in (3, 5, 7, 11):
+        for _ in range(400):
+            offsets = {rng.below(p) for _ in range(rng.below(p))}
+            poly = [rng.below(p) if rng.below(3) else 0 for _ in range(1 + rng.below(8))]
+            if rng.below(4) == 0:  # a multiple of the product of v - k off the offsets
+                for k in (k for k in range(p) if k not in offsets):
+                    poly = [(a - k * b) % p for a, b in zip([0, *poly], [*poly, 0])]
+            values = [sum(c * v ** i for i, c in enumerate(poly)) % p for v in range(p)]
+            off = [x for v, x in enumerate(values) if v not in offsets]
+            assert oracle._vanishes_off(poly, offsets, p) == (not any(off)), (p, poly, offsets)
+            if len(poly) <= 3 and len(offsets) < p:
+                assert oracle._roots_within(poly, offsets, p) == all(off), (p, poly, offsets)
+
+
+def _poly_times(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def _poly_minus(f, g, p):
+    size = max(len(f), len(g))
+    f, g = f + [0] * (size - len(f)), g + [0] * (size - len(g))
+    return [(a - b) % p for a, b in zip(f, g)]
+
+
+def test_class_decision_clears_only_classes_the_walk_passes():
+    """On crafted classes, whenever _desargues_class_cleared clears one,
+    _desargues_line finds no problem on any of its lines.  A class of a
+    real quadrangle with a conjugate pencil never fails the later clauses
+    (cross-determinant roots, m nonzero, reflections against bisecting
+    offsets), so these classes are built to reach them: random chart
+    parameters with the second pair a copy of the first, random vertex
+    offsets, the pencil a random multiple c(v) * (r0 x r2) of the oracle's
+    own rows, and bisecting offsets that are the reflections or random."""
+    from bisectrix import oracle
+
+    rng = Lcg64(11)
+    cleared = 0
+    for p in (3, 5, 7, 11):
+        for _ in range(600):
+            points = [(1, 0, 0) if rng.below(4) == 0 else (rng.below(p), rng.below(p), 1)
+                      for _ in range(4)]
+            params = points[:2] * 2 + points[2:]
+            rows = []
+            for (x0, x1, y), (z0, z1, w) in (points[:2], points[2:]):
+                rows.append(([x0 * w + y * z0, x1 * w + y * z1], [y * w],
+                             [-x0 * z0, -(x0 * z1 + x1 * z0), -x1 * z1]))
+            r, s = rows
+            m13 = [_poly_minus(_poly_times(r[i], s[j], p), _poly_times(r[j], s[i], p), p)
+                   for i, j in ((1, 2), (2, 0), (0, 1))]
+            c = [rng.below(p) for _ in range(1 + rng.below(2))]
+            pencil = [_poly_times(c, m, p) for m in m13]
+            offsets = {rng.below(p) for _ in range(rng.below(p))}
+            off = [v for v in range(p) if v not in offsets]
+            if not off:
+                continue
+            m2_at = [sum(a * v ** i for i, a in enumerate(pencil[2])) % p for v in off]
+            if rng.below(2):
+                bisecting = {v for v, x in zip(off, m2_at) if x == 0}
+            else:
+                bisecting = {v for v in range(p) if rng.below(2)}
+            if oracle._desargues_class_cleared(pencil, params, offsets, bisecting, p):
+                cleared += 1
+                for v in off:
+                    assert not oracle._desargues_line(pencil, params, v, v in bisecting, p), (
+                        p, pencil, params, offsets, bisecting, v)
+    assert cleared > 100
 
 
 def test_random_quadrilateral_deterministic():
@@ -180,8 +304,9 @@ def test_verify_all_flags_corrupted_data():
 
 def test_exhaustive_desargues_compares_every_swept_line(monkeypatch):
     """With m2 made a nonzero constant, so that no line is a reflection,
-    every swept bisector is a violation, and the triple fails the sweep's
-    conjugate pairs elsewhere."""
+    every bisector off the vertices is a violation, in the classes walked
+    because the per-class route cannot clear them, and the triple fails the
+    walked lines' conjugate pairs elsewhere."""
     from bisectrix import oracle
 
     pencil = oracle.desargues_pencil
@@ -453,7 +578,7 @@ def test_bisector_lines_come_in_the_same_order_in_every_process():
 
 
 def test_verify_all_frees_its_memo_when_it_returns():
-    """The context of one verify_all call holds its sweeps and kernel
+    """The context of one verify_all call holds its bisector sets and kernel
     answers; no reference cycle may keep it alive until the next cyclic
     collection."""
     import gc
