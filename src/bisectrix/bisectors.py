@@ -13,16 +13,23 @@ class and applies it line by line only to the lines that are sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .errors import FieldMismatch, InvariantViolation, NotABisector, NotBisectors
+from .errors import InvariantViolation, NotABisector, NotBisectors
 from .field import Scalar
 from .form import QuadraticData, phi, q_orthogonal, quadratic_data
 from .pencil import Conic
 from .plane import (
+    _PARALLEL,
     Line,
     LinePair,
     PlanePoint,
     Point,
+    _field_of,
+    _meet,
+    _mid,
+    _point,
+    _raw_line,
     intersect,
     line_from_points,
     midpoint,
@@ -41,51 +48,6 @@ class AllLinesThrough:
     """Marker result: every line through center bisects (parallelogram case)."""
 
     center: Point
-
-
-# Raw values: a line is its canonical (t, u, v) and a point its (x, y), as
-# ints in [0, p) over GF(p) or as the Scalars' Fractions over Q, where p is
-# None and nothing is reduced.
-
-# A raw line's crossing with another, when it is not an affine point.
-_PARALLEL = "parallel"
-_SAME = "same line"
-
-
-def _raw_line(line: Line) -> tuple:
-    return (line.t.value, line.u.value, line.v.value)
-
-
-def _point(field, xy) -> Point:
-    return Point(field.scalar(xy[0]), field.scalar(xy[1]))
-
-
-def _meet(l, m, p: int | None):
-    """Where raw line l meets raw line m (plane.intersect): an affine
-    (x, y), _PARALLEL or _SAME."""
-    t, u, v = l
-    mt, mu, mv = m
-    det = u * mt - t * mu
-    if not (det % p if p else det):
-        return _SAME if l == m else _PARALLEL
-    inv = pow(det, -1, p) if p else 1 / det
-    x, y = (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
-    return (x % p, y % p) if p else (x, y)
-
-
-def _mid(c1, c2, p: int | None):
-    """A line's midpoint across a pair it meets at c1 and c2 (see _meet):
-    None when the line does not cross the pair, _PARALLEL for the line's
-    own infinite point."""
-    if c1 is _SAME or c2 is _SAME or (c1 is _PARALLEL and c2 is _PARALLEL):
-        return None
-    if c1 is _PARALLEL or c2 is _PARALLEL:
-        return _PARALLEL
-    x, y = c1[0] + c2[0], c1[1] + c2[1]
-    if p:
-        half = (p + 1) // 2
-        return (x * half % p, y * half % p)
-    return (x / 2, y / 2)
 
 
 def _bisector_mid(crossings, p: int | None):
@@ -107,9 +69,7 @@ def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
     come out as bisectors of themselves); agreement with the third pair of
     the quadrangle is a theorem, not part of the predicate.
     """
-    field = q.field
-    if l.field is not field:
-        raise FieldMismatch(f"{l.field.name} vs {field.name}")
+    field = _field_of(l, q)
     p = getattr(field, "p", None)
     raw = _raw_line(l)
     m = _bisector_mid([_meet(raw, _raw_line(side), p) for side in (q.a, q.a2, q.b, q.b2)], p)
@@ -194,19 +154,10 @@ def bisector_locus(q: Quadrilateral) -> LocusConic:
 
 
 def nine_points(qr: Quadrangle) -> list[PlanePoint]:
-    """Six vertex-pair midpoints followed by the three diagonal points."""
-    p0, p1, p2, p3 = qr.points
-    points: list[PlanePoint] = [
-        midpoint(p0, p1),
-        midpoint(p0, p2),
-        midpoint(p0, p3),
-        midpoint(p1, p2),
-        midpoint(p1, p3),
-        midpoint(p2, p3),
-    ]
-    for pair in qr.opposite_side_pairs():
-        points.append(intersect(pair.a, pair.b))
-    return points
+    """The midpoints of the six vertex pairs (01, 02, 03, 12, 13, 23)
+    followed by the three diagonal points."""
+    points: list[PlanePoint] = [midpoint(a, b) for a, b in combinations(qr.points, 2)]
+    return points + [intersect(pair.a, pair.b) for pair in qr.opposite_side_pairs()]
 
 
 def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:

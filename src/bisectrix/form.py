@@ -43,11 +43,14 @@ class QuadraticData:
 
 
 def quadratic_data(q: Quadrilateral) -> QuadraticData:
-    """The (alpha, beta, gamma) triple from the raw canonical coefficients.
+    """The (alpha, beta, gamma) triple from the raw canonical coefficients,
+    memoised on q.
 
     No rescaling is applied; proportionality of the triples across
     re-pairings of a quadrangle is a theorem, not a normalization.
     """
+    if q._quadratic_data is not None:
+        return q._quadratic_data
     ta, ua = q.a.t, q.a.u
     tb, ub = q.b.t, q.b.u
     tc, uc = q.a2.t, q.a2.u
@@ -55,7 +58,8 @@ def quadratic_data(q: Quadrilateral) -> QuadraticData:
     alpha = ta * ub * uc * ud - ua * tb * uc * ud + ua * ub * tc * ud - ua * ub * uc * td
     beta = ta * ub * tc * ud - ua * tb * uc * td
     gamma = ta * tb * tc * ud - ta * tb * uc * td + ta * ub * tc * td - ua * tb * tc * td
-    return QuadraticData(alpha, beta, gamma)
+    object.__setattr__(q, "_quadratic_data", QuadraticData(alpha, beta, gamma))
+    return q._quadratic_data
 
 
 def phi(d: QuadraticData, vx: Scalar, vy: Scalar) -> Scalar:

@@ -45,15 +45,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .bisectors import (
-    _PARALLEL,
-    _SAME,
     AllLinesThrough,
     Bisector,
     _bisector_mid,
-    _meet,
-    _mid,
-    _point,
-    _raw_line,
     bisector_locus,
     bisector_through,
     is_bisector,
@@ -65,7 +59,20 @@ from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisector
 from .field import Field, PrimeField, Scalar
 from .form import desargues_pencil, inner, lambda_q, phi, quadratic_data
 from .pencil import center, degenerations, is_degeneration_of, pencil_of
-from .plane import AffineMap, InfPoint, Line, LinePair, Point
+from .plane import (
+    _PARALLEL,
+    _SAME,
+    AffineMap,
+    InfPoint,
+    Line,
+    LinePair,
+    Point,
+    _meet,
+    _mid,
+    _point,
+    _raw_line,
+    _raw_point,
+)
 from .quad import Quadrangle, Quadrilateral, requadrilate
 
 _MAX_TRIES = 10000  # rejection-sampling attempts of random_quadrilateral
@@ -106,10 +113,6 @@ def enumerate_lines(field: Field) -> list[Line]:
 def lines_through(field: Field, p: Point) -> list[Line]:
     """All p + 1 lines of GF(p)^2 through a point."""
     return [Line(t, u, u * p.y - t * p.x) for u, t in _p1(field)]
-
-
-def _raw_point(point: Point) -> tuple:
-    return (point.x.value, point.y.value)
 
 
 def _zero_set(conic, p: int) -> set[tuple[int, int]]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInput, InvariantViolation
 from .field import Frozen, Scalar
-from .plane import InfPoint, Line, LinePair, PlanePoint, Point
+from .plane import InfPoint, Line, LinePair, PlanePoint, Point, _field_of, _raw_point
 from .quad import Quadrilateral
 
 _COEFF_NAMES = ("a", "b", "c", "d", "e", "f")
@@ -84,11 +84,11 @@ class Conic(Frozen):
         return Conic(a, b, c, d, e, f + lam)
 
     def evaluate(self, p: Point) -> Scalar:
-        x, y = p.x, p.y
-        return (
-            self.a * x * x + self.b * x * y + self.c * y * y
-            + self.d * x + self.e * y + self.f
-        )
+        field = _field_of(self, p)
+        a, b, c, d, e, f = (x.value for x in self.coeffs)
+        x, y = _raw_point(p)
+        value = (a * x + b * y + d) * x + (c * y + e) * y + f
+        return field.scalar(value)
 
     def evaluate_infinite(self, p: InfPoint) -> Scalar:
         """Homogenized value at [x : y : 0], i.e. the leading form."""

@@ -63,7 +63,9 @@ class InfPoint(Frozen):
 
 PlanePoint = Union[Point, InfPoint]
 
-_SLOPE_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?)?)\*?X(.*)$", re.IGNORECASE)
+# The slope sugar mX+b: a '*' needs a coefficient, and the tail after X is
+# empty or a sign and a scalar.
+_SLOPE_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?\*?)?)X([+-][\d.][^X]*)?$", re.IGNORECASE)
 
 
 class Line(Frozen):
@@ -112,19 +114,19 @@ class Line(Frozen):
             return cls(field.one, field.zero, -c)
         if upper.startswith("Y="):
             rest = upper[2:]
+            if "X" not in rest:
+                return cls(field.zero, field.one, field.parse(rest))
             m = _SLOPE_RE.match(rest)
-            if m:
-                coeff, tail = m.group(1), m.group(2)
-                if coeff in ("", "+"):
-                    slope = field.one
-                elif coeff == "-":
-                    slope = -field.one
-                else:
-                    slope = field.parse(coeff)
-                intercept = field.parse(tail) if tail else field.zero
+            if m is None:
+                raise DegenerateInput(f"cannot parse line literal {text!r}")
+            coeff, tail = m.group(1).rstrip("*"), m.group(2)
+            if coeff in ("", "+"):
+                slope = field.one
+            elif coeff == "-":
+                slope = -field.one
             else:
-                slope = field.zero
-                intercept = field.parse(rest)
+                slope = field.parse(coeff)
+            intercept = field.parse(tail) if tail else field.zero
             return cls(slope, field.one, intercept)
         parts = text.split()
         if len(parts) != 3:
@@ -188,21 +190,77 @@ def line_det(l1: Line, l2: Line) -> Scalar:
     return l1.u * l2.t - l1.t * l2.u
 
 
+# Raw values: a line is its canonical (t, u, v) and a point its (x, y), as
+# ints in [0, p) over GF(p) or as the Scalars' Fractions over Q, where p is
+# None and nothing is reduced.  The meet and midpoint rules below are the
+# only ones; intersect and midpoint wrap them.
+
+# A raw line's crossing with another, when it is not an affine point.
+_PARALLEL = "parallel"
+_SAME = "same line"
+
+
+def _raw_line(line: Line) -> tuple:
+    return (line.t.value, line.u.value, line.v.value)
+
+
+def _raw_point(point: Point) -> tuple:
+    return (point.x.value, point.y.value)
+
+
+def _point(field: Field, xy) -> Point:
+    """The Point of a canonical raw (x, y)."""
+    return Point(field._make(xy[0]), field._make(xy[1]))
+
+
+def _meet(l, m, p: int | None):
+    """Where raw line l meets raw line m: an affine (x, y), _PARALLEL or
+    _SAME, by Cramer's rule on line_det."""
+    t, u, v = l
+    mt, mu, mv = m
+    det = u * mt - t * mu
+    if not (det % p if p else det):
+        return _SAME if l == m else _PARALLEL
+    inv = pow(det, -1, p) if p else 1 / det
+    x, y = (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
+    return (x % p, y % p) if p else (x, y)
+
+
+def _mid(c1, c2, p: int | None):
+    """A line's midpoint across a pair it meets at c1 and c2 (see _meet):
+    None when the line does not cross the pair, _PARALLEL for the line's
+    own infinite point, else the midpoint of the two affine points."""
+    if c1 is _SAME or c2 is _SAME or (c1 is _PARALLEL and c2 is _PARALLEL):
+        return None
+    if c1 is _PARALLEL or c2 is _PARALLEL:
+        return _PARALLEL
+    # Division by 2 is always possible: characteristic != 2.
+    x, y = c1[0] + c2[0], c1[1] + c2[1]
+    if p:
+        half = (p + 1) // 2
+        return (x * half % p, y * half % p)
+    return (x / 2, y / 2)
+
+
+def _field_of(a, b) -> Field:
+    """The field of two kernel values; FieldMismatch when they differ."""
+    if a.field is not b.field:
+        raise FieldMismatch(f"{a.field.name} vs {b.field.name}")
+    return a.field
+
+
 def intersect(l1: Line, l2: Line) -> PlanePoint:
     """Intersection point; at infinity when the lines are parallel."""
-    if l1 == l2:
+    field = _field_of(l1, l2)
+    c = _meet(_raw_line(l1), _raw_line(l2), getattr(field, "p", None))
+    if c is _SAME:
         raise IdenticalLines("lines coincide")
-    det = line_det(l1, l2)
-    if det.is_zero():
-        return l1.infinite_point()
-    x = (l1.v * l2.u - l1.u * l2.v) / det
-    y = (l1.v * l2.t - l1.t * l2.v) / det
-    return Point(x, y)
+    return l1.infinite_point() if c is _PARALLEL else _point(field, c)
 
 
 def midpoint(p: Point, q: Point) -> Point:
-    # Division by 2 is always possible: characteristic != 2.
-    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+    field = _field_of(p, q)
+    return _point(field, _mid(_raw_point(p), _raw_point(q), getattr(field, "p", None)))
 
 
 class AffineMap(Frozen):

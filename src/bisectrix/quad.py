@@ -4,8 +4,8 @@ A quadrilateral ABA'B' is four distinct lines in cyclic order with opposite
 pairs {A, A'} and {B, B'}; adjacent sides may not be parallel and the four
 lines may not be concurrent.  Three sides through one point are allowed
 (improper case, two coincident vertices).  All derived data is computed
-eagerly at validation time, except the standard form, which is memoised on
-first use.
+eagerly at validation time on raw values (see plane), except the standard
+form and the quadratic data (form.quadratic_data), memoised on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from .errors import (
     Concurrent4Lines,
     DegenerateInput,
     DuplicateLine,
+    FieldMismatch,
     GeometryError,
     InvariantViolation,
 )
@@ -25,6 +26,10 @@ from .plane import (
     LinePair,
     PlanePoint,
     Point,
+    _meet,
+    _mid,
+    _point,
+    _raw_line,
     intersect,
     line_det,
     line_from_points,
@@ -38,44 +43,46 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
     __slots__ = (
         "a", "b", "a2", "b2",
         "vertices", "centroid", "proper", "double_vertex",
-        "diagonal_lines", "line_pairs", "_standard",
+        "diagonal_lines", "line_pairs", "_standard", "_quadratic_data",
     )
 
     def __init__(self, a: Line, b: Line, a2: Line, b2: Line):
         sides = (a, b, a2, b2)
+        field = a.field
+        if any(side.field is not field for side in sides):
+            raise FieldMismatch("quadrilateral sides from different fields")
+        p = getattr(field, "p", None)
+        raw = [_raw_line(side) for side in sides]
+        if len(set(raw)) < 4:
+            raise DuplicateLine("sides must be four distinct lines")
         for i in range(4):
-            for j in range(i + 1, 4):
-                if sides[i] == sides[j]:
-                    raise DuplicateLine("sides must be four distinct lines")
-        for l1, l2 in ((a, b), (b, a2), (a2, b2), (b2, a)):
-            if l1.is_parallel(l2):
-                raise AdjacentParallel(f"adjacent sides {l1} and {l2} are parallel")
-        v0 = intersect(a, b)
-        if a2.contains(v0) and b2.contains(v0):
+            j = (i + 1) % 4
+            if raw[i][:2] == raw[j][:2]:
+                raise AdjacentParallel(f"adjacent sides {sides[i]} and {sides[j]} are parallel")
+        # Vertex i is where sides i and i + 1 meet; all four sides pass
+        # through v0 exactly when v0 = v1 = v2.
+        v = [_meet(raw[i], raw[(i + 1) % 4], p) for i in range(4)]
+        if v[0] == v[1] == v[2]:
             raise Concurrent4Lines("all four sides pass through one point")
-        v1 = intersect(b, a2)
-        v2 = intersect(a2, b2)
-        v3 = intersect(b2, a)
-        vertices = (v0, v1, v2, v3)
-        centroid = Point(
-            (v0.x + v1.x + v2.x + v3.x) / 4,
-            (v0.y + v1.y + v2.y + v3.y) / 4,
-        )
-        m03_12 = midpoint(midpoint(v0, v3), midpoint(v1, v2))
-        m01_23 = midpoint(midpoint(v0, v1), midpoint(v2, v3))
+        quarter = field.scalar(4).inverse().value
+        centroid = tuple(s * quarter % p if p else s * quarter for s in map(sum, zip(*v)))
+        m03_12 = _mid(_mid(v[0], v[3], p), _mid(v[1], v[2], p), p)
+        m01_23 = _mid(_mid(v[0], v[1], p), _mid(v[2], v[3], p), p)
         if not centroid == m03_12 == m01_23:
             raise InvariantViolation("the centroid is the midpoint of both bimedians")
+        vertices = tuple(_point(field, xy) for xy in v)
         double = None
         for i in range(4):
-            if vertices[i] == vertices[(i + 1) % 4]:
+            if v[i] == v[(i + 1) % 4]:
                 double = vertices[i]
         # For an improper quadrilateral these come out as the pair of
         # opposite sides through the double vertex.
-        diagonals = (line_from_points(v0, v2), line_from_points(v1, v3))
+        diagonals = (line_from_points(vertices[0], vertices[2]),
+                     line_from_points(vertices[1], vertices[3]))
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
         self._write(
-            a, b, a2, b2, vertices, centroid, double is None, double, diagonals,
-            ((a, a2), (b, b2), diagonals), None,
+            a, b, a2, b2, vertices, _point(field, centroid), double is None, double, diagonals,
+            ((a, a2), (b, b2), diagonals), None, None,
         )
 
     @property
@@ -210,6 +217,6 @@ def standard_form(q: Quadrilateral) -> tuple[AffineMap, Scalar]:
     mu = line_det(a, b) * line_det(a, b2) / (line_det(a2, b) * line_det(a2, b2))
     if mu.is_zero():
         raise InvariantViolation("the standard form has nonzero mu")
-    # The memo is the one slot written after __init__.
+    # The memos here and in form.quadratic_data are the slots written after __init__.
     object.__setattr__(q, "_standard", (f, mu))
     return q._standard

@@ -1,6 +1,10 @@
 import pytest
 
-from bisectrix import GF, InfPoint, Line, LinePair, QQ, Quadrilateral, intersect, midpoint
+from bisectrix import GF, InfPoint, Line, LinePair, Point, QQ, Quadrilateral
+from bisectrix.errors import (
+    AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, IdenticalLines,
+)
+from bisectrix.plane import line_det
 
 
 def make_quad(field, *literals):
@@ -25,6 +29,61 @@ def standard_by_transform(q, f):
     return out
 
 
+# The plane arithmetic on Scalar objects, the tests' reference for the raw
+# meet and midpoint rules (plane._meet, plane._mid) that intersect, midpoint
+# and Quadrilateral run.
+
+
+def intersect_by_scalars(l1, l2):
+    """Cramer's rule on line_det: the meet of two lines, at infinity when
+    they are parallel."""
+    if l1 == l2:
+        raise IdenticalLines("lines coincide")
+    det = line_det(l1, l2)
+    if det.is_zero():
+        return l1.infinite_point()
+    return Point((l1.v * l2.u - l1.u * l2.v) / det, (l1.v * l2.t - l1.t * l2.v) / det)
+
+
+def midpoint_by_scalars(p, q):
+    return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def line_from_points_by_scalars(p, q):
+    if p == q:
+        raise DegenerateInput("two coincident points do not span a line")
+    dx, dy = q.x - p.x, q.y - p.y
+    return Line(dy, dx, dx * p.y - dy * p.x)
+
+
+def quadrilateral_by_scalars(a, b, a2, b2):
+    """The derived data of Quadrilateral(a, b, a2, b2) by the validation
+    rules on Scalars, or the error the rules raise: duplicate sides,
+    parallel adjacent sides, four concurrent sides."""
+    sides = (a, b, a2, b2)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if sides[i] == sides[j]:
+                raise DuplicateLine("sides must be four distinct lines")
+    for l1, l2 in ((a, b), (b, a2), (a2, b2), (b2, a)):
+        if l1.is_parallel(l2):
+            raise AdjacentParallel(f"adjacent sides {l1} and {l2} are parallel")
+    v0 = intersect_by_scalars(a, b)
+    if a2.contains(v0) and b2.contains(v0):
+        raise Concurrent4Lines("all four sides pass through one point")
+    v = (v0, intersect_by_scalars(b, a2), intersect_by_scalars(a2, b2), intersect_by_scalars(b2, a))
+    centroid = Point(sum((p.x for p in v[1:]), v0.x) / 4, sum((p.y for p in v[1:]), v0.y) / 4)
+    double = None
+    for i in range(4):
+        if v[i] == v[(i + 1) % 4]:
+            double = v[i]
+    diagonals = (line_from_points_by_scalars(v[0], v[2]), line_from_points_by_scalars(v[1], v[3]))
+    return {
+        "vertices": v, "centroid": centroid, "proper": double is None, "double_vertex": double,
+        "diagonal_lines": diagonals, "line_pairs": ((a, a2), (b, b2), diagonals),
+    }
+
+
 # The bisector definition on Scalar objects, the tests' reference for the
 # kernel's raw rule (bisectors._bisector_mid).
 
@@ -35,10 +94,10 @@ def mid_cross(l, pair):
     cross the pair: when l is one of its lines or parallel to both."""
     if l in pair.lines or (l.is_parallel(pair.a) and l.is_parallel(pair.b)):
         return None
-    p1, p2 = intersect(l, pair.a), intersect(l, pair.b)
+    p1, p2 = intersect_by_scalars(l, pair.a), intersect_by_scalars(l, pair.b)
     if isinstance(p1, InfPoint) or isinstance(p2, InfPoint):
         return l.infinite_point()
-    return midpoint(p1, p2)
+    return midpoint_by_scalars(p1, p2)
 
 
 def bisector_by_definition(q, l):

@@ -59,7 +59,8 @@ def test_is_bisector_rejects_a_line_of_another_field():
 def test_bisector_rule_needs_a_crossed_pair():
     """No valid quadrilateral has a line that crosses neither opposite-side
     pair, so the raw rule reports one as a kernel bug."""
-    from bisectrix.bisectors import _PARALLEL, _SAME, _bisector_mid
+    from bisectrix.bisectors import _bisector_mid
+    from bisectrix.plane import _PARALLEL, _SAME
 
     for p in (7, None):
         with pytest.raises(InvariantViolation):

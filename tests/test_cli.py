@@ -141,6 +141,14 @@ def test_invalid_quad_exit_2(capsys):
     assert "AdjacentParallel" in err
 
 
+def test_malformed_slope_sugar_exit_2(capsys):
+    code, out, err = run(
+        capsys, "--field", "Q", "--quad", "Y=0; Y=X2; X=0; Y=2X-1", "--cmd", "analyze"
+    )
+    assert (code, out) == (2, [])
+    assert "DegenerateInput: cannot parse line literal 'Y=X2'" in err
+
+
 def test_pencil_member(capsys):
     code, out, _ = run(
         capsys, "--field", "Q", "--quad", E1_QUAD, "--cmd", "pencil",

@@ -20,7 +20,7 @@ import pytest
 from bisectrix import (
     AffineMap, Bisector, Line, LinePair, QuadraticData, Quadrilateral, bisectors, form, pencil,
 )
-from bisectrix.bisectors import _mid
+from bisectrix.plane import _mid
 from bisectrix.cli import main
 
 SEEDS = (1, 2, 3)

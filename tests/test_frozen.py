@@ -70,7 +70,8 @@ def test_values_reject_assignment_and_deletion(e1):
 def test_values_copy_and_pickle(e1):
     """copy, deepcopy and a pickle round trip rebuild an equal value of the
     same type, although the slots refuse setattr."""
-    standard_form(e1)  # the memo slot is copied too
+    standard_form(e1)  # the memo slots are copied too
+    quadratic_data(e1)
     for value in _values(e1) + [GF(7).scalar(3)]:
         for clone in (
             copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
@@ -84,6 +85,16 @@ def test_standard_form_memo_keeps_equality_and_hash(e1, e2, improper):
         before = hash(q)
         result = standard_form(q)
         assert standard_form(q) is result
+        assert q == Quadrilateral(*q.sides)
+        assert hash(q) == before == hash(Quadrilateral(*q.sides))
+
+
+def test_quadratic_data_memo_keeps_equality_and_hash(e1, e2, improper):
+    for q in (e1, e2, improper):
+        before = hash(q)
+        result = quadratic_data(q)
+        assert quadratic_data(q) is result
+        assert result == quadratic_data(Quadrilateral(*q.sides))
         assert q == Quadrilateral(*q.sides)
         assert hash(q) == before == hash(Quadrilateral(*q.sides))
 

@@ -596,19 +596,38 @@ def test_verify_all_frees_its_memo_when_it_returns():
 
 
 def test_oracle_runs_the_kernel_bisector_rule():
-    """oracle.py defines no bisector rule of its own: the raw rule it uses
-    is the one bisectors defines and is_bisector runs."""
+    """Each raw rule has one home: plane.py alone defines the meet and
+    midpoint rule and its raw helpers, bisectors.py alone the bisector rule
+    (_bisector_mid).  No other module of the package defines any of them;
+    bisectors, quad, pencil and oracle hold the home module's objects, and
+    the defect matrix takes _mid from plane."""
     import ast
     from pathlib import Path
 
-    from bisectrix import bisectors, oracle
+    from bisectrix import bisectors, oracle, pencil, plane, quad
 
-    rule = ("_PARALLEL", "_SAME", "_meet", "_mid", "_bisector_mid")
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
-    defined = {node.name for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                for target in node.targets if isinstance(target, ast.Name)}
-    assert defined.isdisjoint(rule)
-    for name in rule:
-        assert getattr(oracle, name) is getattr(bisectors, name), name
+    homes = dict.fromkeys(("_PARALLEL", "_SAME", "_raw_line", "_raw_point", "_point",
+                           "_meet", "_mid"), plane)
+    homes["_bisector_mid"] = bisectors
+
+    def tree(path):
+        return ast.parse(Path(path).read_text(encoding="utf-8"))
+
+    for path in Path(plane.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(tree(path)))
+        defined = {node.name for node in nodes
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in nodes if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        owned = {name for name, home in homes.items() if Path(home.__file__) == path}
+        assert defined & homes.keys() == owned, path.name
+    for module in (bisectors, quad, pencil, oracle):
+        used = [name for name in homes if name in vars(module)]
+        assert used, module.__name__
+        for name in used:
+            assert getattr(module, name) is getattr(homes[name], name), (module.__name__, name)
+    defects = tree(Path(__file__).with_name("test_defects.py"))
+    imports = {(node.module, alias.name) for node in ast.walk(defects)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert ("bisectrix.plane", "_mid") in imports
+    assert all(module == homes[name].__name__ for module, name in imports if name in homes)

@@ -13,8 +13,9 @@ from bisectrix import (
     line_from_points,
     midpoint,
 )
-from bisectrix.errors import DegenerateInput, IdenticalLines, SingularMap
+from bisectrix.errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
 from bisectrix.oracle import Lcg64, enumerate_lines, random_line, random_quadrilateral
+from conftest import intersect_by_scalars, midpoint_by_scalars
 
 
 def pt(x, y, field=QQ):
@@ -108,6 +109,27 @@ def test_canonicalization_idempotent_and_round_trip():
         assert Line.parse(g7, str(line)) == line
 
 
+# The slope sugar: literal, then the canonical line it denotes.
+_SUGAR = (
+    ("Y=X", "Y=X"), ("Y=-X-1", "Y=-X-1"), ("Y=+X+1/2", "Y=X+1/2"), ("Y=2*X+3", "Y=2X+3"),
+    ("y=2x+1", "Y=2X+1"), ("Y = 2 X + 1", "Y=2X+1"), ("Y=1/2X", "Y=1/2X"), ("Y=X+1.5", "Y=X+3/2"),
+    ("Y=-7/2", "Y=-7/2"), ("Y=3", "Y=3"),
+)
+# Malformed sugar: a '*' without a coefficient, or a tail after X that is
+# not a sign and a scalar.  These used to read Y=X+2, Y=2X+3, Y=X, Y=X+1, ...
+_BAD_SUGAR = ("Y=X2", "Y=2X3", "Y=*X", "Y=X 1", "Y=-*X", "Y=2**X", "Y=X+", "Y=X+2X", "Y=XX",
+              "Y=X--1", "Y=X+ABC")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_slope_sugar_parses_strictly(field):
+    for text, canonical in _SUGAR:
+        assert str(Line.parse(field, text)) == str(Line.parse(field, canonical)), text
+    for text in _BAD_SUGAR:
+        with pytest.raises(DegenerateInput, match="cannot parse line literal"):
+            Line.parse(field, text)
+
+
 def test_parallel_iff_same_infinite_point():
     g5 = GF(5)
     lines = enumerate_lines(g5)
@@ -148,3 +170,55 @@ def test_vertical_line_accessors():
     assert str(l) == "X=3"
     l2 = Line.parse(QQ, "Y=3")
     assert not l2.is_vertical and l2.t == QQ.zero
+
+
+def _meet_or_error(meet, l1, l2):
+    try:
+        return meet(l1, l2)
+    except IdenticalLines as err:
+        return ("IdenticalLines", str(err))
+
+
+def test_intersect_and_midpoint_wrap_the_scalar_rule():
+    """intersect and midpoint run the raw rules of plane; on every pair of
+    lines and of points of GF(3), GF(5) and GF(7) they give what the Scalar
+    rule gives, parallel (InfPoint) and identical (IdenticalLines) pairs
+    included."""
+    for p in (3, 5, 7):
+        field = GF(p)
+        lines = enumerate_lines(field)
+        kinds = set()
+        for l1 in lines:
+            for l2 in lines:
+                got = _meet_or_error(intersect, l1, l2)
+                assert got == _meet_or_error(intersect_by_scalars, l1, l2), (l1, l2)
+                kinds.add(type(got))
+        assert kinds == {Point, InfPoint, tuple}
+        points = [pt(x, y, field) for x in range(p) for y in range(p)]
+        for a in points:
+            for b in points:
+                assert midpoint(a, b) == midpoint_by_scalars(a, b), (a, b)
+
+
+def test_intersect_and_midpoint_over_q_heights():
+    """The same on lines and points over Q with heights up to 10^6/10^3."""
+    rng = Lcg64(17)
+
+    def scalar():
+        return QQ.scalar(Fraction(rng.below(2_000_001) - 1_000_000, rng.below(1000) + 1))
+
+    for _ in range(200):
+        l1 = Line(scalar(), QQ.one, scalar()) if rng.below(6) else Line(QQ.one, QQ.zero, scalar())
+        l2 = Line(l1.t, l1.u, scalar()) if rng.below(6) == 0 else Line(scalar(), QQ.one, scalar())
+        assert _meet_or_error(intersect, l1, l2) == _meet_or_error(intersect_by_scalars, l1, l2)
+        a, b = Point(scalar(), scalar()), Point(scalar(), scalar())
+        assert midpoint(a, b) == midpoint_by_scalars(a, b)
+    line = Line.parse(QQ, "Y=2X+1")
+    assert _meet_or_error(intersect, line, line) == ("IdenticalLines", "lines coincide")
+
+
+def test_intersect_and_midpoint_refuse_mixed_fields():
+    with pytest.raises(FieldMismatch):
+        intersect(Line.parse(QQ, "Y=X"), Line.parse(GF(7), "Y=2X"))
+    with pytest.raises(FieldMismatch):
+        midpoint(pt(0, 0), pt(1, 1, GF(7)))

@@ -12,6 +12,7 @@ from bisectrix import (
     QQ,
     Quadrangle,
     Quadrilateral,
+    intersect,
     midpoint,
     requadrilate,
     standard_form,
@@ -21,10 +22,11 @@ from bisectrix.errors import (
     Concurrent4Lines,
     DegenerateInput,
     DuplicateLine,
+    FieldMismatch,
     GeometryError,
 )
-from bisectrix.oracle import enumerate_lines, random_quadrilateral
-from conftest import make_quad, slope_product, standard_by_transform
+from bisectrix.oracle import Lcg64, enumerate_lines, random_line, random_quadrilateral
+from conftest import make_quad, quadrilateral_by_scalars, slope_product, standard_by_transform
 
 
 def pt(x, y, field=QQ):
@@ -231,3 +233,61 @@ def test_origin_centroid_iff_parallelogram_vertices_gf5():
 def test_quadrangle_validation():
     with pytest.raises(DegenerateInput):
         Quadrangle(pt(0, 0), pt(0, 0), pt(1, 1), pt(2, 2))
+
+
+_DERIVED = ("vertices", "centroid", "proper", "double_vertex", "diagonal_lines", "line_pairs")
+
+
+def _built(construct, sides):
+    """The derived data of a construction, or its error's class and message."""
+    try:
+        q = construct(*sides)
+    except GeometryError as err:
+        return type(err).__name__, str(err)
+    return q if isinstance(q, dict) else {name: getattr(q, name) for name in _DERIVED}
+
+
+def _wide_line(field, rng):
+    """A line with full-size coefficients: 61-bit residues over GF(p), heights
+    up to 10^6/10^3 over Q."""
+    def scalar():
+        if field is QQ:
+            return QQ.scalar(Fraction(rng.below(2_000_001) - 1_000_000, rng.below(1000) + 1))
+        return field.scalar(rng.next_u64())
+
+    return Line(scalar(), field.one, scalar()) if rng.below(8) else Line(field.one, field.zero, scalar())
+
+
+def _side_sets(field, line, n, rng):
+    """n random side quadruples, valid or not, then, from the first valid
+    one ABA'B': a duplicate side, parallel adjacent sides, four sides
+    through the vertex A.B and an improper quadrilateral (A, B and a third
+    side through A.B)."""
+    out = [[line(field, rng) for _ in range(4)] for _ in range(n)]
+    a, b, a2, b2 = next(s for s in out if isinstance(_built(quadrilateral_by_scalars, s), dict))
+    v = intersect(a, b)
+    through = [Line(t, field.one, v.y - t * v.x) for t in map(field.scalar, range(1, 6))]
+    c, d = [l for l in through if not (l.is_parallel(a) or l.is_parallel(b))][:2]
+    return out + [[a, b, a, b2], [a, Line(a.t, a.u, a.v + field.one), a2, b2],
+                  [a, b, c, d], [a, b, c, b2]]
+
+
+def test_quadrilateral_matches_the_scalar_rules():
+    """Quadrilateral validates on raw values; its derived data, and the class
+    and message of each refusal, are those of the rules on Scalars."""
+    rng = Lcg64(5)
+    cases = [(GF(7), random_line, 400), (GF(101), random_line, 120),
+             (GF(2**61 - 1), _wide_line, 60), (QQ, random_line, 120), (QQ, _wide_line, 60)]
+    seen = set()
+    for field, line, n in cases:
+        for sides in _side_sets(field, line, n, rng):
+            got = _built(Quadrilateral, sides)
+            assert got == _built(quadrilateral_by_scalars, sides), sides
+            seen.add(got[0] if isinstance(got, tuple) else got["proper"])
+    assert seen == {True, False, "DuplicateLine", "AdjacentParallel", "Concurrent4Lines"}
+
+
+def test_quadrilateral_refuses_mixed_fields():
+    sides = [Line.parse(QQ, text) for text in ("Y=0", "Y=X+1", "X=0")]
+    with pytest.raises(FieldMismatch):
+        Quadrilateral(*sides, Line.parse(GF(7), "Y=2X-1"))
