@@ -20,11 +20,11 @@ texts.  Over Q the same helpers take p = None and run on the Scalars'
 Fractions, so bisector_field and desargues_reflection each judge both fields
 by one rule and differ only in the lines fed in: every line when
 exhaustive, the sides and diagonals or the probe lines in the fixture.
-Whether a line bisects is judged by the kernel's own rule, the raw
-functions of bisectors that is_bisector runs, or by its per-class solution
-in brute_bisectors, which a small-p test pins to it line by line: it is the
-definition itself, not a closed form, so every closed form is still checked
-against an independent route.
+Whether a line bisects is judged by the kernel's own rule, plane's raw
+meet and midpoint combined by bisectors._bisector_mid as is_bisector runs
+it, or by its per-class solution in brute_bisectors, which a small-p test
+pins to it line by line: it is the definition itself, not a closed form,
+so every closed form is still checked against an independent route.
 
 One verify_all call asks the kernel once per quadrilateral for each of
 quadratic_data, bisector_locus and q_partner of a line (_Context.once), and
