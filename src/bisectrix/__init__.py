@@ -15,11 +15,9 @@ from .field import GF, PrimeField, QQ, Rationals, Scalar
 from .form import (
     Involution,
     QuadraticData,
-    chart_point,
     desargues_involution,
     desargues_pencil,
     inner,
-    involution_from_pairs,
     lambda_q,
     phi,
     q_orthogonal,

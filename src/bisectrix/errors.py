@@ -45,10 +45,6 @@ class DegenerateForm(GeometryError):
     """Quadratic form with vanishing discriminant where nonzero is required."""
 
 
-class UnderdeterminedPairs(GeometryError):
-    """Point pairs do not determine a unique involution."""
-
-
 class NotConjugate(GeometryError):
     """Points that a theorem makes conjugate under an involution are not."""
 

@@ -320,7 +320,10 @@ class Scalar(Frozen):
         return self.field.scalar, (self.value,)
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        # The value alone: equal scalars share a field, and a field hashes by
+        # its address, which would make set order differ from process to
+        # process.  Scalars of different fields merely collide.
+        return hash(self.value)
 
     def sort_key(self):
         """Total order on representations, used only for canonical storage."""

@@ -19,10 +19,9 @@ from .errors import (
     DegenerateInput,
     LineThroughVertex,
     NotConjugate,
-    UnderdeterminedPairs,
 )
 from .field import Frozen, Scalar
-from .plane import InfPoint, Line, PlanePoint, line_det
+from .plane import InfPoint, Line, line_det
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -96,11 +95,6 @@ class Involution(Frozen):
     def fixes(self, p: InfPoint) -> bool:
         return self.conjugate(p, p)
 
-    def is_reflection(self) -> bool:
-        """Fixes the point [1 : 0], i.e. the infinite point of a chart: m2 = 0
-        (m0 is then nonzero, since the matrix squares to a nonzero scalar)."""
-        return self.m2.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, Involution):
             return NotImplemented
@@ -135,45 +129,6 @@ def _cross(r1, r2) -> tuple:
     )
 
 
-def involution_from_pairs(
-    pair1: tuple[InfPoint, InfPoint], pair2: tuple[InfPoint, InfPoint]
-) -> Involution:
-    """The unique involution exchanging both point pairs.
-
-    A trace-free matrix that carries p to q automatically carries q back
-    to p, so each pair contributes one linear constraint; the solution is
-    the cross product of the two constraint rows.
-    """
-    return _solved(_cross(*(_exchange_row((p.x, p.y), (q.x, q.y)) for p, q in (pair1, pair2))))
-
-
-def _solved(m) -> Involution:
-    """The involution of a triple solving two exchange constraints."""
-    if all(x.is_zero() for x in m):
-        raise UnderdeterminedPairs("constraints are linearly dependent")
-    try:
-        return Involution(*m)
-    except DegenerateInput as err:
-        raise UnderdeterminedPairs(str(err)) from err
-
-
-def chart_point(line: Line, p: PlanePoint) -> InfPoint:
-    """Projective parameter of a point of line's closure.
-
-    Affine points are parameterized by their X coordinate (Y for vertical
-    lines) as [x : 1]; the line's own infinite point is [1 : 0].
-    """
-    field = line.field
-    if isinstance(p, InfPoint):
-        if p != line.infinite_point():
-            raise DegenerateInput("infinite point does not lie on the line")
-        return InfPoint(field.one, field.zero)
-    if not line.contains(p):
-        raise DegenerateInput("point does not lie on the line")
-    param = p.y if line.is_vertical else p.x
-    return InfPoint(param, field.one)
-
-
 class _Poly(tuple):
     """A polynomial in the offset v of a parallel class, as its coefficient
     scalars, lowest degree first; the ring desargues_pencil computes in."""
@@ -200,10 +155,13 @@ class _Poly(tuple):
 
 def _class_parameters(qr: Quadrangle, line: Line):
     """Where the lines tX - uY + v = 0 of line's parallel class meet each
-    side of qr, as the chart parameter (see chart_point) [a + b*v : det] of
-    Cramer's rule: one (a, b, det) per side, two per pair of opposite sides.
-    det is the same for every line of the class; a side of the class's
-    direction meets each of its lines at the line's infinite point [1 : 0].
+    side of qr, as the chart parameter [a + b*v : det] of Cramer's rule: one
+    (a, b, det) per side, two per pair of opposite sides.
+
+    The chart of a line reads an affine point as [x : 1], with x its X
+    coordinate, or its Y on a vertical line, and the line's own infinite
+    point as [1 : 0].  det is the same for every line of the class; a side
+    of the class's direction meets each of its lines at [1 : 0].
     """
     t, u = line.t, line.u
     one, zero = t.field.one, t.field.zero
@@ -249,7 +207,8 @@ def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     substituted into the crossing parameters before they are multiplied
     (see _class_parameters); the third pair of opposite sides is conjugate
     under the same involution, which is checked (NotConjugate otherwise).
-    The involution acts on chart parameters (see chart_point).
+    The involution acts on the chart parameters of _class_parameters; it is
+    a reflection, fixing the line's infinite point, exactly when m2 = 0.
     """
     for v in qr.points:
         if line.contains(v):
@@ -258,7 +217,12 @@ def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
         [(a + b * line.v, det) for a, b, det in pair]
         for pair in _class_parameters(qr, line)
     ]
-    inv = _solved(_desargues_triple(params))
+    # Off the vertices the triple is never degenerate: m0^2 + m1*m2 is, up
+    # to sign, the product of the cross determinants of the two pairs'
+    # crossings, which are distinct points (the identity that
+    # oracle._desargues_class_cleared checks), so a DegenerateInput here is
+    # a kernel fault.
+    inv = Involution(*_desargues_triple(params))
     if not inv.conjugate(*(InfPoint(x, y) for x, y in params[2])):
         raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

@@ -15,11 +15,16 @@ polynomials and the oracle's own exchange rows, and walks it line by line,
 by the same per-line judgement as over Q, only when that fails.  The
 crossings of bisector_field, the direction and midpoint buckets of
 pair_redundancy, and the locus zero set shared by closed_form_oracle and
-locus_midpoints are raw as well.  Objects are built only for violation
-texts.  Over Q the same helpers take p = None and run on the Scalars'
-Fractions, so bisector_field and desargues_reflection each judge both fields
-by one rule and differ only in the lines fed in: every line when
-exhaustive, the sides and diagonals or the probe lines in the fixture.
+locus_midpoints are raw as well.  Values are built where a result goes
+back to the kernel or into a set: brute_bisectors makes a Line and a Point
+per bisector (of the re-paired quadrilaterals too, in repairing_bisectors),
+closed_form_oracle a Point per locus zero, vertex_line_bisectors the lines
+through each vertex, and bisector_lines the lines the kernel is asked
+about; violation texts build the rest.  Over Q the same helpers take
+p = None and run on the Scalars' Fractions, so bisector_field and
+desargues_reflection each judge both fields by one rule and differ only in
+the lines fed in: every line when exhaustive, the sides and diagonals or
+the probe lines in the fixture.
 Whether a line bisects is judged by the kernel's own rule, plane's raw
 meet and midpoint combined by bisectors._bisector_mid as is_bisector runs
 it, or by its per-class solution in brute_bisectors, which a small-p test
@@ -33,8 +38,10 @@ its pullback F^T G' F from the image under a random linear map.
 
 The sampler is a plain 64-bit linear congruential generator
 (state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64,
-drawing from the top 32 bits), chosen so any implementation can reproduce
-the same instances from the same seed.
+drawing from the top 32 bits; a range wider than 2^32 concatenates the top
+halves of as many steps as it needs, high half first, before reducing),
+chosen so any implementation can reproduce the same instances from the
+same seed.
 """
 
 from __future__ import annotations
@@ -93,7 +100,13 @@ class Lcg64:
         return self.state
 
     def below(self, n: int) -> int:
-        return (self.next_u64() >> 32) % n
+        """A draw in [0, n): the top 32 bits of one step, reduced mod n; for
+        n > 2^32, the top halves of ceil(log2(n) / 32) steps, concatenated
+        high half first, so every value in range can occur."""
+        x = self.next_u64() >> 32
+        for _ in range(((n - 1).bit_length() - 1) // 32):
+            x = x << 32 | self.next_u64() >> 32
+        return x % n
 
 
 def _p1(field: Field) -> list[tuple[Scalar, Scalar]]:
@@ -343,11 +356,12 @@ def _fixture_probe_lines(q) -> list[Line]:
 
 
 def _chart_parameters(t, u, refs, p: int | None) -> list[tuple]:
-    """The chart parameters (see form.chart_point) where the lines of the
-    class tX - uY + v = 0 meet each raw line of refs, as homogeneous
-    [x0 + x1*v : y] triples (x0, x1, y): the chart reads X, or Y on a
-    vertical line (u = 0), and [1 : 0] is the line's infinite point, where
-    it meets a reference line of its own direction."""
+    """The chart parameters where the lines of the class tX - uY + v = 0
+    meet each raw line of refs, as homogeneous [x0 + x1*v : y] triples
+    (x0, x1, y).  The chart of a line reads an affine point as [x : 1],
+    with x its X coordinate, or its Y on a vertical line (u = 0), and the
+    line's own infinite point, where it meets a reference line of its own
+    direction, as [1 : 0]."""
     axis = 0 if u else 2
     return [(1, 0, 0) if c is None else (c[axis], c[axis + 1], 1)
             for c in _class_crossings(t, u, refs, p)]

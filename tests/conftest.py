@@ -1,6 +1,6 @@
 import pytest
 
-from bisectrix import GF, InfPoint, Line, LinePair, Point, QQ, Quadrilateral
+from bisectrix import GF, InfPoint, Involution, Line, LinePair, Point, QQ, Quadrilateral
 from bisectrix.errors import (
     AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, IdenticalLines,
 )
@@ -109,6 +109,36 @@ def bisector_by_definition(q, l):
     if len(mids) == 2 and mids[0] != mids[1]:
         return None
     return None if isinstance(mids[0], InfPoint) else mids[0]
+
+
+# The involution of two point pairs on Scalar objects, the tests' reference
+# for desargues_involution and desargues_pencil.
+
+
+def involution_from_pairs(pair1, pair2):
+    """The unique involution exchanging both pairs of InfPoints: a
+    trace-free matrix [[m0, m1], [m2, -m0]] that carries p to q carries q
+    back to p, so each pair gives one linear constraint on (m0, m1, m2), and
+    the solution is the cross product of the two rows.  Dependent
+    constraints leave no involution (DegenerateInput)."""
+    (a0, a1, a2), (b0, b1, b2) = (
+        (p.x * q.y + p.y * q.x, p.y * q.y, -(p.x * q.x)) for p, q in (pair1, pair2)
+    )
+    return Involution(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def chart_point(line, p):
+    """The projective parameter of a point of line's closure: [x : 1] for an
+    affine point, x its X coordinate (Y on a vertical line), and [1 : 0]
+    for the line's own infinite point."""
+    field = line.field
+    if isinstance(p, InfPoint):
+        if p != line.infinite_point():
+            raise DegenerateInput("infinite point does not lie on the line")
+        return InfPoint(field.one, field.zero)
+    if not line.contains(p):
+        raise DegenerateInput("point does not lie on the line")
+    return InfPoint(p.y if line.is_vertical else p.x, field.one)
 
 
 def slope_product(std):

@@ -8,13 +8,11 @@ from bisectrix import (
     QQ,
     bisector_locus,
     brute_bisectors,
-    chart_point,
     closed_form_bisectors,
     desargues_involution,
     enumerate_lines,
     inner,
     intersect,
-    involution_from_pairs,
     is_bisector,
     lines_through,
     midpoint,
@@ -23,7 +21,10 @@ from bisectrix import (
 )
 from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
 from bisectrix.oracle import Lcg64, _desargues_classes
-from conftest import E1_SIDES, SPECIAL_SIDES, bisector_by_definition, make_quad, mid_cross
+from conftest import (
+    E1_SIDES, SPECIAL_SIDES, bisector_by_definition, chart_point, involution_from_pairs, make_quad,
+    mid_cross,
+)
 from test_defects import (
     _exchange_row_first_negated, _inject, _m2_constant_plus_one, alpha_plus_one, partner_shifted,
 )
@@ -256,10 +257,26 @@ def test_random_quadrilateral_deterministic():
 
 
 def test_lcg_sequence_stable():
-    rng = Lcg64(1)
-    first = [rng.below(100) for _ in range(5)]
-    rng2 = Lcg64(1)
-    assert first == [rng2.below(100) for _ in range(5)]
+    """The draws of a seed are pinned: a range of at most 2^32 values takes
+    one step of the generator, so every sampled instance keeps its draws."""
+    ranges = (7, 101 * 102, 2**32, 7, 2**32, 101 * 102)
+    pinned = {
+        0: [4, 8653, 2599843874, 5, 1647660250, 8632],
+        1: [2, 1057, 2784682393, 5, 3416422068, 2458],
+        12345: [6, 7886, 3803726085, 5, 1398574760, 3372],
+    }
+    for seed, draws in pinned.items():
+        rng = Lcg64(seed)
+        assert [rng.below(n) for n in ranges] == draws, seed
+
+
+def test_random_quadrilateral_draws_wide_slopes():
+    """Over GF(2^61 - 1) there are about 2^122 lines; sampling reaches
+    slopes beyond 2^32, not only a prefix of horizontal lines."""
+    field = GF(2**61 - 1)
+    for seed in range(5):
+        q = random_quadrilateral(field, seed)
+        assert any(not l.is_vertical and l.t.value >= 2**32 for l in q.sides), seed
 
 
 def test_verify_all_fixture_profiles(e1, e2, improper):
@@ -358,8 +375,9 @@ def test_exhaustive_desargues_builds_one_pencil_per_class(monkeypatch):
 
 def test_fixture_verify_builds_no_kernel_involution(monkeypatch, capsys):
     """Over Q, desargues_reflection reads the kernel only through
-    desargues_pencil: with desargues_involution, involution_from_pairs and
-    chart_point made to raise, verify prints the same lines and exits 0."""
+    desargues_pencil: with desargues_involution, the kernel's one other
+    route to an Involution of a line, made to raise, verify prints the same
+    lines and exits 0."""
     from bisectrix import form
     from bisectrix.cli import main
 
@@ -371,8 +389,7 @@ def test_fixture_verify_builds_no_kernel_involution(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("called a kernel Involution route")
 
-    for name in ("desargues_involution", "involution_from_pairs", "chart_point"):
-        _inject(monkeypatch, form, name, lambda original: refuse)
+    _inject(monkeypatch, form, "desargues_involution", lambda original: refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
 
@@ -430,9 +447,9 @@ def bisector_field_by_definition(q, pairs):
 
 def _desargues_by_definition(q):
     """desargues_reflection on the fixture's probe lines through the
-    kernel's Involution: chart_point of each crossing, the involution of the
-    first and third pairs, and desargues_involution of the line, against the
-    Scalar definition of a bisector."""
+    kernel's Involution: desargues_involution of the line against the
+    reference involution of the first and third pairs' chart points, and
+    its reflection m2 = 0 against the Scalar definition of a bisector."""
     from bisectrix import oracle
 
     if not q.proper:
@@ -457,8 +474,8 @@ def _desargues_by_definition(q):
         if inv != inv13:
             out.append(f"{line}: the three conjugate pairs disagree")
         bisects = bisector_by_definition(q, line) is not None
-        if inv.is_reflection() != bisects:
-            out.append(f"{line}: reflection={inv.is_reflection()} but bisector={bisects}")
+        if inv.m2.is_zero() != bisects:
+            out.append(f"{line}: reflection={inv.m2.is_zero()} but bisector={bisects}")
     return len(lines), out
 
 
@@ -553,9 +570,9 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
         assert q.proper and (profile == "fixture" or repaired)
 
 
-def test_bisector_lines_come_in_the_same_order_in_every_process():
-    """Scalar hashes follow the field object's address, so a set of lines
-    iterates differently per process; the lines a check walks do not."""
+def _printed_in_three_processes(script):
+    """What script prints in each of three fresh interpreters, with the
+    package and the tests importable."""
     import os
     import subprocess
     import sys
@@ -563,18 +580,43 @@ def test_bisector_lines_come_in_the_same_order_in_every_process():
 
     import bisectrix
 
-    script = (
-        "from bisectrix import GF; from bisectrix.oracle import _Context, random_quadrilateral; "
-        "print([str(l) for l in _Context(True, 0).bisector_lines(random_quadrilateral(GF(7), 1))])"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(bisectrix.__file__).resolve().parents[1]))
+    paths = (Path(bisectrix.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     procs = [
         subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
         for _ in range(3)
     ]
     printed = [proc.communicate(timeout=120)[0] for proc in procs]
     assert all(proc.returncode == 0 for proc in procs)
+    return printed
+
+
+def test_bisector_lines_come_in_the_same_order_in_every_process():
+    """The lines a check walks come in the same order in every process:
+    bisector_lines sorts them, and a Scalar hashes by its value alone."""
+    printed = _printed_in_three_processes(
+        "from bisectrix import GF; from bisectrix.oracle import _Context, random_quadrilateral; "
+        "print([str(l) for l in _Context(True, 0).bisector_lines(random_quadrilateral(GF(7), 1))])"
+    )
     assert printed[0].startswith("[") and printed.count(printed[0]) == 3
+
+
+def test_violations_come_in_the_same_order_in_every_process():
+    """Under the both-pairs bisector rule, vertex_line_bisectors and
+    unique_midpoints walk sets of points, whose order follows the Scalar
+    hash: verify over GF(7), seeds 1-5, prints the same violations in the
+    same order in every process."""
+    printed = _printed_in_three_processes(
+        "import pytest\n"
+        "from bisectrix import bisectors\n"
+        "from bisectrix.cli import main\n"
+        "from test_defects import _both_pairs_crossed, _inject\n"
+        "_inject(pytest.MonkeyPatch(), bisectors, '_bisector_mid', _both_pairs_crossed)\n"
+        "main(['--field', 'GFp:7', '--cmd', 'verify', '--seed', '1', '--instances', '5'])\n"
+    )
+    violations = [[l for l in out.splitlines() if l.startswith("violation ")] for out in printed]
+    assert any("vertex_line_bisectors" in l for l in violations[0])
+    assert violations.count(violations[0]) == 3
 
 
 def test_verify_all_frees_its_memo_when_it_returns():
