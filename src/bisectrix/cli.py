@@ -19,6 +19,7 @@ import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 from .bisectors import (
     AllLinesThrough,
@@ -37,8 +38,10 @@ from .svgplot import PLOT_KINDS, render_svg
 
 _FORMATS = ("text", "record")
 
-# The largest p for which verify runs its exhaustive profile over GF(p): its
-# cost grows as p^2, about 0.6 s at p = 101 and 35 s at p = 997.
+# The largest p for which verify runs its exhaustive profile over GF(p):
+# verify_all on random_quadrilateral(GF(p), 3) takes 0.10-0.17 s at p = 101
+# and 1.8-1.9 s at p = 997 on a shared 2-vCPU machine, and bisector_field
+# and the locus zero set still grow as p^2.
 _VERIFY_MAX_P = 1000
 
 
@@ -296,16 +299,6 @@ def cmd_pencil(cfg: JobConfig) -> tuple[int, list[str]]:
     return 0, _emit(records, cfg.format)
 
 
-def _aggregate(reports: list[TheoremReport]) -> list[TheoremReport]:
-    by_tag: dict[str, TheoremReport] = {}
-    for r in reports:
-        agg = by_tag.setdefault(r.tag, TheoremReport(r.tag, r.field_name, 0))
-        agg.instances += r.instances
-        agg.violations += r.violations
-        agg.elapsed += r.elapsed
-    return list(by_tag.values())
-
-
 def _reproduce(field: Field, seed: int, q: Quadrilateral) -> str:
     """The shell command that verifies q alone with the same seed (the --quad
     literal holds no quote character, so single quotes protect it)."""
@@ -320,24 +313,26 @@ def cmd_verify(cfg: JobConfig) -> tuple[int, list[str]]:
         raise ConfigError(f"verify over GF(p) needs p <= {_VERIFY_MAX_P}, got {cfg.field.name}")
     if cfg.timing == "on" and cfg.format != "record":
         raise ConfigError("timing needs --format record")
+    if cfg.quad is None and not cfg.instances:
+        raise ConfigError("verify needs --quad and/or --instances")
     runs = [(cfg.quad, cfg.seed)] if cfg.quad is not None else []
     seeds = range(cfg.seed, cfg.seed + cfg.instances)
-    runs += [(random_quadrilateral(cfg.field, seed), seed) for seed in seeds]
-    if not runs:
-        raise ConfigError("verify needs --quad and/or --instances")
-    reports: list[TheoremReport] = []
+    # One instance at a time: each is drawn when its turn comes and its
+    # reports are folded into the per-tag totals at once.
+    runs = chain(runs, ((random_quadrilateral(cfg.field, seed), seed) for seed in seeds))
+    totals: dict[str, TheoremReport] = {}
     violations: list[str] = []
     for q, seed in runs:
-        found = verify_all(q, profile, seed=seed)
-        reports.extend(found)
         where = _reproduce(cfg.field, seed, q)
-        violations += [
-            f"violation {r.tag}: {v} [reproduce: {where}]" for r in found for v in r.violations
-        ]
-    totals = _aggregate(reports)
-    lines = [r.summary() for r in totals] + violations
+        for r in verify_all(q, profile, seed=seed):
+            total = totals.setdefault(r.tag, TheoremReport(r.tag, r.field_name, 0))
+            total.instances += r.instances
+            total.violations += r.violations
+            total.elapsed += r.elapsed
+            violations += [f"violation {r.tag}: {v} [reproduce: {where}]" for v in r.violations]
+    lines = [r.summary() for r in totals.values()] + violations
     if cfg.timing == "on":
-        lines += [f"timing\t{r.tag}\t{r.elapsed * 1e3:.3f}" for r in totals]
+        lines += [f"timing\t{r.tag}\t{r.elapsed * 1e3:.3f}" for r in totals.values()]
     return (1 if violations else 0), lines
 
 

@@ -6,12 +6,14 @@ identity is class identity.  Scalars are immutable; mixing fields raises
 FieldMismatch.  Rationals are backed by fractions.Fraction (always reduced,
 positive denominator), GF(p) values by canonical residues in [0, p).
 Square roots are computed inside the field and absence is a value, not an
-error.
+error.  _Poly is the one polynomial ring, on raw coefficients, shared by
+the kernel's class polynomials and the oracle's identities between them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import isqrt
 from operator import attrgetter
 
@@ -391,3 +393,47 @@ def _scalar_class(field: Field, p: int | None):
 
 
 QQ = Rationals()
+
+
+class _Poly(tuple):
+    """A polynomial in one variable (the offset v of a parallel class) as its
+    raw coefficients, lowest degree first: ints, which the caller reduces
+    with % p, or Fractions over Q.  + and - take two polynomials, * a
+    polynomial or a constant on either side; poly(v) evaluates."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Poly([a + b for a, b in zip_longest(self, other, fillvalue=0)])
+
+    def __sub__(self, other):
+        return _Poly([a - b for a, b in zip_longest(self, other, fillvalue=0)])
+
+    def __neg__(self):
+        return _Poly([-a for a in self])
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly([a * other for a in self])
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            for k, b in enumerate(other, i):
+                out[k] += a * b
+        return _Poly(out)
+
+    # A tuple would repeat itself under int * poly.
+    __rmul__ = __mul__
+
+    def __mod__(self, p: int):
+        """The coefficients reduced mod p, trailing zeros dropped: the zero
+        polynomial is the empty one."""
+        out = [a % p for a in self]
+        while out and not out[-1]:
+            out.pop()
+        return _Poly(out)
+
+    def __call__(self, v):
+        acc = 0
+        for c in reversed(self):
+            acc = acc * v + c
+        return acc

@@ -12,7 +12,6 @@ with matrix [[beta, -alpha], [gamma, -beta]] on the line at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .errors import (
     DegenerateForm,
@@ -20,8 +19,8 @@ from .errors import (
     LineThroughVertex,
     NotConjugate,
 )
-from .field import Frozen, Scalar
-from .plane import InfPoint, Line, line_det
+from .field import Frozen, Scalar, _Poly
+from .plane import InfPoint, Line, _raw_line, line_det
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -116,7 +115,8 @@ def lambda_q(d: QuadraticData) -> Involution:
 def _exchange_row(p, q) -> tuple:
     # Linear constraint on (m0, m1, m2) with M = [[m0, m1], [m2, -m0]]
     # expressing M(p) proportional to q, for homogeneous pairs p = (x, y)
-    # and q of any ring: scalars, or polynomials in v (desargues_pencil).
+    # and q of any ring: scalars, or raw polynomials in v with a raw
+    # constant y (desargues_pencil).
     (px, py), (qx, qy) = p, q
     return (px * qy + py * qx, py * qy, -(px * qx))
 
@@ -129,50 +129,27 @@ def _cross(r1, r2) -> tuple:
     )
 
 
-class _Poly(tuple):
-    """A polynomial in the offset v of a parallel class, as its coefficient
-    scalars, lowest degree first; the ring desargues_pencil computes in."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        zero = self[0].field.zero
-        return _Poly(a + b for a, b in zip_longest(self, other, fillvalue=zero))
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return _Poly(-a for a in self)
-
-    def __mul__(self, other):
-        out = [self[0].field.zero] * (len(self) + len(other) - 1)
-        for i, a in enumerate(self):
-            for j, b in enumerate(other):
-                out[i + j] = out[i + j] + a * b
-        return _Poly(out)
-
-
 def _class_parameters(qr: Quadrangle, line: Line):
     """Where the lines tX - uY + v = 0 of line's parallel class meet each
     side of qr, as the chart parameter [a + b*v : det] of Cramer's rule: one
-    (a, b, det) per side, two per pair of opposite sides.
+    raw (a, b, det) per side (see plane._raw_line; a and b unreduced), two
+    per pair of opposite sides.
 
     The chart of a line reads an affine point as [x : 1], with x its X
     coordinate, or its Y on a vertical line, and the line's own infinite
     point as [1 : 0].  det is the same for every line of the class; a side
     of the class's direction meets each of its lines at [1 : 0].
     """
-    t, u = line.t, line.u
-    one, zero = t.field.one, t.field.zero
+    t, u, _ = _raw_line(line)
 
     def parameter(side):
-        det = line_det(line, side)
-        if det.is_zero():
-            return (one, zero, det)
-        if u.is_zero():  # the chart reads Y on a vertical line
-            return (-t * side.v, side.t, det)
-        return (-u * side.v, side.u, det)
+        det = line_det(line, side).value
+        if not det:
+            return (1, 0, 0)
+        st, su, sv = _raw_line(side)
+        if not u:  # the chart reads Y on a vertical line
+            return (-t * sv, st, det)
+        return (-u * sv, su, det)
 
     return [[parameter(side) for side in pair.lines] for pair in qr.opposite_side_pairs()]
 
@@ -191,13 +168,16 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple[Scalar
     the class that avoids qr's vertices desargues_involution is the matrix
     [[m0(v), m1(v)], [m2(v), -m0(v)]] up to scale.  Its reflections, the
     class's bisectors, are the roots of m2.  (t, u) is normalised as in
-    Line, so v is the offset of the canonical line.
+    Line, so v is the offset of the canonical line.  The polynomials are
+    multiplied out on raw coefficients (field._Poly) and each of the nine
+    coefficients is wrapped once.
     """
+    field = t.field
     params = [
-        [(_Poly((a, b)), _Poly((det,))) for a, b, det in pair]
-        for pair in _class_parameters(qr, Line(t, u, t.field.zero))
+        [(_Poly((a, b)), det) for a, b, det in pair]
+        for pair in _class_parameters(qr, Line(t, u, field.zero))
     ]
-    return tuple(tuple(m) for m in _desargues_triple(params))
+    return tuple(tuple(field.scalar(c) for c in m) for m in _desargues_triple(params))
 
 
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
@@ -213,8 +193,9 @@ def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
+    field, v = line.field, line.v.value
     params = [
-        [(a + b * line.v, det) for a, b, det in pair]
+        [(field.scalar(a + b * v), field.scalar(det)) for a, b, det in pair]
         for pair in _class_parameters(qr, line)
     ]
     # Off the vertices the triple is never degenerate: m0^2 + m1*m2 is, up

@@ -13,18 +13,22 @@ only the lines that are sides are judged one by one.  desargues_reflection
 clears a class whole by exact identities in v between the kernel's class
 polynomials and the oracle's own exchange rows, and walks it line by line,
 by the same per-line judgement as over Q, only when that fails.  The
-crossings of bisector_field, the direction and midpoint buckets of
-pair_redundancy, and the locus zero set shared by closed_form_oracle and
-locus_midpoints are raw as well.  Values are built where a result goes
-back to the kernel or into a set: brute_bisectors makes a Line and a Point
-per bisector (of the re-paired quadrilaterals too, in repairing_bisectors),
-closed_form_oracle a Point per locus zero, vertex_line_bisectors the lines
-through each vertex, and bisector_lines the lines the kernel is asked
-about; violation texts build the rest.  Over Q the same helpers take
-p = None and run on the Scalars' Fractions, so bisector_field and
-desargues_reflection each judge both fields by one rule and differ only in
-the lines fed in: every line when exhaustive, the sides and diagonals or
-the probe lines in the fixture.
+identities run through the same row and cross-product helpers as the
+per-line judgement, on polynomials in field._Poly: the ring of raw
+coefficients that form.desargues_pencil multiplies in too.  Like Scalar, it
+is shared arithmetic, not geometry, and a test pins every operation of it
+to pointwise evaluation.  The crossings of bisector_field, the direction
+and midpoint buckets of pair_redundancy, and the locus zero set shared by
+closed_form_oracle and locus_midpoints are raw as well.  Values are built
+where a result goes back to the kernel or into a set: brute_bisectors makes
+a Line and a Point per bisector (of the re-paired quadrilaterals too, in
+repairing_bisectors), closed_form_oracle a Point per locus zero,
+vertex_line_bisectors the lines through each vertex, and bisector_lines the
+lines the kernel is asked about; violation texts build the rest.  Over Q
+the same helpers take p = None and run on the Scalars' Fractions, so
+bisector_field and desargues_reflection each judge both fields by one rule
+and differ only in the lines fed in: every line when exhaustive, the sides
+and diagonals or the probe lines in the fixture.
 Whether a line bisects is judged by the kernel's own rule, plane's raw
 meet and midpoint combined by bisectors._bisector_mid as is_bisector runs
 it, or by its per-class solution in brute_bisectors, which a small-p test
@@ -63,7 +67,7 @@ from .bisectors import (
     q_partner,
 )
 from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisectors
-from .field import Field, PrimeField, Scalar
+from .field import Field, PrimeField, Scalar, _Poly
 from .form import desargues_pencil, inner, lambda_q, phi, quadratic_data
 from .pencil import center, degenerations, is_degeneration_of, pencil_of
 from .plane import (
@@ -414,12 +418,9 @@ def _desargues_line(pencil, params, v, bisects: bool, p: int | None) -> list[str
     class polynomials (pencil, lowest degree first) at v against the
     oracle's exchange rows of the line's three conjugate pairs (params, see
     _chart_parameters), and the reflection m2 = 0 against bisects."""
-    m = []
-    for coeffs in pencil:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * v + c
-        m.append(acc % p if p else acc)
+    m = [_Poly(coeffs)(v) for coeffs in pencil]
+    if p:
+        m = [x % p for x in m]
     points = [((x0 + x1 * v) % p if p else x0 + x1 * v, y) for x0, x1, y in params]
     problems = []
     reason = _degeneracy(m, p)
@@ -465,7 +466,7 @@ def _vanishes_off(poly, offsets, p: int) -> bool:
 def _roots_within(poly, offsets, p: int) -> bool:
     """Whether every root in GF(p) of a polynomial of degree at most 2
     (reduced ints, lowest degree first) lies in offsets, which miss some v."""
-    c0, c1, c2 = (*poly, 0, 0)[:3]
+    c0, c1, c2 = (*poly, 0, 0, 0)[:3]
     if not c2:
         return c0 != 0 if not c1 else -c0 * pow(c1, -1, p) % p in offsets
     disc = (c1 * c1 - 4 * c0 * c2) % p
@@ -478,76 +479,46 @@ def _roots_within(poly, offsets, p: int) -> bool:
 
 def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool:
     """Whether _desargues_line passes every line of a class off its vertex
-    offsets, decided by exact identities in v; a class not cleared is
-    walked line by line.
+    offsets, decided by exact identities in v (computed in field._Poly); a
+    class not cleared is walked line by line.
 
     The chart parameters (params) are affine in v, so the exchange row
-    (s, e, -pi) of each pair has degrees at most (1, 0, 2); the kernel's
-    triple m (pencil) is decided only within degrees (2, 3, 1).  Off the
-    offsets, a class is cleared when:
+    (s, e, -pi) = (x1*y2 + y1*x2, y1*y2, -x1*x2) of each pair
+    (_raw_exchange_row) has degrees at most (1, 0, 2); the kernel's triple m
+    (pencil) is decided only within degrees (2, 3, 1).  Off the offsets, a
+    class is cleared when:
     - each row dotted with m vanishes (_vanishes_off): all three pairs are
       conjugate;
-    - m13 = r0 x r2 of the first and third pairs is nondegenerate: its
-      m13_0^2 + m13_1*m13_2 equals the product of the four cross
-      determinants [P, Q] = x_P*y_Q - x_Q*y_P of their points (an identity,
-      checked here rather than trusted), and every root of each factor is
-      a vertex offset.  Then m, orthogonal to two independent rows, is
-      c*m13, so the pairs agree and m0^2 + m1*m2 = c^2 (m13_0^2 + ...);
+    - m13 = r0 x r2 of the first and third pairs (_raw_cross) is
+      nondegenerate: its m13_0^2 + m13_1*m13_2 equals the product of the
+      four cross determinants [P, Q] = x_P*y_Q - x_Q*y_P of their points (an
+      identity, checked here rather than trusted), and every root of each
+      factor is a vertex offset.  Then m, orthogonal to two independent
+      rows, is c*m13, so the pairs agree and m0^2 + m1*m2 = c^2 (m13_0^2 +
+      ...);
     - m is nonzero: at a root of m2, m0 or m1 is nonzero; where m2 vanishes
       on the whole class, m0 has no root, since m0^2 = c^2 (...) there;
     - the roots of m2 are the offsets in bisecting.
     """
-    m = []
-    for coeffs, size in zip(pencil, (3, 4, 2)):
-        coeffs = [c % p for c in coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        if len(coeffs) > size:
-            return False
-        m.append(coeffs + [0] * (size - len(coeffs)))
-    (a0, a1, a2), (b0, b1, b2, b3), (c0, c1) = m
-    rows = []
-    for (x0, x1, y), (z0, z1, w) in zip(params[::2], params[1::2]):
-        s, e, q = (x0 * w + y * z0, x1 * w + y * z1), y * w, (x0 * z0, x0 * z1 + x1 * z0, x1 * z1)
-        dot = (
-            s[0] * a0 + e * b0 - q[0] * c0,
-            s[0] * a1 + s[1] * a0 + e * b1 - q[0] * c1 - q[1] * c0,
-            s[0] * a2 + s[1] * a1 + e * b2 - q[1] * c1 - q[2] * c0,
-            s[1] * a2 + e * b3 - q[2] * c1,
-        )
-        if not _vanishes_off(dot, offsets, p):
-            return False
-        rows.append((s, e, q))
-    (s, e, q), _, (s2, e2, q2) = rows
-    n0 = [e2 * x - e * y for x, y in zip(q, q2)]
-    n1 = [s[0] * q2[0] - s2[0] * q[0],
-          s[0] * q2[1] + s[1] * q2[0] - s2[0] * q[1] - s2[1] * q[0],
-          s[0] * q2[2] + s[1] * q2[1] - s2[0] * q[2] - s2[1] * q[1],
-          s[1] * q2[2] - s2[1] * q[2]]
-    n2 = [x * e2 - y * e for x, y in zip(s, s2)]
-    f, g, h, k = [(x0 * w - z0 * y, x1 * w - z1 * y)
-                  for x0, x1, y in params[:2] for z0, z1, w in params[4:]]
-    fg = (f[0] * g[0], f[0] * g[1] + f[1] * g[0], f[1] * g[1])
-    hk = (h[0] * k[0], h[0] * k[1] + h[1] * k[0], h[1] * k[1])
-    if any(x % p for x in (
-        n0[0] * n0[0] + n1[0] * n2[0] - fg[0] * hk[0],
-        2 * n0[0] * n0[1] + n1[0] * n2[1] + n1[1] * n2[0] - fg[0] * hk[1] - fg[1] * hk[0],
-        n0[1] * n0[1] + 2 * n0[0] * n0[2] + n1[1] * n2[1] + n1[2] * n2[0]
-        - fg[0] * hk[2] - fg[1] * hk[1] - fg[2] * hk[0],
-        2 * n0[1] * n0[2] + n1[2] * n2[1] + n1[3] * n2[0] - fg[1] * hk[2] - fg[2] * hk[1],
-        n0[2] * n0[2] + n1[3] * n2[1] - fg[2] * hk[2],
-    )):
+    m0, m1, m2 = m = [_Poly(coeffs) % p for coeffs in pencil]
+    if any(len(c) > size for c, size in zip(m, (3, 4, 2))):
         return False
-    if not all(_roots_within([c % p for c in factor], offsets, p) for factor in (f, g, h, k)):
+    points = [(_Poly((x0, x1)), y) for x0, x1, y in params]
+    rows = [_raw_exchange_row(points[i:i + 2]) for i in (0, 2, 4)]
+    for r0, r1, r2 in rows:
+        if not _vanishes_off(r0 * m0 + r1 * m1 + r2 * m2, offsets, p):
+            return False
+    m13 = _raw_cross(rows[0], rows[2], p)
+    f, g, h, k = factors = [x * w - z * y for x, y in points[:2] for z, w in points[4:]]
+    if (m13[0] * m13[0] + m13[1] * m13[2] - f * g * h * k) % p:
+        return False
+    if not all(_roots_within(factor % p, offsets, p) for factor in factors):
         return False
     on_lines = bisecting - offsets
-    if _vanishes_off(m[2], offsets, p):
-        return len(on_lines) == p - len(offsets) and _roots_within(m[0], offsets, p)
-    reflections = {-c0 * pow(c1, -1, p) % p} - offsets if c1 else set()
-    return reflections == on_lines and all(
-        (a0 + r * (a1 + r * a2)) % p or (b0 + r * (b1 + r * (b2 + r * b3))) % p
-        for r in reflections
-    )
+    if _vanishes_off(m2, offsets, p):
+        return len(on_lines) == p - len(offsets) and _roots_within(m0, offsets, p)
+    reflections = {-m2[0] * pow(m2[1], -1, p) % p} - offsets if len(m2) == 2 else set()
+    return reflections == on_lines and all(m0(r) % p or m1(r) % p for r in reflections)
 
 
 def _check_desargues(q, ctx):

@@ -13,6 +13,7 @@ import pytest
 
 import bisectrix.cli
 from bisectrix.cli import main
+from bisectrix.errors import ExhaustedSampling
 
 E1_QUAD = "Y=0; Y=X+1; X=0; Y=2X-1"
 E2_QUAD = "Y=0; X=0; Y=1; X=1"
@@ -169,6 +170,40 @@ def test_verify_exit_zero(capsys):
         parts = line.split()
         assert parts[-1] == "0"
         assert parts[1] == "GF(7)"
+
+
+def test_verify_draws_each_instance_when_its_turn_comes(capsys, monkeypatch):
+    """verify holds one instance at a time: after the --quad instance, each
+    seed's quadrilateral is drawn right before it is verified, not all of
+    them up front.  A draw that fails partway still exits 2 with no output."""
+    calls = []
+    draw, verify = bisectrix.cli.random_quadrilateral, bisectrix.cli.verify_all
+    exhausted = set()
+
+    def logged_draw(field, seed):
+        calls.append(("draw", seed))
+        if seed in exhausted:
+            raise ExhaustedSampling("no valid quadrilateral")
+        return draw(field, seed)
+
+    def logged_verify(q, profile, seed):
+        calls.append(("verify", seed))
+        return verify(q, profile, seed=seed)
+
+    monkeypatch.setattr(bisectrix.cli, "random_quadrilateral", logged_draw)
+    monkeypatch.setattr(bisectrix.cli, "verify_all", logged_verify)
+    argv = ["--field", "GFp:7", "--cmd", "verify", "--quad", E1_QUAD,
+            "--seed", "4", "--instances", "3"]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [("verify", 4)] + [
+        (step, seed) for seed in (4, 5, 6) for step in ("draw", "verify")
+    ]
+    calls.clear()
+    exhausted.add(5)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, []) and "ExhaustedSampling" in err
+    assert calls == [("verify", 4), ("draw", 4), ("verify", 4), ("draw", 5)]
 
 
 def test_verify_fixture_q(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from bisectrix import GF, QQ, PrimeField, Rationals
 from bisectrix.errors import DivisionByZero, FieldMismatch
-from bisectrix.field import Scalar
+from bisectrix.field import Scalar, _Poly
 from bisectrix.oracle import Lcg64
 
 
@@ -238,3 +238,37 @@ def test_scalar_hash_and_immutability():
     assert a == b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.value = Fraction(1)
+
+
+def test_poly_ring_agrees_with_evaluation():
+    """Every _Poly operation against pointwise evaluation, at every v of
+    GF(3), GF(5) and GF(7) and at a few rationals over Q: the sum and the
+    difference with a longer polynomial on either side, negation, products
+    with a polynomial and with a constant on either side, and % p, which
+    reduces the coefficients and drops trailing zeros."""
+    rng = Lcg64(19)
+    for p in (3, 5, 7):
+        for _ in range(150):
+            f = _Poly(rng.below(3 * p) - p for _ in range(1 + rng.below(3)))
+            g = _Poly(rng.below(3 * p) - p for _ in range(len(f) + 1 + rng.below(2)))
+            c = rng.below(3 * p) - p
+            reduced = f * g % p
+            assert all(0 <= x < p for x in reduced) and (not reduced or reduced[-1])
+            for v in range(p):
+                fv, gv = f(v), g(v)
+                checks = [
+                    ((f + g)(v), fv + gv), ((g + f)(v), fv + gv),
+                    ((f - g)(v), fv - gv), ((g - f)(v), gv - fv), ((-f)(v), -fv),
+                    ((f * g)(v), fv * gv), ((g * f)(v), fv * gv),
+                    ((c * f)(v), c * fv), ((f * c)(v), c * fv), (reduced(v), fv * gv),
+                ]
+                assert all((x - y) % p == 0 for x, y in checks), (p, f, g, c, v)
+        assert (f * p) % p == () and (f - f) % p == ()
+    f = _Poly((Fraction(1, 2), Fraction(-3, 4)))
+    g = _Poly((Fraction(2, 3), 0, Fraction(5, 7)))
+    c = Fraction(-7, 3)
+    for v in (Fraction(0), Fraction(1, 2), Fraction(-3, 5), Fraction(7)):
+        fv, gv = f(v), g(v)
+        assert (f + g)(v) == fv + gv and (f - g)(v) == fv - gv and (g - f)(v) == gv - fv
+        assert (f * g)(v) == fv * gv and (-g)(v) == -gv
+        assert (c * g)(v) == (g * c)(v) == c * gv
