@@ -1,14 +1,42 @@
+import hashlib
+
 import pytest
 
-from bisectrix import GF, InfPoint, Involution, Line, LinePair, Point, QQ, Quadrilateral
+from bisectrix import (
+    GF, InfPoint, Involution, Line, LinePair, Point, QQ, Quadrilateral, random_quadrilateral,
+    verify_all,
+)
 from bisectrix.errors import (
-    AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, IdenticalLines,
+    AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
+    IdenticalLines,
 )
 from bisectrix.plane import line_det
 
 
 def make_quad(field, *literals):
     return Quadrilateral(*(Line.parse(field, text) for text in literals))
+
+
+def verify_digest() -> tuple[str, int]:
+    """The same-outputs digest of verify_all: SHA-256 over repr((tag,
+    instances, violations)) of every report, in order, of exhaustive verify
+    on GF(3), GF(7) and GF(11) seeds 0-59 (seeds whose sampling is exhausted
+    are skipped) and GF(101) seeds 1-3, then fixture verify on Q seeds 0-39,
+    each quadrilateral drawn and verified with its own seed.  Returns the
+    hex digest and the number of reports hashed."""
+    runs = [(GF(p), seed, "exhaustive") for p in (3, 7, 11) for seed in range(60)]
+    runs += [(GF(101), seed, "exhaustive") for seed in (1, 2, 3)]
+    runs += [(QQ, seed, "fixture") for seed in range(40)]
+    digest, count = hashlib.sha256(), 0
+    for field, seed, profile in runs:
+        try:
+            q = random_quadrilateral(field, seed)
+        except ExhaustedSampling:
+            continue
+        for report in verify_all(q, profile, seed):
+            digest.update(repr((report.tag, report.instances, report.violations)).encode())
+            count += 1
+    return digest.hexdigest(), count
 
 
 def standard_by_transform(q, f):

@@ -23,7 +23,7 @@ from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
 from bisectrix.oracle import Lcg64, _desargues_classes
 from conftest import (
     E1_SIDES, SPECIAL_SIDES, bisector_by_definition, chart_point, involution_from_pairs, make_quad,
-    mid_cross,
+    mid_cross, verify_digest,
 )
 from test_defects import (
     _exchange_row_first_negated, _inject, _m2_constant_plus_one, alpha_plus_one, partner_shifted,
@@ -296,6 +296,14 @@ def test_verify_all_exhaustive_gf7():
         assert "pencil_degenerations" in tags
         for r in reports:
             assert r.passed, (r.tag, r.violations)
+
+
+def test_verify_all_outputs_keep_their_digest():
+    """The (tag, instances, violations) of every report on the digest's
+    instances (see verify_digest) are unchanged.  A change that moves this
+    digest changes what verify reports, and must say why."""
+    assert verify_digest() == (
+        "b87c0cf58cdb2162aabc0985d6b8040b99277ea8fb73d58142ade45a24ce7801", 3551)
 
 
 def test_verify_all_rejects_bad_input(e1):
