@@ -414,7 +414,10 @@ class _Poly(tuple):
 
     def __mul__(self, other):
         if not isinstance(other, _Poly):
-            return _Poly([a * other for a in self])
+            if other == 1:
+                return self
+            # A zero keeps the length, so coefficient lists keep theirs.
+            return _Poly([a * other for a in self] if other else [0] * len(self))
         out = [0] * (len(self) + len(other) - 1)
         for i, a in enumerate(self):
             for k, b in enumerate(other, i):

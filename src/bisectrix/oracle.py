@@ -17,9 +17,15 @@ identities run through the same row and cross-product helpers as the
 per-line judgement, on polynomials in field._Poly: the ring of raw
 coefficients that form.desargues_pencil multiplies in too.  Like Scalar, it
 is shared arithmetic, not geometry, and a test pins every operation of it
-to pointwise evaluation.  The crossings of bisector_field, the direction
-and midpoint buckets of pair_redundancy, and the locus zero set shared by
-closed_form_oracle and locus_midpoints are raw as well.  Values are built
+to pointwise evaluation.  bisector_field is decided in the same spirit:
+a line through its own midpoint m along which the side-pair products
+A*A' and B*B' have zero slope at m bisects, at m, every Q-pair whose
+product lies in their span plus a constant, so only the pairs and lines
+that fail these O(1) tests are met line by line.  The locus zero set
+shared by closed_form_oracle and locus_midpoints is solved column by
+column off a table of square roots, not by trying all p^2 points.  These,
+and the direction and midpoint buckets of pair_redundancy, are raw as
+well.  Values are built
 where a result goes back to the kernel or into a set: brute_bisectors makes
 a Line and a Point per bisector (of the re-paired quadrilaterals too, in
 repairing_bisectors), closed_form_oracle a Point per locus zero,
@@ -133,12 +139,28 @@ def lines_through(field: Field, p: Point) -> list[Line]:
 
 
 def _zero_set(conic, p: int) -> set[tuple[int, int]]:
-    """The affine points of GF(p)^2 on a conic, as raw residues."""
+    """The affine points of GF(p)^2 on a conic, as raw residues: column by
+    column, c*y^2 + (b*x + e)*y + (a*x + d)*x + f = 0 solved in y.  With
+    c != 0 the roots are (r - (b*x + e)) / 2c for the square roots r of the
+    discriminant, read off a table y^2 -> [y] built once; with c = 0 the
+    column is linear, or the whole column when both of its coefficients
+    vanish."""
     a, b, c, d, e, f = (x.value for x in conic.coeffs)
+    roots: dict[int, list[int]] = {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    inverse = pow(2 * c, -1, p) if c else None
     found = set()
     for x in range(p):
-        linear, const = b * x + e, (a * x + d) * x + f
-        found.update((x, y) for y in range(p) if ((c * y + linear) * y + const) % p == 0)
+        linear, const = (b * x + e) % p, ((a * x + d) * x + f) % p
+        if c:
+            ys = [(r - linear) * inverse % p
+                  for r in roots.get((linear * linear - 4 * c * const) % p, ())]
+        elif linear:
+            ys = [-const * pow(linear, -1, p) % p]
+        else:
+            ys = () if const else range(p)
+        found.update((x, y) for y in ys)
     return found
 
 
@@ -783,16 +805,70 @@ def _q_pairs_of(q, ctx) -> list[LinePair]:
     return pairs
 
 
+def _product(l1, l2) -> tuple:
+    """The conic l1*l2 of two raw lines tX - uY + v = 0 without its constant
+    term: its coefficients of X^2, XY, Y^2, X and Y."""
+    (t1, u1, v1), (t2, u2, v2) = l1, l2
+    return (t1 * t2, -(t1 * u2 + u1 * t2), u1 * u2, t1 * v2 + v1 * t2, -(u1 * v2 + v1 * u2))
+
+
+def _in_span(c, f, g, p: int | None) -> bool:
+    """Whether the coefficients c (see _product) lie in span(f, g), for f
+    and g with independent quadratic parts (their first three entries):
+    with n = f x g on those parts, the quadratic part of c is in their span
+    exactly when n.c = 0, and then c x g = alpha*n and f x c = beta*n, so
+    the linear parts (primed) must satisfy n_i*c' = (c x g)_i*f' +
+    (f x c)_i*g' for every i."""
+    n, a, b = _raw_cross(f, g, p), _raw_cross(c, g, p), _raw_cross(f, c, p)
+    residues = [n[0] * c[0] + n[1] * c[1] + n[2] * c[2]]
+    residues += [ni * ck - ai * fk - bi * gk
+                 for ni, ai, bi in zip(n, a, b) for fk, gk, ck in zip(f[3:], g[3:], c[3:])]
+    return not any(x % p if p else x for x in residues)
+
+
+def _slopes(f, g, m, line) -> list:
+    """Values that all vanish exactly when a raw line tX - uY + v = 0 passes
+    through m and L_F(m, d) = L_G(m, d) = 0 for its direction d = (u, t):
+    l(m), then L_C(m, d) = grad C(m) . d, the coefficient of s in C(m +
+    s*d), for the conics C of f and g (see _product)."""
+    (mx, my), (t, u, v) = m, line
+    out = [t * mx - u * my + v]
+    for xx, xy, yy, x, y in (f, g):
+        out.append((2 * xx * mx + xy * my + x) * u + (xy * mx + 2 * yy * my + y) * t)
+    return out
+
+
 def _check_bisector_field(q, ctx):
     """Every line of every Q-pair (of every bisector when exhaustive, else of
     the sides and diagonals) bisects every pair it crosses, always with its
-    own midpoint as a bisector of q: on raw values, each line is met with
-    both lines of every pair and the midpoint compared with its own."""
+    own midpoint as a bisector of q.
+
+    The check is decided by a lemma, on raw values.  Let F = A*A' and G =
+    B*B' be the side-pair products, taken as conics.  A line through m with
+    direction d meets a conic C where C(m + s*d) = Q_C(d)*s^2 + L_C(m, d)*s
+    + C(m), so when it crosses a pair with product C, the midpoint of the
+    two crossings is m exactly when L_C(m, d) = 0; when it is parallel to
+    one line of the pair only, L_C(m, d) = 0 puts m on that line, so it is
+    that line and does not cross the pair.  L_C is linear in C's non-constant
+    coefficients, so a line through its own midpoint m with L_F(m, d) =
+    L_G(m, d) = 0 (_slopes) bisects, at m, every crossed pair whose product
+    lies in span(F, G) + constant (_in_span).  The quadratic parts of F
+    and G, the products of the sides' directions, are never proportional:
+    that would make a side of one pair parallel to a side of the other, and
+    such sides are adjacent.  The rule's midpoint of a bisector always
+    passes the slopes; a line fails them only under a faulty rule.  Each
+    pair outside the span and each line failing its slopes is met, as the
+    definition says, with both lines of a pair and its midpoint compared
+    with its own: a passing line only with the pairs outside the span, a
+    failing one with every pair, so the violations are those of meeting
+    every line with every pair."""
     pairs = _q_pairs_of(q, ctx)
     field = q.field
     p = getattr(field, "p", None)
     sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
-    raw_pairs = [(_raw_line(pair.a), _raw_line(pair.b)) for pair in pairs]
+    f, g = _product(*sides[:2]), _product(*sides[2:])
+    crossed = [(pair, _raw_line(pair.a), _raw_line(pair.b)) for pair in pairs]
+    outside = [c for c in crossed if not _in_span(_product(*c[1:]), f, g, p)]
     out = []
     seen = set()
     for pair in pairs:
@@ -805,7 +881,8 @@ def _check_bisector_field(q, ctx):
             if m is None:
                 out.append(f"{line} is not a bisector")
                 continue
-            for other, (a, b) in zip(pairs, raw_pairs):
+            slopes = _slopes(f, g, m, l)
+            for other, a, b in crossed if any(x % p if p else x for x in slopes) else outside:
                 got = _mid(_meet(l, a, p), _meet(l, b, p), p)
                 if got is not None and got != m:
                     shown = line.infinite_point() if got is _PARALLEL else _point(field, got)

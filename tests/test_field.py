@@ -244,8 +244,9 @@ def test_poly_ring_agrees_with_evaluation():
     """Every _Poly operation against pointwise evaluation, at every v of
     GF(3), GF(5) and GF(7) and at a few rationals over Q: the sum and the
     difference with a longer polynomial on either side, negation, products
-    with a polynomial and with a constant on either side, and % p, which
-    reduces the coefficients and drops trailing zeros."""
+    with a polynomial and with a constant on either side (0 and 1, which
+    the product shortcuts, among them), and % p, which reduces the
+    coefficients and drops trailing zeros."""
     rng = Lcg64(19)
     for p in (3, 5, 7):
         for _ in range(150):
@@ -262,8 +263,12 @@ def test_poly_ring_agrees_with_evaluation():
                     ((f * g)(v), fv * gv), ((g * f)(v), fv * gv),
                     ((c * f)(v), c * fv), ((f * c)(v), c * fv), (reduced(v), fv * gv),
                 ]
+                checks += [check for k in (0, 1)
+                           for check in (((k * f)(v), k * fv), ((f * k)(v), k * fv))]
                 assert all((x - y) % p == 0 for x, y in checks), (p, f, g, c, v)
         assert (f * p) % p == () and (f - f) % p == ()
+        # A zero product keeps the length, as coefficient lists do.
+        assert len(0 * f) == len(f * 0) == len(f) and 1 * f == f * 1 == f
     f = _Poly((Fraction(1, 2), Fraction(-3, 4)))
     g = _Poly((Fraction(2, 3), 0, Fraction(5, 7)))
     c = Fraction(-7, 3)
@@ -272,3 +277,5 @@ def test_poly_ring_agrees_with_evaluation():
         assert (f + g)(v) == fv + gv and (f - g)(v) == fv - gv and (g - f)(v) == gv - fv
         assert (f * g)(v) == fv * gv and (-g)(v) == -gv
         assert (c * g)(v) == (g * c)(v) == c * gv
+        for k in (0, 1, Fraction(0), Fraction(1)):
+            assert (k * g)(v) == (g * k)(v) == k * gv

@@ -26,7 +26,8 @@ from conftest import (
     mid_cross, verify_digest,
 )
 from test_defects import (
-    _exchange_row_first_negated, _inject, _m2_constant_plus_one, alpha_plus_one, partner_shifted,
+    DEFECTS, _exchange_row_first_negated, _inject, _m2_constant_plus_one, alpha_plus_one,
+    partner_shifted,
 )
 
 
@@ -545,6 +546,142 @@ def test_raw_routes_over_q_equal_the_scalar_definitions(e1, monkeypatch):
             violations += len(field_check[1])
             probed += desargues[0]
     assert violations > 0 and probed > 0
+
+
+def _midpoint_shifted(bisector_mid):
+    """The bisector rule answering every midpoint one step off in X."""
+
+    def defect(crossings, p):
+        m = bisector_mid(crossings, p)
+        return m if m is None else ((m[0] + 1) % p if p else m[0] + 1, m[1])
+
+    return defect
+
+
+def test_bisector_field_decision_agrees_with_the_walk(monkeypatch):
+    """bisector_field, which meets a line with a pair only when the pair's
+    product leaves span(A*A', B*B') or the line fails its slopes (L_F and
+    L_G vanish at its midpoint, which lies on it), reports exactly what it
+    reports when every line is met with every pair: at p = 3, 5, 7 and 11,
+    on sound kernels (where no pair and no line is walked), with a shifted
+    Q-partner (whose pairs leave the span) and the both-pairs bisector rule
+    of test_defects, and with a shifted midpoint in the oracle's rule
+    (which only the slopes see)."""
+    from bisectrix import oracle
+
+    in_span, slopes_of = oracle._in_span, oracle._slopes
+    injections = {
+        "sound": lambda patch: None,
+        "q_partner_shifted": lambda patch: _inject(patch, *DEFECTS["q_partner_shifted"][:3]),
+        "bisector_rule_both_pairs":
+            lambda patch: _inject(patch, *DEFECTS["bisector_rule_both_pairs"][:3]),
+        "oracle_midpoint_shifted": lambda patch: patch.setattr(
+            oracle, "_bisector_mid", _midpoint_shifted(oracle._bisector_mid)),
+    }
+    for name, inject in injections.items():
+        outside, slopes = [], []  # each decision: a pair left the span, a line failed
+        violations = 0
+        with monkeypatch.context() as patch:
+            inject(patch)
+            patch.setattr(oracle, "_in_span",
+                          lambda *args: outside.append(not in_span(*args)) or not outside[-1])
+            for p in (3, 5, 7, 11):
+                patch.setattr(oracle, "_slopes", lambda *args: slopes.append(
+                    any(x % p for x in slopes_of(*args))) or slopes_of(*args))
+                field = GF(p)
+                quads = [random_quadrilateral(field, seed) for seed in range(12)]
+                quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+                for q in quads:
+                    ctx = oracle._Context(True, 0)
+                    try:
+                        oracle._q_pairs_of(q, ctx)
+                    except GeometryError:  # the check aborts before any decision
+                        continue
+                    decided = oracle._check_bisector_field(q, ctx)
+                    with monkeypatch.context() as forced:
+                        forced.setattr(oracle, "_in_span", lambda *args: False)
+                        forced.setattr(oracle, "_slopes", lambda *args: [1])
+                        assert oracle._check_bisector_field(q, ctx) == decided, (name, p, q)
+                    violations += len(decided[1])
+        # Each injection reaches the decision; only the shifted partner sends
+        # pairs to the walk, and only the shifted midpoint sends lines.
+        assert outside and slopes, name
+        assert any(outside) == (name == "q_partner_shifted"), name
+        assert any(slopes) == (name == "oracle_midpoint_shifted"), name
+        assert (violations > 0) == (any(outside) or any(slopes)), name
+
+
+def test_span_and_slopes_equal_their_definitions():
+    """_in_span against a search over every (alpha, beta) of GF(p), on
+    random coefficient vectors and on multiples of the side products shifted
+    or not, and _slopes against the coefficient of s in C(m + s*d) and the
+    line evaluated at m, at p = 3, 5 and 7."""
+    from bisectrix import oracle
+
+    rng = Lcg64(23)
+    inside = 0
+    for p in (3, 5, 7):
+        for _ in range(200):
+            lines = [(rng.below(p), rng.below(p), rng.below(p)) for _ in range(4)]
+            f, g = oracle._product(*lines[:2]), oracle._product(*lines[2:])
+            if not any(x % p for x in oracle._raw_cross(f, g, p)):
+                continue  # the lemma's F and G have independent quadratic parts
+            alpha, beta = rng.below(p), rng.below(p)
+            c = [alpha * x + beta * y for x, y in zip(f, g)]
+            if rng.below(2):
+                c[rng.below(5)] += 1 + rng.below(p - 1)
+            if rng.below(3) == 0:
+                c = [rng.below(p) for _ in range(5)]
+            spanned = any(all((a * x + b * y - z) % p == 0 for x, y, z in zip(f, g, c))
+                          for a in range(p) for b in range(p))
+            assert oracle._in_span(c, f, g, p) == spanned, (p, f, g, c)
+            inside += spanned
+            m, line = (rng.below(p), rng.below(p)), (rng.below(p), 1, rng.below(p))
+            d = (line[1], line[0])
+            expected = [(line[0] * m[0] - line[1] * m[1] + line[2]) % p]
+            for xx, xy, yy, x, y in (f, g):
+                def conic(s):
+                    px, py = m[0] + s * d[0], m[1] + s * d[1]
+                    return xx * px * px + xy * px * py + yy * py * py + x * px + y * py
+                # C(m + s*d) = a*s^2 + b*s + c: b = (C(1) - C(-1)) / 2.
+                expected.append((conic(1) - conic(-1)) * (p + 1) // 2 % p)
+            assert [x % p for x in oracle._slopes(f, g, m, line)] == expected
+    assert inside > 100
+
+
+def test_zero_set_equals_the_trial_of_every_point():
+    """_zero_set, which solves each column x of GF(p)^2 as a quadratic in y
+    off a table of square roots, equals Conic.contains tried on all p^2
+    points: on the loci of GF(3), GF(5), GF(7) and GF(11) seeds 0-59 and of
+    the special quadrilaterals (degenerate loci of parallel pairs among
+    them), and on conics crafted for each branch: c = 0 with linear
+    columns and a whole column (XY = 0), and a zero, a square and a
+    non-square discriminant (Y^2 = X)."""
+    from bisectrix import oracle
+    from bisectrix.errors import ExhaustedSampling
+    from bisectrix.pencil import Conic
+
+    degenerate = 0
+    for p in (3, 5, 7, 11):
+        field = GF(p)
+        quads = [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+        for seed in range(60):
+            try:
+                quads.append(random_quadrilateral(field, seed))
+            except ExhaustedSampling:
+                continue
+        conics = [bisector_locus(q).conic for q in quads]
+        degenerate += sum(c.is_degenerate() for c in conics)
+        crafted = [Conic(*(field.scalar(x) for x in coeffs))
+                   for coeffs in ((0, 1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0))]
+        for conic in conics + crafted:
+            expected = {(x, y) for x in range(p) for y in range(p)
+                        if conic.contains(Point(field.scalar(x), field.scalar(y)))}
+            assert oracle._zero_set(conic, p) == expected, (p, conic)
+        xy, parabola = (oracle._zero_set(c, p) for c in crafted)
+        assert xy == {(0, y) for y in range(p)} | {(x, 0) for x in range(p)}
+        assert parabola == {(y * y % p, y) for y in range(p)}
+    assert degenerate > 0
 
 
 def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
