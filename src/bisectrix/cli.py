@@ -39,10 +39,10 @@ from .svgplot import PLOT_KINDS, render_svg
 _FORMATS = ("text", "record")
 
 # The largest p for which verify runs its exhaustive profile over GF(p):
-# verify_all on random_quadrilateral(GF(p), 3) takes 0.11 s at p = 101,
-# 0.54-0.65 s at p = 997 and 1.1-1.9 s at p = 1,999 on a shared 2-vCPU
-# machine.  No check grows as p^2 any more; the bound keeps one instance
-# near a second.
+# verify_all on random_quadrilateral(GF(p), 3) takes 0.09-0.13 s at p = 101,
+# 0.54-0.95 s at p = 997 and 1.1-1.9 s at p = 1,999 on a shared 2-vCPU
+# machine.  Neither bisector_field nor the locus zero set grows as p^2 any
+# more; the bound keeps one instance near a second.
 _VERIFY_MAX_P = 1000
 
 

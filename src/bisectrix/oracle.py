@@ -843,25 +843,21 @@ def _check_bisector_field(q, ctx):
     the sides and diagonals) bisects every pair it crosses, always with its
     own midpoint as a bisector of q.
 
-    The check is decided by a lemma, on raw values.  Let F = A*A' and G =
-    B*B' be the side-pair products, taken as conics.  A line through m with
-    direction d meets a conic C where C(m + s*d) = Q_C(d)*s^2 + L_C(m, d)*s
-    + C(m), so when it crosses a pair with product C, the midpoint of the
-    two crossings is m exactly when L_C(m, d) = 0; when it is parallel to
-    one line of the pair only, L_C(m, d) = 0 puts m on that line, so it is
-    that line and does not cross the pair.  L_C is linear in C's non-constant
-    coefficients, so a line through its own midpoint m with L_F(m, d) =
-    L_G(m, d) = 0 (_slopes) bisects, at m, every crossed pair whose product
-    lies in span(F, G) + constant (_in_span).  The quadratic parts of F
-    and G, the products of the sides' directions, are never proportional:
-    that would make a side of one pair parallel to a side of the other, and
-    such sides are adjacent.  The rule's midpoint of a bisector always
-    passes the slopes; a line fails them only under a faulty rule.  Each
-    pair outside the span and each line failing its slopes is met, as the
-    definition says, with both lines of a pair and its midpoint compared
-    with its own: a passing line only with the pairs outside the span, a
-    failing one with every pair, so the violations are those of meeting
-    every line with every pair."""
+    Decided by a lemma, on raw values.  Let F = A*A' and G = B*B'.  Along a
+    line through m with direction d, a conic C is C(m + s*d) = Q_C(d)*s^2 +
+    L_C(m, d)*s + C(m), so the line's crossings with a pair of product C
+    have midpoint m exactly when L_C(m, d) = 0 (and a line parallel to one
+    line of the pair only has L_C(m, d) = 0 only when it is that line).
+    L_C is linear in C's non-constant coefficients, so a line through its
+    own midpoint m with L_F(m, d) = L_G(m, d) = 0 (_slopes; the rule's
+    midpoint passes unless the rule is faulty) bisects, at m, every crossed
+    pair whose product lies in span(F, G) + constant (_in_span).  F and G
+    never have proportional quadratic parts: those are the products of the
+    sides' directions, and a side of one pair and a side of the other are
+    adjacent, so never parallel.  A passing line is met, as the definition
+    says, only with the pairs outside the span, and a failing line with
+    every pair, so the violations are those of meeting every line with
+    every pair."""
     pairs = _q_pairs_of(q, ctx)
     field = q.field
     p = getattr(field, "p", None)
