@@ -8,6 +8,8 @@ the two opposite-side pairs it crosses agree; that common point is the
 midpoint of the bisector and is always affine.  is_bisector runs this rule
 on raw coefficients (_bisector_mid); the oracle solves it once per parallel
 class and applies it line by line only to the lines that are sides.
+is_q_pair and q_partner run on raw values too, q_partner reading the
+partner off the pencil of the side products (see its docstring).
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .plane import (
     _meet,
     _mid,
     _point,
+    _product,
     _raw_line,
+    _raw_point,
     intersect,
     line_from_points,
     midpoint,
@@ -161,32 +165,43 @@ def nine_points(qr: Quadrangle) -> list[PlanePoint]:
 
 
 def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:
-    """Q-antipodal and Q-orthogonal; the two lines may coincide."""
-    m1 = is_bisector(q, pair.a)
-    m2 = is_bisector(q, pair.b)
-    if m1 is None or m2 is None:
+    """Q-antipodal and Q-orthogonal; the two lines may coincide.  Both
+    midpoints come from one raw read of the sides, by is_bisector's rule."""
+    sides, mids = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)], []
+    for l in pair.lines:
+        p = getattr(_field_of(l, q), "p", None)
+        mids.append(_bisector_mid([_meet(_raw_line(l), s, p) for s in sides], p))
+    if None in mids:
         raise NotBisectors(f"{pair} does not consist of bisectors")
-    d = quadratic_data(q)
-    return midpoint(m1, m2) == q.centroid and q_orthogonal(d, pair.a, pair.b)
+    return (_mid(*mids, p) == _raw_point(q.centroid)
+            and q_orthogonal(quadratic_data(q), pair.a, pair.b))
+
+
+def _pencil_ratio(f, g, t, u) -> tuple:
+    """[alpha : beta] = [Q_G(d) : -Q_F(d)] for d = (u, t) and the raw side
+    products f and g (plane._product): alpha*F + beta*G has no d^2 term."""
+    return (g[0] * u * u + g[1] * u * t + g[2] * t * t,
+            -(f[0] * u * u + f[1] * u * t + f[2] * t * t))
 
 
 def q_partner(q: Quadrilateral, l: Line) -> Line:
-    """The unique line making a Q-pair with the bisector l."""
-    m = is_bisector(q, l)
-    if m is None:
+    """The unique line making a Q-pair with the bisector l, read off the
+    pencil of F = A*A' and G = B*B' (arXiv 2305.11762: the pencil is
+    asymptotically the bisector field).  Along l, through its midpoint m
+    in direction d = (u, t), C(m + s*d) = Q_C(d)*s^2 + L_C(m, d)*s + C(m),
+    and L_F(m, d) = L_G(m, d) = 0.  So C = alpha*F + beta*G with [alpha :
+    beta] = [Q_G(d) : -Q_F(d)] (_pencil_ratio; never [0 : 0], as adjacent
+    sides are never parallel) is constant on l: C - C(m) = l * partner.
+    Division reads the partner off C's Y^2, XY and Y coefficients (u = 1),
+    or X^2, XY and X (u = 0, t = 1), so C(m) is never needed."""
+    field = _field_of(l, q)
+    p = getattr(field, "p", None)
+    t, u, v = raw = _raw_line(l)
+    sides = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)]
+    if _bisector_mid([_meet(raw, s, p) for s in sides], p) is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
-    c = q.centroid
-    antipode = Point(2 * c.x - m.x, 2 * c.y - m.y)
-    if antipode != m:
-        found = bisector_through(q, antipode)
-        if not (isinstance(found, list) and len(found) == 1):
-            raise InvariantViolation(f"{antipode} lies on exactly one bisector")
-        return found[0].line
-    # Midpoint at the centroid: the partner is the unique line through the
-    # centroid Q-orthogonal to l (possibly l itself).
-    d = quadratic_data(q)
-    r = d.gamma * l.u - d.beta * l.t
-    s = -d.beta * l.u + d.alpha * l.t
-    u_dir, t_dir = -s, r
-    return Line(t_dir, u_dir, u_dir * c.y - t_dir * c.x)
-
+    f, g = _product(*sides[:2]), _product(*sides[2:])
+    alpha, beta = _pencil_ratio(f, g, t, u)
+    xx, xy, yy, x, y = (alpha * a + beta * b for a, b in zip(f, g))
+    t2, u2, v2 = (-xy - t * yy, yy, -y - v * yy) if u else (xx, -xy, x - v * xx)
+    return Line(*(field._make(c % p if p else c) for c in (t2, u2, v2)))

@@ -75,7 +75,7 @@ from .bisectors import (
 from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisectors
 from .field import Field, PrimeField, Scalar, _Poly
 from .form import desargues_pencil, inner, lambda_q, phi, quadratic_data
-from .pencil import center, degenerations, is_degeneration_of, pencil_of
+from .pencil import center, degenerations, pencil_of
 from .plane import (
     _PARALLEL,
     _SAME,
@@ -87,6 +87,7 @@ from .plane import (
     _meet,
     _mid,
     _point,
+    _product,
     _raw_line,
     _raw_point,
 )
@@ -764,11 +765,11 @@ def _pencil_members(q, ctx):
     else:
         pairs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
         coeffs = [(field.scalar(alpha), field.scalar(beta)) for alpha, beta in pairs]
-    return pen, [pen.member(alpha, beta) for alpha, beta in coeffs]
+    return [pen.member(alpha, beta) for alpha, beta in coeffs]
 
 
 def _check_pencil_degenerations(q, ctx):
-    pen, members = _pencil_members(q, ctx)
+    members = _pencil_members(q, ctx)
     locus = ctx.once(bisector_locus, q)
     out = []
     seen_lines = set()
@@ -788,9 +789,11 @@ def _check_pencil_degenerations(q, ctx):
     if ctx.exhaustive and seen_lines != set(lines):
         out.append(f"degeneration lines ({len(seen_lines)}) != bisectors ({len(lines)})")
     # Converse: every bisector pairs with its partner into a degeneration.
+    p = getattr(q.field, "p", None)
+    f, g = (_product(_raw_line(l1), _raw_line(l2)) for l1, l2 in q.line_pairs[:2])
     for line in lines:
         partner = ctx.once(q_partner, q, line)
-        if not is_degeneration_of(pen, LinePair(line, partner)):
+        if not _in_span(_product(_raw_line(line), _raw_line(partner)), f, g, p):
             out.append(f"pair {{{line}, {partner}}} is not a pencil degeneration")
     return len(members) + len(lines), out
 
@@ -803,13 +806,6 @@ def _q_pairs_of(q, ctx) -> list[LinePair]:
             seen.add(pair)
             pairs.append(pair)
     return pairs
-
-
-def _product(l1, l2) -> tuple:
-    """The conic l1*l2 of two raw lines tX - uY + v = 0 without its constant
-    term: its coefficients of X^2, XY, Y^2, X and Y."""
-    (t1, u1, v1), (t2, u2, v2) = l1, l2
-    return (t1 * t2, -(t1 * u2 + u1 * t2), u1 * u2, t1 * v2 + v1 * t2, -(u1 * v2 + v1 * u2))
 
 
 def _in_span(c, f, g, p: int | None) -> bool:
@@ -999,6 +995,8 @@ _CHECKS = (
 
 
 class _Context:
+    _MISSING = object()  # once's mark of a key with no answer yet
+
     def __init__(self, exhaustive: bool, seed: int):
         self.exhaustive = exhaustive
         self.seed = seed
@@ -1012,10 +1010,10 @@ class _Context:
         function by its module-level name, so a patched name is the one
         called; a call that raises keeps nothing and raises again next time."""
         key = (fn, *args)
-        answers = self._answers
-        if key not in answers:
-            answers[key] = fn(*args)
-        return answers[key]
+        value = self._answers.get(key, self._MISSING)
+        if value is self._MISSING:
+            value = self._answers[key] = fn(*args)
+        return value
 
     def brute(self, q: Quadrilateral) -> set[Bisector]:
         return self.once(brute_bisectors, q)

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 
 from .errors import DegenerateInput, InvariantViolation
 from .field import Frozen, Scalar
-from .plane import InfPoint, Line, LinePair, PlanePoint, Point, _field_of, _raw_point
+from .plane import (
+    InfPoint, Line, LinePair, PlanePoint, Point, _field_of, _product, _raw_line, _raw_point,
+)
 from .quad import Quadrilateral
 
 _COEFF_NAMES = ("a", "b", "c", "d", "e", "f")
@@ -66,17 +68,10 @@ class Conic(Frozen):
 
     @classmethod
     def from_lines(cls, l1: Line, l2: Line) -> "Conic":
-        """Product of the two canonical linear forms."""
-        t1, u1, v1 = l1.t, l1.u, l1.v
-        t2, u2, v2 = l2.t, l2.u, l2.v
-        return cls(
-            t1 * t2,
-            -(t1 * u2 + t2 * u1),
-            u1 * u2,
-            t1 * v2 + t2 * v1,
-            -(u1 * v2 + u2 * v1),
-            v1 * v2,
-        )
+        """Product of the two canonical linear forms (plane._product)."""
+        field = _field_of(l1, l2)
+        r1, r2 = _raw_line(l1), _raw_line(l2)
+        return cls(*(field.scalar(c) for c in (*_product(r1, r2), r1[2] * r2[2])))
 
     def shift(self, lam: Scalar) -> "Conic":
         """The conic plus a constant; normalization is unaffected."""

@@ -192,8 +192,8 @@ def line_det(l1: Line, l2: Line) -> Scalar:
 
 # Raw values: a line is its canonical (t, u, v) and a point its (x, y), as
 # ints in [0, p) over GF(p) or as the Scalars' Fractions over Q, where p is
-# None and nothing is reduced.  The meet and midpoint rules below are the
-# only ones; intersect and midpoint wrap them.
+# None and nothing is reduced.  The meet, midpoint and line-product rules
+# below are the only ones; intersect, midpoint and Conic.from_lines wrap them.
 
 # A raw line's crossing with another, when it is not an affine point.
 _PARALLEL = "parallel"
@@ -224,6 +224,13 @@ def _meet(l, m, p: int | None):
     inv = pow(det, -1, p) if p else 1 / det
     x, y = (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
     return (x % p, y % p) if p else (x, y)
+
+
+def _product(l, m) -> tuple:
+    """The conic l*m of two raw lines tX - uY + v = 0 without its constant
+    term: its coefficients of X^2, XY, Y^2, X and Y."""
+    (t1, u1, v1), (t2, u2, v2) = l, m
+    return (t1 * t2, -(t1 * u2 + u1 * t2), u1 * u2, t1 * v2 + v1 * t2, -(u1 * v2 + v1 * u2))
 
 
 def _mid(c1, c2, p: int | None):

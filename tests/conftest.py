@@ -3,12 +3,12 @@ import hashlib
 import pytest
 
 from bisectrix import (
-    GF, InfPoint, Involution, Line, LinePair, Point, QQ, Quadrilateral, random_quadrilateral,
-    verify_all,
+    GF, InfPoint, Involution, Line, LinePair, Point, QQ, Quadrilateral, bisector_through,
+    is_bisector, q_orthogonal, quadratic_data, random_quadrilateral, verify_all,
 )
 from bisectrix.errors import (
     AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
-    IdenticalLines,
+    IdenticalLines, NotABisector, NotBisectors,
 )
 from bisectrix.plane import line_det
 
@@ -137,6 +137,40 @@ def bisector_by_definition(q, l):
     if len(mids) == 2 and mids[0] != mids[1]:
         return None
     return None if isinstance(mids[0], InfPoint) else mids[0]
+
+
+# The Q-partner by standard-form reduction, and the Q-pair test on the
+# Point midpoints of is_bisector: the tests' reference for
+# bisectors.q_partner and is_q_pair.
+
+
+def q_partner_by_standard_form(q, l):
+    """The bisector through the antipode 2c - m of l's midpoint m
+    (bisector_through), or, for a midpoint at the centroid c, the line
+    through c Q-orthogonal to l (possibly l itself)."""
+    m = bisector_by_definition(q, l)
+    if m is None:
+        raise NotABisector(f"{l} does not bisect the quadrilateral")
+    c = q.centroid
+    antipode = Point(2 * c.x - m.x, 2 * c.y - m.y)
+    if antipode != m:
+        found = bisector_through(q, antipode)
+        assert isinstance(found, list) and len(found) == 1, f"{antipode} lies on one bisector"
+        return found[0].line
+    d = quadratic_data(q)
+    r = d.gamma * l.u - d.beta * l.t
+    s = -d.beta * l.u + d.alpha * l.t
+    return Line(r, -s, -s * c.y - r * c.x)
+
+
+def q_pair_by_scalars(q, pair):
+    """Q-antipodal (the midpoints' midpoint is the centroid) and
+    Q-orthogonal; NotBisectors when a line of the pair does not bisect."""
+    m1, m2 = (is_bisector(q, l) for l in pair.lines)
+    if m1 is None or m2 is None:
+        raise NotBisectors(f"{pair} does not consist of bisectors")
+    return midpoint_by_scalars(m1, m2) == q.centroid and q_orthogonal(
+        quadratic_data(q), pair.a, pair.b)
 
 
 # The involution of two point pairs on Scalar objects, the tests' reference

@@ -19,10 +19,16 @@ from bisectrix import (
     nine_points,
     q_partner,
 )
-from bisectrix.errors import FieldMismatch, InvariantViolation, NotABisector, NotBisectors
+from bisectrix.errors import (
+    ExhaustedSampling, FieldMismatch, GeometryError, InvariantViolation, NotABisector,
+    NotBisectors,
+)
 from bisectrix.oracle import brute_bisectors, random_quadrilateral, verify_all
 from bisectrix.pencil import Conic, center
-from conftest import mid_cross, slope_product
+from conftest import (
+    SPECIAL_SIDES, make_quad, mid_cross, q_pair_by_scalars, q_partner_by_standard_form,
+    slope_product,
+)
 from test_oracle import bisector_field_by_definition
 
 
@@ -177,6 +183,59 @@ def test_q_partner_is_involution():
             partner = q_partner(q, b.line)
             assert q_partner(q, partner) == b.line
             assert is_q_pair(q, LinePair(b.line, partner))
+
+
+def _partner_cases():
+    """(q, its bisectors in sort order): every bisector, exhaustive, over
+    GF(3), GF(5), GF(7), GF(11) and GF(13) seeds 0-59 and GF(101) seeds
+    1-3, the sides and diagonals over Q seeds 0-39, and SPECIAL_SIDES in
+    each of these fields."""
+    exhaustive = [(GF(p), seed) for p in (3, 5, 7, 11, 13) for seed in range(60)]
+    exhaustive += [(GF(101), seed) for seed in (1, 2, 3)]
+    quads = []
+    for field, seed in exhaustive:
+        try:
+            quads.append(random_quadrilateral(field, seed))
+        except ExhaustedSampling:
+            continue
+    quads += [random_quadrilateral(QQ, seed) for seed in range(40)]
+    for field in (QQ, GF(3), GF(5), GF(7), GF(11), GF(13), GF(101)):
+        for sides in SPECIAL_SIDES:
+            try:
+                quads.append(make_quad(field, *sides))
+            except GeometryError:
+                continue
+    for q in quads:
+        if q.field is QQ:
+            yield q, list(dict.fromkeys(q.sides + q.diagonal_lines))
+        else:
+            yield q, sorted({b.line for b in brute_bisectors(q)}, key=Line.sort_key)
+
+
+def test_q_partner_and_is_q_pair_equal_the_standard_form_route():
+    """The closed form of q_partner against the standard-form route, and the
+    raw is_q_pair against its Scalar form on each Q-pair, on each bisector
+    paired with the next one (mostly not a Q-pair), and with a line that
+    does not bisect."""
+    counts = {"vertical": 0, "centroid": 0, "non-pairs": 0}
+    for q, lines in _partner_cases():
+        field = q.field
+        for i, line in enumerate(lines):
+            partner = q_partner(q, line)
+            assert partner == q_partner_by_standard_form(q, line), (q, line)
+            counts["vertical"] += line.is_vertical
+            counts["centroid"] += is_bisector(q, line) == q.centroid
+            for pair in (LinePair(line, partner), LinePair(line, lines[(i + 1) % len(lines)])):
+                assert is_q_pair(q, pair) == q_pair_by_scalars(q, pair), (q, pair)
+                counts["non-pairs"] += not is_q_pair(q, pair)
+        off = next(l for l in (Line.parse(field, f"{text}{c}")
+                               for text in ("X=", "Y=X+", "Y=2X+") for c in range(9))
+                   if is_bisector(q, l) is None)
+        with pytest.raises(NotBisectors):
+            is_q_pair(q, LinePair(lines[0], off))
+        with pytest.raises(NotABisector):
+            q_partner(q, off)
+    assert all(counts.values()), counts
 
 
 def test_bisectors_share_midpoint_iff_parallelogram():

@@ -128,6 +128,16 @@ def _both_pairs_crossed(bisector_mid):
     return defect
 
 
+def _ratio_swapped(pencil_ratio):
+    """The pencil member [alpha : beta] of q_partner read as [beta : alpha]."""
+
+    def defect(f, g, t, u):
+        alpha, beta = pencil_ratio(f, g, t, u)
+        return beta, alpha
+
+    return defect
+
+
 def _negated(predicate):
     return lambda *args: not predicate(*args)
 
@@ -143,10 +153,18 @@ DEFECTS = {
                   {"bisector_field", "partner_involution", "pencil_degenerations"}),
         },
     ),
+    "pencil_ratio_swapped": (
+        bisectors, "_pencil_ratio", _ratio_swapped, {
+            "GFp:7": ("partner_involution",
+                      {"bisector_field", "partner_involution", "pencil_degenerations"}),
+            "Q": ("partner_involution",
+                  {"bisector_field", "partner_involution", "pencil_degenerations"}),
+        },
+    ),
     "alpha_plus_one": (
         form, "quadratic_data", alpha_plus_one, {
             "GFp:7": ("pair_redundancy",
-                      {"affine_invariance", "bisector_field", "closed_form_oracle",
+                      {"affine_invariance", "closed_form_oracle",
                        "eq1_discriminant", "lambda_involution", "locus_degeneracy",
                        "locus_midpoints", "nine_points", "opposite_orthogonal",
                        "pair_redundancy", "partner_involution", "pencil_degenerations",
@@ -167,11 +185,7 @@ DEFECTS = {
     ),
     "bisector_through_shifted": (
         bisectors, "bisector_through", _bisector_shifted, {
-            "GFp:7": ("closed_form_oracle",
-                      {"bisector_field", "closed_form_oracle", "partner_involution",
-                       "pencil_degenerations"}),
-            "Q": ("bisector_field",
-                  {"bisector_field", "partner_involution", "pencil_degenerations"}),
+            "GFp:7": ("closed_form_oracle", {"closed_form_oracle"}),
         },
     ),
     "inner_off_by_one": (

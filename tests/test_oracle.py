@@ -688,18 +688,21 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
     """One verify_all asks the kernel for bisector_locus once, q_partner once
     per distinct line, and quadratic_data once for q, once per
     affine_invariance trial and, when exhaustive, once per re-paired
-    quadrilateral."""
-    from bisectrix import Quadrilateral, oracle, requadrilate
+    quadrilateral.  bisector_through, the standard-form route, is reached
+    only by closed_form_oracle, once per locus zero: never by q_partner."""
+    from bisectrix import Quadrilateral, bisectors, oracle, requadrilate
 
     for field, profile, trials in ((QQ, "fixture", 10), (GF(7), "exhaustive", 5)):
         q = random_quadrilateral(field, 1)
-        calls = {}
-        for name in ("q_partner", "quadratic_data", "bisector_locus"):
-            def counted(*args, _name=name, _real=getattr(oracle, name)):
+        calls = {"bisector_through": []}
+        for module, name in ((oracle, "q_partner"), (oracle, "quadratic_data"),
+                             (oracle, "bisector_locus"), (oracle, "bisector_through"),
+                             (bisectors, "bisector_through")):
+            def counted(*args, _name=name, _real=getattr(module, name)):
                 calls.setdefault(_name, []).append(args[1:])
                 return _real(*args)
 
-            monkeypatch.setattr(oracle, name, counted)
+            monkeypatch.setattr(module, name, counted)
         reports = verify_all(q, profile, seed=1)
         monkeypatch.undo()
         assert all(r.passed for r in reports)
@@ -707,12 +710,15 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
         if profile == "exhaustive":
             lines = {b.line for b in brute_bisectors(q)}
             repaired = [c for c in requadrilate(q.quadrangle()) if isinstance(c, Quadrilateral)]
+            zeros = oracle._zero_set(bisector_locus(q).conic, field.p)
         else:
-            lines, repaired = set(q.sides + q.diagonal_lines), []
+            lines, repaired, zeros = set(q.sides + q.diagonal_lines), [], set()
         partnered = [line for (line,) in calls["q_partner"]]
         assert len(partnered) == len(set(partnered)) and set(partnered) == lines
         assert len(calls["quadratic_data"]) == 1 + trials + len(repaired)
         assert q.proper and (profile == "fixture" or repaired)
+        through = [oracle._raw_point(m) for (m,) in calls["bisector_through"]]
+        assert len(through) == len(zeros) and set(through) == zeros
 
 
 def _printed_in_three_processes(script):
