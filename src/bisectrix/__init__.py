@@ -43,7 +43,6 @@ from .pencil import (
     center,
     classify,
     degenerations,
-    is_degeneration_of,
     pencil_of,
 )
 from .plane import (

@@ -41,8 +41,7 @@ _FORMATS = ("text", "record")
 # The largest p for which verify runs its exhaustive profile over GF(p):
 # verify_all on random_quadrilateral(GF(p), 3) takes 0.05-0.06 s at p = 101,
 # 0.44-0.48 s at p = 997 and 0.96-1.18 s at p = 1,999 on a shared 2-vCPU
-# machine.  Neither bisector_field nor the locus zero set grows as p^2 any
-# more; the bound keeps one instance under a second.
+# machine; the bound keeps one instance under a second.
 _VERIFY_MAX_P = 1000
 
 

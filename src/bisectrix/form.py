@@ -154,12 +154,6 @@ def _class_parameters(qr: Quadrangle, line: Line):
     return [[parameter(side) for side in pair.lines] for pair in qr.opposite_side_pairs()]
 
 
-def _desargues_triple(params) -> tuple:
-    """The unnormalised (m0, m1, m2) exchanging the first two pairs of
-    homogeneous parameters: one formula for polynomials and for scalars."""
-    return _cross(*(_exchange_row(p, q) for p, q in params[:2]))
-
-
 def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple[Scalar, ...], ...]:
     """The Desargues involution along the whole parallel class tX - uY + v = 0.
 
@@ -177,33 +171,31 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple[Scalar
         [(_Poly((a, b)), det) for a, b, det in pair]
         for pair in _class_parameters(qr, Line(t, u, field.zero))
     ]
-    return tuple(tuple(field.scalar(c) for c in m) for m in _desargues_triple(params))
+    triple = _cross(*(_exchange_row(p, q) for p, q in params[:2]))
+    return tuple(tuple(field.scalar(c) for c in m) for m in triple)
 
 
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     """The involution induced on a line by the conics through a quadrangle.
 
-    desargues_pencil of the line's class at the line's offset v, with v
-    substituted into the crossing parameters before they are multiplied
-    (see _class_parameters); the third pair of opposite sides is conjugate
-    under the same involution, which is checked (NotConjugate otherwise).
-    The involution acts on the chart parameters of _class_parameters; it is
-    a reflection, fixing the line's infinite point, exactly when m2 = 0.
+    desargues_pencil of the line's class evaluated at the line's offset v;
+    the third pair of opposite sides is conjugate under the same
+    involution, which is checked (NotConjugate otherwise).  The involution
+    acts on the chart parameters of _class_parameters; it is a reflection,
+    fixing the line's infinite point, exactly when m2 = 0.
     """
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
-    field, v = line.field, line.v.value
-    params = [
-        [(field.scalar(a + b * v), field.scalar(det)) for a, b, det in pair]
-        for pair in _class_parameters(qr, line)
-    ]
     # Off the vertices the triple is never degenerate: m0^2 + m1*m2 is, up
     # to sign, the product of the cross determinants of the two pairs'
     # crossings, which are distinct points (the identity that
     # oracle._desargues_class_cleared checks), so a DegenerateInput here is
     # a kernel fault.
-    inv = Involution(*_desargues_triple(params))
-    if not inv.conjugate(*(InfPoint(x, y) for x, y in params[2])):
+    inv = Involution(*(_Poly(m)(line.v) for m in desargues_pencil(qr, line.t, line.u)))
+    field, v = line.field, line.v.value
+    third = (InfPoint(field.scalar(a + b * v), field.scalar(det))
+             for a, b, det in _class_parameters(qr, line)[2])
+    if not inv.conjugate(*third):
         raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

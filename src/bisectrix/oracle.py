@@ -23,9 +23,8 @@ A*A' and B*B' have zero slope at m bisects, at m, every Q-pair whose
 product lies in their span plus a constant, so only the pairs and lines
 that fail these O(1) tests are met line by line.  The locus zero set
 shared by closed_form_oracle and locus_midpoints is solved column by
-column off a table of square roots, not by trying all p^2 points.  These,
-and the direction and midpoint buckets of pair_redundancy, are raw as
-well.  Values are built
+column off a table of square roots.  These, and the direction and
+midpoint buckets of pair_redundancy, are raw as well.  Values are built
 where a result goes back to the kernel or into a set: brute_bisectors makes
 a Line and a Point per bisector (of the re-paired quadrilaterals too, in
 repairing_bisectors), closed_form_oracle a Point per locus zero,

@@ -177,29 +177,6 @@ def _lambda_for(conic: Conic, l1: Line, l2: Line) -> Scalar:
     return lam
 
 
-def _factor_degenerate(c: Conic) -> LinePair | None:
-    """Split a degenerate conic into two lines over the ground field.
-
-    Returns None when the factorization needs a quadratic extension.
-    """
-    disc = c.leading_discriminant()
-    root = disc.sqrt()
-    if root is None:
-        return None
-    if not disc.is_zero():
-        return _central_pair(c, center(c), root)
-    # Double direction.  c has leading coefficient 1, so with the canonical
-    # midline L = tX - uY + v it equals (L^2 - r^2) / scale, where scale is
-    # t^2, or 1 for a horizontal L (t = 0); the factors are L + r and L - r.
-    midline = _midline(c)
-    if midline is None:
-        return None
-    t, v = midline.t, midline.v
-    scale = c.field.one if t.is_zero() else t * t
-    r = (v * v - scale * c.f).sqrt()
-    return None if r is None else _offset_pair(midline, r)
-
-
 def _central_pair(c: Conic, o: Point, root: Scalar) -> LinePair:
     """The lines through o along the null directions [dx : dy] of c's
     quadratic part, whose discriminant has the nonzero square root root."""
@@ -233,8 +210,17 @@ def _midline(c: Conic) -> Line | None:
 
 
 def classify(c: Conic) -> ConicClass:
+    """A degenerate c splits as degenerations(c) does: into the asymptote
+    pair (lam = 0), or into L + r, L - r of its parallel family, with c =
+    (L^2 - r^2)/k for the midline L = tX - uY + v, k = t^2 (1 if t = 0)."""
     if c.is_degenerate():
-        pair = _factor_degenerate(c)
+        report = degenerations(c)
+        pair = report.entries[0].pair if report.entries else None
+        if report.family is not None:
+            midline = report.family.midline
+            t, v = midline.t, midline.v
+            r = (v * v - (c.field.one if t.is_zero() else t * t) * c.f).sqrt()
+            pair = None if r is None else _offset_pair(midline, r)
         if pair is None:
             return ConicClass("degenerate_irreducible")
         return ConicClass("degenerate_pair", pair)
@@ -297,21 +283,3 @@ def pencil_of(q: Quadrilateral) -> Pencil:
         raise InvariantViolation("both generators of the pencil pass through every vertex")
     return Pencil(f1, f2)
 
-
-def is_degeneration_of(p: Pencil, pair: LinePair) -> bool:
-    """Whether the pair's product equals alpha*f1 + beta*f2 + lam for some
-    scalars.  lam absorbs the constant coefficient, and the first five of f1
-    and f2 are independent (else f1 - k*f2 is a constant that vanishes where
-    the generators meet, and the two line pairs coincide), so Cramer's rule
-    on the first nonzero 2x2 minor, scaled by the minor, gives alpha and
-    beta; all five coefficients must then agree."""
-    f1, f2 = p.f1.coeffs[:5], p.f2.coeffs[:5]
-    product = Conic.from_lines(pair.a, pair.b).coeffs[:5]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            det = f1[i] * f2[j] - f1[j] * f2[i]
-            if not det.is_zero():
-                alpha = product[i] * f2[j] - product[j] * f2[i]
-                beta = f1[i] * product[j] - f1[j] * product[i]
-                return all(alpha * x + beta * y == det * z for x, y, z in zip(f1, f2, product))
-    raise InvariantViolation(f"the generators {p.f1} and {p.f2} differ by a constant")

@@ -10,7 +10,8 @@ from bisectrix.errors import (
     AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
     IdenticalLines, NotABisector, NotBisectors,
 )
-from bisectrix.plane import line_det
+from bisectrix.oracle import _in_span
+from bisectrix.plane import _product, _raw_line, line_det
 
 
 def make_quad(field, *literals):
@@ -171,6 +172,14 @@ def q_pair_by_scalars(q, pair):
         raise NotBisectors(f"{pair} does not consist of bisectors")
     return midpoint_by_scalars(m1, m2) == q.centroid and q_orthogonal(
         quadratic_data(q), pair.a, pair.b)
+
+
+def in_pencil(q, pair):
+    """Whether the product of the line pair lies in span(A*A', B*B') plus a
+    constant: the oracle's span test on q's side products."""
+    f, g, c = (_product(_raw_line(l1), _raw_line(l2))
+               for l1, l2 in ((q.a, q.a2), (q.b, q.b2), pair.lines))
+    return _in_span(c, f, g, getattr(q.field, "p", None))
 
 
 # The involution of two point pairs on Scalar objects, the tests' reference

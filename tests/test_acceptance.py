@@ -25,7 +25,6 @@ from bisectrix import (
     inner,
     intersect,
     is_bisector,
-    is_degeneration_of,
     is_q_pair,
     line_from_points,
     midpoint,
@@ -38,7 +37,7 @@ from bisectrix import (
 from bisectrix.cli import main
 from bisectrix.oracle import Lcg64, random_invertible_map, random_scalar
 from bisectrix.pencil import Conic, degenerations
-from conftest import E1_SIDES, E2_SIDES, chart_point, make_quad
+from conftest import E1_SIDES, E2_SIDES, chart_point, in_pencil, make_quad
 from test_oracle import bisector_field_by_definition
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -196,7 +195,7 @@ def test_criterion_07_pencil_degenerations():
                 assert is_q_pair(q, entry.pair)
         for b in brute_bisectors(q):
             partner = q_partner(q, b.line)
-            assert is_degeneration_of(pen, LinePair(b.line, partner))
+            assert in_pencil(q, LinePair(b.line, partner))
     done(7, "pencil degenerations are exactly the Q-pairs on 50 GF(7) instances")
 
 

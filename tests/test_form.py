@@ -26,10 +26,11 @@ from bisectrix.errors import (
     LineThroughVertex,
     NotConjugate,
 )
-from bisectrix.oracle import _p1, enumerate_lines, random_quadrilateral
+from bisectrix.oracle import _fixture_probe_lines, _p1, enumerate_lines, random_quadrilateral
 from bisectrix.quad import Quadrilateral
 from conftest import (
-    SPECIAL_SIDES, chart_point, involution_from_pairs, make_quad, standard_by_transform,
+    E1_SIDES, E2_SIDES, SPECIAL_SIDES, chart_point, involution_from_pairs, make_quad,
+    standard_by_transform,
 )
 
 
@@ -217,27 +218,40 @@ def _at(coeffs, v):
 
 
 def test_desargues_pencil_at_v_is_the_involution_of_each_line():
-    """The class form evaluated at v equals involution_from_pairs on the
-    chart parameters of the line's crossings, on every line of GF(7),
-    GF(11) and GF(13) that avoids the vertices."""
+    """The class form evaluated at v, and desargues_involution, equal
+    involution_from_pairs on the chart parameters of the line's crossings:
+    on every line of GF(7), GF(11) and GF(13) that avoids the vertices, and
+    over Q on the fixture probe lines of seeds 0-39, E1 and E2."""
+    cases = []
     for p in (7, 11, 13):
         field = GF(p)
         quads = [random_quadrilateral(field, seed) for seed in range(4)]
         quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
-        for q in (q for q in quads if q.proper):
-            qr = q.quadrangle()
-            pencils = {(t, u): desargues_pencil(qr, t, u) for u, t in _p1(field)}
-            for line in enumerate_lines(field):
-                if any(line.contains(v) for v in qr.points):
-                    continue
-                pairs = [
-                    tuple(chart_point(line, intersect(line, m)) for m in pair.lines)
-                    for pair in qr.opposite_side_pairs()
-                ]
-                expected = involution_from_pairs(pairs[0], pairs[1])
-                m = [_at(c, line.v) for c in pencils[line.t, line.u]]
-                assert Involution(*m) == expected, (p, q, line)
-                assert desargues_involution(qr, line) == expected
+        cases += [(q, enumerate_lines(field)) for q in quads]
+    quads = [random_quadrilateral(QQ, seed) for seed in range(40)]
+    quads += [make_quad(QQ, *sides) for sides in (E1_SIDES, E2_SIDES)]
+    cases += [(q, _fixture_probe_lines(q)) for q in quads]
+    q_lines = 0
+    for q, lines in cases:
+        if not q.proper:
+            continue
+        qr = q.quadrangle()
+        pencils = {}
+        for line in lines:
+            if any(line.contains(v) for v in qr.points):
+                continue
+            pairs = [
+                tuple(chart_point(line, intersect(line, m)) for m in pair.lines)
+                for pair in qr.opposite_side_pairs()
+            ]
+            expected = involution_from_pairs(pairs[0], pairs[1])
+            if (line.t, line.u) not in pencils:
+                pencils[line.t, line.u] = desargues_pencil(qr, line.t, line.u)
+            m = [_at(c, line.v) for c in pencils[line.t, line.u]]
+            assert Involution(*m) == expected, (q, line)
+            assert desargues_involution(qr, line) == expected, (q, line)
+            q_lines += q.field is QQ
+    assert q_lines > 100
 
 
 def test_desargues_pencil_degree_and_parallel_directions():

@@ -5,6 +5,7 @@ import pytest
 from bisectrix import (
     GF,
     Conic,
+    ConicClass,
     Line,
     LinePair,
     Point,
@@ -12,13 +13,13 @@ from bisectrix import (
     center,
     classify,
     degenerations,
-    is_degeneration_of,
     is_q_pair,
     pencil_of,
     q_partner,
 )
 from bisectrix.errors import DegenerateInput
 from bisectrix.oracle import brute_bisectors, enumerate_lines, random_quadrilateral
+from conftest import in_pencil
 
 
 def conic(field, *values):
@@ -95,6 +96,20 @@ def test_classify_parabola_and_double_line():
     result = classify(double)
     assert result.kind == "degenerate_pair"
     assert result.pair == LinePair(Line.parse(QQ, "X=0"), Line.parse(QQ, "X=0"))
+
+
+def test_classify_parallel_pair_needs_a_square_offset():
+    """A parallel-pair conic L^2 - r^2 splits over k exactly when r^2 is a
+    square: the offset of its family's midline, for t = 1 and t = 2."""
+    for c in (conic(QQ, 1, 0, 0, 0, 0, -2), conic(GF(7), 1, 0, 0, 0, 0, -3),
+              conic(QQ, 4, -4, 1, 0, 0, -2)):  # X^2 - 2, X^2 - 3, (2X - Y)^2 - 2
+        assert c.is_degenerate()
+        assert classify(c) == ConicClass("degenerate_irreducible")
+    for c, lines in ((conic(QQ, 1, 0, 0, 0, 0, -4), ("X=2", "X=-2")),
+                     (conic(QQ, 4, -4, 1, 0, 0, -4), ("Y=2X+2", "Y=2X-2"))):
+        result = classify(c)
+        assert result.kind == "degenerate_pair"
+        assert result.pair == LinePair(*(Line.parse(QQ, text) for text in lines))
 
 
 def test_degenerations_hyperbola_gf7():
@@ -175,23 +190,22 @@ def test_degenerations_ellipse_parabola_empty():
     assert not report.entries and report.absent_witness is not None
 
 
-def test_is_degeneration_of_examples(e1):
+def test_in_span_examples(e1):
     pen = pencil_of(e1)
-    assert is_degeneration_of(pen, LinePair(e1.a, e1.a2))
-    assert is_degeneration_of(pen, LinePair(e1.b, e1.b2))
-    assert not is_degeneration_of(
-        pen, LinePair(Line.parse(QQ, "X=3"), Line.parse(QQ, "Y=5"))
-    )
+    assert in_pencil(e1, LinePair(e1.a, e1.a2))
+    assert in_pencil(e1, LinePair(e1.b, e1.b2))
+    assert not in_pencil(e1, LinePair(Line.parse(QQ, "X=3"), Line.parse(QQ, "Y=5")))
     member = pen.member(QQ.one, QQ.scalar(3))
     report = degenerations(member)
     for entry in report.entries:
-        assert is_degeneration_of(pen, entry.pair)
+        assert in_pencil(e1, entry.pair)
 
 
-def test_is_degeneration_of_matches_vertex_values_gf7():
+def test_in_span_matches_vertex_values_gf7():
     """No three vertices of a proper quadrilateral are collinear, so the
     conics through all four form the pencil, and a line pair belongs to it
-    up to a constant exactly when its product is constant on the vertices."""
+    up to a constant exactly when its product is constant on the vertices:
+    a definition of the oracle's span test independent of its algebra."""
     g7 = GF(7)
     lines = enumerate_lines(g7)
     checked = 0
@@ -199,12 +213,11 @@ def test_is_degeneration_of_matches_vertex_values_gf7():
         q = random_quadrilateral(g7, seed)
         if not q.proper:
             continue
-        pen = pencil_of(q)
         forms = [[l.t * v.x - l.u * v.y + l.v for v in q.vertices] for l in lines]
         for i, l1 in enumerate(lines):
             for j in range(i, len(lines)):
                 values = {x * y for x, y in zip(forms[i], forms[j])}
-                member = is_degeneration_of(pen, LinePair(l1, lines[j]))
+                member = in_pencil(q, LinePair(l1, lines[j]))
                 assert member == (len(values) == 1), (seed, l1, lines[j])
                 checked += member
     assert checked > 0
@@ -246,10 +259,9 @@ def test_bisector_partner_pairs_are_degenerations_gf7():
     g7 = GF(7)
     for seed in range(8):
         q = random_quadrilateral(g7, seed)
-        pen = pencil_of(q)
         for b in brute_bisectors(q):
             partner = q_partner(q, b.line)
-            assert is_degeneration_of(pen, LinePair(b.line, partner))
+            assert in_pencil(q, LinePair(b.line, partner))
 
 
 def test_pencil_member_centers_on_locus(e1):
