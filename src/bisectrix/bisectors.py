@@ -8,8 +8,8 @@ the two opposite-side pairs it crosses agree; that common point is the
 midpoint of the bisector and is always affine.  is_bisector runs this rule
 on raw coefficients (_bisector_mid); the oracle solves it once per parallel
 class and applies it line by line only to the lines that are sides.
-is_q_pair and q_partner run on raw values too, q_partner reading the
-partner off the pencil of the side products (see its docstring).
+is_q_pair, q_partner and bisector_through run on raw values too, the last
+two reading the pencil of the side products (see their docstrings).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .plane import (
     PlanePoint,
     Point,
     _field_of,
+    _gradient,
     _meet,
     _mid,
     _point,
@@ -38,7 +39,7 @@ from .plane import (
     line_from_points,
     midpoint,
 )
-from .quad import Quadrangle, Quadrilateral, standard_form
+from .quad import Quadrangle, Quadrilateral
 
 
 @dataclass(frozen=True)
@@ -81,23 +82,26 @@ def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
 
 
 def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThrough:
-    """The bisector(s) of q with midpoint m, by standard-form reduction.
-
-    Empty when m is not on the bisector locus; AllLinesThrough(m) when m is
-    the center of a parallelogram's vertex set.
-    """
-    f, mu = standard_form(q)
-    center = f.apply(q.centroid)
-    h, k = center.x, center.y
-    image = f.apply(m)
-    p, qq = image.x, image.y
-    if not (p.is_zero() and qq.is_zero()):
-        if not (qq * (qq - 2 * k) - mu * p * (p - 2 * h)).is_zero():
-            return []
-        return [Bisector(f.pullback(Line(qq, -p, -2 * p * qq)), m)]
-    if not (h.is_zero() and k.is_zero()):
-        return [Bisector(f.pullback(Line(mu * h, -k, h.field.zero)), m)]
-    return AllLinesThrough(m)
+    """The bisector(s) of q with midpoint m, read off the pencil of F = A*A'
+    and G = B*B' like q_partner: a line through m in direction d bisects at
+    m exactly when grad F(m) . d = grad G(m) . d = 0 (plane._gradient).  So
+    m is on the locus, the centers of the pencil's conics, exactly when the
+    two gradients are parallel, and the bisector is normal to the nonzero
+    one.  Empty off the locus; AllLinesThrough(m) when both vanish, at the
+    center of a parallelogram's vertex set."""
+    field = _field_of(m, q)
+    p = getattr(field, "p", None)
+    mx, my = xy = _raw_point(m)
+    sides = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)]
+    (fx, fy), (gx, gy) = ([c % p if p else c for c in _gradient(_product(*pair), xy)]
+                          for pair in (sides[:2], sides[2:]))
+    if (fx * gy - fy * gx) % p if p else fx * gy - fy * gx:
+        return []
+    nx, ny = (fx, fy) if fx or fy else (gx, gy)
+    if not (nx or ny):
+        return AllLinesThrough(m)
+    line = Line(*(field._make(c % p if p else c) for c in (-nx, ny, nx * mx + ny * my)))
+    return [Bisector(line, m)]
 
 
 @dataclass(frozen=True)

@@ -414,7 +414,8 @@ def main(argv=None) -> int:
     except NotABisector as err:
         print(f"error: NotABisector: {err}", file=sys.stderr)
         return 3
-    except GeometryError as err:
+    except (GeometryError, ValueError) as err:
+        # ValueError: a Q value past Python's int-to-string digit limit.
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     for line in lines:

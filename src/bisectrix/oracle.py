@@ -83,6 +83,7 @@ from .plane import (
     Line,
     LinePair,
     Point,
+    _gradient,
     _meet,
     _mid,
     _point,
@@ -825,12 +826,10 @@ def _slopes(f, g, m, line) -> list:
     """Values that all vanish exactly when a raw line tX - uY + v = 0 passes
     through m and L_F(m, d) = L_G(m, d) = 0 for its direction d = (u, t):
     l(m), then L_C(m, d) = grad C(m) . d, the coefficient of s in C(m +
-    s*d), for the conics C of f and g (see _product)."""
+    s*d), for the conics C of f and g (see _product and _gradient)."""
     (mx, my), (t, u, v) = m, line
-    out = [t * mx - u * my + v]
-    for xx, xy, yy, x, y in (f, g):
-        out.append((2 * xx * mx + xy * my + x) * u + (xy * mx + 2 * yy * my + y) * t)
-    return out
+    grads = _gradient(f, m), _gradient(g, m)
+    return [t * mx - u * my + v] + [cx * u + cy * t for cx, cy in grads]
 
 
 def _check_bisector_field(q, ctx):

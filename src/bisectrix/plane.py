@@ -192,7 +192,7 @@ def line_det(l1: Line, l2: Line) -> Scalar:
 
 # Raw values: a line is its canonical (t, u, v) and a point its (x, y), as
 # ints in [0, p) over GF(p) or as the Scalars' Fractions over Q, where p is
-# None and nothing is reduced.  The meet, midpoint and line-product rules
+# None and nothing is reduced.  The meet, midpoint, product and gradient rules
 # below are the only ones; intersect, midpoint and Conic.from_lines wrap them.
 
 # A raw line's crossing with another, when it is not an affine point.
@@ -231,6 +231,13 @@ def _product(l, m) -> tuple:
     term: its coefficients of X^2, XY, Y^2, X and Y."""
     (t1, u1, v1), (t2, u2, v2) = l, m
     return (t1 * t2, -(t1 * u2 + u1 * t2), u1 * u2, t1 * v2 + v1 * t2, -(u1 * v2 + v1 * u2))
+
+
+def _gradient(c, m) -> tuple:
+    """grad C(m) for the conic C of coefficients c (see _product) at a raw
+    point m: L_C(m, d) = grad C(m) . d is the coefficient of s in C(m + s*d)."""
+    (xx, xy, yy, x, y), (mx, my) = c, m
+    return (2 * xx * mx + xy * my + x, xy * mx + 2 * yy * my + y)
 
 
 def _mid(c1, c2, p: int | None):
@@ -303,15 +310,6 @@ class AffineMap(Frozen):
             det = self.m00 * self.m11 - self.m01 * self.m10
             return Line(t, u, det * obj.v - t * self.b0 + u * self.b1)
         raise TypeError(f"cannot apply an affine map to {obj!r}")
-
-    def pullback(self, line: Line) -> Line:
-        """The line whose image under this map is line."""
-        t, u = line.t, line.u
-        return Line(
-            t * self.m00 - u * self.m10,
-            u * self.m11 - t * self.m01,
-            t * self.b0 - u * self.b1 + line.v,
-        )
 
     def __repr__(self):
         return (

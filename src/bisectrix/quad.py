@@ -4,8 +4,9 @@ A quadrilateral ABA'B' is four distinct lines in cyclic order with opposite
 pairs {A, A'} and {B, B'}; adjacent sides may not be parallel and the four
 lines may not be concurrent.  Three sides through one point are allowed
 (improper case, two coincident vertices).  All derived data is computed
-eagerly at validation time on raw values (see plane), except the standard
-form and the quadratic data (form.quadratic_data), memoised on first use.
+eagerly at validation time on raw values (see plane), except the quadratic
+data (form.quadratic_data), memoised on first use; standard_form, analyze's
+printed normal form, is computed on each call.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
     __slots__ = (
         "a", "b", "a2", "b2",
         "vertices", "centroid", "proper", "double_vertex",
-        "diagonal_lines", "line_pairs", "_standard", "_quadratic_data",
+        "diagonal_lines", "line_pairs", "_quadratic_data",
     )
 
     def __init__(self, a: Line, b: Line, a2: Line, b2: Line):
@@ -82,7 +83,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
         self._write(
             a, b, a2, b2, vertices, _point(field, centroid), double is None, double, diagonals,
-            ((a, a2), (b, b2), diagonals), None, None,
+            ((a, a2), (b, b2), diagonals), None,
         )
 
     @property
@@ -184,19 +185,11 @@ def requadrilate(qr: Quadrangle) -> list[Quadrilateral | GeometryError]:
     return out
 
 
-def _axis_map(a: Line, a2: Line) -> AffineMap:
-    """The map sending A to the X-axis and A' to the Y-axis.
-
-    f(x, y) = (A'(x, y), -A(x, y)) where each side contributes its canonical
-    linear form tX - uY + v; the sign on the second coordinate makes the map
-    the identity when the quadrilateral is already in standard form.
-    """
-    return AffineMap(a2.t, -a2.u, -a.t, a.u, a2.v, -a.v)
-
-
 def standard_form(q: Quadrilateral) -> tuple[AffineMap, Scalar]:
     """The map f carrying Q to standard form (A: Y=0, A': X=0) and mu.
 
+    f(x, y) = (A'(x, y), -A(x, y)) for the sides' canonical linear forms
+    tX - uY + v, the identity on a quadrilateral already in standard form.
     The opposite pair carried to the axes is {A, A'} when those are not
     parallel, else {B, B'} (relabelled), else the quadrilateral is a
     parallelogram and its diagonals D0, D1 go to the axes, re-paired as the
@@ -204,8 +197,6 @@ def standard_form(q: Quadrilateral) -> tuple[AffineMap, Scalar]:
     the product of the slopes of f(B) and f(B'), where f(L) has slope
     [A, L] / [L, A'] in terms of line_det; it never vanishes.
     """
-    if q._standard is not None:
-        return q._standard
     a, b, a2, b2 = q.sides
     if q.is_parallelogram():
         d0, d1 = q.diagonal_lines
@@ -213,10 +204,8 @@ def standard_form(q: Quadrilateral) -> tuple[AffineMap, Scalar]:
     if a.is_parallel(a2):
         # Rotate the cyclic labels one step: BA'B'A.
         a, b, a2, b2 = b, a2, b2, a
-    f = _axis_map(a, a2)
+    f = AffineMap(a2.t, -a2.u, -a.t, a.u, a2.v, -a.v)
     mu = line_det(a, b) * line_det(a, b2) / (line_det(a2, b) * line_det(a2, b2))
     if mu.is_zero():
         raise InvariantViolation("the standard form has nonzero mu")
-    # The memos here and in form.quadratic_data are the slots written after __init__.
-    object.__setattr__(q, "_standard", (f, mu))
-    return q._standard
+    return f, mu

@@ -3,8 +3,9 @@ import hashlib
 import pytest
 
 from bisectrix import (
-    GF, InfPoint, Involution, Line, LinePair, Point, QQ, Quadrilateral, bisector_through,
-    is_bisector, q_orthogonal, quadratic_data, random_quadrilateral, verify_all,
+    GF, AllLinesThrough, Bisector, InfPoint, Involution, Line, LinePair, Point, QQ,
+    Quadrilateral, is_bisector, q_orthogonal, quadratic_data, random_quadrilateral,
+    standard_form, verify_all,
 )
 from bisectrix.errors import (
     AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
@@ -140,22 +141,48 @@ def bisector_by_definition(q, l):
     return None if isinstance(mids[0], InfPoint) else mids[0]
 
 
-# The Q-partner by standard-form reduction, and the Q-pair test on the
-# Point midpoints of is_bisector: the tests' reference for
-# bisectors.q_partner and is_q_pair.
+# The bisector through a point and the Q-partner by standard-form
+# reduction, and the Q-pair test on the Point midpoints of is_bisector: the
+# tests' reference for bisectors.bisector_through, q_partner and is_q_pair.
+
+
+def bisector_through_by_standard_form(q, m):
+    """The bisector(s) of q with midpoint m, found where standard_form's map
+    f carries A to Y = 0 and A' to X = 0: the image (x, y) of m lies on the
+    locus when y(y - 2k) = mu*x(x - 2h) for the image (h, k) of the
+    centroid, and its bisector there is yX + xY = 2xy, or mu*hX + kY = 0 at
+    the origin; AllLinesThrough(m) when the origin is the centroid's image.
+    Lines come back through f's pullback."""
+    f, mu = standard_form(q)
+
+    def pullback(line):
+        t, u = line.t, line.u
+        return Line(t * f.m00 - u * f.m10, u * f.m11 - t * f.m01, t * f.b0 - u * f.b1 + line.v)
+
+    center = f.apply(q.centroid)
+    h, k = center.x, center.y
+    image = f.apply(m)
+    x, y = image.x, image.y
+    if not (x.is_zero() and y.is_zero()):
+        if not (y * (y - 2 * k) - mu * x * (x - 2 * h)).is_zero():
+            return []
+        return [Bisector(pullback(Line(y, -x, -2 * x * y)), m)]
+    if not (h.is_zero() and k.is_zero()):
+        return [Bisector(pullback(Line(mu * h, -k, h.field.zero)), m)]
+    return AllLinesThrough(m)
 
 
 def q_partner_by_standard_form(q, l):
     """The bisector through the antipode 2c - m of l's midpoint m
-    (bisector_through), or, for a midpoint at the centroid c, the line
-    through c Q-orthogonal to l (possibly l itself)."""
+    (bisector_through_by_standard_form), or, for a midpoint at the centroid
+    c, the line through c Q-orthogonal to l (possibly l itself)."""
     m = bisector_by_definition(q, l)
     if m is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
     c = q.centroid
     antipode = Point(2 * c.x - m.x, 2 * c.y - m.y)
     if antipode != m:
-        found = bisector_through(q, antipode)
+        found = bisector_through_by_standard_form(q, antipode)
         assert isinstance(found, list) and len(found) == 1, f"{antipode} lies on one bisector"
         return found[0].line
     d = quadratic_data(q)

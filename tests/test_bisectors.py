@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -11,6 +13,7 @@ from bisectrix import (
     LinePair,
     Point,
     QQ,
+    Quadrilateral,
     bisector_locus,
     bisector_through,
     is_bisector,
@@ -23,11 +26,11 @@ from bisectrix.errors import (
     ExhaustedSampling, FieldMismatch, GeometryError, InvariantViolation, NotABisector,
     NotBisectors,
 )
-from bisectrix.oracle import brute_bisectors, random_quadrilateral, verify_all
+from bisectrix.oracle import brute_bisectors, enumerate_lines, random_quadrilateral, verify_all
 from bisectrix.pencil import Conic, center
 from conftest import (
-    SPECIAL_SIDES, make_quad, mid_cross, q_pair_by_scalars, q_partner_by_standard_form,
-    slope_product,
+    E1_SIDES, SPECIAL_SIDES, bisector_through_by_standard_form, make_quad, mid_cross,
+    q_pair_by_scalars, q_partner_by_standard_form, slope_product,
 )
 from test_oracle import bisector_field_by_definition
 
@@ -81,6 +84,72 @@ def test_bisector_through_examples(e1, e2):
     assert bisector_through(e1, pt(5, 5)) == []
     center_result = bisector_through(e2, pt("1/2", "1/2"))
     assert center_result == AllLinesThrough(pt("1/2", "1/2"))
+
+
+def _plane(field):
+    coords = [field.scalar(x) for x in range(field.p)]
+    return [Point(x, y) for x in coords for y in coords]
+
+
+def _through_cases():
+    """(q, points): every point of GF(3)^2 for every valid ordered
+    quadrilateral of GF(3); every point of GF(p)^2 for p = 5, 7, 11, 13 on
+    seeds 0-59 and for E1 and the special quadrilaterals at p = 7, 11; and
+    over Q, for the same quadrilaterals, a grid of halves, the vertices,
+    centroid, diagonal points and nine points, the midpoints of the sides
+    and diagonals as bisectors with their antipodes, and points of each
+    line of a split locus."""
+    g3 = GF(3)
+    for sides in product(enumerate_lines(g3), repeat=4):
+        try:
+            q = Quadrilateral(*sides)
+        except GeometryError:
+            continue
+        yield q, _plane(g3)
+    for p in (5, 7, 11, 13):
+        for seed in range(60):
+            try:
+                yield random_quadrilateral(GF(p), seed), _plane(GF(p))
+            except ExhaustedSampling:
+                continue
+    for field in (GF(7), GF(11), QQ):
+        for sides in (E1_SIDES,) + SPECIAL_SIDES:
+            q = make_quad(field, *sides)
+            if field is not QQ:
+                yield q, _plane(field)
+                continue
+            halves = [Fraction(x, 2) for x in range(-4, 5)]
+            points = [pt(x, y) for x in halves for y in halves]
+            points += [*q.vertices, q.centroid, *q.diagonal_points()]
+            points += nine_points(q.quadrangle()) if q.proper else []
+            mids = [is_bisector(q, l) for l in q.sides + q.diagonal_lines]
+            c = q.centroid
+            points += mids + [Point(2 * c.x - m.x, 2 * c.y - m.y) for m in mids]
+            for line in bisector_locus(q).components or ():
+                for x in map(QQ.scalar, range(-3, 4)):
+                    points.append(Point(-line.v, x) if line.is_vertical
+                                  else Point(x, line.t * x + line.v))
+            yield q, [m for m in points if isinstance(m, Point)]
+
+
+def test_bisector_through_equals_the_standard_form_route():
+    """bisector_through, read off the pencil, against the standard-form
+    route (conftest) on every point of _through_cases.  Every outcome is
+    reached in GF(3) and over Q: off the locus, one bisector, the vertex
+    A.A' (where grad F(m) = 0, so the bisector is normal to grad G(m)) and
+    AllLinesThrough."""
+    counts = {field: Counter() for field in (GF(3), QQ)}
+    for q, points in _through_cases():
+        vertex, seen = q.diagonal_points()[0], counts.get(q.field, Counter())
+        for m in points:
+            found = bisector_through(q, m)
+            assert found == bisector_through_by_standard_form(q, m), (q, m)
+            seen["all" if isinstance(found, AllLinesThrough) else len(found)] += 1
+            seen["vertex"] += m == vertex and found != []
+    gf3 = counts[GF(3)]  # 4,752 quadrilaterals, 9 points each
+    assert (gf3[0], gf3[1], gf3["all"]) == (20736, 20736, 1296), gf3
+    for field, seen in counts.items():
+        assert all(seen[kind] for kind in (0, 1, "all", "vertex")), (field, seen)
 
 
 def test_locus_e1_exact(e1):

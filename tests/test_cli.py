@@ -349,6 +349,20 @@ def test_modulus_above_primality_bound_exit_2(capsys):
     assert "3317044064679887385961981" in err
 
 
+def test_values_past_the_int_string_limit_exit_2(capsys):
+    """A Q value whose digits pass Python's int-to-string limit is refused
+    like a geometry error, with exit 2 and one error line, not a traceback:
+    a 1,500-digit slope makes analyze print wider products, and 1e5000 has
+    5,001 digits."""
+    sevens = "7" * 1500
+    big_quad = f"Y=0; Y={sevens}X+1; X=0; Y=2X-{sevens}"
+    for argv in (("--quad", big_quad, "--cmd", "analyze"),
+                 ("--quad", E1_QUAD, "--cmd", "partner", "--line", "Y=1e5000")):
+        code, out, err = run(capsys, "--field", "Q", *argv)
+        assert (code, out) == (2, [])
+        assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: "), err
+
+
 def test_verify_imports_no_numpy():
     """An exhaustive verify must not pull numpy in (it would add ~11 MB RSS)."""
     argv = ["--field", "GFp:7", "--cmd", "verify", "--seed", "1", "--instances", "2"]
@@ -460,7 +474,7 @@ def test_load_config_builds_no_parser(monkeypatch):
 def test_standard_form_builds_no_quadrilateral(monkeypatch):
     """Past the input, standard_form, bisector_through, q_partner and analyze
     build no further Quadrilateral for a non-parallelogram: mu is read off
-    the sides and lines are pulled back through the axis map."""
+    the sides, and bisector_through and q_partner read the raw sides."""
     from bisectrix import (
         Quadrilateral, bisector_through, is_bisector, q_partner, standard_form,
     )

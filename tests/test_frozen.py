@@ -23,7 +23,6 @@ from bisectrix import (
     bisector_locus,
     lambda_q,
     quadratic_data,
-    standard_form,
 )
 from bisectrix.field import Frozen, _thaw
 
@@ -70,23 +69,13 @@ def test_values_reject_assignment_and_deletion(e1):
 def test_values_copy_and_pickle(e1):
     """copy, deepcopy and a pickle round trip rebuild an equal value of the
     same type, although the slots refuse setattr."""
-    standard_form(e1)  # the memo slots are copied too
-    quadratic_data(e1)
+    quadratic_data(e1)  # the memo slot is copied too
     for value in _values(e1) + [GF(7).scalar(3)]:
         for clone in (
             copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
         ):
             assert type(clone) is type(value)
             assert clone == value
-
-
-def test_standard_form_memo_keeps_equality_and_hash(e1, e2, improper):
-    for q in (e1, e2, improper):
-        before = hash(q)
-        result = standard_form(q)
-        assert standard_form(q) is result
-        assert q == Quadrilateral(*q.sides)
-        assert hash(q) == before == hash(Quadrilateral(*q.sides))
 
 
 def test_quadratic_data_memo_keeps_equality_and_hash(e1, e2, improper):
@@ -128,8 +117,7 @@ _IDENTITY = {
 
 def test_identity_slots_decide_equality(e1):
     """Changing one identity slot makes a value unequal; changing any other
-    slot (derived data, the standard_form memo) keeps it equal, hash too."""
-    standard_form(e1)
+    slot (derived data, the quadratic_data memo) keeps it equal, hash too."""
     values = [v for v in _values(e1) if type(v) in _IDENTITY]
     assert {type(v) for v in values} == set(_IDENTITY)
     for value in values:

@@ -315,14 +315,14 @@ def test_verify_all_rejects_bad_input(e1):
 
 
 def test_verify_all_flags_corrupted_data():
-    """Corrupting the closed-form coefficient surfaces a named violation in
-    the oracle-equivalence check."""
-    from bisectrix import standard_form
+    """Corrupting the memoised quadratic data (alpha doubled) surfaces a
+    named violation in the oracle-equivalence check."""
+    from bisectrix import QuadraticData, quadratic_data
 
     q = random_quadrilateral(GF(7), 3)
-    f, mu = standard_form(q)
+    d = quadratic_data(q)
     # The memo is a frozen slot: inject the corruption past the guard.
-    object.__setattr__(q, "_standard", (f, 2 * mu))
+    object.__setattr__(q, "_quadratic_data", QuadraticData(2 * d.alpha, d.beta, d.gamma))
     reports = verify_all(q, "exhaustive")
     failing = {r.tag for r in reports if not r.passed}
     assert "closed_form_oracle" in failing
@@ -688,8 +688,8 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
     """One verify_all asks the kernel for bisector_locus once, q_partner once
     per distinct line, and quadratic_data once for q, once per
     affine_invariance trial and, when exhaustive, once per re-paired
-    quadrilateral.  bisector_through, the standard-form route, is reached
-    only by closed_form_oracle, once per locus zero: never by q_partner."""
+    quadrilateral.  bisector_through is reached only by closed_form_oracle,
+    once per locus zero: never by q_partner."""
     from bisectrix import Quadrilateral, bisectors, oracle, requadrilate
 
     for field, profile, trials in ((QQ, "fixture", 10), (GF(7), "exhaustive", 5)):
@@ -790,17 +790,19 @@ def test_verify_all_frees_its_memo_when_it_returns():
 
 def test_oracle_runs_the_kernel_bisector_rule():
     """Each raw rule has one home: plane.py alone defines the meet and
-    midpoint rule and its raw helpers, bisectors.py alone the bisector rule
-    (_bisector_mid).  No other module of the package defines any of them;
-    bisectors, quad, pencil and oracle hold the home module's objects, and
-    the defect matrix takes _mid from plane."""
+    midpoint rule, the side products and their gradients and its raw
+    helpers, bisectors.py alone the bisector rule (_bisector_mid).  No other
+    module of the package defines any of them; bisectors, quad, pencil and
+    oracle hold the home module's objects, and the defect matrix takes _mid
+    from plane.  bisectors holds no standard form: its closed forms read
+    the pencil."""
     import ast
     from pathlib import Path
 
     from bisectrix import bisectors, oracle, pencil, plane, quad
 
     homes = dict.fromkeys(("_PARALLEL", "_SAME", "_raw_line", "_raw_point", "_point",
-                           "_meet", "_mid"), plane)
+                           "_meet", "_mid", "_product", "_gradient"), plane)
     homes["_bisector_mid"] = bisectors
 
     def tree(path):
@@ -819,6 +821,7 @@ def test_oracle_runs_the_kernel_bisector_rule():
         assert used, module.__name__
         for name in used:
             assert getattr(module, name) is getattr(homes[name], name), (module.__name__, name)
+    assert not {"standard_form", "AffineMap"} & vars(bisectors).keys()
     defects = tree(Path(__file__).with_name("test_defects.py"))
     imports = {(node.module, alias.name) for node in ast.walk(defects)
                if isinstance(node, ast.ImportFrom) for alias in node.names}
