@@ -75,7 +75,7 @@ def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
     the quadrangle is a theorem, not part of the predicate.
     """
     field = _field_of(l, q)
-    p = getattr(field, "p", None)
+    p = field.p
     raw = _raw_line(l)
     m = _bisector_mid([_meet(raw, _raw_line(side), p) for side in (q.a, q.a2, q.b, q.b2)], p)
     return None if m is None else _point(field, m)
@@ -90,7 +90,7 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     one.  Empty off the locus; AllLinesThrough(m) when both vanish, at the
     center of a parallelogram's vertex set."""
     field = _field_of(m, q)
-    p = getattr(field, "p", None)
+    p = field.p
     mx, my = xy = _raw_point(m)
     sides = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)]
     (fx, fy), (gx, gy) = ([c % p if p else c for c in _gradient(_product(*pair), xy)]
@@ -173,7 +173,7 @@ def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:
     midpoints come from one raw read of the sides, by is_bisector's rule."""
     sides, mids = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)], []
     for l in pair.lines:
-        p = getattr(_field_of(l, q), "p", None)
+        p = _field_of(l, q).p
         mids.append(_bisector_mid([_meet(_raw_line(l), s, p) for s in sides], p))
     if None in mids:
         raise NotBisectors(f"{pair} does not consist of bisectors")
@@ -199,7 +199,7 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     Division reads the partner off C's Y^2, XY and Y coefficients (u = 1),
     or X^2, XY and X (u = 0, t = 1), so C(m) is never needed."""
     field = _field_of(l, q)
-    p = getattr(field, "p", None)
+    p = field.p
     t, u, v = raw = _raw_line(l)
     sides = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)]
     if _bisector_mid([_meet(raw, s, p) for s in sides], p) is None:

@@ -12,6 +12,7 @@ the kernel's class polynomials and the oracle's identities between them.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import zip_longest
 from math import isqrt
@@ -22,6 +23,11 @@ from .errors import DivisionByZero, FieldMismatch
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # The witnesses above decide primality of every n below this bound.
 _MR_BOUND = 3317044064679887385961981
+# Fraction(str) builds 10**exponent in full for a literal of this grammar;
+# Rationals matches only texts with an e against it, so fractions skip it.
+_DIGITS = r"\d+(?:_\d+)*"
+_DECIMAL = re.compile(rf"[-+]?(?=\.?\d)(?:{_DIGITS})?(?:\.(?:{_DIGITS})?)?e([-+]?{_DIGITS})", re.I)
+_MAX_EXPONENT = 100_000
 
 
 def _is_prime(n: int) -> bool:
@@ -67,7 +73,7 @@ class Field:
             field = object.__new__(cls)
             field._params = params
             field._setup(*params)
-            field._make = _scalar_class(field, getattr(field, "p", None))
+            field._make = _scalar_class(field, field.p)
             field.zero = field._make(field._coerce(0))
             field.one = field._make(field._coerce(1))
             field = Field._interned.setdefault(key, field)
@@ -81,13 +87,7 @@ class Field:
         return type(self), self._params
 
     def scalar(self, value) -> "Scalar":
-        """Coerce an int, Fraction, string or Scalar into this field."""
-        if isinstance(value, Scalar):
-            if value.field is not self:
-                raise FieldMismatch(f"cannot coerce {value.field.name} into {self.name}")
-            return value
-        if isinstance(value, str):
-            return self.parse(value)
+        """Coerce an int or a Fraction into this field; text goes through parse."""
         return self._make(self._coerce(value))
 
     def parse(self, text: str) -> "Scalar":
@@ -111,6 +111,7 @@ class Rationals(Field):
     """The field of rational numbers with arbitrary-precision arithmetic."""
 
     name = "Q"
+    p = None  # raw values are Fractions, never reduced
 
     def __repr__(self):
         return "Rationals()"
@@ -121,6 +122,9 @@ class Rationals(Field):
         raise TypeError(f"cannot make a rational out of {value!r}")
 
     def _coerce_text(self, text):
+        decimal = ("e" in text or "E" in text) and _DECIMAL.fullmatch(text)
+        if decimal and abs(int(decimal[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} is past ±{_MAX_EXPONENT:,}")
         try:
             return Fraction(text)
         except ZeroDivisionError:

@@ -229,8 +229,6 @@ def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
     bisectors.is_bisector: solved once per parallel class on raw residues
     (see _class_bisectors)."""
     field = q.field
-    if not isinstance(field, PrimeField):
-        raise InfiniteField("brute-force bisectors need a finite field")
     sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
     found = set()
     for u, t in _p1(field):
@@ -367,17 +365,12 @@ def _check_lambda_involution(q, ctx):
 
 
 def _fixture_probe_lines(q) -> list[Line]:
-    field = q.field
-    candidates = [
-        Line.parse(field, "X=3"),
-        Line.parse(field, "X=5"),
-        Line.parse(field, "Y=7"),
-        Line.parse(field, "Y=X+3"),
-        Line.parse(field, "Y=2X+5"),
-    ]
+    scalar = q.field.scalar
     out = []
-    for line in candidates:
-        if all(not line.contains(v) for v in q.vertices) and line not in out:
+    # X=3, X=5, Y=7, Y=X+3 and Y=2X+5 as tX - uY + v = 0
+    for t, u, v in ((1, 0, -3), (1, 0, -5), (0, 1, 7), (1, 1, 3), (2, 1, 5)):
+        line = Line(scalar(t), scalar(u), scalar(v))
+        if all(not line.contains(vertex) for vertex in q.vertices) and line not in out:
             out.append(line)
     return out[:4]
 
@@ -468,24 +461,6 @@ def _desargues_line(pencil, params, v, bisects: bool, p: int | None) -> list[str
     return problems
 
 
-def _vanishes_off(poly, offsets, p: int) -> bool:
-    """Whether a polynomial in v (ints, lowest degree first) vanishes at
-    every v of GF(p) outside offsets: exactly when poly * prod(v - k) over
-    the offsets k is 0 modulo v^p - v.  A product of degree below p needs no
-    reduction, and is nonzero when poly is."""
-    if not any(c % p for c in poly):
-        return True
-    if len(poly) + len(offsets) <= p:
-        return False
-    poly = list(poly)
-    for k in offsets:
-        poly = [(a - k * b) % p for a, b in zip([0, *poly], [*poly, 0])]
-    for i in range(len(poly) - 1, p - 1, -1):  # v^i = v^(i - p + 1) on GF(p)
-        poly[i - p + 1] += poly[i]
-        poly[i] = 0
-    return not any(c % p for c in poly)
-
-
 def _roots_within(poly, offsets, p: int) -> bool:
     """Whether every root in GF(p) of a polynomial of degree at most 2
     (reduced ints, lowest degree first) lies in offsets, which miss some v."""
@@ -510,7 +485,7 @@ def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool
     (_raw_exchange_row) has degrees at most (1, 0, 2); the kernel's triple m
     (pencil) is decided only within degrees (2, 3, 1).  Off the offsets, a
     class is cleared when:
-    - each row dotted with m vanishes (_vanishes_off): all three pairs are
+    - each row dotted with m is the zero polynomial: all three pairs are
       conjugate;
     - m13 = r0 x r2 of the first and third pairs (_raw_cross) is
       nondegenerate: its m13_0^2 + m13_1*m13_2 equals the product of the
@@ -519,8 +494,8 @@ def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool
       factor is a vertex offset.  Then m, orthogonal to two independent
       rows, is c*m13, so the pairs agree and m0^2 + m1*m2 = c^2 (m13_0^2 +
       ...);
-    - m is nonzero: at a root of m2, m0 or m1 is nonzero; where m2 vanishes
-      on the whole class, m0 has no root, since m0^2 = c^2 (...) there;
+    - m is nonzero: at a root of m2, m0 or m1 is nonzero; where m2 is the
+      zero polynomial, m0 has no root, since m0^2 = c^2 (...) there;
     - the roots of m2 are the offsets in bisecting.
     """
     m0, m1, m2 = m = [_Poly(coeffs) % p for coeffs in pencil]
@@ -529,7 +504,7 @@ def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool
     points = [(_Poly((x0, x1)), y) for x0, x1, y in params]
     rows = [_raw_exchange_row(points[i:i + 2]) for i in (0, 2, 4)]
     for r0, r1, r2 in rows:
-        if not _vanishes_off(r0 * m0 + r1 * m1 + r2 * m2, offsets, p):
+        if (r0 * m0 + r1 * m1 + r2 * m2) % p:
             return False
     m13 = _raw_cross(rows[0], rows[2], p)
     f, g, h, k = factors = [x * w - z * y for x, y in points[:2] for z, w in points[4:]]
@@ -538,7 +513,7 @@ def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool
     if not all(_roots_within(factor % p, offsets, p) for factor in factors):
         return False
     on_lines = bisecting - offsets
-    if _vanishes_off(m2, offsets, p):
+    if not m2:
         return len(on_lines) == p - len(offsets) and _roots_within(m0, offsets, p)
     reflections = {-m2[0] * pow(m2[1], -1, p) % p} - offsets if len(m2) == 2 else set()
     return reflections == on_lines and all(m0(r) % p or m1(r) % p for r in reflections)
@@ -557,7 +532,7 @@ def _check_desargues(q, ctx):
         return 0, []
     qr = q.quadrangle()
     field = q.field
-    p = getattr(field, "p", None)
+    p = field.p
     pencils = {}
 
     def pencil(t, u):
@@ -789,7 +764,7 @@ def _check_pencil_degenerations(q, ctx):
     if ctx.exhaustive and seen_lines != set(lines):
         out.append(f"degeneration lines ({len(seen_lines)}) != bisectors ({len(lines)})")
     # Converse: every bisector pairs with its partner into a degeneration.
-    p = getattr(q.field, "p", None)
+    p = q.field.p
     f, g = (_product(_raw_line(l1), _raw_line(l2)) for l1, l2 in q.line_pairs[:2])
     for line in lines:
         partner = ctx.once(q_partner, q, line)
@@ -854,7 +829,7 @@ def _check_bisector_field(q, ctx):
     every pair."""
     pairs = _q_pairs_of(q, ctx)
     field = q.field
-    p = getattr(field, "p", None)
+    p = field.p
     sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
     f, g = _product(*sides[:2]), _product(*sides[2:])
     crossed = [(pair, _raw_line(pair.a), _raw_line(pair.b)) for pair in pairs]

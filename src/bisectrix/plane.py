@@ -266,7 +266,7 @@ def _field_of(a, b) -> Field:
 def intersect(l1: Line, l2: Line) -> PlanePoint:
     """Intersection point; at infinity when the lines are parallel."""
     field = _field_of(l1, l2)
-    c = _meet(_raw_line(l1), _raw_line(l2), getattr(field, "p", None))
+    c = _meet(_raw_line(l1), _raw_line(l2), field.p)
     if c is _SAME:
         raise IdenticalLines("lines coincide")
     return l1.infinite_point() if c is _PARALLEL else _point(field, c)
@@ -274,7 +274,7 @@ def intersect(l1: Line, l2: Line) -> PlanePoint:
 
 def midpoint(p: Point, q: Point) -> Point:
     field = _field_of(p, q)
-    return _point(field, _mid(_raw_point(p), _raw_point(q), getattr(field, "p", None)))
+    return _point(field, _mid(_raw_point(p), _raw_point(q), field.p))
 
 
 class AffineMap(Frozen):

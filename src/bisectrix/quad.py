@@ -52,7 +52,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         field = a.field
         if any(side.field is not field for side in sides):
             raise FieldMismatch("quadrilateral sides from different fields")
-        p = getattr(field, "p", None)
+        p = field.p
         raw = [_raw_line(side) for side in sides]
         if len(set(raw)) < 4:
             raise DuplicateLine("sides must be four distinct lines")

@@ -206,7 +206,7 @@ def in_pencil(q, pair):
     constant: the oracle's span test on q's side products."""
     f, g, c = (_product(_raw_line(l1), _raw_line(l2))
                for l1, l2 in ((q.a, q.a2), (q.b, q.b2), pair.lines))
-    return _in_span(c, f, g, getattr(q.field, "p", None))
+    return _in_span(c, f, g, q.field.p)
 
 
 # The involution of two point pairs on Scalar objects, the tests' reference

@@ -363,6 +363,43 @@ def test_values_past_the_int_string_limit_exit_2(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("error: ValueError: "), err
 
 
+
+def test_huge_exponents_exit_2_before_expansion(capsys):
+    """A decimal exponent past 100,000 is refused with exit 2 and one line
+    naming the key, over Q and GF(7), from a point, a pencil coefficient or
+    a slope (the t of "t u v"): 10**999999999 is never built."""
+    for literal in ("1e999999999", "1e-999999999"):
+        quad = f"Y=0; {literal} 1 1; X=0; Y=2X-1"
+        for field in ("Q", "GFp:7"):
+            for key, argv in (
+                ("point", ("--quad", E1_QUAD, "--cmd", "bisector", "--point", f"{literal},0")),
+                ("alpha", ("--quad", E1_QUAD, "--cmd", "pencil", "--alpha", literal,
+                           "--beta", "1")),
+                ("quad", ("--quad", quad, "--cmd", "analyze")),
+            ):
+                code, out, err = run(capsys, "--field", field, *argv)
+                assert (code, out) == (2, []), (field, argv)
+                assert len(err.splitlines()) == 1, err
+                assert err.startswith(f"error: {key} ") and f"exponent of {literal!r}" in err, err
+
+
+def test_refusals_print_one_error_line(tmp_path, capsys):
+    """Refusals of the field, a point, a config file, the command and the
+    plot target: exit 2, nothing on stdout, one line on stderr."""
+    config = tmp_path / "twice.cfg"
+    config.write_text("seed 1\nseed 2\n", encoding="utf-8")
+    cases = [
+        (("--field", "GF7", "--cmd", "analyze"),
+         "error: bad field 'GF7': expected Q or GFp:<p>"),
+        (("--quad", E1_QUAD, "--cmd", "bisector", "--point", "1"),
+         "error: bad point '1': expected two scalars"),
+        (("--config", str(config), "--cmd", "verify"), "error: duplicate config key 'seed'"),
+        (("--quad", E1_QUAD), "error: missing --cmd"),
+        (("--quad", E1_QUAD, "--cmd", "plot"), "error: plot needs --out PATH"),
+    ]
+    for argv, line in cases:
+        assert run(capsys, *argv) == (2, [], line + "\n"), argv
+
 def test_verify_imports_no_numpy():
     """An exhaustive verify must not pull numpy in (it would add ~11 MB RSS)."""
     argv = ["--field", "GFp:7", "--cmd", "verify", "--seed", "1", "--instances", "2"]

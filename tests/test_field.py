@@ -75,6 +75,31 @@ def test_inverse():
         QQ.zero.inverse()
     with pytest.raises(DivisionByZero):
         GF(7).scalar(0).inverse()
+    with pytest.raises(DivisionByZero):
+        QQ.one / QQ.zero
+
+
+def test_scalar_takes_ints_and_fractions_only():
+    """Text goes through parse, and a Scalar is already in its field."""
+    for field in (QQ, GF(7)):
+        for value in ("1", field.one):
+            with pytest.raises(TypeError):
+                field.scalar(value)
+
+
+def test_exponents_past_the_bound_are_refused():
+    """A decimal exponent up to 100,000 keeps Fraction's value; past it,
+    parse raises ValueError before 10**exponent is built, while malformed
+    literals keep Fraction's message."""
+    assert QQ.parse("1e100000") == QQ.scalar(10 ** 100000)
+    assert GF(7).parse("-2.5E-100_000") == GF(7).scalar(Fraction(-25, 10 ** 100001))
+    for text in ("1e100001", "-.5E-100_001", "1.e999999999", "7e+999999999"):
+        for field in (QQ, GF(7)):
+            with pytest.raises(ValueError, match="exponent of .* is past ±100,000"):
+                field.parse(text)
+    for text in ("e999999999", "1/2e999999999", "1e 999999999", "1e999999999x"):
+        with pytest.raises(ValueError, match=f"Invalid literal for Fraction: '{text}'"):
+            QQ.parse(text)
 
 
 def test_field_mismatch():
