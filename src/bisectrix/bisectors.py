@@ -6,10 +6,11 @@ intersection points (the line's own infinite point if exactly one of them
 is at infinity).  A line bisects a quadrilateral when its midpoints across
 the two opposite-side pairs it crosses agree; that common point is the
 midpoint of the bisector and is always affine.  is_bisector runs this rule
-on raw coefficients (_bisector_mid); the oracle solves it once per parallel
-class and applies it line by line only to the lines that are sides.
-is_q_pair, q_partner and bisector_through run on raw values too, the last
-two reading the pencil of the side products (see their docstrings).
+on the lines' raw tuples (_bisector_mid); the oracle solves it once per
+parallel class and applies it line by line only to the lines that are
+sides.  is_q_pair, q_partner and bisector_through read raw tuples too, the
+last two the pencil of the side products (see their docstrings), and build
+their answers with Line.of and Point.of.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .plane import (
     _gradient,
     _meet,
     _mid,
-    _point,
     _product,
-    _raw_line,
-    _raw_point,
     intersect,
     line_from_points,
     midpoint,
@@ -76,9 +74,8 @@ def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
     """
     field = _field_of(l, q)
     p = field.p
-    raw = _raw_line(l)
-    m = _bisector_mid([_meet(raw, _raw_line(side), p) for side in (q.a, q.a2, q.b, q.b2)], p)
-    return None if m is None else _point(field, m)
+    m = _bisector_mid([_meet(l.raw, side.raw, p) for side in (q.a, q.a2, q.b, q.b2)], p)
+    return None if m is None else Point.of(field, m)
 
 
 def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThrough:
@@ -91,8 +88,8 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     center of a parallelogram's vertex set."""
     field = _field_of(m, q)
     p = field.p
-    mx, my = xy = _raw_point(m)
-    sides = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)]
+    mx, my = xy = m.raw
+    sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
     (fx, fy), (gx, gy) = ([c % p if p else c for c in _gradient(_product(*pair), xy)]
                           for pair in (sides[:2], sides[2:]))
     if (fx * gy - fy * gx) % p if p else fx * gy - fy * gx:
@@ -100,8 +97,7 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     nx, ny = (fx, fy) if fx or fy else (gx, gy)
     if not (nx or ny):
         return AllLinesThrough(m)
-    line = Line(*(field._make(c % p if p else c) for c in (-nx, ny, nx * mx + ny * my)))
-    return [Bisector(line, m)]
+    return [Bisector(Line.of(field, (-nx, ny, nx * mx + ny * my)), m)]
 
 
 @dataclass(frozen=True)
@@ -171,13 +167,13 @@ def nine_points(qr: Quadrangle) -> list[PlanePoint]:
 def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:
     """Q-antipodal and Q-orthogonal; the two lines may coincide.  Both
     midpoints come from one raw read of the sides, by is_bisector's rule."""
-    sides, mids = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)], []
+    sides, mids = [side.raw for side in (q.a, q.a2, q.b, q.b2)], []
     for l in pair.lines:
         p = _field_of(l, q).p
-        mids.append(_bisector_mid([_meet(_raw_line(l), s, p) for s in sides], p))
+        mids.append(_bisector_mid([_meet(l.raw, s, p) for s in sides], p))
     if None in mids:
         raise NotBisectors(f"{pair} does not consist of bisectors")
-    return (_mid(*mids, p) == _raw_point(q.centroid)
+    return (_mid(*mids, p) == q.centroid.raw
             and q_orthogonal(quadratic_data(q), pair.a, pair.b))
 
 
@@ -200,12 +196,11 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     or X^2, XY and X (u = 0, t = 1), so C(m) is never needed."""
     field = _field_of(l, q)
     p = field.p
-    t, u, v = raw = _raw_line(l)
-    sides = [_raw_line(side) for side in (q.a, q.a2, q.b, q.b2)]
+    t, u, v = raw = l.raw
+    sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
     if _bisector_mid([_meet(raw, s, p) for s in sides], p) is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
     f, g = _product(*sides[:2]), _product(*sides[2:])
     alpha, beta = _pencil_ratio(f, g, t, u)
     xx, xy, yy, x, y = (alpha * a + beta * b for a, b in zip(f, g))
-    t2, u2, v2 = (-xy - t * yy, yy, -y - v * yy) if u else (xx, -xy, x - v * xx)
-    return Line(*(field._make(c % p if p else c) for c in (t2, u2, v2)))
+    return Line.of(field, (-xy - t * yy, yy, -y - v * yy) if u else (xx, -xy, x - v * xx))

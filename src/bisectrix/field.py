@@ -223,7 +223,7 @@ GF = PrimeField
 
 
 def _thaw(cls, values):
-    """Rebuild a Frozen value from its slot values."""
+    """Rebuild a Frozen value from its slot values, which are not checked."""
     obj = object.__new__(cls)
     obj._write(*values)
     return obj
@@ -237,7 +237,8 @@ class Frozen:
 
     Two values are equal when they have the same type and equal identity
     slots, which are the class's own __slots__ unless it names a subset with
-    the class keyword identity=(...); the hash is that of the same slots.
+    the class keyword identity=(...); the hash is that of the same slots but
+    a field, whose hash (its address) would vary set order between processes.
     """
 
     __slots__ = ()
@@ -247,6 +248,7 @@ class Frozen:
         slots = cls.__dict__.get("__slots__")
         if slots:
             cls._identity = attrgetter(*(identity or slots))
+            cls._hashed = attrgetter(*(name for name in identity or slots if name != "field"))
             cls._setters = tuple(cls.__dict__[name].__set__ for name in slots)
 
     def _write(self, *values):
@@ -265,7 +267,7 @@ class Frozen:
         return type(other) is type(self) and key(other) == key(self)
 
     def __hash__(self):
-        return hash(self._identity(self))
+        return hash(self._hashed(self))
 
     @property
     def field(self) -> Field:
@@ -326,20 +328,20 @@ class Scalar(Frozen):
         return self.field.scalar, (self.value,)
 
     def __hash__(self):
-        # The value alone: equal scalars share a field, and a field hashes by
-        # its address, which would make set order differ from process to
-        # process.  Scalars of different fields merely collide.
+        # The value alone, as Frozen leaves out a field slot: Scalars of
+        # different fields merely collide.
         return hash(self.value)
-
-    def sort_key(self):
-        """Total order on representations, used only for canonical storage."""
-        return self.value
 
     def __str__(self):
         return str(self.value)
 
     def __repr__(self):
         return f"<{self} in {self.field.name}>"
+
+
+def _wrapped(i: int) -> property:
+    """Entry i of a value's raw tuple as a Scalar of the value's field."""
+    return property(lambda self: self.field._make(self.raw[i]))
 
 
 def _scalar_class(field: Field, p: int | None):

@@ -20,7 +20,7 @@ from .errors import (
     NotConjugate,
 )
 from .field import Frozen, Scalar, _Poly
-from .plane import InfPoint, Line, _raw_line, line_det
+from .plane import InfPoint, Line, line_det
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -42,21 +42,19 @@ class QuadraticData:
 
 def quadratic_data(q: Quadrilateral) -> QuadraticData:
     """The (alpha, beta, gamma) triple from the raw canonical coefficients,
-    memoised on q.
+    wrapped once and memoised on q.
 
     No rescaling is applied; proportionality of the triples across
     re-pairings of a quadrangle is a theorem, not a normalization.
     """
     if q._quadratic_data is not None:
         return q._quadratic_data
-    ta, ua = q.a.t, q.a.u
-    tb, ub = q.b.t, q.b.u
-    tc, uc = q.a2.t, q.a2.u
-    td, ud = q.b2.t, q.b2.u
+    (ta, ua, _), (tb, ub, _), (tc, uc, _), (td, ud, _) = (l.raw for l in q.sides)
     alpha = ta * ub * uc * ud - ua * tb * uc * ud + ua * ub * tc * ud - ua * ub * uc * td
     beta = ta * ub * tc * ud - ua * tb * uc * td
     gamma = ta * tb * tc * ud - ta * tb * uc * td + ta * ub * tc * td - ua * tb * tc * td
-    object.__setattr__(q, "_quadratic_data", QuadraticData(alpha, beta, gamma))
+    data = QuadraticData(*map(q.field.scalar, (alpha, beta, gamma)))
+    object.__setattr__(q, "_quadratic_data", data)
     return q._quadratic_data
 
 
@@ -65,13 +63,17 @@ def phi(d: QuadraticData, vx: Scalar, vy: Scalar) -> Scalar:
 
 
 def inner(d: QuadraticData, v: Vec, w: Vec) -> Scalar:
-    v0, v1 = v
-    w0, w1 = w
-    return d.gamma * v0 * w0 - d.beta * (v0 * w1 + v1 * w0) + d.alpha * v1 * w1
+    """The form on two pairs of Scalars, or of raw values (see plane)."""
+    (v0, v1), (w0, w1) = v, w
+    if isinstance(v0, Scalar):
+        return d.gamma * v0 * w0 - d.beta * (v0 * w1 + v1 * w0) + d.alpha * v1 * w1
+    g, b, a = d.gamma.value, d.beta.value, d.alpha.value
+    return d.field.scalar(g * v0 * w0 - b * (v0 * w1 + v1 * w0) + a * v1 * w1)
 
 
 def q_orthogonal(d: QuadraticData, l1: Line, l2: Line) -> bool:
-    return inner(d, (l1.u, l1.t), (l2.u, l2.t)).is_zero()
+    (t1, u1, _), (t2, u2, _) = l1.raw, l2.raw
+    return inner(d, (u1, t1), (u2, t2)).is_zero()
 
 
 class Involution(Frozen):
@@ -132,21 +134,21 @@ def _cross(r1, r2) -> tuple:
 def _class_parameters(qr: Quadrangle, line: Line):
     """Where the lines tX - uY + v = 0 of line's parallel class meet each
     side of qr, as the chart parameter [a + b*v : det] of Cramer's rule: one
-    raw (a, b, det) per side (see plane._raw_line; a and b unreduced), two
-    per pair of opposite sides.
+    raw (a, b, det) per side (see plane; a and b unreduced), two per pair of
+    opposite sides.
 
     The chart of a line reads an affine point as [x : 1], with x its X
     coordinate, or its Y on a vertical line, and the line's own infinite
     point as [1 : 0].  det is the same for every line of the class; a side
     of the class's direction meets each of its lines at [1 : 0].
     """
-    t, u, _ = _raw_line(line)
+    t, u, _ = line.raw
 
     def parameter(side):
-        det = line_det(line, side).value
+        det = line_det(line, side)
         if not det:
             return (1, 0, 0)
-        st, su, sv = _raw_line(side)
+        st, su, sv = side.raw
         if not u:  # the chart reads Y on a vertical line
             return (-t * sv, st, det)
         return (-u * sv, su, det)
@@ -178,24 +180,25 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple[Scalar
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     """The involution induced on a line by the conics through a quadrangle.
 
-    desargues_pencil of the line's class evaluated at the line's offset v;
-    the third pair of opposite sides is conjugate under the same
-    involution, which is checked (NotConjugate otherwise).  The involution
-    acts on the chart parameters of _class_parameters; it is a reflection,
-    fixing the line's infinite point, exactly when m2 = 0.
+    desargues_pencil of the line's class at the line's offset v, on raw
+    values (the chart parameters at v go through the same exchange rows and
+    cross product); the third pair of opposite sides is conjugate under the
+    same involution, which is checked (NotConjugate otherwise).  The
+    involution acts on the chart parameters of _class_parameters; it is a
+    reflection, fixing the line's infinite point, exactly when m2 = 0.
     """
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
+    field, v = line.field, line.raw[2]
+    pairs = [[(a + b * v, det) for a, b, det in pair] for pair in _class_parameters(qr, line)]
     # Off the vertices the triple is never degenerate: m0^2 + m1*m2 is, up
     # to sign, the product of the cross determinants of the two pairs'
     # crossings, which are distinct points (the identity that
     # oracle._desargues_class_cleared checks), so a DegenerateInput here is
     # a kernel fault.
-    inv = Involution(*(_Poly(m)(line.v) for m in desargues_pencil(qr, line.t, line.u)))
-    field, v = line.field, line.v.value
-    third = (InfPoint(field.scalar(a + b * v), field.scalar(det))
-             for a, b, det in _class_parameters(qr, line)[2])
+    inv = Involution(*map(field.scalar, _cross(*(_exchange_row(*pair) for pair in pairs[:2]))))
+    third = (InfPoint(field.scalar(x), field.scalar(y)) for x, y in pairs[2])
     if not inv.conjugate(*third):
         raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

@@ -24,13 +24,14 @@ product lies in their span plus a constant, so only the pairs and lines
 that fail these O(1) tests are met line by line.  The locus zero set
 shared by closed_form_oracle and locus_midpoints is solved column by
 column off a table of square roots.  These, and the direction and
-midpoint buckets of pair_redundancy, are raw as well.  Values are built
-where a result goes back to the kernel or into a set: brute_bisectors makes
-a Line and a Point per bisector (of the re-paired quadrilaterals too, in
-repairing_bisectors), closed_form_oracle a Point per locus zero,
-vertex_line_bisectors the lines through each vertex, and bisector_lines the
-lines the kernel is asked about; violation texts build the rest.  Over Q
-the same helpers take p = None and run on the Scalars' Fractions, so
+midpoint buckets of pair_redundancy, are raw as well: they read the raw
+tuples of points, lines and conics (see plane).  Values are built, by
+Line.of and Point.of, where a result goes back to the kernel or into a set:
+brute_bisectors makes a Line and a Point per bisector (of the re-paired
+quadrilaterals too, in repairing_bisectors), closed_form_oracle a Point per
+locus zero, vertex_line_bisectors the lines through each vertex, and
+bisector_lines the lines the kernel is asked about; violation texts build
+the rest.  Over Q the same helpers take p = None and run on Fractions, so
 bisector_field and desargues_reflection each judge both fields by one rule
 and differ only in the lines fed in: every line when exhaustive, the sides
 and diagonals or the probe lines in the fixture.
@@ -86,10 +87,7 @@ from .plane import (
     _gradient,
     _meet,
     _mid,
-    _point,
     _product,
-    _raw_line,
-    _raw_point,
 )
 from .quad import Quadrangle, Quadrilateral, requadrilate
 
@@ -131,12 +129,13 @@ def _p1(field: Field) -> list[tuple[Scalar, Scalar]]:
 def enumerate_lines(field: Field) -> list[Line]:
     """All p^2 + p affine lines of GF(p)^2 in canonical form, one parallel
     class tX - uY + v = 0 (v = 0 .. p-1) per point [u : t] of P1."""
-    return [Line(t, u, field.scalar(v)) for u, t in _p1(field) for v in range(field.p)]
+    return [Line.of(field, (t.value, u.value, v)) for u, t in _p1(field) for v in range(field.p)]
 
 
 def lines_through(field: Field, p: Point) -> list[Line]:
     """All p + 1 lines of GF(p)^2 through a point."""
-    return [Line(t, u, u * p.y - t * p.x) for u, t in _p1(field)]
+    x, y = p.raw
+    return [Line.of(field, (t.value, u.value, u.value * y - t.value * x)) for u, t in _p1(field)]
 
 
 def _zero_set(conic, p: int) -> set[tuple[int, int]]:
@@ -146,7 +145,7 @@ def _zero_set(conic, p: int) -> set[tuple[int, int]]:
     discriminant, read off a table y^2 -> [y] built once; with c = 0 the
     column is linear, or the whole column when both of its coefficients
     vanish."""
-    a, b, c, d, e, f = (x.value for x in conic.coeffs)
+    a, b, c, d, e, f = conic.raw
     roots: dict[int, list[int]] = {}
     for y in range(p):
         roots.setdefault(y * y % p, []).append(y)
@@ -229,11 +228,11 @@ def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
     bisectors.is_bisector: solved once per parallel class on raw residues
     (see _class_bisectors)."""
     field = q.field
-    sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
+    sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
     found = set()
     for u, t in _p1(field):
         for v, m in _class_bisectors(t.value, u.value, sides, field.p):
-            found.add(Bisector(Line(t, u, field.scalar(v)), _point(field, m)))
+            found.add(Bisector(Line.of(field, (t.value, u.value, v)), Point.of(field, m)))
     return found
 
 
@@ -247,7 +246,7 @@ def closed_form_bisectors(q: Quadrilateral, zeros=None) -> set[Bisector]:
         zeros = _zero_set(bisector_locus(q).conic, field.p)
     found = set()
     for xy in zeros:
-        result = bisector_through(q, _point(field, xy))
+        result = bisector_through(q, Point.of(field, xy))
         if isinstance(result, AllLinesThrough):
             for line in lines_through(field, result.center):
                 found.add(Bisector(line, result.center))
@@ -266,10 +265,9 @@ def random_scalar(field: Field, rng: Lcg64) -> Scalar:
 
 def random_line(field: Field, rng: Lcg64) -> Line:
     if isinstance(field, PrimeField):
-        i = rng.below(field.p * field.p + field.p)
-        if i < field.p * field.p:
-            return Line(field.scalar(i // field.p), field.one, field.scalar(i % field.p))
-        return Line(field.one, field.zero, field.scalar(i - field.p * field.p))
+        p = field.p
+        i = rng.below(p * p + p)
+        return Line.of(field, (i // p, 1, i % p) if i < p * p else (1, 0, i - p * p))
     if rng.below(8) == 0:
         return Line(field.one, field.zero, random_scalar(field, rng))
     return Line(random_scalar(field, rng), field.one, random_scalar(field, rng))
@@ -365,11 +363,10 @@ def _check_lambda_involution(q, ctx):
 
 
 def _fixture_probe_lines(q) -> list[Line]:
-    scalar = q.field.scalar
     out = []
     # X=3, X=5, Y=7, Y=X+3 and Y=2X+5 as tX - uY + v = 0
-    for t, u, v in ((1, 0, -3), (1, 0, -5), (0, 1, 7), (1, 1, 3), (2, 1, 5)):
-        line = Line(scalar(t), scalar(u), scalar(v))
+    for raw in ((1, 0, -3), (1, 0, -5), (0, 1, 7), (1, 1, 3), (2, 1, 5)):
+        line = Line.of(q.field, tuple(map(q.field._coerce, raw)))
         if all(not line.contains(vertex) for vertex in q.vertices) and line not in out:
             out.append(line)
     return out[:4]
@@ -398,8 +395,8 @@ def _desargues_classes(qr: Quadrangle):
     parameters (see _chart_parameters) of the class's crossings with the
     six sides of qr, two per pair of opposite sides."""
     p = qr.field.p
-    vertices = [_raw_point(pt) for pt in qr.points]
-    sides = [_raw_line(l) for l in _quadrangle_sides(qr)]
+    vertices = [pt.raw for pt in qr.points]
+    sides = [l.raw for l in _quadrangle_sides(qr)]
     for u, t in _p1(qr.field):
         t, u = t.value, u.value
         yield t, u, {(u * y - t * x) % p for x, y in vertices}, _chart_parameters(t, u, sides, p)
@@ -545,7 +542,7 @@ def _check_desargues(q, ctx):
     if ctx.exhaustive:
         bisecting = {}
         for b in ctx.brute(q):
-            t, u, v = _raw_line(b.line)
+            t, u, v = b.line.raw
             bisecting.setdefault((t, u), set()).add(v)
         lines = []
         for t, u, offsets, params in _desargues_classes(qr):
@@ -557,9 +554,9 @@ def _check_desargues(q, ctx):
             else:
                 lines += [(t, u, v, params, v in on_class) for v in range(p) if v not in offsets]
     else:
-        probes = [_raw_line(l) for l in _fixture_probe_lines(q)]
-        sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
-        opposite = [_raw_line(l) for l in _quadrangle_sides(qr)]
+        probes = [l.raw for l in _fixture_probe_lines(q)]
+        sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
+        opposite = [l.raw for l in _quadrangle_sides(qr)]
         lines = [(*l, _chart_parameters(*l[:2], opposite, p),
                   _bisector_mid([_meet(l, s, p) for s in sides], p) is not None)
                  for l in probes]
@@ -568,7 +565,7 @@ def _check_desargues(q, ctx):
         count += 1
         problems = _desargues_line(pencil(t, u), params, v, bisects, p)
         if problems:
-            line = Line(field.scalar(t), field.scalar(u), field.scalar(v))
+            line = Line.of(field, (t, u, v))
             out.extend(f"{line}: {problem}" for problem in problems)
     return count, out
 
@@ -608,12 +605,10 @@ def _check_two_three(q, ctx):
         return 0, []
     quads = [c for c in requadrilate(q.quadrangle()) if isinstance(c, Quadrilateral)]
     out = []
-    reference = {(b.line, b.midpoint) for b in ctx.brute(q)}
     d_ref = ctx.once(quadratic_data, q)
     triple_ref = (d_ref.alpha, d_ref.beta, d_ref.gamma)
     for other in quads:
-        got = {(b.line, b.midpoint) for b in ctx.brute(other)}
-        if got != reference:
+        if ctx.brute(other) != ctx.brute(q):
             out.append("re-pairing changed the bisector set")
         d_other = quadratic_data(other)
         triple_other = (d_other.alpha, d_other.beta, d_other.gamma)
@@ -673,7 +668,7 @@ def _check_locus(q, ctx):
                 out.append(f"locus depends on the diagonal point choice at {dp}")
     instances = 1
     if ctx.exhaustive:
-        midpoints = {_raw_point(b.midpoint) for b in ctx.brute(q)}
+        midpoints = {b.midpoint.raw for b in ctx.brute(q)}
         zero_set = ctx.locus_zeros(q)
         if midpoints != zero_set:
             out.append(
@@ -734,12 +729,11 @@ def _member_degeneration_entries(member, field, exhaustive):
 
 def _pencil_members(q, ctx):
     pen = pencil_of(q)
-    field = q.field
     if ctx.exhaustive:
-        coeffs = _p1(field)
+        coeffs = _p1(q.field)
     else:
         pairs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
-        coeffs = [(field.scalar(alpha), field.scalar(beta)) for alpha, beta in pairs]
+        coeffs = [(q.field.scalar(alpha), q.field.scalar(beta)) for alpha, beta in pairs]
     return [pen.member(alpha, beta) for alpha, beta in coeffs]
 
 
@@ -765,10 +759,10 @@ def _check_pencil_degenerations(q, ctx):
         out.append(f"degeneration lines ({len(seen_lines)}) != bisectors ({len(lines)})")
     # Converse: every bisector pairs with its partner into a degeneration.
     p = q.field.p
-    f, g = (_product(_raw_line(l1), _raw_line(l2)) for l1, l2 in q.line_pairs[:2])
+    f, g = (_product(l1.raw, l2.raw) for l1, l2 in q.line_pairs[:2])
     for line in lines:
         partner = ctx.once(q_partner, q, line)
-        if not _in_span(_product(_raw_line(line), _raw_line(partner)), f, g, p):
+        if not _in_span(_product(line.raw, partner.raw), f, g, p):
             out.append(f"pair {{{line}, {partner}}} is not a pencil degeneration")
     return len(members) + len(lines), out
 
@@ -830,15 +824,15 @@ def _check_bisector_field(q, ctx):
     pairs = _q_pairs_of(q, ctx)
     field = q.field
     p = field.p
-    sides = [_raw_line(l) for l in (q.a, q.a2, q.b, q.b2)]
+    sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
     f, g = _product(*sides[:2]), _product(*sides[2:])
-    crossed = [(pair, _raw_line(pair.a), _raw_line(pair.b)) for pair in pairs]
+    crossed = [(pair, pair.a.raw, pair.b.raw) for pair in pairs]
     outside = [c for c in crossed if not _in_span(_product(*c[1:]), f, g, p)]
     out = []
     seen = set()
     for pair in pairs:
         for line in pair.lines:
-            l = _raw_line(line)
+            l = line.raw
             if l in seen:
                 continue
             seen.add(l)
@@ -850,9 +844,9 @@ def _check_bisector_field(q, ctx):
             for other, a, b in crossed if any(x % p if p else x for x in slopes) else outside:
                 got = _mid(_meet(l, a, p), _meet(l, b, p), p)
                 if got is not None and got != m:
-                    shown = line.infinite_point() if got is _PARALLEL else _point(field, got)
+                    shown = line.infinite_point() if got is _PARALLEL else Point.of(field, got)
                     out.append(
-                        f"{line} crosses {other} at midpoint {shown}, expected {_point(field, m)}"
+                        f"{line} crosses {other} at midpoint {shown}, expected {Point.of(field, m)}"
                     )
     return len(seen), out
 
@@ -881,10 +875,10 @@ def _check_pair_redundancy(q, ctx):
     bis = sorted(ctx.brute(q), key=lambda b: b.line.sort_key())
     d = ctx.once(quadratic_data, q)
     alpha, beta, gamma = d.alpha.value, d.beta.value, d.gamma.value
-    cx, cy = _raw_point(q.centroid)
-    parallel_dirs = {_raw_line(l1)[:2] for l1, _ in _side_diag_parallel_pairs(q)}
-    lines = [_raw_line(b.line) for b in bis]
-    mids = [_raw_point(b.midpoint) for b in bis]
+    cx, cy = q.centroid.raw
+    parallel_dirs = {l1.raw[:2] for l1, _ in _side_diag_parallel_pairs(q)}
+    lines = [b.line.raw for b in bis]
+    mids = [b.midpoint.raw for b in bis]
     by_direction: dict[tuple[int, int], list[int]] = {}
     by_midpoint: dict[tuple[int, int], list[int]] = {}
     for j, ((t, u, _), m) in enumerate(zip(lines, mids)):

@@ -1,10 +1,11 @@
 """Conics, the pencil of a quadrilateral, classification and degenerations.
 
 A conic is a quadratic polynomial a*X^2 + b*X*Y + c*Y^2 + d*X + e*Y + f
-with (a, b, c) not all zero, stored with the first nonzero coefficient
-normalized to 1.  Classification counts points at infinity over the ground
-field, so it is deliberately field-dependent: Y^2 - 2X^2 + 1 is an ellipse
-over Q and a hyperbola over GF(7).
+with (a, b, c) not all zero, held like a line (see plane) as its field and
+raw coefficients, the first nonzero one normalized to 1.  Classification
+counts points at infinity over the ground field, so it is deliberately
+field-dependent: Y^2 - 2X^2 + 1 is an ellipse over Q and a hyperbola over
+GF(7).
 
 Degenerations of a conic are the line pairs whose union is the zero set of
 the conic plus a constant; they are computed over the ground field only,
@@ -16,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInput, InvariantViolation
-from .field import Frozen, Scalar
+from .errors import DegenerateInput, FieldMismatch, InvariantViolation
+from .field import Field, Frozen, Scalar, _thaw, _wrapped
 from .plane import (
-    InfPoint, Line, LinePair, PlanePoint, Point, _field_of, _product, _raw_line, _raw_point,
+    InfPoint, Line, LinePair, PlanePoint, Point, _field_of, _meet, _product, _scaled,
 )
 from .quad import Quadrilateral
 
-_COEFF_NAMES = ("a", "b", "c", "d", "e", "f")
+_NO_QUADRATIC_PART = "quadratic part vanishes"
 
 
 def format_polynomial(terms) -> str:
@@ -53,41 +54,44 @@ def format_polynomial(terms) -> str:
 class Conic(Frozen):
     """Six normalized coefficients of a quadratic polynomial."""
 
-    __slots__ = _COEFF_NAMES
+    __slots__ = ("field", "raw")
+    a, b, c, d, e, f = map(_wrapped, range(6))
 
     def __init__(self, a, b, c, d, e, f):
         coeffs = (a, b, c, d, e, f)
-        if a.is_zero() and b.is_zero() and c.is_zero():
-            raise DegenerateInput("quadratic part vanishes")
-        lead = next(x for x in coeffs if not x.is_zero())
-        self._write(*(x / lead for x in coeffs))
+        if any(x.field is not a.field for x in coeffs):
+            raise FieldMismatch("conic coefficients from different fields")
+        raw = [x.value for x in coeffs]
+        self._write(a.field, _scaled(raw, a.field.p, (0, 1, 2), _NO_QUADRATIC_PART))
+
+    @classmethod
+    def of(cls, field: Field, raw) -> "Conic":
+        """The conic of raw coefficients (a, ..., f), reduced and normalized here."""
+        return _thaw(cls, (field, _scaled(raw, field.p, (0, 1, 2), _NO_QUADRATIC_PART)))
 
     @property
     def coeffs(self) -> tuple[Scalar, ...]:
-        return tuple(getattr(self, name) for name in _COEFF_NAMES)
+        return tuple(map(self.field._make, self.raw))
 
     @classmethod
     def from_lines(cls, l1: Line, l2: Line) -> "Conic":
         """Product of the two canonical linear forms (plane._product)."""
-        field = _field_of(l1, l2)
-        r1, r2 = _raw_line(l1), _raw_line(l2)
-        return cls(*(field.scalar(c) for c in (*_product(r1, r2), r1[2] * r2[2])))
+        r1, r2 = l1.raw, l2.raw
+        return cls.of(_field_of(l1, l2), (*_product(r1, r2), r1[2] * r2[2]))
 
     def shift(self, lam: Scalar) -> "Conic":
         """The conic plus a constant; normalization is unaffected."""
-        a, b, c, d, e, f = self.coeffs
-        return Conic(a, b, c, d, e, f + lam)
+        *rest, f = self.raw
+        return Conic.of(_field_of(self, lam), (*rest, f + lam.value))
 
     def evaluate(self, p: Point) -> Scalar:
-        field = _field_of(self, p)
-        a, b, c, d, e, f = (x.value for x in self.coeffs)
-        x, y = _raw_point(p)
-        value = (a * x + b * y + d) * x + (c * y + e) * y + f
-        return field.scalar(value)
+        (a, b, c, d, e, f), (x, y) = self.raw, p.raw
+        return _field_of(self, p).scalar((a * x + b * y + d) * x + (c * y + e) * y + f)
 
     def evaluate_infinite(self, p: InfPoint) -> Scalar:
         """Homogenized value at [x : y : 0], i.e. the leading form."""
-        return self.a * p.x * p.x + self.b * p.x * p.y + self.c * p.y * p.y
+        (a, b, c, *_), (x, y) = self.raw, p.raw
+        return _field_of(self, p).scalar(a * x * x + b * x * y + c * y * y)
 
     def contains(self, p: PlanePoint) -> bool:
         if isinstance(p, InfPoint):
@@ -95,17 +99,13 @@ class Conic(Frozen):
         return self.evaluate(p).is_zero()
 
     def leading_discriminant(self) -> Scalar:
-        return self.b * self.b - 4 * self.a * self.c
+        a, b, c, *_ = self.raw
+        return self.field.scalar(b * b - 4 * a * c)
 
     def det3(self) -> Scalar:
         """Determinant of the symmetric 3x3 matrix of the homogenized conic."""
-        a, b, c, d, e, f = self.coeffs
-        b2, d2, e2 = b / 2, d / 2, e / 2
-        return (
-            a * (c * f - e2 * e2)
-            - b2 * (b2 * f - d2 * e2)
-            + d2 * (b2 * e2 - c * d2)
-        )
+        a, b, c, d, e, f = self.raw
+        return self.field.scalar(4 * a * c * f - a * e * e - b * b * f + b * d * e - c * d * d) / 4
 
     def is_degenerate(self) -> bool:
         return self.det3().is_zero()
@@ -180,18 +180,18 @@ def _lambda_for(conic: Conic, l1: Line, l2: Line) -> Scalar:
 def _central_pair(c: Conic, o: Point, root: Scalar) -> LinePair:
     """The lines through o along the null directions [dx : dy] of c's
     quadratic part, whose discriminant has the nonzero square root root."""
-    A, B, C, field = c.a, c.b, c.c, c.field
-    if A.is_zero():
-        directions = ((field.one, field.zero), (-C, B))
+    (A, B, C, *_), (x, y), r = c.raw, o.raw, root.value
+    if not A:
+        directions = ((c.field.one.value, A), (-C, B))  # A is zero here
     else:
-        directions = ((r / (2 * A), field.one) for r in (-B + root, -B - root))
-    return LinePair(*(Line(dy, dx, dx * o.y - dy * o.x) for dx, dy in directions))
+        directions = ((r - B, 2 * A), (-r - B, 2 * A))
+    return LinePair(*(Line.of(c.field, (dy, dx, dx * y - dy * x)) for dx, dy in directions))
 
 
 def _offset_pair(midline: Line, r: Scalar) -> LinePair:
     """The parallel pair midline + r and midline - r."""
-    t, u, v = midline.t, midline.u, midline.v
-    return LinePair(Line(t, u, v + r), Line(t, u, v - r))
+    t, u, v = midline.raw
+    return LinePair(*(Line.of(midline.field, (t, u, v + s)) for s in (r.value, -r.value)))
 
 
 def _midline(c: Conic) -> Line | None:
@@ -199,14 +199,11 @@ def _midline(c: Conic) -> Line | None:
     the line w + s/2 = 0 when c = k*(w^2 + s*w) + const: the common midline
     of every parallel pair c + lam splits into.  None when the linear part
     is not a multiple of w (a parabola)."""
-    A, B, C, D, E = c.a, c.b, c.c, c.d, c.e
-    if not A.is_zero():
-        if 2 * A * E != B * D:
-            return None
-        return Line(c.field.one, -B / (2 * A), D / (2 * A))
-    if not D.is_zero():
-        return None
-    return Line(c.field.zero, -c.field.one, E / (2 * C))
+    (A, B, C, D, E, _), p = c.raw, c.field.p
+    if A:
+        square = 2 * A * E - B * D
+        return None if (square % p if p else square) else Line.of(c.field, (2 * A, -B, D))
+    return None if D else Line.of(c.field, (A, -2 * C, E))  # A is zero here
 
 
 def classify(c: Conic) -> ConicClass:
@@ -218,8 +215,8 @@ def classify(c: Conic) -> ConicClass:
         pair = report.entries[0].pair if report.entries else None
         if report.family is not None:
             midline = report.family.midline
-            t, v = midline.t, midline.v
-            r = (v * v - (c.field.one if t.is_zero() else t * t) * c.f).sqrt()
+            t, _, v = midline.raw
+            r = c.field.scalar(v * v - (t * t if t else 1) * c.raw[5]).sqrt()
             pair = None if r is None else _offset_pair(midline, r)
         if pair is None:
             return ConicClass("degenerate_irreducible")
@@ -239,12 +236,12 @@ def degenerations(c: Conic) -> DegenerationReport:
         root = disc.sqrt()
         if root is None:
             return DegenerationReport(entries=(), absent_witness=disc)
-        # c is its value at the center plus a form in the offset from it;
-        # the gradient vanishes there, so that value is f + (d*x + e*y)/2.
-        # c + lam has c's quadratic part and center, so it splits as c does.
+        # c = c(o) + Q(X - o) for its center o and quadratic part Q, as the
+        # gradient vanishes at o, so c - c(o) splits into the lines through
+        # o along the null directions of Q.
         o = center(c)
-        lam = -(c.f + (c.d * o.x + c.e * o.y) / 2)
-        return DegenerationReport(entries=(Degeneration(lam, _central_pair(c, o, root)),))
+        entry = Degeneration(-c.evaluate(o), _central_pair(c, o, root))
+        return DegenerationReport(entries=(entry,))
     # Perfect-square leading form: either a parabola (no degenerations) or
     # a one-parameter family of parallel pairs sharing a midline.
     midline = _midline(c)
@@ -254,13 +251,11 @@ def degenerations(c: Conic) -> DegenerationReport:
 
 
 def center(c: Conic) -> Point | None:
-    """Solution of the gradient system; None when it is not unique."""
-    det = 4 * c.a * c.c - c.b * c.b
-    if det.is_zero():
-        return None
-    x = (c.b * c.e - 2 * c.c * c.d) / det
-    y = (c.b * c.d - 2 * c.a * c.e) / det
-    return Point(x, y)
+    """Solution of the gradient system, where the lines 2A*X + B*Y + D = 0
+    and B*X + 2C*Y + E = 0 meet; None when it is not unique."""
+    A, B, C, D, E, _ = c.raw
+    o = _meet((2 * A, -B, D), (B, -2 * C, E), c.field.p)
+    return Point.of(c.field, o) if isinstance(o, tuple) else None
 
 
 @dataclass(frozen=True)
@@ -271,9 +266,12 @@ class Pencil:
     f2: Conic
 
     def member(self, alpha: Scalar, beta: Scalar) -> Conic:
+        if not (self.f1.field is alpha.field is beta.field):
+            raise FieldMismatch("pencil member coefficients from another field")
         if alpha.is_zero() and beta.is_zero():
             raise DegenerateInput("pencil member needs (alpha, beta) != (0, 0)")
-        return Conic(*(alpha * x + beta * y for x, y in zip(self.f1.coeffs, self.f2.coeffs)))
+        a, b = alpha.value, beta.value
+        return Conic.of(alpha.field, [a * x + b * y for x, y in zip(self.f1.raw, self.f2.raw)])
 
 
 def pencil_of(q: Quadrilateral) -> Pencil:

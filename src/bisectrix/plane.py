@@ -1,9 +1,12 @@
 """Points, lines in canonical form, incidence and affine maps.
 
-A line is stored as the coefficients (t, u, v) of tX - uY + v = 0 under the
-normalization u = 1 when u != 0, else t = 1, so equal lines have equal
-coefficients.  Points at infinity are explicit values (InfPoint), never
-sentinel coordinates; PlanePoint is the union of the two kinds.
+Points, lines and conics (pencil) hold their field and a raw tuple (ints in
+[0, p) over GF(p), or Fractions over Q, where p is None), which x, y, t, u
+and v wrap as Scalars on access and Point.of and Line.of build from.  A
+line tX - uY + v = 0 holds (t, u, v) under the normalization u = 1 when
+u != 0, else t = 1, so equal lines have equal raw tuples.  Points at
+infinity are explicit values (InfPoint), never sentinel coordinates;
+PlanePoint is the union of the two kinds.
 """
 
 from __future__ import annotations
@@ -12,18 +15,43 @@ import re
 from typing import Union
 
 from .errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
-from .field import Field, Frozen, Scalar
+from .field import _DIGITS, Field, Frozen, Scalar, _thaw, _wrapped
+
+
+def _scaled(raw, p: int | None, lead: tuple, error: str) -> tuple:
+    """raw reduced mod p and divided by its first nonzero entry among the
+    indices lead; DegenerateInput(error) when they are all zero."""
+    if p:
+        raw = [c % p for c in raw]
+    for i in lead:
+        k = raw[i]
+        if k:
+            break
+    else:
+        raise DegenerateInput(error)
+    if k == 1:
+        return tuple(raw)
+    if p:
+        inv = pow(k, -1, p)
+        return tuple([c * inv % p for c in raw])
+    return tuple([c / k if c else c for c in raw])
 
 
 class Point(Frozen):
     """An affine point (x, y)."""
 
-    __slots__ = ("x", "y")
+    __slots__ = ("field", "raw")
+    x, y = _wrapped(0), _wrapped(1)
 
     def __init__(self, x: Scalar, y: Scalar):
         if x.field != y.field:
             raise FieldMismatch("point coordinates from different fields")
-        self._write(x, y)
+        self._write(x.field, (x.value, y.value))
+
+    @classmethod
+    def of(cls, field: Field, raw: tuple) -> "Point":
+        """The point of a raw (x, y) already reduced mod p."""
+        return _thaw(cls, (field, raw))
 
     def __str__(self):
         return f"({self.x}, {self.y})"
@@ -41,18 +69,14 @@ class InfPoint(Frozen):
     an affine line.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ("field", "raw")
+    x, y = _wrapped(0), _wrapped(1)
 
     def __init__(self, x: Scalar, y: Scalar):
         if x.field != y.field:
             raise FieldMismatch("homogeneous coordinates from different fields")
-        if x.is_zero() and y.is_zero():
-            raise DegenerateInput("[0 : 0] is not a projective point")
-        if not x.is_zero():
-            x, y = x.field.one, y / x
-        else:
-            y = y.field.one
-        self._write(x, y)
+        raw = _scaled((x.value, y.value), x.field.p, (0, 1), "[0 : 0] is not a projective point")
+        self._write(x.field, raw)
 
     def __str__(self):
         return f"[{self.x}:{self.y}:0]"
@@ -63,46 +87,51 @@ class InfPoint(Frozen):
 
 PlanePoint = Union[Point, InfPoint]
 
-# The slope sugar mX+b: a '*' needs a coefficient, and the tail after X is
-# empty or a sign and a scalar.
-_SLOPE_RE = re.compile(r"^([+-]?(?:\d+(?:/\d+)?\*?)?)X([+-][\d.][^X]*)?$", re.IGNORECASE)
+# The slope sugar mX+b: the slope is empty, a sign, or a scalar literal of
+# Fraction's grammar with an optional '*' (a '*' needs a coefficient), and
+# the tail after X is empty or a sign and a scalar.
+_SLOPE = rf"(?=\.?\d)(?:{_DIGITS})?(?:/{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:E[+-]?{_DIGITS})?)"
+_SLOPE_RE = re.compile(rf"^([+-]?(?:{_SLOPE}\*?)?)X([+-][\d.][^X]*)?$", re.IGNORECASE)
+_NO_LINE = "line needs (t, u) != (0, 0)"
 
 
 class Line(Frozen):
     """The affine line tX - uY + v = 0 with canonical coefficients."""
 
-    __slots__ = ("t", "u", "v")
+    __slots__ = ("field", "raw")
+    t, u, v = _wrapped(0), _wrapped(1), _wrapped(2)
 
     def __init__(self, t: Scalar, u: Scalar, v: Scalar):
         if u.field != t.field or v.field != t.field:
             raise FieldMismatch("line coefficients from different fields")
-        if t.is_zero() and u.is_zero():
-            raise DegenerateInput("line needs (t, u) != (0, 0)")
-        if not u.is_zero():
-            t, v, u = t / u, v / u, u.field.one
-        else:
-            v, t = v / t, t.field.one
-        self._write(t, u, v)
+        self._write(t.field, _scaled((t.value, u.value, v.value), t.field.p, (1, 0), _NO_LINE))
+
+    @classmethod
+    def of(cls, field: Field, raw: tuple) -> "Line":
+        """The line of raw coefficients (t, u, v), reduced and normalized here."""
+        return _thaw(cls, (field, _scaled(raw, field.p, (1, 0), _NO_LINE)))
 
     @property
     def is_vertical(self) -> bool:
-        return self.u.is_zero()
+        return not self.raw[1]
 
     def evaluate(self, p: Point) -> Scalar:
-        return self.t * p.x - self.u * p.y + self.v
+        (t, u, v), (x, y) = self.raw, p.raw
+        return _field_of(self, p).scalar(t * x - u * y + v)
 
     def contains(self, p: Point) -> bool:
         return self.evaluate(p).is_zero()
 
     def infinite_point(self) -> InfPoint:
-        return InfPoint(self.u, self.t)
+        t, u, _ = self.raw
+        return _thaw(InfPoint, (self.field, (u, t)))  # normalized as the line is
 
     def is_parallel(self, other: "Line") -> bool:
         # Canonical coefficients make parallelism a direct comparison.
-        return self.t == other.t and self.u == other.u
+        return self.field is other.field and self.raw[:2] == other.raw[:2]
 
     def sort_key(self):
-        return (self.t.sort_key(), self.u.sort_key(), self.v.sort_key())
+        return self.raw
 
     @classmethod
     def parse(cls, field: Field, text: str) -> "Line":
@@ -120,12 +149,7 @@ class Line(Frozen):
             if m is None:
                 raise DegenerateInput(f"cannot parse line literal {text!r}")
             coeff, tail = m.group(1).rstrip("*"), m.group(2)
-            if coeff in ("", "+"):
-                slope = field.one
-            elif coeff == "-":
-                slope = -field.one
-            else:
-                slope = field.parse(coeff)
+            slope = field.parse(coeff + "1" if coeff in ("", "+", "-") else coeff)
             intercept = field.parse(tail) if tail else field.zero
             return cls(slope, field.one, intercept)
         parts = text.split()
@@ -161,7 +185,7 @@ class LinePair(Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, l1: Line, l2: Line):
-        if l2.sort_key() < l1.sort_key():
+        if l2.raw < l1.raw:
             l1, l2 = l2, l1
         self._write(l1, l2)
 
@@ -180,37 +204,25 @@ def line_from_points(p: Point, q: Point) -> Line:
     """The canonical line through two distinct points."""
     if p == q:
         raise DegenerateInput("two coincident points do not span a line")
-    dx, dy = q.x - p.x, q.y - p.y
-    return Line(dy, dx, dx * p.y - dy * p.x)
+    (x, y), (qx, qy) = p.raw, q.raw
+    dx, dy = qx - x, qy - y
+    return Line.of(_field_of(p, q), (dy, dx, dx * y - dy * x))
 
 
-def line_det(l1: Line, l2: Line) -> Scalar:
-    """[L, M] = L.u M.t - L.t M.u, Cramer's determinant of two lines: zero
-    exactly when they are parallel."""
-    return l1.u * l2.t - l1.t * l2.u
+def line_det(l1: Line, l2: Line):
+    """[L, M] = L.u M.t - L.t M.u, Cramer's determinant of two lines, as a
+    raw value: zero exactly when they are parallel."""
+    (t, u, _), (mt, mu, _) = l1.raw, l2.raw
+    det, p = u * mt - t * mu, _field_of(l1, l2).p
+    return det % p if p else det
 
 
-# Raw values: a line is its canonical (t, u, v) and a point its (x, y), as
-# ints in [0, p) over GF(p) or as the Scalars' Fractions over Q, where p is
-# None and nothing is reduced.  The meet, midpoint, product and gradient rules
-# below are the only ones; intersect, midpoint and Conic.from_lines wrap them.
+# The meet, midpoint, product and gradient rules below, on raw tuples, are
+# the only ones; intersect, midpoint and Conic.from_lines run them.
 
 # A raw line's crossing with another, when it is not an affine point.
 _PARALLEL = "parallel"
 _SAME = "same line"
-
-
-def _raw_line(line: Line) -> tuple:
-    return (line.t.value, line.u.value, line.v.value)
-
-
-def _raw_point(point: Point) -> tuple:
-    return (point.x.value, point.y.value)
-
-
-def _point(field: Field, xy) -> Point:
-    """The Point of a canonical raw (x, y)."""
-    return Point(field._make(xy[0]), field._make(xy[1]))
 
 
 def _meet(l, m, p: int | None):
@@ -266,15 +278,15 @@ def _field_of(a, b) -> Field:
 def intersect(l1: Line, l2: Line) -> PlanePoint:
     """Intersection point; at infinity when the lines are parallel."""
     field = _field_of(l1, l2)
-    c = _meet(_raw_line(l1), _raw_line(l2), field.p)
+    c = _meet(l1.raw, l2.raw, field.p)
     if c is _SAME:
         raise IdenticalLines("lines coincide")
-    return l1.infinite_point() if c is _PARALLEL else _point(field, c)
+    return l1.infinite_point() if c is _PARALLEL else Point.of(field, c)
 
 
 def midpoint(p: Point, q: Point) -> Point:
     field = _field_of(p, q)
-    return _point(field, _mid(_raw_point(p), _raw_point(q), field.p))
+    return Point.of(field, _mid(p.raw, q.raw, field.p))
 
 
 class AffineMap(Frozen):
@@ -298,18 +310,14 @@ class AffineMap(Frozen):
         zero = m00.field.zero
         return cls(m00, m01, m10, m11, zero, zero)
 
-    def apply(self, obj):
-        """Image of a Point or a Line (lines move by the adjugate of M)."""
-        if isinstance(obj, Point):
-            return Point(
-                self.m00 * obj.x + self.m01 * obj.y + self.b0,
-                self.m10 * obj.x + self.m11 * obj.y + self.b1,
-            )
-        if isinstance(obj, Line):
-            t, u = obj.t * self.m11 + obj.u * self.m10, obj.t * self.m01 + obj.u * self.m00
-            det = self.m00 * self.m11 - self.m01 * self.m10
-            return Line(t, u, det * obj.v - t * self.b0 + u * self.b1)
-        raise TypeError(f"cannot apply an affine map to {obj!r}")
+    def apply(self, line: Line) -> Line:
+        """Image of a line: lines move by the adjugate of M."""
+        if not isinstance(line, Line):
+            raise TypeError(f"cannot apply an affine map to {line!r}")
+        m00, m01, m10, m11, b0, b1 = (getattr(self, name).value for name in self.__slots__)
+        (t, u, v), field = line.raw, _field_of(self, line)
+        t2, u2 = t * m11 + u * m10, t * m01 + u * m00
+        return Line.of(field, (t2, u2, (m00 * m11 - m01 * m10) * v - t2 * b0 + u2 * b1))
 
     def __repr__(self):
         return (

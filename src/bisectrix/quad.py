@@ -29,8 +29,6 @@ from .plane import (
     Point,
     _meet,
     _mid,
-    _point,
-    _raw_line,
     intersect,
     line_det,
     line_from_points,
@@ -53,7 +51,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         if any(side.field is not field for side in sides):
             raise FieldMismatch("quadrilateral sides from different fields")
         p = field.p
-        raw = [_raw_line(side) for side in sides]
+        raw = [side.raw for side in sides]
         if len(set(raw)) < 4:
             raise DuplicateLine("sides must be four distinct lines")
         for i in range(4):
@@ -71,7 +69,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         m01_23 = _mid(_mid(v[0], v[1], p), _mid(v[2], v[3], p), p)
         if not centroid == m03_12 == m01_23:
             raise InvariantViolation("the centroid is the midpoint of both bimedians")
-        vertices = tuple(_point(field, xy) for xy in v)
+        vertices = tuple(Point.of(field, xy) for xy in v)
         double = None
         for i in range(4):
             if v[i] == v[(i + 1) % 4]:
@@ -82,7 +80,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
                      line_from_points(vertices[1], vertices[3]))
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
         self._write(
-            a, b, a2, b2, vertices, _point(field, centroid), double is None, double, diagonals,
+            a, b, a2, b2, vertices, Point.of(field, centroid), double is None, double, diagonals,
             ((a, a2), (b, b2), diagonals), None,
         )
 
@@ -205,7 +203,8 @@ def standard_form(q: Quadrilateral) -> tuple[AffineMap, Scalar]:
         # Rotate the cyclic labels one step: BA'B'A.
         a, b, a2, b2 = b, a2, b2, a
     f = AffineMap(a2.t, -a2.u, -a.t, a.u, a2.v, -a.v)
-    mu = line_det(a, b) * line_det(a, b2) / (line_det(a2, b) * line_det(a2, b2))
+    scalar = q.field.scalar
+    mu = scalar(line_det(a, b) * line_det(a, b2)) / scalar(line_det(a2, b) * line_det(a2, b2))
     if mu.is_zero():
         raise InvariantViolation("the standard form has nonzero mu")
     return f, mu

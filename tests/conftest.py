@@ -12,7 +12,7 @@ from bisectrix.errors import (
     IdenticalLines, NotABisector, NotBisectors,
 )
 from bisectrix.oracle import _in_span
-from bisectrix.plane import _product, _raw_line, line_det
+from bisectrix.plane import _product
 
 
 def make_quad(field, *literals):
@@ -65,11 +65,11 @@ def standard_by_transform(q, f):
 
 
 def intersect_by_scalars(l1, l2):
-    """Cramer's rule on line_det: the meet of two lines, at infinity when
-    they are parallel."""
+    """Cramer's rule on the determinant of line_det, here on Scalars: the
+    meet of two lines, at infinity when they are parallel."""
     if l1 == l2:
         raise IdenticalLines("lines coincide")
-    det = line_det(l1, l2)
+    det = l1.u * l2.t - l1.t * l2.u
     if det.is_zero():
         return l1.infinite_point()
     return Point((l1.v * l2.u - l1.u * l2.v) / det, (l1.v * l2.t - l1.t * l2.v) / det)
@@ -77,6 +77,12 @@ def intersect_by_scalars(l1, l2):
 
 def midpoint_by_scalars(p, q):
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+def map_point(f, p):
+    """The image Mp + b of a point under an affine map f (AffineMap.apply
+    takes lines only)."""
+    return Point(f.m00 * p.x + f.m01 * p.y + f.b0, f.m10 * p.x + f.m11 * p.y + f.b1)
 
 
 def line_from_points_by_scalars(p, q):
@@ -159,9 +165,9 @@ def bisector_through_by_standard_form(q, m):
         t, u = line.t, line.u
         return Line(t * f.m00 - u * f.m10, u * f.m11 - t * f.m01, t * f.b0 - u * f.b1 + line.v)
 
-    center = f.apply(q.centroid)
+    center = map_point(f, q.centroid)
     h, k = center.x, center.y
-    image = f.apply(m)
+    image = map_point(f, m)
     x, y = image.x, image.y
     if not (x.is_zero() and y.is_zero()):
         if not (y * (y - 2 * k) - mu * x * (x - 2 * h)).is_zero():
@@ -204,7 +210,7 @@ def q_pair_by_scalars(q, pair):
 def in_pencil(q, pair):
     """Whether the product of the line pair lies in span(A*A', B*B') plus a
     constant: the oracle's span test on q's side products."""
-    f, g, c = (_product(_raw_line(l1), _raw_line(l2))
+    f, g, c = (_product(l1.raw, l2.raw)
                for l1, l2 in ((q.a, q.a2), (q.b, q.b2), pair.lines))
     return _in_span(c, f, g, q.field.p)
 

@@ -2,7 +2,10 @@
 
 import ast
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,14 @@ def _values(q):
     ]
 
 
+def _raw_values(field):
+    """A Point, InfPoint, Line and Conic of field whose raw tuples hold the
+    same small numbers in every field."""
+    line = Line.parse(field, "Y=2X+3")
+    conic = Conic(*(field.scalar(c) for c in (1, 2, 3, 4, 5, 6)))
+    return [Point(field.one, field.scalar(3)), line.infinite_point(), line, conic]
+
+
 def _slots(obj):
     return [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
 
@@ -70,12 +81,49 @@ def test_values_copy_and_pickle(e1):
     """copy, deepcopy and a pickle round trip rebuild an equal value of the
     same type, although the slots refuse setattr."""
     quadratic_data(e1)  # the memo slot is copied too
-    for value in _values(e1) + [GF(7).scalar(3)]:
+    for value in _values(e1) + [GF(7).scalar(3)] + _raw_values(GF(7)):
         for clone in (
             copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
         ):
             assert type(clone) is type(value)
             assert clone == value
+
+
+def test_raw_values_tell_fields_apart():
+    """Points, lines and conics hold their field and a raw tuple, and two
+    fields can share a raw tuple: equality still tells them apart."""
+    by_field = {field: _raw_values(field) for field in (QQ, GF(7), GF(11))}
+    for i in range(4):
+        values = [by_field[field][i] for field in by_field]
+        assert len({value.raw for value in values}) == 1
+        for a in values:
+            for b in values:
+                assert (a == b) == (a.field is b.field) and (a != b) == (a.field is not b.field)
+        assert len(set(values)) == 3
+
+
+def test_set_order_does_not_depend_on_the_hash_seed():
+    """A point or a line hashes by its raw tuple, never by its field's
+    address or a string: sets of them iterate in the same order under
+    PYTHONHASHSEED=0 and 1."""
+    script = (
+        "from bisectrix import GF, QQ, Line, Point\n"
+        "from bisectrix.oracle import enumerate_lines\n"
+        "lines = set(enumerate_lines(GF(5))) | {Line.parse(QQ, 'Y=1/2X-3'), Line.parse(QQ, 'X=7')}\n"
+        "points = {Point(f.scalar(x), f.scalar(y)) for f in (QQ, GF(5)) "
+        "for x in range(-3, 4) for y in range(3)}\n"
+        "print([str(l) for l in lines])\n"
+        "print([str(p) for p in points])\n"
+    )
+    src = Path(bisectrix.__file__).resolve().parents[1]
+    printed = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert printed[0].count("\n") == 2 and printed[0] == printed[1]
 
 
 def test_quadratic_data_memo_keeps_equality_and_hash(e1, e2, improper):
@@ -103,13 +151,14 @@ def test_rebuilt_values_compare_and_hash_equal(e1):
 
 
 # The identity slots of the eight types whose equality is slot equality.
+# Points, lines and conics hold their field and a raw tuple.
 _IDENTITY = {
-    Point: ("x", "y"),
-    InfPoint: ("x", "y"),
-    Line: ("t", "u", "v"),
+    Point: ("field", "raw"),
+    InfPoint: ("field", "raw"),
+    Line: ("field", "raw"),
     LinePair: ("a", "b"),
     AffineMap: ("m00", "m01", "m10", "m11", "b0", "b1"),
-    Conic: ("a", "b", "c", "d", "e", "f"),
+    Conic: ("field", "raw"),
     Quadrangle: ("points",),
     Quadrilateral: ("a", "b", "a2", "b2"),
 }

@@ -716,7 +716,7 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
         assert len(partnered) == len(set(partnered)) and set(partnered) == lines
         assert len(calls["quadratic_data"]) == 1 + trials + len(repaired)
         assert q.proper and (profile == "fixture" or repaired)
-        through = [oracle._raw_point(m) for (m,) in calls["bisector_through"]]
+        through = [m.raw for (m,) in calls["bisector_through"]]
         assert len(through) == len(zeros) and set(through) == zeros
 
 
@@ -743,7 +743,7 @@ def _printed_in_three_processes(script):
 
 def test_bisector_lines_come_in_the_same_order_in_every_process():
     """The lines a check walks come in the same order in every process:
-    bisector_lines sorts them, and a Scalar hashes by its value alone."""
+    bisector_lines sorts them, and a line hashes by its raw tuple alone."""
     printed = _printed_in_three_processes(
         "from bisectrix import GF; from bisectrix.oracle import _Context, random_quadrilateral; "
         "print([str(l) for l in _Context(True, 0).bisector_lines(random_quadrilateral(GF(7), 1))])"
@@ -753,9 +753,9 @@ def test_bisector_lines_come_in_the_same_order_in_every_process():
 
 def test_violations_come_in_the_same_order_in_every_process():
     """Under the both-pairs bisector rule, vertex_line_bisectors and
-    unique_midpoints walk sets of points, whose order follows the Scalar
-    hash: verify over GF(7), seeds 1-5, prints the same violations in the
-    same order in every process."""
+    unique_midpoints walk sets of points, whose order follows the hash of
+    their raw tuples: verify over GF(7), seeds 1-5, prints the same
+    violations in the same order in every process."""
     printed = _printed_in_three_processes(
         "import pytest\n"
         "from bisectrix import bisectors\n"
@@ -789,8 +789,8 @@ def test_verify_all_frees_its_memo_when_it_returns():
 
 def test_oracle_runs_the_kernel_bisector_rule():
     """Each raw rule has one home: plane.py alone defines the meet and
-    midpoint rule, the side products and their gradients and its raw
-    helpers, bisectors.py alone the bisector rule (_bisector_mid).  No other
+    midpoint rule, the side products and their gradients, bisectors.py
+    alone the bisector rule (_bisector_mid).  No other
     module of the package defines any of them; bisectors, quad, pencil and
     oracle hold the home module's objects, and the defect matrix takes _mid
     from plane.  bisectors holds no standard form: its closed forms read
@@ -800,8 +800,8 @@ def test_oracle_runs_the_kernel_bisector_rule():
 
     from bisectrix import bisectors, oracle, pencil, plane, quad
 
-    homes = dict.fromkeys(("_PARALLEL", "_SAME", "_raw_line", "_raw_point", "_point",
-                           "_meet", "_mid", "_product", "_gradient"), plane)
+    homes = dict.fromkeys(("_PARALLEL", "_SAME", "_meet", "_mid", "_product", "_gradient"),
+                          plane)
     homes["_bisector_mid"] = bisectors
 
     def tree(path):

@@ -15,7 +15,7 @@ from bisectrix import (
 )
 from bisectrix.errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
 from bisectrix.oracle import Lcg64, enumerate_lines, random_line, random_quadrilateral
-from conftest import intersect_by_scalars, midpoint_by_scalars
+from conftest import intersect_by_scalars, map_point, midpoint_by_scalars
 
 
 def pt(x, y, field=QQ):
@@ -58,7 +58,7 @@ def test_midpoint():
 def test_apply_map_examples():
     ident = AffineMap.identity(QQ)
     p = pt(3, 4)
-    assert ident.apply(p) == p
+    assert map_point(ident, p) == p
     swap = AffineMap.linear(QQ.zero, QQ.one, QQ.one, QQ.zero)
     assert swap.apply(Line.parse(QQ, "Y=0")) == Line.parse(QQ, "X=0")
     stretch = AffineMap.linear(QQ.scalar(2), QQ.zero, QQ.zero, QQ.one)
@@ -91,7 +91,7 @@ def test_map_compose_inverse():
         if t.is_zero() and u.is_zero():
             continue
         l = Line(t, u, v)
-        assert f.apply(l) == line_from_points(*map(f.apply, _two_points(l)))
+        assert f.apply(l) == line_from_points(*(map_point(f, x) for x in _two_points(l)))
     g7 = GF(7)
     maps = 0
     while maps < 12:
@@ -104,7 +104,7 @@ def test_map_compose_inverse():
             continue
         maps += 1
         for l in enumerate_lines(g7):
-            assert f.apply(l) == line_from_points(*map(f.apply, _two_points(l)))
+            assert f.apply(l) == line_from_points(*(map_point(f, x) for x in _two_points(l)))
 
 
 def test_canonicalization_idempotent_and_round_trip():
@@ -142,6 +142,20 @@ def test_slope_sugar_parses_strictly(field):
             Line.parse(field, text)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_slope_sugar_takes_decimal_and_exponent_slopes(field):
+    """The slope before X is a scalar literal in Fraction's grammar, as the
+    intercept after it is; what that grammar refuses still cannot parse."""
+    assert Line.parse(field, "Y=1.5X+1") == Line.parse(field, "3/2 1 1")
+    assert Line.parse(field, "Y=1e2X+1") == Line.parse(field, "100 1 1")
+    assert Line.parse(field, "Y=-.5*X") == Line.parse(field, "-1/2 1 0")
+    assert Line.parse(field, "y=2.5e-1x-1E1") == Line.parse(field, "1/4 1 -10")
+    assert Line.parse(field, "Y=1_0.0_1X") == Line.parse(field, "1001/100 1 0")
+    for text in ("Y=1.2.3X", "Y=1eX", "Y=1/2e3X", "Y=/2X", "Y=.X", "Y=1e2.5X"):
+        with pytest.raises(DegenerateInput, match="cannot parse line literal"):
+            Line.parse(field, text)
+
+
 def test_parallel_iff_same_infinite_point():
     g5 = GF(5)
     lines = enumerate_lines(g5)
@@ -162,10 +176,10 @@ def test_map_preserves_incidence_and_midpoints():
             continue
         line = random_line(QQ, rng)
         for p in q.vertices:
-            assert line.contains(p) == f.apply(line).contains(f.apply(p))
+            assert line.contains(p) == f.apply(line).contains(map_point(f, p))
         p1, p2 = q.vertices[0], q.vertices[1]
         assert midpoint(p1, p2) == midpoint(p2, p1)
-        assert f.apply(midpoint(p1, p2)) == midpoint(f.apply(p1), f.apply(p2))
+        assert map_point(f, midpoint(p1, p2)) == midpoint(map_point(f, p1), map_point(f, p2))
 
 
 def test_inf_point_normalization():

@@ -26,7 +26,9 @@ from bisectrix.errors import (
     GeometryError,
 )
 from bisectrix.oracle import Lcg64, enumerate_lines, random_line, random_quadrilateral
-from conftest import make_quad, quadrilateral_by_scalars, slope_product, standard_by_transform
+from conftest import (
+    make_quad, map_point, quadrilateral_by_scalars, slope_product, standard_by_transform,
+)
 
 
 def pt(x, y, field=QQ):
@@ -185,7 +187,7 @@ def test_standard_form_always_nonzero_mu():
         f, mu = standard_form(q)
         for std in standard_by_transform(q, f):
             assert slope_product(std) == mu
-            assert std.centroid == f.apply(q.centroid)
+            assert std.centroid == map_point(f, q.centroid)
         assert not mu.is_zero()
 
 
