@@ -328,8 +328,8 @@ class Scalar(Frozen):
         return self.field.scalar, (self.value,)
 
     def __hash__(self):
-        # The value alone, as Frozen leaves out a field slot: Scalars of
-        # different fields merely collide.
+        # Defining __eq__ drops the inherited hash, so it is restated here:
+        # Frozen's (the value alone), read without its attrgetter call.
         return hash(self.value)
 
     def __str__(self):

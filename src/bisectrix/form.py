@@ -64,9 +64,7 @@ def phi(d: QuadraticData, vx: Scalar, vy: Scalar) -> Scalar:
 
 def inner(d: QuadraticData, v: Vec, w: Vec) -> Scalar:
     """The form on two pairs of Scalars, or of raw values (see plane)."""
-    (v0, v1), (w0, w1) = v, w
-    if isinstance(v0, Scalar):
-        return d.gamma * v0 * w0 - d.beta * (v0 * w1 + v1 * w0) + d.alpha * v1 * w1
+    v0, v1, w0, w1 = (c.value if isinstance(c, Scalar) else c for c in (*v, *w))
     g, b, a = d.gamma.value, d.beta.value, d.alpha.value
     return d.field.scalar(g * v0 * w0 - b * (v0 * w1 + v1 * w0) + a * v1 * w1)
 

@@ -74,7 +74,7 @@ from .bisectors import (
 )
 from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisectors
 from .field import Field, PrimeField, Scalar, _Poly
-from .form import desargues_pencil, inner, lambda_q, phi, quadratic_data
+from .form import desargues_pencil, lambda_q, phi, q_orthogonal, quadratic_data
 from .pencil import center, degenerations, pencil_of
 from .plane import (
     _PARALLEL,
@@ -338,7 +338,7 @@ def _check_opposite_orthogonal(q, ctx):
     d = ctx.once(quadratic_data, q)
     out = []
     for name, (l1, l2) in zip(_PAIR_NAMES, q.line_pairs):
-        if not inner(d, (l1.u, l1.t), (l2.u, l2.t)).is_zero():
+        if not q_orthogonal(d, l1, l2):
             out.append(f"pair {name} is not Q-orthogonal")
     return 3, out
 
@@ -366,7 +366,7 @@ def _fixture_probe_lines(q) -> list[Line]:
     out = []
     # X=3, X=5, Y=7, Y=X+3 and Y=2X+5 as tX - uY + v = 0
     for raw in ((1, 0, -3), (1, 0, -5), (0, 1, 7), (1, 1, 3), (2, 1, 5)):
-        line = Line.of(q.field, tuple(map(q.field._coerce, raw)))
+        line = Line.of(q.field, raw)
         if all(not line.contains(vertex) for vertex in q.vertices) and line not in out:
             out.append(line)
     return out[:4]
@@ -729,11 +729,12 @@ def _member_degeneration_entries(member, field, exhaustive):
 
 def _pencil_members(q, ctx):
     pen = pencil_of(q)
+    field = q.field
     if ctx.exhaustive:
-        coeffs = _p1(q.field)
+        coeffs = _p1(field)
     else:
         pairs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
-        coeffs = [(q.field.scalar(alpha), q.field.scalar(beta)) for alpha, beta in pairs]
+        coeffs = [(field.scalar(alpha), field.scalar(beta)) for alpha, beta in pairs]
     return [pen.member(alpha, beta) for alpha, beta in coeffs]
 
 

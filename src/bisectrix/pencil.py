@@ -182,7 +182,7 @@ def _central_pair(c: Conic, o: Point, root: Scalar) -> LinePair:
     quadratic part, whose discriminant has the nonzero square root root."""
     (A, B, C, *_), (x, y), r = c.raw, o.raw, root.value
     if not A:
-        directions = ((c.field.one.value, A), (-C, B))  # A is zero here
+        directions = ((1, A), (-C, B))  # A is zero here
     else:
         directions = ((r - B, 2 * A), (-r - B, 2 * A))
     return LinePair(*(Line.of(c.field, (dy, dx, dx * y - dy * x)) for dx, dy in directions))

@@ -12,6 +12,7 @@ PlanePoint is the union of the two kinds.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
@@ -19,10 +20,9 @@ from .field import _DIGITS, Field, Frozen, Scalar, _thaw, _wrapped
 
 
 def _scaled(raw, p: int | None, lead: tuple, error: str) -> tuple:
-    """raw reduced mod p and divided by its first nonzero entry among the
-    indices lead; DegenerateInput(error) when they are all zero."""
-    if p:
-        raw = [c % p for c in raw]
+    """raw reduced mod p (made Fractions over Q) and divided by its first
+    nonzero entry among the indices lead; DegenerateInput(error) if none."""
+    raw = [c % p for c in raw] if p else [c if type(c) is Fraction else Fraction(c) for c in raw]
     for i in lead:
         k = raw[i]
         if k:
@@ -50,7 +50,7 @@ class Point(Frozen):
 
     @classmethod
     def of(cls, field: Field, raw: tuple) -> "Point":
-        """The point of a raw (x, y) already reduced mod p."""
+        """The point of a raw (x, y) already reduced mod p, or of Fractions."""
         return _thaw(cls, (field, raw))
 
     def __str__(self):

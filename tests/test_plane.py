@@ -5,6 +5,7 @@ import pytest
 from bisectrix import (
     GF,
     AffineMap,
+    Conic,
     InfPoint,
     Line,
     Point,
@@ -119,6 +120,18 @@ def test_canonicalization_idempotent_and_round_trip():
     g7 = GF(7)
     for line in enumerate_lines(g7):
         assert Line.parse(g7, str(line)) == line
+
+
+def test_raw_constructors_hold_fractions_over_q():
+    """Line.of and Conic.of make int entries Fractions over Q before they
+    normalize, so they agree with the parser and their Scalars divide exactly."""
+    line = Line.of(QQ, (1, 3, 0))
+    assert line == Line.parse(QQ, "1 3 0")
+    assert all(type(c) is Fraction for c in line.raw)
+    assert Line.of(QQ, (0, 1, 2)).v / 4 == QQ.scalar(Fraction(1, 2))
+    conic = Conic.of(QQ, (2, 0, 1, 0, 0, -1))
+    assert conic == Conic(*(QQ.scalar(c) for c in (2, 0, 1, 0, 0, -1)))
+    assert all(type(c) is Fraction for c in conic.raw)
 
 
 # The slope sugar: literal, then the canonical line it denotes.
