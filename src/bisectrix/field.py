@@ -3,8 +3,9 @@
 Fields are interned (Rationals() is QQ, PrimeField(p) is GF(p)), so field
 equality is identity, and each field has its own Scalar subclass, so field
 identity is class identity.  Scalars are immutable; mixing fields raises
-FieldMismatch.  Rationals are backed by fractions.Fraction (always reduced,
-positive denominator), GF(p) values by canonical residues in [0, p).
+FieldMismatch.  Rationals are backed by _Rat, a lean fractions.Fraction
+subclass (always reduced, positive denominator) whose + - * / skip
+Fraction's operator dispatch; GF(p) values by canonical residues in [0, p).
 Square roots are computed inside the field and absence is a value, not an
 error.  _Poly is the one polynomial ring, on raw coefficients, shared by
 the kernel's class polynomials and the oracle's identities between them.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from math import isqrt
+from math import gcd, isqrt
 from operator import attrgetter
 
 from .errors import DivisionByZero, FieldMismatch
@@ -28,6 +29,61 @@ _MR_BOUND = 3317044064679887385961981
 _DIGITS = r"\d+(?:_\d+)*"
 _DECIMAL = re.compile(rf"[-+]?(?=\.?\d)(?:{_DIGITS})?(?:\.(?:{_DIGITS})?)?e([-+]?{_DIGITS})", re.I)
 _MAX_EXPONENT = 100_000
+
+
+def _rat(n: int, d: int) -> _Rat:
+    """The _Rat n/d, for d > 0, reduced by one gcd; its slots are set
+    directly, without Fraction's constructor."""
+    g = gcd(n, d)
+    r = object.__new__(_Rat)
+    r._numerator = n // g
+    r._denominator = d // g
+    return r
+
+
+def _quotient(n: int, d: int) -> _Rat:
+    """The _Rat n/d for any d; a zero d raises as Fraction's division does."""
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return _rat(-n, -d) if d < 0 else _rat(n, d)
+
+
+def _operator(fallback, rule):
+    """A _Rat operator a op b: rule(na, da, nb, db) on the numerators and
+    denominators when b is a _Rat (tested first), a Fraction or an int, and
+    Fraction's own operator fallback(a, b) for any other type."""
+    def op(a, b):
+        if type(b) is _Rat:
+            return rule(a._numerator, a._denominator, b._numerator, b._denominator)
+        if isinstance(b, (int, Fraction)):
+            return rule(a._numerator, a._denominator, b.numerator, b.denominator)
+        return fallback(a, b)
+    return op
+
+
+class _Rat(Fraction):
+    """The raw value of Q: a Fraction whose + - * / (in either operand order)
+    and unary - build their result with one gcd (_rat), skipping Fraction's
+    operator dispatch and constructor.  str, hash, ==, <, numerator and
+    denominator, pickling and copying are Fraction's own, so every string
+    and order stays the same."""
+
+    __slots__ = ()
+    __add__ = __radd__ = _operator(
+        Fraction.__add__, lambda na, da, nb, db: _rat(na * db + nb * da, da * db))
+    __sub__ = _operator(
+        Fraction.__sub__, lambda na, da, nb, db: _rat(na * db - nb * da, da * db))
+    __rsub__ = _operator(
+        Fraction.__rsub__, lambda na, da, nb, db: _rat(nb * da - na * db, da * db))
+    __mul__ = __rmul__ = _operator(
+        Fraction.__mul__, lambda na, da, nb, db: _rat(na * nb, da * db))
+    __truediv__ = _operator(
+        Fraction.__truediv__, lambda na, da, nb, db: _quotient(na * db, da * nb))
+    __rtruediv__ = _operator(
+        Fraction.__rtruediv__, lambda na, da, nb, db: _quotient(nb * da, db * na))
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
 
 
 def _is_prime(n: int) -> bool:
@@ -111,14 +167,16 @@ class Rationals(Field):
     """The field of rational numbers with arbitrary-precision arithmetic."""
 
     name = "Q"
-    p = None  # raw values are Fractions, never reduced
+    p = None  # raw values are _Rats, never reduced
 
     def __repr__(self):
         return "Rationals()"
 
     def _coerce(self, value):
+        if type(value) is _Rat:
+            return value
         if isinstance(value, (int, Fraction)):
-            return Fraction(value)
+            return _rat(value.numerator, value.denominator)
         raise TypeError(f"cannot make a rational out of {value!r}")
 
     def _coerce_text(self, text):
@@ -126,14 +184,14 @@ class Rationals(Field):
         if decimal and abs(int(decimal[1])) > _MAX_EXPONENT:
             raise ValueError(f"exponent of {text!r} is past ±{_MAX_EXPONENT:,}")
         try:
-            return Fraction(text)
+            return _Rat(text)
         except ZeroDivisionError:
             raise DivisionByZero(f"zero denominator in {text!r}") from None
 
     def _inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        return 1 / a
+        return _quotient(a.denominator, a.numerator)
 
     def _sqrt(self, a):
         # Reduced fraction is a square iff numerator and denominator both are.
@@ -142,7 +200,7 @@ class Rationals(Field):
         rn, rd = isqrt(a.numerator), isqrt(a.denominator)
         if rn * rn != a.numerator or rd * rd != a.denominator:
             return None
-        return Fraction(rn, rd)
+        return _rat(rn, rd)
 
 
 class PrimeField(Field):
@@ -381,7 +439,7 @@ def _scalar_class(field: Field, p: int | None):
             return make(self.value * inv(other.value) % p)
         if not other.value:
             raise DivisionByZero("inverse of 0")
-        return make(self.value / other.value)  # one Fraction division
+        return make(self.value / other.value)  # one _Rat division
 
     def __neg__(self):
         return make(-self.value % p if p else -self.value)
@@ -404,7 +462,7 @@ QQ = Rationals()
 class _Poly(tuple):
     """A polynomial in one variable (the offset v of a parallel class) as its
     raw coefficients, lowest degree first: ints, which the caller reduces
-    with % p, or Fractions over Q.  + and - take two polynomials, * a
+    with % p, or _Rats over Q.  + and - take two polynomials, * a
     polynomial or a constant on either side; poly(v) evaluates."""
 
     __slots__ = ()

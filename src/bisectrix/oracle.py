@@ -31,7 +31,7 @@ brute_bisectors makes a Line and a Point per bisector (of the re-paired
 quadrilaterals too, in repairing_bisectors), closed_form_oracle a Point per
 locus zero, vertex_line_bisectors the lines through each vertex, and
 bisector_lines the lines the kernel is asked about; violation texts build
-the rest.  Over Q the same helpers take p = None and run on Fractions, so
+the rest.  Over Q the same helpers take p = None and run on _Rats, so
 bisector_field and desargues_reflection each judge both fields by one rule
 and differ only in the lines fed in: every line when exhaustive, the sides
 and diagonals or the probe lines in the fixture.
@@ -118,24 +118,24 @@ class Lcg64:
         return x % n
 
 
-def _p1(field: Field) -> list[tuple[Scalar, Scalar]]:
-    """The p + 1 points of P1(GF(p)): (1, t) for every t, then (0, 1)."""
+def _p1(field: Field) -> list[tuple[int, int]]:
+    """The p + 1 points of P1(GF(p)) as raw residue pairs, each normalized
+    as InfPoint's: (1, t) for every t, then (0, 1)."""
     if not isinstance(field, PrimeField):
         raise InfiniteField("line enumeration needs a finite field")
-    one = field.one
-    return [(one, field.scalar(t)) for t in range(field.p)] + [(field.zero, one)]
+    return [(1, t) for t in range(field.p)] + [(0, 1)]
 
 
 def enumerate_lines(field: Field) -> list[Line]:
     """All p^2 + p affine lines of GF(p)^2 in canonical form, one parallel
     class tX - uY + v = 0 (v = 0 .. p-1) per point [u : t] of P1."""
-    return [Line.of(field, (t.value, u.value, v)) for u, t in _p1(field) for v in range(field.p)]
+    return [Line.of(field, (t, u, v)) for u, t in _p1(field) for v in range(field.p)]
 
 
 def lines_through(field: Field, p: Point) -> list[Line]:
     """All p + 1 lines of GF(p)^2 through a point."""
     x, y = p.raw
-    return [Line.of(field, (t.value, u.value, u.value * y - t.value * x)) for u, t in _p1(field)]
+    return [Line.of(field, (t, u, u * y - t * x)) for u, t in _p1(field)]
 
 
 def _zero_set(conic, p: int) -> set[tuple[int, int]]:
@@ -231,8 +231,8 @@ def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
     sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
     found = set()
     for u, t in _p1(field):
-        for v, m in _class_bisectors(t.value, u.value, sides, field.p):
-            found.add(Bisector(Line.of(field, (t.value, u.value, v)), Point.of(field, m)))
+        for v, m in _class_bisectors(t, u, sides, field.p):
+            found.add(Bisector(Line.of(field, (t, u, v)), Point.of(field, m)))
     return found
 
 
@@ -352,7 +352,7 @@ def _check_lambda_involution(q, ctx):
             out.append(f"infinite points of {l1} and {l2} are not conjugate")
     instances = 3
     if ctx.exhaustive:
-        directions = [InfPoint(x, y) for x, y in _p1(q.field)]
+        directions = [InfPoint.of(q.field, xy) for xy in _p1(q.field)]
         for p in directions:
             fixed = inv.fixes(p)
             null = phi(d, p.x, p.y).is_zero()
@@ -398,7 +398,6 @@ def _desargues_classes(qr: Quadrangle):
     vertices = [pt.raw for pt in qr.points]
     sides = [l.raw for l in _quadrangle_sides(qr)]
     for u, t in _p1(qr.field):
-        t, u = t.value, u.value
         yield t, u, {(u * y - t * x) % p for x, y in vertices}, _chart_parameters(t, u, sides, p)
 
 
@@ -588,7 +587,7 @@ def _check_vertex_lines(q, ctx):
 def _check_parallel_bisectors(q, ctx):
     per_direction = Counter(l.infinite_point() for l in ctx.bisector_lines(q))
     parallel_dirs = {l1.infinite_point() for l1, _ in _side_diag_parallel_pairs(q)}
-    directions = [InfPoint(u, t) for u, t in _p1(q.field)]
+    directions = [InfPoint.of(q.field, ut) for ut in _p1(q.field)]
     out = []
     for direction in directions:
         count = per_direction[direction]
@@ -677,12 +676,16 @@ def _check_locus(q, ctx):
         instances += len(zero_set)
     else:
         for line in _canonical_bisectors(q):
+            instances += 1
             m = is_bisector(q, line)
             if m is None:
                 out.append(f"canonical line {line} does not bisect")
-            elif not locus.conic.contains(m):
+                continue
+            if not locus.conic.contains(m):
                 out.append(f"midpoint {m} of {line} is off the locus")
-            instances += 1
+            found = bisector_through(q, m)
+            if not isinstance(found, AllLinesThrough) and Bisector(line, m) not in found:
+                out.append(f"bisector_through({m}) misses {line}")
     return instances, out
 
 
@@ -730,12 +733,8 @@ def _member_degeneration_entries(member, field, exhaustive):
 def _pencil_members(q, ctx):
     pen = pencil_of(q)
     field = q.field
-    if ctx.exhaustive:
-        coeffs = _p1(field)
-    else:
-        pairs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
-        coeffs = [(field.scalar(alpha), field.scalar(beta)) for alpha, beta in pairs]
-    return [pen.member(alpha, beta) for alpha, beta in coeffs]
+    coeffs = _p1(field) if ctx.exhaustive else ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
+    return [pen.member(field.scalar(alpha), field.scalar(beta)) for alpha, beta in coeffs]
 
 
 def _check_pencil_degenerations(q, ctx):

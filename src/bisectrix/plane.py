@@ -1,28 +1,27 @@
 """Points, lines in canonical form, incidence and affine maps.
 
 Points, lines and conics (pencil) hold their field and a raw tuple (ints in
-[0, p) over GF(p), or Fractions over Q, where p is None), which x, y, t, u
-and v wrap as Scalars on access and Point.of and Line.of build from.  A
-line tX - uY + v = 0 holds (t, u, v) under the normalization u = 1 when
-u != 0, else t = 1, so equal lines have equal raw tuples.  Points at
-infinity are explicit values (InfPoint), never sentinel coordinates;
-PlanePoint is the union of the two kinds.
+[0, p) over GF(p), or field._Rat fractions over Q, where p is None), which
+x, y, t, u and v wrap as Scalars on access and Point.of, InfPoint.of and
+Line.of build from.  A line tX - uY + v = 0 holds (t, u, v) under the
+normalization u = 1 when u != 0, else t = 1, so equal lines have equal raw
+tuples.  Points at infinity are explicit values (InfPoint), never sentinel
+coordinates; PlanePoint is the union of the two kinds.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Union
 
 from .errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
-from .field import _DIGITS, Field, Frozen, Scalar, _thaw, _wrapped
+from .field import _DIGITS, QQ, Field, Frozen, Scalar, _Rat, _thaw, _wrapped
 
 
 def _scaled(raw, p: int | None, lead: tuple, error: str) -> tuple:
-    """raw reduced mod p (made Fractions over Q) and divided by its first
+    """raw reduced mod p (made _Rats over Q) and divided by its first
     nonzero entry among the indices lead; DegenerateInput(error) if none."""
-    raw = [c % p for c in raw] if p else [c if type(c) is Fraction else Fraction(c) for c in raw]
+    raw = [c % p for c in raw] if p else [c if type(c) is _Rat else QQ._coerce(c) for c in raw]
     for i in lead:
         k = raw[i]
         if k:
@@ -50,7 +49,7 @@ class Point(Frozen):
 
     @classmethod
     def of(cls, field: Field, raw: tuple) -> "Point":
-        """The point of a raw (x, y) already reduced mod p, or of Fractions."""
+        """The point of a raw (x, y) already reduced mod p, or of _Rats."""
         return _thaw(cls, (field, raw))
 
     def __str__(self):
@@ -77,6 +76,11 @@ class InfPoint(Frozen):
             raise FieldMismatch("homogeneous coordinates from different fields")
         raw = _scaled((x.value, y.value), x.field.p, (0, 1), "[0 : 0] is not a projective point")
         self._write(x.field, raw)
+
+    @classmethod
+    def of(cls, field: Field, raw: tuple) -> "InfPoint":
+        """The point of a raw pair [x : y] already reduced and normalized."""
+        return _thaw(cls, (field, raw))
 
     def __str__(self):
         return f"[{self.x}:{self.y}:0]"
@@ -124,7 +128,7 @@ class Line(Frozen):
 
     def infinite_point(self) -> InfPoint:
         t, u, _ = self.raw
-        return _thaw(InfPoint, (self.field, (u, t)))  # normalized as the line is
+        return InfPoint.of(self.field, (u, t))  # normalized as the line is
 
     def is_parallel(self, other: "Line") -> bool:
         # Canonical coefficients make parallelism a direct comparison.

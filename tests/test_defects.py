@@ -19,6 +19,7 @@ import pytest
 
 from bisectrix import (
     AffineMap, Bisector, Line, LinePair, QuadraticData, Quadrilateral, bisectors, form, pencil,
+    plane,
 )
 from bisectrix.plane import _mid
 from bisectrix.cli import main
@@ -69,6 +70,14 @@ def _bisector_shifted(bisector_through):
             return [Bisector(_shifted(b.line), b.midpoint) for b in found]
         return found
 
+    return defect
+
+
+def _gradient_swapped(gradient):
+    """The gradient of a conic at a point with its two components swapped."""
+    def defect(c, m):
+        gx, gy = gradient(c, m)
+        return gy, gx
     return defect
 
 
@@ -186,6 +195,13 @@ DEFECTS = {
     "bisector_through_shifted": (
         bisectors, "bisector_through", _bisector_shifted, {
             "GFp:7": ("closed_form_oracle", {"closed_form_oracle"}),
+            "Q": ("locus_midpoints", {"locus_midpoints"}),
+        },
+    ),
+    "gradient_swapped": (
+        plane, "_gradient", _gradient_swapped, {
+            "GFp:7": ("closed_form_oracle", {"closed_form_oracle"}),
+            "Q": ("locus_midpoints", {"locus_midpoints"}),
         },
     ),
     "inner_off_by_one": (

@@ -1,12 +1,14 @@
 import copy
+import operator
 import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bisectrix import GF, QQ, PrimeField, Rationals
 from bisectrix.errors import DivisionByZero, FieldMismatch
-from bisectrix.field import Scalar, _Poly
+from bisectrix.field import Scalar, _Poly, _Rat
 from bisectrix.oracle import Lcg64
 
 
@@ -304,3 +306,65 @@ def test_poly_ring_agrees_with_evaluation():
         assert (c * g)(v) == (g * c)(v) == c * gv
         for k in (0, 1, Fraction(0), Fraction(1)):
             assert (k * g)(v) == (g * k)(v) == k * gv
+
+
+# Zero, signs and multi-digit values, as ints, plain Fractions and _Rats.
+_INTS = st.one_of(st.sampled_from((0, 1, -1, 2)), st.integers(-10 ** 30, 10 ** 30))
+_FRACTIONS = st.builds(Fraction, _INTS, st.integers(1, 10 ** 20))
+_RATS = _FRACTIONS.map(QQ._coerce)
+_OPERATIONS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_RATS, st.one_of(_INTS, _FRACTIONS, _RATS))
+def test_rat_arithmetic_is_fractions(a, b):
+    """+ - * / with an int, Fraction or _Rat partner, on either side, and
+    unary -, give Fraction's value as a _Rat; division by zero raises
+    ZeroDivisionError as Fraction's does."""
+    plain = Fraction(a)
+    assert type(a) is _Rat and type(plain) is Fraction
+    for op in _OPERATIONS:
+        for left, right, want in ((a, b, lambda: op(plain, b)), (b, a, lambda: op(b, plain))):
+            if op is operator.truediv and right == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            got = op(left, right)
+            assert got == want() and type(got) is _Rat, (op, left, right)
+            assert got.denominator > 0 and str(got) == str(want())
+    assert -a == -plain and type(-a) is _Rat
+    # Other types keep Fraction's own operators.
+    assert a + 0.5 == plain + 0.5 and type(a * 0.5) is float and 2j - a == 2j - plain
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_RATS, _FRACTIONS)
+def test_rat_is_a_fraction_to_every_reader(a, other):
+    """str, hash, ==, <, bool, pickling and copying are Fraction's, so a
+    _Rat reads exactly as the Fraction of its value; copies stay _Rats."""
+    plain = Fraction(a)
+    assert str(a) == str(plain) and repr(a) == f"_Rat({a.numerator}, {a.denominator})"
+    assert hash(a) == hash(plain) and a == plain and plain == a and {a} == {plain}
+    assert (a < other) == (plain < other) and (other < a) == (other < plain)
+    assert bool(a) == bool(plain)
+    assert (a.numerator, a.denominator) == (plain.numerator, plain.denominator)
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert twin == a and type(twin) is _Rat
+
+
+def test_rat_division_by_zero_and_its_slots():
+    """Every division by a zero raises; a zero denominator in text is still
+    DivisionByZero; Q's raw values are _Rats; and Fraction still keeps its
+    value in the two slots _Rat writes, so a Python whose fractions module
+    renames them fails here rather than in arithmetic."""
+    a, zero = QQ._coerce(Fraction(3, 7)), QQ._coerce(0)
+    for left, right in ((a, 0), (a, zero), (a, Fraction(0)), (1, zero), (Fraction(1), zero)):
+        with pytest.raises(ZeroDivisionError):
+            left / right
+    with pytest.raises(DivisionByZero):
+        QQ.parse("1/0")
+    assert Fraction.__slots__ == ("_numerator", "_denominator") and _Rat.__slots__ == ()
+    for value in (QQ.parse("-3/9").value, QQ.scalar(5).value, QQ.one.value, QQ.zero.value,
+                  QQ.scalar(Fraction(4, 9)).sqrt().value, QQ.scalar(Fraction(-2, 3)).inverse().value):
+        assert type(value) is _Rat
+    assert QQ._coerce(a) is a

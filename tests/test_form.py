@@ -134,7 +134,7 @@ def test_lambda_q_fixed_points_are_null_directions(e2):
 
 def test_lambda_q_squares_to_discriminant():
     field = GF(11)
-    directions = [InfPoint(x, y) for x, y in _p1(field)]
+    directions = [InfPoint.of(field, xy) for xy in _p1(field)]
     for seed in range(20):
         q = random_quadrilateral(field, seed)
         d = quadratic_data(q)
@@ -265,7 +265,7 @@ def test_desargues_pencil_degree_and_parallel_directions():
         for q in (q for q in quads if q.proper):
             qr = q.quadrangle()
             parallel = {l1.infinite_point() for l1, l2 in q.line_pairs if l1.is_parallel(l2)}
-            for u, t in _p1(field):
+            for u, t in (map(field.scalar, ut) for ut in _p1(field)):
                 pencil = desargues_pencil(qr, t, u)
                 for coeffs in pencil:
                     degree = max((i for i, c in enumerate(coeffs) if c), default=-1)

@@ -16,10 +16,13 @@ from bisectrix import (
     is_bisector,
     lines_through,
     midpoint,
+    q_partner,
+    quadratic_data,
     random_quadrilateral,
     verify_all,
 )
 from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
+from bisectrix.field import _Rat
 from bisectrix.oracle import Lcg64, _desargues_classes
 from conftest import (
     E1_SIDES, SPECIAL_SIDES, bisector_by_definition, chart_point, involution_from_pairs, make_quad,
@@ -687,8 +690,9 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
     """One verify_all asks the kernel for bisector_locus once, q_partner once
     per distinct line, and quadratic_data once for q, once per
     affine_invariance trial and, when exhaustive, once per re-paired
-    quadrilateral.  bisector_through is reached only by closed_form_oracle,
-    once per locus zero: never by q_partner."""
+    quadrilateral.  bisector_through is reached by closed_form_oracle, once
+    per locus zero, and by the fixture's locus_midpoints, once per side and
+    diagonal at its midpoint: never by q_partner."""
     from bisectrix import Quadrilateral, bisectors, oracle, requadrilate
 
     for field, profile, trials in ((QQ, "fixture", 10), (GF(7), "exhaustive", 5)):
@@ -709,15 +713,36 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
         if profile == "exhaustive":
             lines = {b.line for b in brute_bisectors(q)}
             repaired = [c for c in requadrilate(q.quadrangle()) if isinstance(c, Quadrilateral)]
-            zeros = oracle._zero_set(bisector_locus(q).conic, field.p)
+            asked = oracle._zero_set(bisector_locus(q).conic, field.p)
         else:
-            lines, repaired, zeros = set(q.sides + q.diagonal_lines), [], set()
+            lines, repaired = set(q.sides + q.diagonal_lines), []
+            asked = [is_bisector(q, line).raw for line in dict.fromkeys(q.sides + q.diagonal_lines)]
         partnered = [line for (line,) in calls["q_partner"]]
         assert len(partnered) == len(set(partnered)) and set(partnered) == lines
         assert len(calls["quadratic_data"]) == 1 + trials + len(repaired)
         assert q.proper and (profile == "fixture" or repaired)
         through = [m.raw for (m,) in calls["bisector_through"]]
-        assert len(through) == len(zeros) and set(through) == zeros
+        assert sorted(through) == sorted(asked)
+
+
+def test_q_raw_values_stay_rats():
+    """After a fixture verify_all over Q (seeds 0-39), every raw entry of
+    the sides, vertices, centroid, diagonals and diagonal points, of the
+    quadratic data, of the locus, and of each side's and diagonal's
+    midpoint and partner is a _Rat.  A plain Fraction there gives the same
+    answers, by Fraction's slower operators, so only this pins the fast
+    path."""
+    for seed in range(40):
+        q = random_quadrilateral(QQ, seed)
+        assert all(r.passed for r in verify_all(q, "fixture", seed=seed))
+        d, locus = quadratic_data(q), bisector_locus(q)
+        canonical = list(dict.fromkeys(q.sides + q.diagonal_lines))
+        values = [*canonical, *q.vertices, q.centroid, *q.diagonal_points(), locus.conic,
+                  *(locus.components or ()), *(is_bisector(q, l) for l in canonical),
+                  *(q_partner(q, l) for l in canonical)]
+        entries = [c for value in values for c in value.raw]
+        entries += [s.value for s in (d.alpha, d.beta, d.gamma, locus.constant)]
+        assert [c for c in entries if type(c) is not _Rat] == [], seed
 
 
 def _printed_in_three_processes(script):

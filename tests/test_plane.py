@@ -15,6 +15,7 @@ from bisectrix import (
     midpoint,
 )
 from bisectrix.errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
+from bisectrix.field import _Rat
 from bisectrix.oracle import Lcg64, enumerate_lines, random_line, random_quadrilateral
 from conftest import intersect_by_scalars, map_point, midpoint_by_scalars
 
@@ -123,15 +124,16 @@ def test_canonicalization_idempotent_and_round_trip():
 
 
 def test_raw_constructors_hold_fractions_over_q():
-    """Line.of and Conic.of make int entries Fractions over Q before they
-    normalize, so they agree with the parser and their Scalars divide exactly."""
+    """Line.of and Conic.of make int entries _Rats (the raw Fractions of Q)
+    before they normalize, so they agree with the parser and their Scalars
+    divide exactly."""
     line = Line.of(QQ, (1, 3, 0))
     assert line == Line.parse(QQ, "1 3 0")
-    assert all(type(c) is Fraction for c in line.raw)
+    assert all(type(c) is _Rat for c in line.raw)
     assert Line.of(QQ, (0, 1, 2)).v / 4 == QQ.scalar(Fraction(1, 2))
     conic = Conic.of(QQ, (2, 0, 1, 0, 0, -1))
     assert conic == Conic(*(QQ.scalar(c) for c in (2, 0, 1, 0, 0, -1)))
-    assert all(type(c) is Fraction for c in conic.raw)
+    assert all(type(c) is _Rat for c in conic.raw)
 
 
 # The slope sugar: literal, then the canonical line it denotes.
