@@ -58,11 +58,9 @@ def _bisector_mid(crossings, p: int | None):
     B and B', or None when it does not bisect."""
     a, a2, b, b2 = crossings
     mids = [m for m in (_mid(a, a2, p), _mid(b, b2, p)) if m is not None]
-    if len(set(mids)) == 1 and mids[0] is not _PARALLEL:
-        return mids[0]
     if not mids:
         raise InvariantViolation("a line always crosses at least one opposite-side pair")
-    return None
+    return mids[0] if mids[0] == mids[-1] and mids[0] is not _PARALLEL else None
 
 
 def is_bisector(q: Quadrilateral, l: Line) -> Point | None:

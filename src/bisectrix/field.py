@@ -4,8 +4,9 @@ Fields are interned (Rationals() is QQ, PrimeField(p) is GF(p)), so field
 equality is identity, and each field has its own Scalar subclass, so field
 identity is class identity.  Scalars are immutable; mixing fields raises
 FieldMismatch.  Rationals are backed by _Rat, a lean fractions.Fraction
-subclass (always reduced, positive denominator) whose + - * / skip
-Fraction's operator dispatch; GF(p) values by canonical residues in [0, p).
+subclass (always reduced, positive denominator) whose + - * /, == and hash
+skip Fraction's operator dispatch and return Fraction's results; GF(p)
+values by canonical residues in [0, p).
 Square roots are computed inside the field and absence is a value, not an
 error.  _Poly is the one polynomial ring, on raw coefficients, shared by
 the kernel's class polynomials and the oracle's identities between them.
@@ -64,9 +65,9 @@ def _operator(fallback, rule):
 class _Rat(Fraction):
     """The raw value of Q: a Fraction whose + - * / (in either operand order)
     and unary - build their result with one gcd (_rat), skipping Fraction's
-    operator dispatch and constructor.  str, hash, ==, <, numerator and
-    denominator, pickling and copying are Fraction's own, so every string
-    and order stays the same."""
+    operator dispatch and constructor, and whose == with a _Rat or an int and
+    hash of an integral value (its numerator's) skip its ABC checks and pow.
+    Every value, string, hash, order and pickle is the one Fraction gives."""
 
     __slots__ = ()
     __add__ = __radd__ = _operator(
@@ -84,6 +85,16 @@ class _Rat(Fraction):
 
     def __neg__(a):
         return _rat(-a._numerator, a._denominator)
+
+    def __eq__(a, b):
+        if type(b) is _Rat:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if type(b) is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    def __hash__(a):
+        return hash(a._numerator) if a._denominator == 1 else Fraction.__hash__(a)
 
 
 def _is_prime(n: int) -> bool:

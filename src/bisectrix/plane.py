@@ -5,8 +5,10 @@ Points, lines and conics (pencil) hold their field and a raw tuple (ints in
 x, y, t, u and v wrap as Scalars on access and Point.of, InfPoint.of and
 Line.of build from.  A line tX - uY + v = 0 holds (t, u, v) under the
 normalization u = 1 when u != 0, else t = 1, so equal lines have equal raw
-tuples.  Points at infinity are explicit values (InfPoint), never sentinel
-coordinates; PlanePoint is the union of the two kinds.
+tuples.  Over Q the meet, the midpoint, the line through two points and a
+map's image of a line run on integers (_cleared) and build each canonical
+entry with one gcd.  Points at infinity are explicit values (InfPoint),
+never sentinel coordinates; PlanePoint is the union of the two kinds.
 """
 
 from __future__ import annotations
@@ -15,25 +17,41 @@ import re
 from typing import Union
 
 from .errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
-from .field import _DIGITS, QQ, Field, Frozen, Scalar, _Rat, _thaw, _wrapped
+from .field import _DIGITS, QQ, Field, Frozen, Scalar, _quotient, _rat, _Rat, _thaw, _wrapped
 
 
 def _scaled(raw, p: int | None, lead: tuple, error: str) -> tuple:
-    """raw reduced mod p (made _Rats over Q) and divided by its first
-    nonzero entry among the indices lead; DegenerateInput(error) if none."""
-    raw = [c % p for c in raw] if p else [c if type(c) is _Rat else QQ._coerce(c) for c in raw]
+    """raw reduced mod p (over Q made _Rats, or kept as ints, see _cleared)
+    and divided by its first nonzero entry among the indices lead (ints by
+    _quotient); DegenerateInput(error) if none."""
+    if p:
+        raw = [c % p for c in raw]
+    elif not all(type(c) is int for c in raw):
+        raw = [c if type(c) is _Rat else QQ._coerce(c) for c in raw]
     for i in lead:
         k = raw[i]
         if k:
             break
     else:
         raise DegenerateInput(error)
+    if not p and type(k) is int:
+        return tuple([_quotient(c, k) for c in raw])
     if k == 1:
         return tuple(raw)
     if p:
         inv = pow(k, -1, p)
         return tuple([c * inv % p for c in raw])
     return tuple([c / k if c else c for c in raw])
+
+
+def _cleared(raw) -> list:
+    """The _Rat entries of raw followed by 1, times the product W of their
+    denominators: ints, the same projective point.  A point (x, y) comes
+    out as [X, Y, W]; a line (t, u, v) as [T, U, V, W], W unused."""
+    d = 1
+    for c in raw:
+        d *= c._denominator
+    return [c._numerator * (d // c._denominator) for c in raw] + [d]
 
 
 class Point(Frozen):
@@ -205,9 +223,13 @@ class LinePair(Frozen):
 
 
 def line_from_points(p: Point, q: Point) -> Line:
-    """The canonical line through two distinct points."""
+    """The canonical line through two distinct points (over Q, the cross
+    product of the cleared points)."""
     if p == q:
         raise DegenerateInput("two coincident points do not span a line")
+    if p.field is QQ and q.field is QQ:
+        (x, y, w), (qx, qy, qw) = _cleared(p.raw), _cleared(q.raw)
+        return Line.of(QQ, (y * qw - w * qy, x * qw - w * qx, x * qy - y * qx))
     (x, y), (qx, qy) = p.raw, q.raw
     dx, dy = qx - x, qy - y
     return Line.of(_field_of(p, q), (dy, dx, dx * y - dy * x))
@@ -231,7 +253,13 @@ _SAME = "same line"
 
 def _meet(l, m, p: int | None):
     """Where raw line l meets raw line m: an affine (x, y), _PARALLEL or
-    _SAME, by Cramer's rule on line_det."""
+    _SAME, by Cramer's rule on line_det (over Q, on the cleared lines)."""
+    if not p:
+        (t, u, v, _), (mt, mu, mv, _) = _cleared(l), _cleared(m)
+        det = u * mt - t * mu
+        if not det:
+            return _SAME if l == m else _PARALLEL
+        return (_quotient(v * mu - u * mv, det), _quotient(v * mt - t * mv, det))
     t, u, v = l
     mt, mu, mv = m
     det = u * mt - t * mu
@@ -265,11 +293,15 @@ def _mid(c1, c2, p: int | None):
     if c1 is _PARALLEL or c2 is _PARALLEL:
         return _PARALLEL
     # Division by 2 is always possible: characteristic != 2.
+    if not p:
+        (x1, y1), (x2, y2) = c1, c2
+        return (_rat(x1._numerator * x2._denominator + x2._numerator * x1._denominator,
+                     2 * x1._denominator * x2._denominator),
+                _rat(y1._numerator * y2._denominator + y2._numerator * y1._denominator,
+                     2 * y1._denominator * y2._denominator))
     x, y = c1[0] + c2[0], c1[1] + c2[1]
-    if p:
-        half = (p + 1) // 2
-        return (x * half % p, y * half % p)
-    return (x / 2, y / 2)
+    half = (p + 1) // 2
+    return (x * half % p, y * half % p)
 
 
 def _field_of(a, b) -> Field:
@@ -320,6 +352,12 @@ class AffineMap(Frozen):
             raise TypeError(f"cannot apply an affine map to {line!r}")
         m00, m01, m10, m11, b0, b1 = (getattr(self, name).value for name in self.__slots__)
         (t, u, v), field = line.raw, _field_of(self, line)
+        if field is QQ:
+            # The cleared matrix [[m00, m01, b0], [m10, m11, b1], [0, 0, w]].
+            (m00, m01, m10, m11, b0, b1, w), (t, u, v, _) = (
+                _cleared((m00, m01, m10, m11, b0, b1)), _cleared(line.raw))
+            t2, u2 = t * m11 + u * m10, t * m01 + u * m00
+            return Line.of(QQ, (w * t2, w * u2, (m00 * m11 - m01 * m10) * v - t2 * b0 + u2 * b1))
         t2, u2 = t * m11 + u * m10, t * m01 + u * m00
         return Line.of(field, (t2, u2, (m00 * m11 - m01 * m10) * v - t2 * b0 + u2 * b1))
 

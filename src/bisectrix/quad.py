@@ -52,7 +52,8 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
             raise FieldMismatch("quadrilateral sides from different fields")
         p = field.p
         raw = [side.raw for side in sides]
-        if len(set(raw)) < 4:
+        r0, r1, r2, r3 = raw
+        if r0 in (r1, r2, r3) or r1 in (r2, r3) or r2 == r3:
             raise DuplicateLine("sides must be four distinct lines")
         for i in range(4):
             j = (i + 1) % 4

@@ -12,7 +12,7 @@ from bisectrix.errors import (
     IdenticalLines, NotABisector, NotBisectors,
 )
 from bisectrix.oracle import _in_span
-from bisectrix.plane import _product
+from bisectrix.plane import _PARALLEL, _SAME, _product
 
 
 def make_quad(field, *literals):
@@ -90,6 +90,39 @@ def line_from_points_by_scalars(p, q):
         raise DegenerateInput("two coincident points do not span a line")
     dx, dy = q.x - p.x, q.y - p.y
     return Line(dy, dx, dx * p.y - dy * p.x)
+
+
+# The rational formulas of plane's raw helpers over Q before they ran on
+# cleared integers, one _Rat operation at a time: the tests' reference for
+# the Q branches of plane._meet, plane._mid, line_from_points and
+# AffineMap.apply.  They take and return raw tuples of _Rats.
+
+
+def meet_by_rats(l, m):
+    t, u, v = l
+    mt, mu, mv = m
+    det = u * mt - t * mu
+    if not det:
+        return _SAME if l == m else _PARALLEL
+    inv = 1 / det
+    return (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
+
+
+def mid_by_rats(c1, c2):
+    return (c1[0] + c2[0]) / 2, (c1[1] + c2[1]) / 2
+
+
+def line_from_points_by_rats(p, q):
+    (x, y), (qx, qy) = p, q
+    dx, dy = qx - x, qy - y
+    return Line.of(QQ, (dy, dx, dx * y - dy * x)).raw
+
+
+def apply_by_rats(f, line):
+    m00, m01, m10, m11, b0, b1 = (getattr(f, name).value for name in f.__slots__)
+    t, u, v = line
+    t2, u2 = t * m11 + u * m10, t * m01 + u * m00
+    return Line.of(QQ, (t2, u2, (m00 * m11 - m01 * m10) * v - t2 * b0 + u2 * b1)).raw
 
 
 def quadrilateral_by_scalars(a, b, a2, b2):

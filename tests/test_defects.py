@@ -137,6 +137,27 @@ def _both_pairs_crossed(bisector_mid):
     return defect
 
 
+def _meet_x_negated(meet):
+    """The meet of two lines with its x coordinate negated (a sign slip in
+    Cramer's rule); parallel and equal lines still answer as such."""
+
+    def defect(l, m, p):
+        c = meet(l, m, p)
+        return c if isinstance(c, str) else (-c[0] % p if p else -c[0], c[1])
+
+    return defect
+
+
+def _mid_swapped(mid):
+    """The midpoint of two affine points with its coordinates swapped."""
+
+    def defect(c1, c2, p):
+        c = mid(c1, c2, p)
+        return c[::-1] if isinstance(c, tuple) else c
+
+    return defect
+
+
 def _ratio_swapped(pencil_ratio):
     """The pencil member [alpha : beta] of q_partner read as [beta : alpha]."""
 
@@ -245,6 +266,27 @@ DEFECTS = {
             "Q": ("locus_midpoints",
                   {"bisector_field", "locus_midpoints", "partner_involution",
                    "pencil_degenerations"}),
+        },
+    ),
+    "meet_x_negated": (
+        plane, "_meet", _meet_x_negated, {
+            "GFp:7": ("locus_midpoints",
+                      {"closed_form_oracle", "desargues_reflection", "lambda_involution",
+                       "locus_degeneracy", "locus_midpoints", "nine_points",
+                       "opposite_orthogonal", "pair_redundancy", "pencil_degenerations",
+                       "repairing_bisectors", "vertex_line_bisectors"}),
+            "Q": ("locus_midpoints",
+                  {"bisector_field", "lambda_involution", "locus_midpoints", "nine_points",
+                   "opposite_orthogonal", "partner_involution", "pencil_degenerations"}),
+        },
+    ),
+    "mid_swapped": (
+        plane, "_mid", _mid_swapped, {
+            "GFp:7": ("closed_form_oracle",
+                      {"closed_form_oracle", "locus_degeneracy", "locus_midpoints",
+                       "nine_points", "pair_redundancy", "pencil_degenerations",
+                       "repairing_bisectors", "unique_midpoints"}),
+            "Q": ("nine_points", {"locus_midpoints", "nine_points"}),
         },
     ),
     "parallelogram_vertices_negated": (

@@ -4,7 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bisectrix import GF, QQ, PrimeField, Rationals
 from bisectrix.errors import DivisionByZero, FieldMismatch
@@ -337,15 +337,33 @@ def test_rat_arithmetic_is_fractions(a, b):
     assert a + 0.5 == plain + 0.5 and type(a * 0.5) is float and 2j - a == 2j - plain
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(_RATS, _FRACTIONS)
+# Hash edges: -1 (whose hash is -2) and values around the hash modulus
+# 2**61 - 1, as numerators and as denominators.
+_EDGES = st.sampled_from((-1, 2 ** 61 - 2, 2 ** 61 - 1, 2 ** 61, -(2 ** 61 - 1), 3 * 2 ** 61 + 4))
+_READ = st.builds(Fraction, st.one_of(_INTS, _EDGES),
+                  st.one_of(st.just(1), _EDGES.filter(lambda d: d > 0), st.integers(1, 10 ** 20)))
+_PARTNERS = st.one_of(_INTS, _EDGES, _FRACTIONS, _RATS, st.floats(), st.complex_numbers())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_READ.map(QQ._coerce), _PARTNERS)
+@example(QQ._coerce(-1), -2.0)
+@example(QQ._coerce(2 ** 61 - 1), 0)
+@example(QQ._coerce(Fraction(-1, 2 ** 61 - 1)), Fraction(-1, 2 ** 61 - 1))
 def test_rat_is_a_fraction_to_every_reader(a, other):
-    """str, hash, ==, <, bool, pickling and copying are Fraction's, so a
-    _Rat reads exactly as the Fraction of its value; copies stay _Rats."""
+    """str, hash, ==, <, bool, pickling and copying give Fraction's results,
+    so a _Rat reads exactly as the Fraction of its value; copies stay _Rats.
+    == (both ways round) and hash are checked against int, Fraction, _Rat,
+    float and complex partners, drawn and of a's own value."""
     plain = Fraction(a)
     assert str(a) == str(plain) and repr(a) == f"_Rat({a.numerator}, {a.denominator})"
     assert hash(a) == hash(plain) and a == plain and plain == a and {a} == {plain}
-    assert (a < other) == (plain < other) and (other < a) == (other < plain)
+    twins = [other, plain, QQ._coerce(plain), float(a), complex(float(a)), complex(float(a), 1)]
+    for b in twins + [int(a)] * (a.denominator == 1):
+        assert (a == b, b == a, a != b) == (plain == b, b == plain, plain != b), b
+        assert a != b or hash(a) == hash(b), b
+    if not isinstance(other, complex):
+        assert (a < other) == (plain < other) and (other < a) == (other < plain)
     assert bool(a) == bool(plain)
     assert (a.numerator, a.denominator) == (plain.numerator, plain.denominator)
     for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):

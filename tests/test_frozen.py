@@ -197,7 +197,8 @@ def _defined_in_classes(names):
 def test_only_frozen_defines_setattr_or_delattr():
     """No class of the package but Frozen overrides attribute writes, and
     equality, hashing and the field accessor are Frozen's except where a
-    type's identity is not slot equality or its first slot holds no field."""
+    type's identity is not slot equality or its first slot holds no field,
+    and in _Rat, whose fast paths return Fraction's results."""
     assert _defined_in_classes({"__setattr__", "__delattr__"}) == {
         "Frozen": {"__setattr__", "__delattr__"}
     }
@@ -205,6 +206,7 @@ def test_only_frozen_defines_setattr_or_delattr():
         "Frozen": {"__eq__", "__hash__"},
         "Scalar": {"__eq__", "__hash__"},
         "Involution": {"__eq__"},
+        "_Rat": {"__eq__", "__hash__"},
     }
     assert _defined_in_classes({"field"}) == {
         "Frozen": {"field"}, "Quadrangle": {"field"}, "QuadraticData": {"field"}

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bisectrix import (
     GF,
@@ -17,7 +18,11 @@ from bisectrix import (
 from bisectrix.errors import DegenerateInput, FieldMismatch, IdenticalLines, SingularMap
 from bisectrix.field import _Rat
 from bisectrix.oracle import Lcg64, enumerate_lines, random_line, random_quadrilateral
-from conftest import intersect_by_scalars, map_point, midpoint_by_scalars
+from bisectrix.plane import _PARALLEL, _SAME, _meet, _mid
+from conftest import (
+    apply_by_rats, intersect_by_scalars, line_from_points_by_rats, map_point, meet_by_rats,
+    mid_by_rats, midpoint_by_scalars,
+)
 
 
 def pt(x, y, field=QQ):
@@ -263,3 +268,50 @@ def test_intersect_and_midpoint_refuse_mixed_fields():
         intersect(Line.parse(QQ, "Y=X"), Line.parse(GF(7), "Y=2X"))
     with pytest.raises(FieldMismatch):
         midpoint(pt(0, 0), pt(1, 1, GF(7)))
+
+
+# Zero, ±1 and 30-digit numerators and denominators; lines in canonical form,
+# vertical ones (u = 0) among them.
+_INTS = st.one_of(st.sampled_from((0, 1, -1, 2)), st.integers(-10 ** 30, 10 ** 30))
+_RATS = st.builds(Fraction, _INTS, st.one_of(st.just(1), st.integers(1, 10 ** 30))).map(QQ._coerce)
+_POINTS = st.tuples(_RATS, _RATS)
+_LINES = st.tuples(_RATS, st.one_of(st.just(QQ._coerce(0)), _RATS), _RATS).filter(
+    lambda raw: raw[0] or raw[1]).map(lambda raw: Line.of(QQ, raw).raw)
+
+
+def _all_rats(raw):
+    return all(type(c) is _Rat for c in raw)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_LINES, _LINES, _RATS, st.sampled_from(("other", "parallel", "same")), _POINTS, _POINTS)
+def test_q_meet_mid_and_join_agree_with_rational_formulas(l, m, v, kind, a, b):
+    """Over Q, _meet, _mid and line_from_points run on cleared integers;
+    each gives what its rational formula gives (conftest), as _Rats, on
+    vertical, parallel and equal lines (_PARALLEL and _SAME), zero
+    coordinates and 30-digit heights."""
+    if kind == "parallel":
+        m = Line.of(QQ, (*l[:2], v)).raw
+    elif kind == "same":
+        m = l
+    got = _meet(l, m, None)
+    assert got == meet_by_rats(l, m)
+    assert got in (_PARALLEL, _SAME) if isinstance(got, str) else _all_rats(got)
+    got = _mid(a, b, None)
+    assert got == mid_by_rats(a, b) and _all_rats(got)
+    assume(a != b)
+    got = line_from_points(Point.of(QQ, a), Point.of(QQ, b)).raw
+    assert got == line_from_points_by_rats(a, b) and _all_rats(got)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.tuples(*[_RATS] * 6), _LINES)
+def test_q_map_image_agrees_with_rational_formula(entries, line):
+    """AffineMap.apply over Q moves the cleared line by the adjugate of the
+    cleared matrix, translation included (b != 0, which verify's linear
+    maps never reach), and gives what the rational formula gives."""
+    m00, m01, m10, m11, _, _ = entries
+    assume(m00 * m11 != m01 * m10)
+    f = AffineMap(*(QQ.scalar(c) for c in entries))
+    got = f.apply(Line.of(QQ, line)).raw
+    assert got == apply_by_rats(f, line) and _all_rats(got)
