@@ -8,8 +8,8 @@ subclass (always reduced, positive denominator) whose + - * /, == and hash
 skip Fraction's operator dispatch and return Fraction's results; GF(p)
 values by canonical residues in [0, p).
 Square roots are computed inside the field and absence is a value, not an
-error.  _Poly is the one polynomial ring, on raw coefficients, shared by
-the kernel's class polynomials and the oracle's identities between them.
+error.  _Poly is the kernel's polynomial ring, on raw coefficients, in
+which form.desargues_pencil multiplies out its class polynomials.
 """
 
 from __future__ import annotations
@@ -473,8 +473,11 @@ QQ = Rationals()
 class _Poly(tuple):
     """A polynomial in one variable (the offset v of a parallel class) as its
     raw coefficients, lowest degree first: ints, which the caller reduces
-    with % p, or _Rats over Q.  + and - take two polynomials, * a
-    polynomial or a constant on either side; poly(v) evaluates."""
+    mod p, or _Rats over Q.  + and - take two polynomials, * a polynomial
+    or a constant on either side, and a product's length depends only on
+    its factors' lengths (a zero constant keeps it).  It is the ring that
+    form.desargues_pencil multiplies in; the oracle checks that kernel on
+    plain coefficient tuples instead."""
 
     __slots__ = ()
 
@@ -501,17 +504,3 @@ class _Poly(tuple):
 
     # A tuple would repeat itself under int * poly.
     __rmul__ = __mul__
-
-    def __mod__(self, p: int):
-        """The coefficients reduced mod p, trailing zeros dropped: the zero
-        polynomial is the empty one."""
-        out = [a % p for a in self]
-        while out and not out[-1]:
-            out.pop()
-        return _Poly(out)
-
-    def __call__(self, v):
-        acc = 0
-        for c in reversed(self):
-            acc = acc * v + c
-        return acc

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateForm,
     DegenerateInput,
+    FieldMismatch,
     LineThroughVertex,
     NotConjugate,
 )
-from .field import Frozen, Scalar, _Poly
-from .plane import InfPoint, Line, line_det
+from .field import QQ, Frozen, Scalar, _Poly
+from .plane import _NO_LINE, InfPoint, Line
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -129,24 +130,27 @@ def _cross(r1, r2) -> tuple:
     )
 
 
-def _class_parameters(qr: Quadrangle, line: Line):
-    """Where the lines tX - uY + v = 0 of line's parallel class meet each
-    side of qr, as the chart parameter [a + b*v : det] of Cramer's rule: one
-    raw (a, b, det) per side (see plane; a and b unreduced), two per pair of
-    opposite sides.
+def _class_parameters(qr: Quadrangle, t, u):
+    """Where the lines tX - uY + v = 0 of the parallel class of raw (t, u)
+    meet each side of qr, as the chart parameter [a + b*v : det] of Cramer's
+    rule: one raw (a, b, det) per side (see plane; a and b unreduced), two
+    per pair of opposite sides.
 
     The chart of a line reads an affine point as [x : 1], with x its X
     coordinate, or its Y on a vertical line, and the line's own infinite
-    point as [1 : 0].  det is the same for every line of the class; a side
-    of the class's direction meets each of its lines at [1 : 0].
+    point as [1 : 0].  det = u*st - t*su (plane.line_det) is the same for
+    every line of the class; a side of the class's direction meets each of
+    its lines at [1 : 0].
     """
-    t, u, _ = line.raw
+    p = qr.field.p
 
     def parameter(side):
-        det = line_det(line, side)
+        st, su, sv = side.raw
+        det = u * st - t * su
+        if p:
+            det %= p
         if not det:
             return (1, 0, 0)
-        st, su, sv = side.raw
         if not u:  # the chart reads Y on a vertical line
             return (-t * sv, st, det)
         return (-u * sv, su, det)
@@ -154,25 +158,31 @@ def _class_parameters(qr: Quadrangle, line: Line):
     return [[parameter(side) for side in pair.lines] for pair in qr.opposite_side_pairs()]
 
 
-def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple[Scalar, ...], ...]:
+def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple, tuple]:
     """The Desargues involution along the whole parallel class tX - uY + v = 0.
 
-    Returns the coefficient lists (lowest degree first) of the polynomials
-    m0, m1, m2 in v, of degree at most 2, 3 and 1, such that on each line of
-    the class that avoids qr's vertices desargues_involution is the matrix
-    [[m0(v), m1(v)], [m2(v), -m0(v)]] up to scale.  Its reflections, the
-    class's bisectors, are the roots of m2.  (t, u) is normalised as in
-    Line, so v is the offset of the canonical line.  The polynomials are
-    multiplied out on raw coefficients (field._Poly) and each of the nine
-    coefficients is wrapped once.
+    Returns the raw coefficients (lowest degree first) of the polynomials
+    m0, m1, m2 in v, as tuples of exactly 3, 4 and 2 entries (degree at
+    most 2, 3 and 1, trailing zeros kept): ints reduced mod p, or _Rats over
+    Q.  On each line of the class that avoids qr's vertices
+    desargues_involution is the matrix [[m0(v), m1(v)], [m2(v), -m0(v)]] up
+    to scale.  Its reflections, the class's bisectors, are the roots of m2.
+    With (t, u) normalised as in Line, v is the offset of the canonical
+    line.  The polynomials are multiplied out on raw coefficients
+    (field._Poly), through the same exchange rows and cross product as
+    desargues_involution; no Line is built.
     """
-    field = t.field
+    if t.field is not qr.field or u.field is not qr.field:
+        raise FieldMismatch("class direction and quadrangle from different fields")
+    if t.is_zero() and u.is_zero():
+        raise DegenerateInput(_NO_LINE)
+    p = qr.field.p
     params = [
         [(_Poly((a, b)), det) for a, b, det in pair]
-        for pair in _class_parameters(qr, Line(t, u, field.zero))
+        for pair in _class_parameters(qr, t.value, u.value)
     ]
-    triple = _cross(*(_exchange_row(p, q) for p, q in params[:2]))
-    return tuple(tuple(field.scalar(c) for c in m) for m in triple)
+    triple = _cross(*(_exchange_row(*pair) for pair in params[:2]))
+    return tuple(tuple(c % p if p else QQ._coerce(c) for c in m) for m in triple)
 
 
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
@@ -188,8 +198,9 @@ def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
-    field, v = line.field, line.raw[2]
-    pairs = [[(a + b * v, det) for a, b, det in pair] for pair in _class_parameters(qr, line)]
+    field = line.field
+    t, u, v = line.raw
+    pairs = [[(a + b * v, det) for a, b, det in pair] for pair in _class_parameters(qr, t, u)]
     # Off the vertices the triple is never degenerate: m0^2 + m1*m2 is, up
     # to sign, the product of the cross determinants of the two pairs'
     # crossings, which are distinct points (the identity that

@@ -12,12 +12,12 @@ per class: the bisecting offsets of a class are none, one or every v, and
 only the lines that are sides are judged one by one.  desargues_reflection
 clears a class whole by exact identities in v between the kernel's class
 polynomials and the oracle's own exchange rows, and walks it line by line,
-by the same per-line judgement as over Q, only when that fails.  The
-identities run through the same row and cross-product helpers as the
-per-line judgement, on polynomials in field._Poly: the ring of raw
-coefficients that form.desargues_pencil multiplies in too.  Like Scalar, it
-is shared arithmetic, not geometry, and a test pins every operation of it
-to pointwise evaluation.  bisector_field is decided in the same spirit:
+by the same per-line judgement as over Q, only when that fails.  Both
+read one exchange row, _raw_exchange_row, which gives each pair's row as
+polynomials in v: the walk evaluates them at each v, and the identities
+expand their products on plain coefficient tuples (_times), not in
+field._Poly, the ring that form.desargues_pencil multiplies in.
+bisector_field is decided in the same spirit:
 a line through its own midpoint m along which the side-pair products
 A*A' and B*B' have zero slope at m bisects, at m, every Q-pair whose
 product lies in their span plus a constant, so only the pairs and lines
@@ -27,11 +27,11 @@ column off a table of square roots.  These, and the direction and
 midpoint buckets of pair_redundancy, are raw as well: they read the raw
 tuples of points, lines and conics (see plane).  Values are built, by
 Line.of and Point.of, where a result goes back to the kernel or into a set:
-brute_bisectors makes a Line and a Point per bisector (of the re-paired
-quadrilaterals too, in repairing_bisectors), closed_form_oracle a Point per
-locus zero, vertex_line_bisectors the lines through each vertex, and
-bisector_lines the lines the kernel is asked about; violation texts build
-the rest.  Over Q the same helpers take p = None and run on _Rats, so
+brute_bisectors makes a Line and a Point per bisector (repairing_bisectors
+compares the re-paired quadrilaterals' raw solutions), closed_form_oracle a
+Point per locus zero, vertex_line_bisectors the lines through each vertex,
+and bisector_lines the lines the kernel is asked about; violation texts
+build the rest.  Over Q the same helpers take p = None and run on _Rats, so
 bisector_field and desargues_reflection each judge both fields by one rule
 and differ only in the lines fed in: every line when exhaustive, the sides
 and diagonals or the probe lines in the fixture.
@@ -42,9 +42,10 @@ pins to it line by line: it is the definition itself, not a closed form,
 so every closed form is still checked against an independent route.
 
 One verify_all call asks the kernel once per quadrilateral for each of
-quadratic_data, bisector_locus and q_partner of a line (_Context.once), and
-affine_invariance is one exact test per trial: the Gram matrix of q against
-its pullback F^T G' F from the image under a random linear map.
+quadratic_data, bisector_locus, q_partner of a line and is_q_pair of a pair
+(_Context.once), and affine_invariance is one exact test per trial: the
+Gram matrix of q against its pullback F^T G' F from the image under a
+random linear map.
 
 The sampler is a plain 64-bit linear congruential generator
 (state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64,
@@ -73,7 +74,7 @@ from .bisectors import (
     q_partner,
 )
 from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisectors
-from .field import Field, PrimeField, Scalar, _Poly
+from .field import Field, PrimeField, Scalar
 from .form import desargues_pencil, lambda_q, phi, q_orthogonal, quadratic_data
 from .pencil import center, degenerations, pencil_of
 from .plane import (
@@ -223,17 +224,24 @@ def _class_bisectors(t, u, sides, p: int):
             yield v, ((x0 + x1 * v) * half % p, (y0 + y1 * v) * half % p)
 
 
-def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
+def _brute_solutions(q: Quadrilateral) -> frozenset:
     """Every line of the finite plane judged by the definition, the rule of
     bisectors.is_bisector: solved once per parallel class on raw residues
-    (see _class_bisectors)."""
-    field = q.field
+    (see _class_bisectors), as the raw ((t, u, v), midpoint) of each
+    bisector."""
     sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
-    found = set()
-    for u, t in _p1(field):
-        for v, m in _class_bisectors(t, u, sides, field.p):
-            found.add(Bisector(Line.of(field, (t, u, v)), Point.of(field, m)))
-    return found
+    return frozenset(((t, u, v), m) for u, t in _p1(q.field)
+                     for v, m in _class_bisectors(t, u, sides, q.field.p))
+
+
+def _bisectors_of(field: Field, solutions) -> set[Bisector]:
+    return {Bisector(Line.of(field, l), Point.of(field, m)) for l, m in solutions}
+
+
+def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
+    """Every bisector of the finite plane, by the definition: the values of
+    _brute_solutions."""
+    return _bisectors_of(q.field, _brute_solutions(q))
 
 
 def closed_form_bisectors(q: Quadrilateral, zeros=None) -> set[Bisector]:
@@ -403,9 +411,34 @@ def _desargues_classes(qr: Quadrangle):
 
 def _raw_exchange_row(pair) -> tuple:
     """The oracle's own form of the linear constraint on (m0, m1, m2) saying
-    that [[m0, m1], [m2, -m0]] exchanges the two points of a raw pair."""
-    (x1, y1), (x2, y2) = pair
-    return (x1 * y2 + y1 * x2, y1 * y2, -x1 * x2)
+    that [[m0, m1], [m2, -m0]] exchanges the two points [x1 : y1] and
+    [x2 : y2] of a pair: (x1*y2 + y1*x2, y1*y2, -x1*x2).  Along a class
+    each x is a + b*v, for the chart parameters (a, b, y) of
+    _chart_parameters, so the row is given as coefficient tuples in v of 2,
+    1 and 3 entries."""
+    (a1, b1, y1), (a2, b2, y2) = pair
+    return ((a1 * y2 + y1 * a2, b1 * y2 + y1 * b2), (y1 * y2,),
+            (-a1 * a2, -(a1 * b2 + b1 * a2), -b1 * b2))
+
+
+def _times(f, g) -> list:
+    """The product of two polynomials in v given by their coefficient tuples
+    (lowest degree first), unreduced: the one polynomial product of the
+    class identities."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for k, b in enumerate(g, i):
+            out[k] += a * b
+    return out
+
+
+def _at(coeffs, v):
+    """A polynomial in v, given by its coefficients (lowest degree first), at
+    v; unreduced."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
 
 
 def _raw_cross(r, s, p: int | None) -> tuple:
@@ -429,16 +462,15 @@ def _desargues_line(pencil, params, v, bisects: bool, p: int | None) -> list[str
     """The Desargues check on the line at offset v of a class: the kernel's
     class polynomials (pencil, lowest degree first) at v against the
     oracle's exchange rows of the line's three conjugate pairs (params, see
-    _chart_parameters), and the reflection m2 = 0 against bisects."""
-    m = [_Poly(coeffs)(v) for coeffs in pencil]
+    _chart_parameters) at v, and the reflection m2 = 0 against bisects."""
+    m = [_at(coeffs, v) for coeffs in pencil]
     if p:
         m = [x % p for x in m]
-    points = [((x0 + x1 * v) % p if p else x0 + x1 * v, y) for x0, x1, y in params]
+    rows = [[_at(c, v) for c in _raw_exchange_row(params[i:i + 2])] for i in (0, 2, 4)]
     problems = []
     reason = _degeneracy(m, p)
     if reason:
         problems.append(f"involution underdetermined ({reason})")
-    rows = [_raw_exchange_row(points[i:i + 2]) for i in (0, 2, 4)]
     conjugate = []
     for r0, r1, r2 in rows:
         dot = r0 * m[0] + r1 * m[1] + r2 * m[2]
@@ -473,46 +505,52 @@ def _roots_within(poly, offsets, p: int) -> bool:
 
 def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool:
     """Whether _desargues_line passes every line of a class off its vertex
-    offsets, decided by exact identities in v (computed in field._Poly); a
-    class not cleared is walked line by line.
+    offsets, decided by exact identities in v between coefficient tuples
+    (expanded by _times); a class not cleared is walked line by line.
 
     The chart parameters (params) are affine in v, so the exchange row
     (s, e, -pi) = (x1*y2 + y1*x2, y1*y2, -x1*x2) of each pair
-    (_raw_exchange_row) has degrees at most (1, 0, 2); the kernel's triple m
-    (pencil) is decided only within degrees (2, 3, 1).  Off the offsets, a
-    class is cleared when:
+    (_raw_exchange_row) has 2, 1 and 3 coefficients; the kernel's triple m
+    (pencil) is decided only within 3, 4 and 2 (degrees 2, 3 and 1), padded
+    to them, so that each identity adds products of equal length.  Off the
+    offsets, a class is cleared when:
     - each row dotted with m is the zero polynomial: all three pairs are
       conjugate;
-    - m13 = r0 x r2 of the first and third pairs (_raw_cross) is
-      nondegenerate: its m13_0^2 + m13_1*m13_2 equals the product of the
-      four cross determinants [P, Q] = x_P*y_Q - x_Q*y_P of their points (an
-      identity, checked here rather than trusted), and every root of each
-      factor is a vertex offset.  Then m, orthogonal to two independent
-      rows, is c*m13, so the pairs agree and m0^2 + m1*m2 = c^2 (m13_0^2 +
-      ...);
+    - m13 = r0 x r2 of the first and third pairs is nondegenerate: its
+      m13_0^2 + m13_1*m13_2 equals the product of the four cross
+      determinants [P, Q] = x_P*y_Q - x_Q*y_P of their points (an identity,
+      checked here rather than trusted), and every root of each factor is a
+      vertex offset.  Then m, orthogonal to two independent rows, is
+      c*m13, so the pairs agree and m0^2 + m1*m2 = c^2 (m13_0^2 + ...);
     - m is nonzero: at a root of m2, m0 or m1 is nonzero; where m2 is the
       zero polynomial, m0 has no root, since m0^2 = c^2 (...) there;
     - the roots of m2 are the offsets in bisecting.
     """
-    m0, m1, m2 = m = [_Poly(coeffs) % p for coeffs in pencil]
-    if any(len(c) > size for c, size in zip(m, (3, 4, 2))):
+    sizes = (3, 4, 2)
+    m = [[c % p for c in coeffs] for coeffs in pencil]
+    if any(any(c[size:]) for c, size in zip(m, sizes)):
         return False
-    points = [(_Poly((x0, x1)), y) for x0, x1, y in params]
-    rows = [_raw_exchange_row(points[i:i + 2]) for i in (0, 2, 4)]
-    for r0, r1, r2 in rows:
-        if (r0 * m0 + r1 * m1 + r2 * m2) % p:
+    m0, m1, m2 = m = [(c + [0] * size)[:size] for c, size in zip(m, sizes)]
+    rows = [_raw_exchange_row(params[i:i + 2]) for i in (0, 2, 4)]
+    for row in rows:
+        if any(sum(c) % p for c in zip(*map(_times, row, m))):
             return False
-    m13 = _raw_cross(rows[0], rows[2], p)
-    f, g, h, k = factors = [x * w - z * y for x, y in points[:2] for z, w in points[4:]]
-    if (m13[0] * m13[0] + m13[1] * m13[2] - f * g * h * k) % p:
+    r, s = rows[0], rows[2]
+    m13 = [[(a - b) % p for a, b in zip(_times(r[i], s[j]), _times(r[j], s[i]))]
+           for i, j in ((1, 2), (2, 0), (0, 1))]
+    f, g, h, k = factors = [[(x0 * w - z0 * y) % p, (x1 * w - z1 * y) % p]
+                            for x0, x1, y in params[:2] for z0, z1, w in params[4:]]
+    square = zip(_times(m13[0], m13[0]), _times(m13[1], m13[2]),
+                 _times(_times(f, g), _times(h, k)))
+    if any((a + b - c) % p for a, b, c in square):
         return False
-    if not all(_roots_within(factor % p, offsets, p) for factor in factors):
+    if not all(_roots_within(factor, offsets, p) for factor in factors):
         return False
     on_lines = bisecting - offsets
-    if not m2:
+    if not any(m2):
         return len(on_lines) == p - len(offsets) and _roots_within(m0, offsets, p)
-    reflections = {-m2[0] * pow(m2[1], -1, p) % p} - offsets if len(m2) == 2 else set()
-    return reflections == on_lines and all(m0(r) % p or m1(r) % p for r in reflections)
+    reflections = {-m2[0] * pow(m2[1], -1, p) % p} - offsets if m2[1] else set()
+    return reflections == on_lines and all(_at(m0, v) % p or _at(m1, v) % p for v in reflections)
 
 
 def _check_desargues(q, ctx):
@@ -533,15 +571,13 @@ def _check_desargues(q, ctx):
 
     def pencil(t, u):
         if (t, u) not in pencils:
-            triple = desargues_pencil(qr, field.scalar(t), field.scalar(u))
-            pencils[t, u] = [[c.value for c in m] for m in triple]
+            pencils[t, u] = desargues_pencil(qr, field.scalar(t), field.scalar(u))
         return pencils[t, u]
 
     count = 0
     if ctx.exhaustive:
         bisecting = {}
-        for b in ctx.brute(q):
-            t, u, v = b.line.raw
+        for (t, u, v), _ in ctx.solutions(q):
             bisecting.setdefault((t, u), set()).add(v)
         lines = []
         for t, u, offsets, params in _desargues_classes(qr):
@@ -607,7 +643,7 @@ def _check_two_three(q, ctx):
     d_ref = ctx.once(quadratic_data, q)
     triple_ref = (d_ref.alpha, d_ref.beta, d_ref.gamma)
     for other in quads:
-        if ctx.brute(other) != ctx.brute(q):
+        if ctx.solutions(other) != ctx.solutions(q):
             out.append("re-pairing changed the bisector set")
         d_other = quadratic_data(other)
         triple_other = (d_other.alpha, d_other.beta, d_other.gamma)
@@ -667,7 +703,7 @@ def _check_locus(q, ctx):
                 out.append(f"locus depends on the diagonal point choice at {dp}")
     instances = 1
     if ctx.exhaustive:
-        midpoints = {b.midpoint.raw for b in ctx.brute(q)}
+        midpoints = {m for _, m in ctx.solutions(q)}
         zero_set = ctx.locus_zeros(q)
         if midpoints != zero_set:
             out.append(
@@ -745,7 +781,7 @@ def _check_pencil_degenerations(q, ctx):
     for member in members:
         for entry in _member_degeneration_entries(member, q.field, ctx.exhaustive):
             try:
-                if not is_q_pair(q, entry.pair):
+                if not ctx.once(is_q_pair, q, entry.pair):
                     out.append(f"degeneration {entry.pair} is not a Q-pair")
             except NotBisectors:
                 out.append(f"degeneration {entry.pair} contains a non-bisector")
@@ -857,7 +893,7 @@ def _check_partner_involution(q, ctx):
     for line in lines:
         partner = ctx.once(q_partner, q, line)
         try:
-            if not is_q_pair(q, LinePair(line, partner)):
+            if not ctx.once(is_q_pair, q, LinePair(line, partner)):
                 out.append(f"{{{line}, {partner}}} is not a Q-pair")
         except NotBisectors:
             out.append(f"partner {partner} of {line} is not a bisector")
@@ -982,8 +1018,13 @@ class _Context:
             value = self._answers[key] = fn(*args)
         return value
 
+    def solutions(self, q: Quadrilateral) -> frozenset:
+        """q's one sweep of the plane (see _brute_solutions)."""
+        return self.once(_brute_solutions, q)
+
     def brute(self, q: Quadrilateral) -> set[Bisector]:
-        return self.once(brute_bisectors, q)
+        """brute_bisectors(q), built from q's one sweep."""
+        return self.once(_bisectors_of, q.field, self.solutions(q))
 
     def locus_zeros(self, q: Quadrilateral) -> set[tuple[int, int]]:
         """The zero set of q's locus conic over GF(p), as raw residues."""

@@ -263,11 +263,11 @@ def _meet(l, m, p: int | None):
     t, u, v = l
     mt, mu, mv = m
     det = u * mt - t * mu
-    if not (det % p if p else det):
+    if not det % p:
         return _SAME if l == m else _PARALLEL
-    inv = pow(det, -1, p) if p else 1 / det
+    inv = pow(det, -1, p)
     x, y = (v * mu - u * mv) * inv, (v * mt - t * mv) * inv
-    return (x % p, y % p) if p else (x, y)
+    return (x % p, y % p)
 
 
 def _product(l, m) -> tuple:

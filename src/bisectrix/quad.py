@@ -42,7 +42,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
     __slots__ = (
         "a", "b", "a2", "b2",
         "vertices", "centroid", "proper", "double_vertex",
-        "diagonal_lines", "line_pairs", "_quadratic_data",
+        "diagonal_lines", "line_pairs", "_quadratic_data", "_hash",
     )
 
     def __init__(self, a: Line, b: Line, a2: Line, b2: Line):
@@ -82,8 +82,15 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
         self._write(
             a, b, a2, b2, vertices, Point.of(field, centroid), double is None, double, diagonals,
-            ((a, a2), (b, b2), diagonals), None,
+            ((a, a2), (b, b2), diagonals), None, None,
         )
+
+    def __hash__(self):
+        # Frozen's hash, memoised as _quadratic_data is: the oracle's
+        # _Context.once keys on q, and each Frozen hash rehashes four Lines.
+        if self._hash is None:
+            object.__setattr__(self, "_hash", Frozen.__hash__(self))
+        return self._hash
 
     @property
     def sides(self) -> tuple[Line, Line, Line, Line]:

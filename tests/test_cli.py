@@ -577,7 +577,7 @@ def test_violation_line_reproduces_through_main(monkeypatch, capsys):
     # m2 a nonzero constant: no line is a reflection, so bisectors violate.
     pencil = oracle.desargues_pencil
     monkeypatch.setattr(
-        oracle, "desargues_pencil", lambda qr, t, u: (*pencil(qr, t, u)[:2], (qr.field.one,))
+        oracle, "desargues_pencil", lambda qr, t, u: (*pencil(qr, t, u)[:2], (1,))
     )
     code, out, _ = run(capsys, "--field", "GFp:7", "--cmd", "verify", "--seed", "1",
                        "--instances", "2")

@@ -86,7 +86,7 @@ def _m2_constant_plus_one(desargues_pencil):
 
     def defect(qr, t, u):
         m0, m1, m2 = desargues_pencil(qr, t, u)
-        return m0, m1, (m2[0] + qr.field.one, *m2[1:])
+        return m0, m1, (m2[0] + 1, *m2[1:])
 
     return defect
 
@@ -154,6 +154,16 @@ def _mid_swapped(mid):
     def defect(c1, c2, p):
         c = mid(c1, c2, p)
         return c[::-1] if isinstance(c, tuple) else c
+
+    return defect
+
+
+def _product_xy_plus_one(product):
+    """The conic l*m of two raw lines with its XY coefficient off by one."""
+
+    def defect(l, m):
+        c = product(l, m)
+        return (c[0], c[1] + 1, *c[2:])
 
     return defect
 
@@ -287,6 +297,17 @@ DEFECTS = {
                        "nine_points", "pair_redundancy", "pencil_degenerations",
                        "repairing_bisectors", "unique_midpoints"}),
             "Q": ("nine_points", {"locus_midpoints", "nine_points"}),
+        },
+    ),
+    "product_xy_plus_one": (
+        plane, "_product", _product_xy_plus_one, {
+            "GFp:7": ("bisector_field",
+                      {"bisector_field", "closed_form_oracle", "locus_degeneracy",
+                       "locus_midpoints", "nine_points", "partner_involution",
+                       "pencil_degenerations"}),
+            "Q": ("bisector_field",
+                  {"bisector_field", "locus_midpoints", "partner_involution",
+                   "pencil_degenerations"}),
         },
     ),
     "parallelogram_vertices_negated": (

@@ -23,9 +23,11 @@ from bisectrix import (
 from bisectrix.errors import (
     DegenerateForm,
     DegenerateInput,
+    FieldMismatch,
     LineThroughVertex,
     NotConjugate,
 )
+from bisectrix.field import _Rat
 from bisectrix.oracle import _fixture_probe_lines, _p1, enumerate_lines, random_quadrilateral
 from bisectrix.quad import Quadrilateral
 from conftest import (
@@ -211,7 +213,7 @@ def test_desargues_reflection_iff_bisector_gf7(e1_mod7):
 
 
 def _at(coeffs, v):
-    acc = v.field.zero
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * v + c
     return acc
@@ -221,7 +223,9 @@ def test_desargues_pencil_at_v_is_the_involution_of_each_line():
     """The class form evaluated at v, and desargues_involution, equal
     involution_from_pairs on the chart parameters of the line's crossings:
     on every line of GF(7), GF(11) and GF(13) that avoids the vertices, and
-    over Q on the fixture probe lines of seeds 0-39, E1 and E2."""
+    over Q on the fixture probe lines of seeds 0-39, E1 and E2.  The class
+    form is raw: it is evaluated on raw values, then wrapped, and its
+    entries are reduced ints over GF(p) and _Rats over Q."""
     cases = []
     for p in (7, 11, 13):
         field = GF(p)
@@ -246,8 +250,10 @@ def test_desargues_pencil_at_v_is_the_involution_of_each_line():
             ]
             expected = involution_from_pairs(pairs[0], pairs[1])
             if (line.t, line.u) not in pencils:
-                pencils[line.t, line.u] = desargues_pencil(qr, line.t, line.u)
-            m = [_at(c, line.v) for c in pencils[line.t, line.u]]
+                pencil = pencils[line.t, line.u] = desargues_pencil(qr, line.t, line.u)
+                p = q.field.p
+                assert all(0 <= c < p if p else type(c) is _Rat for m in pencil for c in m)
+            m = [line.field.scalar(_at(c, line.raw[2])) for c in pencils[line.t, line.u]]
             assert Involution(*m) == expected, (q, line)
             assert desargues_involution(qr, line) == expected, (q, line)
             q_lines += q.field is QQ
@@ -255,9 +261,10 @@ def test_desargues_pencil_at_v_is_the_involution_of_each_line():
 
 
 def test_desargues_pencil_degree_and_parallel_directions():
-    """Each coefficient list has degree at most 3, and m2 vanishes
-    identically exactly in the direction of a parallel pair of sides or
-    diagonals, whose whole class bisects."""
+    """The coefficient tuples have 3, 4 and 2 entries in every direction,
+    trailing zeros kept, and m2 vanishes identically exactly in the
+    direction of a parallel pair of sides or diagonals, whose whole class
+    bisects.  A (0, 0) direction, or one of another field, is refused."""
     for p in (11, 13):
         field = GF(p)
         quads = [random_quadrilateral(field, seed) for seed in range(12)]
@@ -267,13 +274,13 @@ def test_desargues_pencil_degree_and_parallel_directions():
             parallel = {l1.infinite_point() for l1, l2 in q.line_pairs if l1.is_parallel(l2)}
             for u, t in (map(field.scalar, ut) for ut in _p1(field)):
                 pencil = desargues_pencil(qr, t, u)
-                for coeffs in pencil:
-                    degree = max((i for i, c in enumerate(coeffs) if c), default=-1)
-                    assert degree <= 3, (p, q, t, u)
+                assert [len(coeffs) for coeffs in pencil] == [3, 4, 2], (p, q, t, u)
                 m2_zero = not any(pencil[2])
                 assert m2_zero == (InfPoint(u, t) in parallel), (p, q, t, u)
         with pytest.raises(DegenerateInput):
             desargues_pencil(qr, field.zero, field.zero)
+        with pytest.raises(FieldMismatch):
+            desargues_pencil(qr, QQ.one, QQ.zero)
 
 
 def test_repairings_share_orthogonality(e1):

@@ -79,14 +79,16 @@ def test_values_reject_assignment_and_deletion(e1):
 
 def test_values_copy_and_pickle(e1):
     """copy, deepcopy and a pickle round trip rebuild an equal value of the
-    same type, although the slots refuse setattr."""
-    quadratic_data(e1)  # the memo slot is copied too
+    same type, with an equal hash, although the slots refuse setattr."""
+    quadratic_data(e1), hash(e1)  # the memo slots are copied too
     for value in _values(e1) + [GF(7).scalar(3)] + _raw_values(GF(7)):
         for clone in (
             copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
         ):
             assert type(clone) is type(value)
             assert clone == value
+            if not isinstance(value, Involution):
+                assert hash(clone) == hash(value)
 
 
 def test_raw_values_tell_fields_apart():
@@ -166,13 +168,18 @@ _IDENTITY = {
 
 def test_identity_slots_decide_equality(e1):
     """Changing one identity slot makes a value unequal; changing any other
-    slot (derived data, the quadratic_data memo) keeps it equal, hash too."""
+    slot (derived data, the quadratic_data memo) keeps it equal, hash too.
+    Quadrilateral's hash memo (_hash) is the one slot that hash returns, so
+    it is cleared rather than replaced: the hash is then recomputed, and is
+    the same."""
     values = [v for v in _values(e1) if type(v) in _IDENTITY]
     assert {type(v) for v in values} == set(_IDENTITY)
+    hash(e1)  # writes the memo that the cleared copy recomputes
     for value in values:
         state = [getattr(value, name) for name in value.__slots__]
         for i, name in enumerate(value.__slots__):
-            changed = _thaw(type(value), state[:i] + [object()] + state[i + 1:])
+            other = None if name == "_hash" else object()
+            changed = _thaw(type(value), state[:i] + [other] + state[i + 1:])
             if name in _IDENTITY[type(value)]:
                 assert changed != value, (type(value), name)
             else:
@@ -198,7 +205,8 @@ def test_only_frozen_defines_setattr_or_delattr():
     """No class of the package but Frozen overrides attribute writes, and
     equality, hashing and the field accessor are Frozen's except where a
     type's identity is not slot equality or its first slot holds no field,
-    and in _Rat, whose fast paths return Fraction's results."""
+    in _Rat, whose fast paths return Fraction's results, and in
+    Quadrilateral, whose hash is Frozen's memoised in a slot."""
     assert _defined_in_classes({"__setattr__", "__delattr__"}) == {
         "Frozen": {"__setattr__", "__delattr__"}
     }
@@ -207,6 +215,7 @@ def test_only_frozen_defines_setattr_or_delattr():
         "Scalar": {"__eq__", "__hash__"},
         "Involution": {"__eq__"},
         "_Rat": {"__eq__", "__hash__"},
+        "Quadrilateral": {"__hash__"},
     }
     assert _defined_in_classes({"field"}) == {
         "Frozen": {"field"}, "Quadrangle": {"field"}, "QuadraticData": {"field"}

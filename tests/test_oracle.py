@@ -4,6 +4,7 @@ from bisectrix import (
     GF,
     Bisector,
     Line,
+    LinePair,
     Point,
     QQ,
     bisector_locus,
@@ -339,7 +340,7 @@ def test_exhaustive_desargues_compares_every_swept_line(monkeypatch):
 
     pencil = oracle.desargues_pencil
     monkeypatch.setattr(
-        oracle, "desargues_pencil", lambda qr, t, u: (*pencil(qr, t, u)[:2], (qr.field.one,))
+        oracle, "desargues_pencil", lambda qr, t, u: (*pencil(qr, t, u)[:2], (1,))
     )
     for seed in (1, 2, 4):
         q = random_quadrilateral(GF(7), seed)
@@ -688,11 +689,13 @@ def test_zero_set_equals_the_trial_of_every_point():
 
 def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
     """One verify_all asks the kernel for bisector_locus once, q_partner once
-    per distinct line, and quadratic_data once for q, once per
-    affine_invariance trial and, when exhaustive, once per re-paired
-    quadrilateral.  bisector_through is reached by closed_form_oracle, once
-    per locus zero, and by the fixture's locus_midpoints, once per side and
-    diagonal at its midpoint: never by q_partner."""
+    per distinct line, is_q_pair once per distinct pair (pencil_degenerations
+    and partner_involution judge the same pairs), and quadratic_data once
+    for q, once per affine_invariance trial and, when exhaustive, once per
+    re-paired quadrilateral.  bisector_through is reached by
+    closed_form_oracle, once per locus zero, and by the fixture's
+    locus_midpoints, once per side and diagonal at its midpoint: never by
+    q_partner."""
     from bisectrix import Quadrilateral, bisectors, oracle, requadrilate
 
     for field, profile, trials in ((QQ, "fixture", 10), (GF(7), "exhaustive", 5)):
@@ -700,7 +703,7 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
         calls = {"bisector_through": []}
         for module, name in ((oracle, "q_partner"), (oracle, "quadratic_data"),
                              (oracle, "bisector_locus"), (oracle, "bisector_through"),
-                             (bisectors, "bisector_through")):
+                             (bisectors, "bisector_through"), (oracle, "is_q_pair")):
             def counted(*args, _name=name, _real=getattr(module, name)):
                 calls.setdefault(_name, []).append(args[1:])
                 return _real(*args)
@@ -719,6 +722,9 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
             asked = [is_bisector(q, line).raw for line in dict.fromkeys(q.sides + q.diagonal_lines)]
         partnered = [line for (line,) in calls["q_partner"]]
         assert len(partnered) == len(set(partnered)) and set(partnered) == lines
+        judged = [pair for (pair,) in calls["is_q_pair"]]
+        assert len(judged) == len(set(judged))
+        assert {LinePair(l, q_partner(q, l)) for l in lines} <= set(judged)
         assert len(calls["quadratic_data"]) == 1 + trials + len(repaired)
         assert q.proper and (profile == "fixture" or repaired)
         through = [m.raw for (m,) in calls["bisector_through"]]
