@@ -28,8 +28,10 @@ from .plane import (
     LinePair,
     PlanePoint,
     Point,
+    _cleared,
     _field_of,
     _gradient,
+    _integral,
     _meet,
     _mid,
     _product,
@@ -83,19 +85,23 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     m is on the locus, the centers of the pencil's conics, exactly when the
     two gradients are parallel, and the bisector is normal to the nonzero
     one.  Empty off the locus; AllLinesThrough(m) when both vanish, at the
-    center of a parallelogram's vertex set."""
+    center of a parallelogram's vertex set.  Over Q the side products are
+    integral and m is cleared, so Line.of gets ints."""
     field = _field_of(m, q)
     p = field.p
-    mx, my = xy = m.raw
-    sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
-    (fx, fy), (gx, gy) = ([c % p if p else c for c in _gradient(_product(*pair), xy)]
-                          for pair in (sides[:2], sides[2:]))
+    # m = (x/w, y/w): w*grad C(m) is the gradient at (x, y) of C with its
+    # linear part times w.
+    x, y, w = _cleared(m.raw) if not p else (*m.raw, 1)
+    sides = [_integral(side.raw, p) for side in (q.a, q.a2, q.b, q.b2)]
+    (fx, fy), (gx, gy) = (
+        [d % p if p else d for d in _gradient((*c[:3], w * c[3], w * c[4]), (x, y))]
+        for c in (_product(*sides[:2]), _product(*sides[2:])))
     if (fx * gy - fy * gx) % p if p else fx * gy - fy * gx:
         return []
     nx, ny = (fx, fy) if fx or fy else (gx, gy)
     if not (nx or ny):
         return AllLinesThrough(m)
-    return [Bisector(Line.of(field, (-nx, ny, nx * mx + ny * my)), m)]
+    return [Bisector(Line.of(field, (-nx * w, ny * w, nx * x + ny * y)), m)]
 
 
 @dataclass(frozen=True)
@@ -190,15 +196,19 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     and L_F(m, d) = L_G(m, d) = 0.  So C = alpha*F + beta*G with [alpha :
     beta] = [Q_G(d) : -Q_F(d)] (_pencil_ratio; never [0 : 0], as adjacent
     sides are never parallel) is constant on l: C - C(m) = l * partner.
-    Division reads the partner off C's Y^2, XY and Y coefficients (u = 1),
-    or X^2, XY and X (u = 0, t = 1), so C(m) is never needed."""
+    The partner, times u^2, is read off C's Y^2, XY and Y coefficients
+    (u != 0), or, times t^2, off X^2, XY and X (u = 0), so C(m) is never
+    needed.  Every step holds up to scale, so over Q it runs on the
+    _integral tuples of l and the sides."""
     field = _field_of(l, q)
     p = field.p
-    t, u, v = raw = l.raw
     sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
-    if _bisector_mid([_meet(raw, s, p) for s in sides], p) is None:
+    if _bisector_mid([_meet(l.raw, s, p) for s in sides], p) is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
+    t, u, v = _integral(l.raw, p)
+    sides = [_integral(s, p) for s in sides]
     f, g = _product(*sides[:2]), _product(*sides[2:])
     alpha, beta = _pencil_ratio(f, g, t, u)
     xx, xy, yy, x, y = (alpha * a + beta * b for a, b in zip(f, g))
-    return Line.of(field, (-xy - t * yy, yy, -y - v * yy) if u else (xx, -xy, x - v * xx))
+    return Line.of(field, (-u * xy - t * yy, u * yy, -u * y - v * yy) if u
+                   else (t * xx, -t * xy, t * x - v * xx))

@@ -12,6 +12,7 @@ with matrix [[beta, -alpha], [gamma, -beta]] on the line at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import (
     DegenerateForm,
@@ -20,8 +21,8 @@ from .errors import (
     LineThroughVertex,
     NotConjugate,
 )
-from .field import QQ, Frozen, Scalar, _Poly
-from .plane import _NO_LINE, InfPoint, Line
+from .field import QQ, Frozen, Scalar, _Poly, _quotient
+from .plane import _NO_LINE, InfPoint, Line, _cleared
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -46,15 +47,25 @@ def quadratic_data(q: Quadrilateral) -> QuadraticData:
     wrapped once and memoised on q.
 
     No rescaling is applied; proportionality of the triples across
-    re-pairings of a quadrangle is a theorem, not a normalization.
+    re-pairings of a quadrangle is a theorem, not a normalization.  The
+    triple is linear in each side's (t, u), so over Q it is computed on each
+    side's cleared (T, U, W) and divided once by the product of the W's.
     """
     if q._quadratic_data is not None:
         return q._quadratic_data
-    (ta, ua, _), (tb, ub, _), (tc, uc, _), (td, ud, _) = (l.raw for l in q.sides)
+    p = q.field.p
+    sides = [l.raw for l in q.sides]
+    if not p:
+        sides = [_cleared(s[:2]) for s in sides]
+    (ta, ua, _), (tb, ub, _), (tc, uc, _), (td, ud, _) = sides
     alpha = ta * ub * uc * ud - ua * tb * uc * ud + ua * ub * tc * ud - ua * ub * uc * td
     beta = ta * ub * tc * ud - ua * tb * uc * td
     gamma = ta * tb * tc * ud - ta * tb * uc * td + ta * ub * tc * td - ua * tb * tc * td
-    data = QuadraticData(*map(q.field.scalar, (alpha, beta, gamma)))
+    triple = (alpha, beta, gamma)
+    if not p:
+        w = prod(s[2] for s in sides)
+        triple = (_quotient(c, w) for c in triple)
+    data = QuadraticData(*map(q.field.scalar, triple))
     object.__setattr__(q, "_quadratic_data", data)
     return q._quadratic_data
 

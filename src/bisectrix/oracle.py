@@ -34,7 +34,9 @@ and bisector_lines the lines the kernel is asked about; violation texts
 build the rest.  Over Q the same helpers take p = None and run on _Rats, so
 bisector_field and desargues_reflection each judge both fields by one rule
 and differ only in the lines fed in: every line when exhaustive, the sides
-and diagonals or the probe lines in the fixture.
+and diagonals or the probe lines in the fixture.  The span tests and the
+Gram test hold up to a nonzero scale, so over Q their operands are
+integral (plane._integral).
 Whether a line bisects is judged by the kernel's own rule, plane's raw
 meet and midpoint combined by bisectors._bisector_mid as is_bisector runs
 it, or by its per-class solution in brute_bisectors, which a small-p test
@@ -86,6 +88,7 @@ from .plane import (
     LinePair,
     Point,
     _gradient,
+    _integral,
     _meet,
     _mid,
     _product,
@@ -306,10 +309,6 @@ class TheoremReport:
     instances: int
     violations: list[str] = dc_field(default_factory=list)
     elapsed: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
     def summary(self) -> str:
         return f"{self.tag} {self.field_name} {self.instances} {len(self.violations)}"
@@ -795,10 +794,10 @@ def _check_pencil_degenerations(q, ctx):
         out.append(f"degeneration lines ({len(seen_lines)}) != bisectors ({len(lines)})")
     # Converse: every bisector pairs with its partner into a degeneration.
     p = q.field.p
-    f, g = (_product(l1.raw, l2.raw) for l1, l2 in q.line_pairs[:2])
+    f, g = (_integral_product(l1, l2, p) for l1, l2 in q.line_pairs[:2])
     for line in lines:
         partner = ctx.once(q_partner, q, line)
-        if not _in_span(_product(line.raw, partner.raw), f, g, p):
+        if not _in_span(_integral_product(line, partner, p), f, g, p):
             out.append(f"pair {{{line}, {partner}}} is not a pencil degeneration")
     return len(members) + len(lines), out
 
@@ -811,6 +810,13 @@ def _q_pairs_of(q, ctx) -> list[LinePair]:
             seen.add(pair)
             pairs.append(pair)
     return pairs
+
+
+def _integral_product(l1: Line, l2: Line, p: int | None) -> tuple:
+    """The coefficients of l1*l2 (plane._product) on the _integral tuples
+    of the two lines: a nonzero multiple, ints over Q, which is all the
+    span test (_in_span) needs."""
+    return _product(_integral(l1.raw, p), _integral(l2.raw, p))
 
 
 def _in_span(c, f, g, p: int | None) -> bool:
@@ -861,9 +867,9 @@ def _check_bisector_field(q, ctx):
     field = q.field
     p = field.p
     sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
-    f, g = _product(*sides[:2]), _product(*sides[2:])
+    f, g = (_integral_product(l1, l2, p) for l1, l2 in q.line_pairs[:2])
     crossed = [(pair, pair.a.raw, pair.b.raw) for pair in pairs]
-    outside = [c for c in crossed if not _in_span(_product(*c[1:]), f, g, p)]
+    outside = [c for c in crossed if not _in_span(_integral_product(*c[0].lines, p), f, g, p)]
     out = []
     seen = set()
     for pair in pairs:
@@ -945,33 +951,43 @@ def _check_pair_redundancy(q, ctx):
     return len(bis) * (len(bis) + 1) // 2, out
 
 
-def _pulled_back_gram(d, f: AffineMap) -> tuple[Scalar, Scalar, Scalar]:
-    """The entries 00, 01 and 11 of F^T G F, for G = [[gamma, -beta],
-    [-beta, alpha]] the Gram matrix of the form d and F the linear part of f:
-    the form d(Fv, Fw) evaluated on the basis vectors (columns of F)."""
+def _gram(d, p: int | None) -> tuple:
+    """The entries 00, 01 and 11 of the Gram matrix [[gamma, -beta], [-beta,
+    alpha]] of the form d, raw, integral over Q (plane._integral)."""
+    return _integral((d.gamma.value, -d.beta.value, d.alpha.value), p)
+
+
+def _pulled_back_gram(g, f: AffineMap, p: int | None) -> tuple:
+    """The entries 00, 01 and 11 of F^T G F, for G the Gram matrix of the
+    entries g (see _gram) and F the linear part of f, integral over Q: the
+    form G(Fv, Fw) evaluated on the basis vectors (columns of F), up to a
+    nonzero scale."""
+    (g0, g1, g2), (a, b, c, d) = g, _integral((f.m00.value, f.m10.value,
+                                               f.m01.value, f.m11.value), p)
 
     def form(v, w):
-        return d.gamma * v[0] * w[0] - d.beta * (v[0] * w[1] + v[1] * w[0]) + d.alpha * v[1] * w[1]
+        return g0 * v[0] * w[0] + g1 * (v[0] * w[1] + v[1] * w[0]) + g2 * v[1] * w[1]
 
-    c0, c1 = (f.m00, f.m10), (f.m01, f.m11)
-    return form(c0, c0), form(c0, c1), form(c1, c1)
+    return form((a, b), (a, b)), form((a, b), (c, d)), form((c, d), (c, d))
 
 
 def _check_affine_invariance(q, ctx):
     """The form of q is the pullback of the form of f(q) up to a nonzero
     scale: the Gram matrix G of q and F^T G' F are both nonzero and
-    proportional (their three 2x2 cross products vanish)."""
+    proportional (their three 2x2 cross products vanish).  Neither test
+    changes under a nonzero scale, so both run on raw values, integral over
+    Q."""
     rng = Lcg64(ctx.seed ^ 0x5EED)
     out = []
     trials = 5 if ctx.exhaustive else 10
-    d = ctx.once(quadratic_data, q)
-    g = (d.gamma, -d.beta, d.alpha)
+    p = q.field.p
+    g = _gram(ctx.once(quadratic_data, q), p)
     for trial in range(trials):
         f = random_invertible_map(q.field, rng)
-        h = _pulled_back_gram(quadratic_data(q.transform(f)), f)
-        if all(x.is_zero() for x in g) or all(x.is_zero() for x in h):
+        h = _pulled_back_gram(_gram(quadratic_data(q.transform(f)), p), f, p)
+        if not any(x % p if p else x for x in g) or not any(x % p if p else x for x in h):
             out.append(f"trial {trial}: a Gram matrix vanishes")
-        elif any(g[i] * h[j] != g[j] * h[i] for i, j in ((0, 1), (0, 2), (1, 2))):
+        elif any(_raw_cross(g, h, p)):
             out.append(f"trial {trial}: the Gram matrix is not proportional to its pullback")
     return trials, out
 

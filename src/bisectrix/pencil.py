@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from .errors import DegenerateInput, FieldMismatch, InvariantViolation
 from .field import Field, Frozen, Scalar, _thaw, _wrapped
 from .plane import (
-    InfPoint, Line, LinePair, PlanePoint, Point, _field_of, _meet, _product, _scaled,
+    InfPoint, Line, LinePair, PlanePoint, Point, _cleared, _field_of, _integral, _meet, _product,
+    _scaled,
 )
 from .quad import Quadrilateral
 
@@ -179,27 +180,33 @@ def _lambda_for(conic: Conic, l1: Line, l2: Line) -> Scalar:
 
 def _central_pair(c: Conic, o: Point, root: Scalar) -> LinePair:
     """The lines through o along the null directions [dx : dy] of c's
-    quadratic part, whose discriminant has the nonzero square root root."""
-    (A, B, C, *_), (x, y), r = c.raw, o.raw, root.value
+    quadratic part, whose discriminant has the nonzero square root root.
+    The directions hold up to scale and o = (x/w, y/w), so over Q each line
+    is built from ints."""
+    p = c.field.p
+    A, B, C, r = _integral((*c.raw[:3], root.value), p)
+    x, y, w = _cleared(o.raw) if not p else (*o.raw, 1)
     if not A:
         directions = ((1, A), (-C, B))  # A is zero here
     else:
         directions = ((r - B, 2 * A), (-r - B, 2 * A))
-    return LinePair(*(Line.of(c.field, (dy, dx, dx * y - dy * x)) for dx, dy in directions))
+    return LinePair(*(Line.of(c.field, (dy * w, dx * w, dx * y - dy * x))
+                      for dx, dy in directions))
 
 
 def _offset_pair(midline: Line, r: Scalar) -> LinePair:
-    """The parallel pair midline + r and midline - r."""
-    t, u, v = midline.raw
-    return LinePair(*(Line.of(midline.field, (t, u, v + s)) for s in (r.value, -r.value)))
+    """The parallel pair midline + r and midline - r (over Q, of ints)."""
+    t, u, v, r = _integral((*midline.raw, r.value), midline.field.p)
+    return LinePair(*(Line.of(midline.field, (t, u, v + s)) for s in (r, -r)))
 
 
 def _midline(c: Conic) -> Line | None:
     """For a conic whose quadratic part is the square of a linear form w,
     the line w + s/2 = 0 when c = k*(w^2 + s*w) + const: the common midline
     of every parallel pair c + lam splits into.  None when the linear part
-    is not a multiple of w (a parabola)."""
-    (A, B, C, D, E, _), p = c.raw, c.field.p
+    is not a multiple of w (a parabola).  Over Q, of ints."""
+    p = c.field.p
+    A, B, C, D, E = _integral(c.raw[:5], p)
     if A:
         square = 2 * A * E - B * D
         return None if (square % p if p else square) else Line.of(c.field, (2 * A, -B, D))

@@ -7,8 +7,10 @@ Line.of build from.  A line tX - uY + v = 0 holds (t, u, v) under the
 normalization u = 1 when u != 0, else t = 1, so equal lines have equal raw
 tuples.  Over Q the meet, the midpoint, the line through two points and a
 map's image of a line run on integers (_cleared) and build each canonical
-entry with one gcd.  Points at infinity are explicit values (InfPoint),
-never sentinel coordinates; PlanePoint is the union of the two kinds.
+entry with one gcd, and the rules that hold up to scale (the form, the
+side-product pencil) run on _integral tuples.  Points at infinity are
+explicit values (InfPoint), never sentinel coordinates; PlanePoint is the
+union of the two kinds.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ def _cleared(raw) -> list:
     for c in raw:
         d *= c._denominator
     return [c._numerator * (d // c._denominator) for c in raw] + [d]
+
+
+def _integral(raw, p: int | None):
+    """raw over GF(p); over Q its _cleared ints without W, a nonzero
+    multiple of raw: for the rules that hold up to scale (a line, a conic,
+    a direction, the form's triple)."""
+    return raw if p else _cleared(raw)[:-1]
 
 
 class Point(Frozen):

@@ -11,8 +11,10 @@ from bisectrix.errors import (
     AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
     IdenticalLines, NotABisector, NotBisectors,
 )
+from bisectrix.bisectors import _bisector_mid, _pencil_ratio
+from bisectrix.form import QuadraticData
 from bisectrix.oracle import _in_span
-from bisectrix.plane import _PARALLEL, _SAME, _product
+from bisectrix.plane import _PARALLEL, _SAME, _gradient, _meet, _product
 
 
 def make_quad(field, *literals):
@@ -123,6 +125,57 @@ def apply_by_rats(f, line):
     t, u, v = line
     t2, u2 = t * m11 + u * m10, t * m01 + u * m00
     return Line.of(QQ, (t2, u2, (m00 * m11 - m01 * m10) * v - t2 * b0 + u2 * b1)).raw
+
+
+# The routes of quadratic_data, q_partner, bisector_through and the Gram
+# matrices of affine_invariance before they ran on plane._integral tuples:
+# over Q, _Rat arithmetic on the canonical raw values, one gcd per
+# operation.  The tests' reference for those routes on both fields.
+
+
+def quadratic_data_by_rats(q):
+    (ta, ua, _), (tb, ub, _), (tc, uc, _), (td, ud, _) = (l.raw for l in q.sides)
+    alpha = ta * ub * uc * ud - ua * tb * uc * ud + ua * ub * tc * ud - ua * ub * uc * td
+    beta = ta * ub * tc * ud - ua * tb * uc * td
+    gamma = ta * tb * tc * ud - ta * tb * uc * td + ta * ub * tc * td - ua * tb * tc * td
+    return QuadraticData(*map(q.field.scalar, (alpha, beta, gamma)))
+
+
+def q_partner_by_rats(q, l):
+    p = q.field.p
+    t, u, v = raw = l.raw
+    sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
+    if _bisector_mid([_meet(raw, s, p) for s in sides], p) is None:
+        raise NotABisector(f"{l} does not bisect the quadrilateral")
+    f, g = _product(*sides[:2]), _product(*sides[2:])
+    alpha, beta = _pencil_ratio(f, g, t, u)
+    xx, xy, yy, x, y = (alpha * a + beta * b for a, b in zip(f, g))
+    return Line.of(q.field, (-xy - t * yy, yy, -y - v * yy) if u else (xx, -xy, x - v * xx))
+
+
+def bisector_through_by_rats(q, m):
+    p = q.field.p
+    mx, my = xy = m.raw
+    sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
+    (fx, fy), (gx, gy) = ([c % p if p else c for c in _gradient(_product(*pair), xy)]
+                          for pair in (sides[:2], sides[2:]))
+    if (fx * gy - fy * gx) % p if p else fx * gy - fy * gx:
+        return []
+    nx, ny = (fx, fy) if fx or fy else (gx, gy)
+    if not (nx or ny):
+        return AllLinesThrough(m)
+    return [Bisector(Line.of(q.field, (-nx, ny, nx * mx + ny * my)), m)]
+
+
+def pulled_back_gram_by_scalars(d, f):
+    """The entries 00, 01 and 11 of F^T G F as Scalars, for G the Gram
+    matrix of the form d and F the linear part of f."""
+
+    def form(v, w):
+        return d.gamma * v[0] * w[0] - d.beta * (v[0] * w[1] + v[1] * w[0]) + d.alpha * v[1] * w[1]
+
+    c0, c1 = (f.m00, f.m10), (f.m01, f.m11)
+    return form(c0, c0), form(c0, c1), form(c1, c1)
 
 
 def quadrilateral_by_scalars(a, b, a2, b2):

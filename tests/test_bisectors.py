@@ -3,9 +3,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bisectrix import (
     GF,
+    AffineMap,
     AllLinesThrough,
     Bisector,
     InfPoint,
@@ -21,16 +23,22 @@ from bisectrix import (
     midpoint,
     nine_points,
     q_partner,
+    quadratic_data,
 )
 from bisectrix.errors import (
     ExhaustedSampling, FieldMismatch, GeometryError, InvariantViolation, NotABisector,
     NotBisectors,
 )
-from bisectrix.oracle import brute_bisectors, enumerate_lines, random_quadrilateral, verify_all
+from bisectrix.field import _Rat
+from bisectrix.oracle import (
+    _gram, _pulled_back_gram, _raw_cross, brute_bisectors, enumerate_lines, random_quadrilateral,
+    verify_all,
+)
 from bisectrix.pencil import Conic, center
 from conftest import (
-    E1_SIDES, SPECIAL_SIDES, bisector_through_by_standard_form, make_quad, mid_cross,
-    q_pair_by_scalars, q_partner_by_standard_form, slope_product,
+    E1_SIDES, SPECIAL_SIDES, bisector_through_by_rats, bisector_through_by_standard_form,
+    make_quad, mid_cross, pulled_back_gram_by_scalars, q_pair_by_scalars, q_partner_by_rats,
+    q_partner_by_standard_form, quadratic_data_by_rats, slope_product,
 )
 from test_oracle import bisector_field_by_definition
 
@@ -305,6 +313,100 @@ def test_q_partner_and_is_q_pair_equal_the_standard_form_route():
         with pytest.raises(NotABisector):
             q_partner(q, off)
     assert all(counts.values()), counts
+
+
+# Coefficients of three kinds: Q with small literals, Q with the heights of
+# the benchmark's queries (numerators up to 10^6, denominators up to 10^3),
+# and GF(7) and GF(101).
+_COEFFS = {
+    "Q small": (QQ, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))),
+    "Q query": (QQ, st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 3))),
+    "GF(7)": (GF(7), st.integers(0, 6)),
+    "GF(101)": (GF(101), st.integers(0, 100)),
+}
+
+
+@st.composite
+def _routes_case(draw):
+    """A valid quadrilateral, an invertible linear map, a point and a line,
+    all over one field of _COEFFS."""
+    field, coeff = _COEFFS[draw(st.sampled_from(sorted(_COEFFS)))]
+
+    def scalar():
+        return field.scalar(draw(coeff))
+
+    lines = []
+    while len(lines) < 5:
+        t, u, v = scalar(), scalar() if draw(st.booleans()) else field.one, scalar()
+        if not (t.is_zero() and u.is_zero()):
+            lines.append(Line(t, u, v))
+    try:
+        q = Quadrilateral(*lines[:4])
+    except GeometryError:
+        return draw(st.nothing())
+    entries = [scalar() for _ in range(4)]
+    if (entries[0] * entries[3] - entries[1] * entries[2]).is_zero():
+        entries = [field.one, field.zero, field.zero, field.one]
+    return q, AffineMap.linear(*entries), Point(scalar(), scalar()), lines[4]
+
+
+def _multiple(new, old, p):
+    """Whether the raw tuple new is a nonzero multiple of the Scalars old,
+    or both vanish; over GF(p), where _integral is the identity, equal."""
+    old = [x.value for x in old]
+    if p:
+        return [x % p for x in new] == old
+    return not any(_raw_cross(new, old, None)) and any(new) == any(old)
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except NotABisector as err:
+        return str(err)
+
+
+def _special_case(sides, line):
+    """One of conftest's SPECIAL_SIDES over Q as a _routes_case."""
+    point = Point(QQ.one, QQ.one)
+    return make_quad(QQ, *sides), AffineMap.identity(QQ), point, Line.parse(QQ, line)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_routes_case())
+@example(case=_special_case(SPECIAL_SIDES[0], "Y=1/2"))
+@example(case=_special_case(SPECIAL_SIDES[1], "Y=X"))
+@example(case=_special_case(SPECIAL_SIDES[2], "X=1/2"))
+@example(case=_special_case(SPECIAL_SIDES[3], "X=1/2"))
+def test_integral_routes_equal_the_rational_routes(case):
+    """quadratic_data, q_partner and bisector_through, which over Q run on
+    plane._integral tuples, give what their _Rat routes (conftest) give: at
+    the midpoints of the sides and diagonals, at the centroid, at a drawn
+    point and line, and on the partners.  affine_invariance's Gram entries
+    are nonzero multiples of the Scalar ones (equal over GF(p)), so its
+    nonzero and proportionality tests decide alike."""
+    q, f, point, line = case
+    p = q.field.p
+    d = quadratic_data(q)
+    assert d == quadratic_data_by_rats(q)
+    lines = list(dict.fromkeys(q.sides + q.diagonal_lines))
+    for l in lines + [line]:
+        partner = _outcome(q_partner, q, l)
+        assert partner == _outcome(q_partner_by_rats, q, l), (q, l)
+        if isinstance(partner, Line):
+            assert p or all(type(c) is _Rat for c in partner.raw)
+            assert q_partner(q, partner) == q_partner_by_rats(q, partner)
+    points = [is_bisector(q, l) for l in lines] + [q.centroid, point]
+    for m in points:
+        found = bisector_through(q, m)
+        assert found == bisector_through_by_rats(q, m), (q, m)
+        assert p or not isinstance(found, list) or all(
+            type(c) is _Rat for b in found for c in b.line.raw)
+    image = quadratic_data(q.transform(f))
+    assert _multiple(_gram(d, p), (d.gamma, -d.beta, d.alpha), p)
+    for form in (image, d):
+        assert _multiple(_pulled_back_gram(_gram(form, p), f, p),
+                         pulled_back_gram_by_scalars(form, f), p)
 
 
 def test_bisectors_share_midpoint_iff_parallelogram():

@@ -8,7 +8,8 @@ fixture verify over Q.  In each, verify must report the defect under the
 column's tag on every seed (SEEDS, unless _SEEDS names others), the set of
 tags that fire is pinned, and every violation line must end in a reproduce
 command that prints it again.  A defect that only an exhaustive-only tag
-can see has the GF(7) column alone.
+can see has the GF(7) column alone, and one in a branch that only Q takes
+has the Q column alone.
 """
 
 import shlex
@@ -21,6 +22,7 @@ from bisectrix import (
     AffineMap, Bisector, Line, LinePair, QuadraticData, Quadrilateral, bisectors, form, pencil,
     plane,
 )
+from bisectrix.field import _Poly
 from bisectrix.plane import _mid
 from bisectrix.cli import main
 
@@ -168,6 +170,27 @@ def _product_xy_plus_one(product):
     return defect
 
 
+def _integral_last_negated(integral):
+    """Over Q, the integral multiple of a raw tuple with its last entry
+    negated (over GF(p) the helper returns the tuple itself)."""
+
+    def defect(raw, p):
+        c = integral(raw, p)
+        return c if p else [*c[:-1], -c[-1]]
+
+    return defect
+
+
+def _poly_sum_constant_plus_one(add):
+    """The sum of two class polynomials with its constant term off by one."""
+
+    def defect(f, g):
+        s = add(f, g)
+        return _Poly((s[0] + 1, *s[1:]))
+
+    return defect
+
+
 def _ratio_swapped(pencil_ratio):
     """The pencil member [alpha : beta] of q_partner read as [beta : alpha]."""
 
@@ -310,6 +333,19 @@ DEFECTS = {
                    "pencil_degenerations"}),
         },
     ),
+    "integral_last_negated": (
+        plane, "_integral", _integral_last_negated, {
+            "Q": ("affine_invariance",
+                  {"affine_invariance", "bisector_field", "locus_midpoints",
+                   "partner_involution", "pencil_degenerations"}),
+        },
+    ),
+    "poly_sum_constant_plus_one": (
+        _Poly, "__add__", _poly_sum_constant_plus_one, {
+            "GFp:7": ("desargues_reflection", {"desargues_reflection"}),
+            "Q": ("desargues_reflection", {"desargues_reflection"}),
+        },
+    ),
     "parallelogram_vertices_negated": (
         Quadrilateral, "has_parallelogram_vertices", _negated, {
             "GFp:7": ("unique_midpoints", {"unique_midpoints"}),
@@ -319,7 +355,7 @@ DEFECTS = {
 
 # Seed 3 over GF(7) draws an improper quadrilateral, on which
 # desargues_reflection does not run.
-_SEEDS = {"desargues_m2_constant_plus_one": (1, 2)}
+_SEEDS = {"desargues_m2_constant_plus_one": (1, 2), "poly_sum_constant_plus_one": (1, 2)}
 
 
 def _inject(monkeypatch, home, name, wrap):

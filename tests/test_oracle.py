@@ -288,7 +288,7 @@ def test_verify_all_fixture_profiles(e1, e2, improper):
         reports = verify_all(q, "fixture")
         assert reports
         for r in reports:
-            assert r.passed, (r.tag, r.violations)
+            assert not r.violations, (r.tag, r.violations)
 
 
 def test_verify_all_exhaustive_gf7():
@@ -299,7 +299,7 @@ def test_verify_all_exhaustive_gf7():
         assert "closed_form_oracle" in tags
         assert "pencil_degenerations" in tags
         for r in reports:
-            assert r.passed, (r.tag, r.violations)
+            assert not r.violations, (r.tag, r.violations)
 
 
 def test_verify_all_outputs_keep_their_digest():
@@ -327,7 +327,7 @@ def test_verify_all_flags_corrupted_data():
     # The memo is a frozen slot: inject the corruption past the guard.
     object.__setattr__(q, "_quadratic_data", QuadraticData(2 * d.alpha, d.beta, d.gamma))
     reports = verify_all(q, "exhaustive")
-    failing = {r.tag for r in reports if not r.passed}
+    failing = {r.tag for r in reports if r.violations}
     assert "closed_form_oracle" in failing
 
 
@@ -711,7 +711,7 @@ def test_kernel_answers_are_computed_once_per_quadrilateral(monkeypatch):
             monkeypatch.setattr(module, name, counted)
         reports = verify_all(q, profile, seed=1)
         monkeypatch.undo()
-        assert all(r.passed for r in reports)
+        assert not any(r.violations for r in reports)
         assert len(calls["bisector_locus"]) == 1
         if profile == "exhaustive":
             lines = {b.line for b in brute_bisectors(q)}
@@ -740,7 +740,7 @@ def test_q_raw_values_stay_rats():
     path."""
     for seed in range(40):
         q = random_quadrilateral(QQ, seed)
-        assert all(r.passed for r in verify_all(q, "fixture", seed=seed))
+        assert not any(r.violations for r in verify_all(q, "fixture", seed=seed))
         d, locus = quadratic_data(q), bisector_locus(q)
         canonical = list(dict.fromkeys(q.sides + q.diagonal_lines))
         values = [*canonical, *q.vertices, q.centroid, *q.diagonal_points(), locus.conic,
