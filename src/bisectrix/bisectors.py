@@ -91,7 +91,7 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     p = field.p
     # m = (x/w, y/w): w*grad C(m) is the gradient at (x, y) of C with its
     # linear part times w.
-    x, y, w = _cleared(m.raw) if not p else (*m.raw, 1)
+    x, y, w = _cleared(m.raw, p)
     sides = [_integral(side.raw, p) for side in (q.a, q.a2, q.b, q.b2)]
     (fx, fy), (gx, gy) = (
         [d % p if p else d for d in _gradient((*c[:3], w * c[3], w * c[4]), (x, y))]

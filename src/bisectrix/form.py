@@ -12,7 +12,6 @@ with matrix [[beta, -alpha], [gamma, -beta]] on the line at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .errors import (
     DegenerateForm,
@@ -21,7 +20,7 @@ from .errors import (
     LineThroughVertex,
     NotConjugate,
 )
-from .field import QQ, Frozen, Scalar, _Poly, _quotient
+from .field import QQ, Frozen, Scalar, _Poly
 from .plane import _NO_LINE, InfPoint, Line, _cleared
 from .quad import Quadrangle, Quadrilateral
 
@@ -48,24 +47,19 @@ def quadratic_data(q: Quadrilateral) -> QuadraticData:
 
     No rescaling is applied; proportionality of the triples across
     re-pairings of a quadrangle is a theorem, not a normalization.  The
-    triple is linear in each side's (t, u), so over Q it is computed on each
-    side's cleared (T, U, W) and divided once by the product of the W's.
+    triple is linear in each side's (t, u), so it is computed on each side's
+    cleared (T, U, W) and divided once by the product of the W's.
     """
     if q._quadratic_data is not None:
         return q._quadratic_data
     p = q.field.p
-    sides = [l.raw for l in q.sides]
-    if not p:
-        sides = [_cleared(s[:2]) for s in sides]
-    (ta, ua, _), (tb, ub, _), (tc, uc, _), (td, ud, _) = sides
+    (ta, ua, wa), (tb, ub, wb), (tc, uc, wc), (td, ud, wd) = (
+        _cleared(l.raw[:2], p) for l in q.sides)
     alpha = ta * ub * uc * ud - ua * tb * uc * ud + ua * ub * tc * ud - ua * ub * uc * td
     beta = ta * ub * tc * ud - ua * tb * uc * td
     gamma = ta * tb * tc * ud - ta * tb * uc * td + ta * ub * tc * td - ua * tb * tc * td
-    triple = (alpha, beta, gamma)
-    if not p:
-        w = prod(s[2] for s in sides)
-        triple = (_quotient(c, w) for c in triple)
-    data = QuadraticData(*map(q.field.scalar, triple))
+    w = q.field.scalar(wa * wb * wc * wd)
+    data = QuadraticData(*(q.field.scalar(c) / w for c in (alpha, beta, gamma)))
     object.__setattr__(q, "_quadratic_data", data)
     return q._quadratic_data
 

@@ -89,15 +89,15 @@ class Conic(Frozen):
         (a, b, c, d, e, f), (x, y) = self.raw, p.raw
         return _field_of(self, p).scalar((a * x + b * y + d) * x + (c * y + e) * y + f)
 
-    def evaluate_infinite(self, p: InfPoint) -> Scalar:
-        """Homogenized value at [x : y : 0], i.e. the leading form."""
-        (a, b, c, *_), (x, y) = self.raw, p.raw
-        return _field_of(self, p).scalar(a * x * x + b * x * y + c * y * y)
-
-    def contains(self, p: PlanePoint) -> bool:
-        if isinstance(p, InfPoint):
-            return self.evaluate_infinite(p).is_zero()
-        return self.evaluate(p).is_zero()
+    def contains(self, pt: PlanePoint) -> bool:
+        """Whether the homogenized conic vanishes at pt, on ints: at the
+        cleared (x, y, w) of a Point, at (x, y, 0) for an InfPoint."""
+        p = _field_of(self, pt).p
+        (a, b, c, d, e, f), (x, y, w) = _integral(self.raw, p), _cleared(pt.raw, p)
+        if type(pt) is InfPoint:
+            w = 0
+        value = (a * x + b * y + d * w) * x + (c * y + e * w) * y + f * w * w
+        return not (value % p if p else value)
 
     def leading_discriminant(self) -> Scalar:
         a, b, c, *_ = self.raw
@@ -185,7 +185,7 @@ def _central_pair(c: Conic, o: Point, root: Scalar) -> LinePair:
     is built from ints."""
     p = c.field.p
     A, B, C, r = _integral((*c.raw[:3], root.value), p)
-    x, y, w = _cleared(o.raw) if not p else (*o.raw, 1)
+    x, y, w = _cleared(o.raw, p)
     if not A:
         directions = ((1, A), (-C, B))  # A is zero here
     else:

@@ -27,6 +27,8 @@ from .plane import (
     LinePair,
     PlanePoint,
     Point,
+    _affine,
+    _cleared,
     _meet,
     _mid,
     intersect,
@@ -64,8 +66,9 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         v = [_meet(raw[i], raw[(i + 1) % 4], p) for i in range(4)]
         if v[0] == v[1] == v[2]:
             raise Concurrent4Lines("all four sides pass through one point")
-        quarter = field.scalar(4).inverse().value
-        centroid = tuple(s * quarter % p if p else s * quarter for s in map(sum, zip(*v)))
+        # The centroid: the summed vertices, jointly cleared, over 4W.
+        *xy, w = _cleared(sum(v, ()), p)
+        centroid = _affine(sum(xy[::2]), sum(xy[1::2]), 4 * w, p)
         m03_12 = _mid(_mid(v[0], v[3], p), _mid(v[1], v[2], p), p)
         m01_23 = _mid(_mid(v[0], v[1], p), _mid(v[2], v[3], p), p)
         if not centroid == m03_12 == m01_23:

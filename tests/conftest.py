@@ -94,6 +94,18 @@ def line_from_points_by_scalars(p, q):
     return Line(dy, dx, dx * p.y - dy * p.x)
 
 
+def conic_contains_by_scalars(conic, pt):
+    """Conic.contains on Scalars, the reference for its homogeneous
+    evaluation on ints: the conic's value at a Point, or its leading form
+    at the [x : y : 0] of an InfPoint, is zero."""
+    a, b, c, d, e, f = conic.coeffs
+    x, y = pt.x, pt.y
+    value = a * x * x + b * x * y + c * y * y
+    if isinstance(pt, Point):
+        value = value + d * x + e * y + f
+    return value.is_zero()
+
+
 # The rational formulas of plane's raw helpers over Q before they ran on
 # cleared integers, one _Rat operation at a time: the tests' reference for
 # the Q branches of plane._meet, plane._mid, line_from_points and

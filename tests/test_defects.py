@@ -160,6 +160,16 @@ def _mid_swapped(mid):
     return defect
 
 
+def _affine_swapped(affine):
+    """The affine point of homogeneous ints with its coordinates swapped:
+    every meet and the centroid, over both fields, go through it."""
+
+    def defect(x, y, w, p):
+        return affine(x, y, w, p)[::-1]
+
+    return defect
+
+
 def _product_xy_plus_one(product):
     """The conic l*m of two raw lines with its XY coefficient off by one."""
 
@@ -322,6 +332,19 @@ DEFECTS = {
             "Q": ("nine_points", {"locus_midpoints", "nine_points"}),
         },
     ),
+    "affine_swapped": (
+        plane, "_affine", _affine_swapped, {
+            "GFp:7": ("locus_midpoints",
+                      {"affine_invariance", "closed_form_oracle", "desargues_reflection",
+                       "lambda_involution", "locus_degeneracy", "locus_midpoints", "nine_points",
+                       "opposite_orthogonal", "pair_redundancy", "parallel_bisectors",
+                       "pencil_degenerations", "repairing_bisectors", "vertex_line_bisectors"}),
+            "Q": ("locus_midpoints",
+                  {"affine_invariance", "bisector_field", "lambda_involution", "locus_degeneracy",
+                   "locus_midpoints", "nine_points", "opposite_orthogonal", "partner_involution",
+                   "pencil_degenerations"}),
+        },
+    ),
     "product_xy_plus_one": (
         plane, "_product", _product_xy_plus_one, {
             "GFp:7": ("bisector_field",
@@ -336,7 +359,7 @@ DEFECTS = {
     "integral_last_negated": (
         plane, "_integral", _integral_last_negated, {
             "Q": ("affine_invariance",
-                  {"affine_invariance", "bisector_field", "locus_midpoints",
+                  {"affine_invariance", "bisector_field", "locus_midpoints", "nine_points",
                    "partner_involution", "pencil_degenerations"}),
         },
     ),

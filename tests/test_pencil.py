@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bisectrix import (
     GF,
     Conic,
     ConicClass,
+    InfPoint,
     Line,
     LinePair,
     Point,
@@ -17,9 +20,9 @@ from bisectrix import (
     pencil_of,
     q_partner,
 )
-from bisectrix.errors import DegenerateInput
+from bisectrix.errors import DegenerateInput, FieldMismatch
 from bisectrix.oracle import brute_bisectors, enumerate_lines, random_quadrilateral
-from conftest import in_pencil
+from conftest import conic_contains_by_scalars, in_pencil
 
 
 def conic(field, *values):
@@ -44,6 +47,61 @@ def test_pencil_members_vanish_at_vertices(e1):
         assert member.contains(v)
     with pytest.raises(DegenerateInput):
         pen.member(QQ.zero, QQ.zero)
+
+
+# Coefficients over Q (small literals, where zeros are common, and the
+# heights of the benchmark's queries), GF(7) and GF(101).
+_CONTAINS_COEFFS = {
+    "Q": (QQ, st.one_of(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                        st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                                  st.integers(1, 10 ** 3)))),
+    "GF(7)": (GF(7), st.integers(0, 6)),
+    "GF(101)": (GF(101), st.integers(0, 100)),
+}
+
+
+@st.composite
+def _contains_case(draw):
+    """A conic and a Point or an InfPoint of one field of _CONTAINS_COEFFS;
+    half the time the conic is drawn through the point."""
+    field, coeff = _CONTAINS_COEFFS[draw(st.sampled_from(sorted(_CONTAINS_COEFFS)))]
+    a, b, c, d, e, f, x, y = (field.scalar(draw(coeff)) for _ in range(8))
+    through = draw(st.booleans())
+    if draw(st.booleans()):
+        point = Point(x, y)
+        if through:
+            f = -(a * x * x + b * x * y + c * y * y + d * x + e * y)
+    else:
+        point = InfPoint(x, y) if x or y else InfPoint(field.one, y)
+        x, y = point.x, point.y
+        if through and y:
+            c = -(a * x * x + b * x * y) / (y * y)
+        elif through:
+            a = -(b * x * y + c * y * y) / (x * x)
+    if not (a or b or c):
+        return draw(st.nothing())
+    return Conic(a, b, c, d, e, f), point
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_contains_case())
+@example(case=(conic(QQ, 1, 0, -4, 1, 1, 1), InfPoint(QQ.one, QQ.scalar(Fraction(1, 2)))))
+@example(case=(conic(QQ, 1, 0, -4, 1, 1, 1), InfPoint(QQ.one, QQ.scalar(Fraction(1, 3)))))
+@example(case=(conic(QQ, "1/2", 0, 0, 0, "-1/3", "1/9"), pt("2/3", "3/2")))
+@example(case=(conic(GF(7), 1, 0, 3, 0, 0, 0), InfPoint(GF(7).scalar(2), GF(7).one)))
+def test_contains_equals_the_scalar_route(case):
+    """Conic.contains, one homogeneous evaluation on ints, decides as the
+    Scalar evaluation (conftest) does, at Points and at InfPoints, over Q,
+    GF(7) and GF(101)."""
+    c, point = case
+    assert c.contains(point) == conic_contains_by_scalars(c, point)
+
+
+def test_contains_refuses_a_point_of_another_field():
+    with pytest.raises(FieldMismatch):
+        conic(QQ, 1, 0, 1, 0, 0, -1).contains(pt(1, 0, GF(7)))
+    with pytest.raises(FieldMismatch):
+        conic(GF(7), 1, 0, 1, 0, 0, -1).contains(InfPoint(QQ.one, QQ.zero))
 
 
 def test_improper_pencil_tangent_at_double_vertex(improper):
