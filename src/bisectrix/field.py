@@ -8,15 +8,13 @@ subclass (always reduced, positive denominator) whose + - * /, == and hash
 skip Fraction's operator dispatch and return Fraction's results; GF(p)
 values by canonical residues in [0, p).
 Square roots are computed inside the field and absence is a value, not an
-error.  _Poly is the kernel's polynomial ring, on raw coefficients, in
-which form.desargues_pencil multiplies out its class polynomials.
+error.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, isqrt
 from operator import attrgetter
 
@@ -468,39 +466,3 @@ def _scalar_class(field: Field, p: int | None):
 
 
 QQ = Rationals()
-
-
-class _Poly(tuple):
-    """A polynomial in one variable (the offset v of a parallel class) as its
-    raw coefficients, lowest degree first: ints, which the caller reduces
-    mod p, or _Rats over Q.  + and - take two polynomials, * a polynomial
-    or a constant on either side, and a product's length depends only on
-    its factors' lengths (a zero constant keeps it).  It is the ring that
-    form.desargues_pencil multiplies in; the oracle checks that kernel on
-    plain coefficient tuples instead."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Poly([a + b for a, b in zip_longest(self, other, fillvalue=0)])
-
-    def __sub__(self, other):
-        return _Poly([a - b for a, b in zip_longest(self, other, fillvalue=0)])
-
-    def __neg__(self):
-        return _Poly([-a for a in self])
-
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):
-            if other == 1:
-                return self
-            # A zero keeps the length, so coefficient lists keep theirs.
-            return _Poly([a * other for a in self] if other else [0] * len(self))
-        out = [0] * (len(self) + len(other) - 1)
-        for i, a in enumerate(self):
-            for k, b in enumerate(other, i):
-                out[k] += a * b
-        return _Poly(out)
-
-    # A tuple would repeat itself under int * poly.
-    __rmul__ = __mul__

@@ -20,7 +20,7 @@ from .errors import (
     LineThroughVertex,
     NotConjugate,
 )
-from .field import QQ, Frozen, Scalar, _Poly
+from .field import QQ, Frozen, Scalar
 from .plane import _NO_LINE, InfPoint, Line, _cleared
 from .quad import Quadrangle, Quadrilateral
 
@@ -121,8 +121,8 @@ def lambda_q(d: QuadraticData) -> Involution:
 def _exchange_row(p, q) -> tuple:
     # Linear constraint on (m0, m1, m2) with M = [[m0, m1], [m2, -m0]]
     # expressing M(p) proportional to q, for homogeneous pairs p = (x, y)
-    # and q of any ring: scalars, or raw polynomials in v with a raw
-    # constant y (desargues_pencil).
+    # and q of any ring: Scalars, or raw values (_class_row and
+    # desargues_involution).
     (px, py), (qx, qy) = p, q
     return (px * qy + py * qx, py * qy, -(px * qx))
 
@@ -138,8 +138,8 @@ def _cross(r1, r2) -> tuple:
 def _class_parameters(qr: Quadrangle, t, u):
     """Where the lines tX - uY + v = 0 of the parallel class of raw (t, u)
     meet each side of qr, as the chart parameter [a + b*v : det] of Cramer's
-    rule: one raw (a, b, det) per side (see plane; a and b unreduced), two
-    per pair of opposite sides.
+    rule: one raw (a, b, det) per side (see plane; unreduced), two per pair
+    of opposite sides.
 
     The chart of a line reads an affine point as [x : 1], with x its X
     coordinate, or its Y on a vertical line, and the line's own infinite
@@ -152,15 +152,29 @@ def _class_parameters(qr: Quadrangle, t, u):
     def parameter(side):
         st, su, sv = side.raw
         det = u * st - t * su
-        if p:
-            det %= p
-        if not det:
+        if not (det % p if p else det):
             return (1, 0, 0)
         if not u:  # the chart reads Y on a vertical line
             return (-t * sv, st, det)
         return (-u * sv, su, det)
 
     return [[parameter(side) for side in pair.lines] for pair in qr.opposite_side_pairs()]
+
+
+def _class_row(pair) -> tuple:
+    """The exchange row of a pair of chart parameters [a + b*v : det] (see
+    _class_parameters) along the class, as raw coefficient tuples in v
+    (lowest degree first): the sum x1*y2 + y1*x2 (2 entries), the product
+    y1*y2 (1) and -x1*x2 (3).  The row is bilinear in the two points, so
+    its coefficient of v^k is the sum of the _exchange_row of the points'
+    parts [a : det] (degree 0) and [b : 0] (degree 1) whose degrees add to
+    k."""
+    (a1, b1, d1), (a2, b2, d2) = pair
+    s0, e, n0 = _exchange_row((a1, d1), (a2, d2))
+    s1, _, n1 = _exchange_row((a1, d1), (b2, 0))
+    t1, _, m1 = _exchange_row((b1, 0), (a2, d2))
+    n2 = _exchange_row((b1, 0), (b2, 0))[2]
+    return (s0, s1 + t1), e, (n0, n1 + m1, n2)
 
 
 def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple, tuple]:
@@ -173,21 +187,23 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple
     desargues_involution is the matrix [[m0(v), m1(v)], [m2(v), -m0(v)]] up
     to scale.  Its reflections, the class's bisectors, are the roots of m2.
     With (t, u) normalised as in Line, v is the offset of the canonical
-    line.  The polynomials are multiplied out on raw coefficients
-    (field._Poly), through the same exchange rows and cross product as
-    desargues_involution; no Line is built.
+    line.  The triple is the cross product (_cross) of the first two pairs'
+    exchange rows along the class (_class_row), multiplied out term by term
+    on raw values; no Line is built.
     """
     if t.field is not qr.field or u.field is not qr.field:
         raise FieldMismatch("class direction and quadrangle from different fields")
     if t.is_zero() and u.is_zero():
         raise DegenerateInput(_NO_LINE)
     p = qr.field.p
-    params = [
-        [(_Poly((a, b)), det) for a, b, det in pair]
-        for pair in _class_parameters(qr, t.value, u.value)
-    ]
-    triple = _cross(*(_exchange_row(*pair) for pair in params[:2]))
-    return tuple(tuple(c % p if p else QQ._coerce(c) for c in m) for m in triple)
+    first, second, _ = _class_parameters(qr, t.value, u.value)
+    (s0, s1), e, (n0, n1, n2) = _class_row(first)
+    (z0, z1), f, (k0, k1, k2) = _class_row(second)
+    triple = ((e * k0 - n0 * f, e * k1 - n1 * f, e * k2 - n2 * f),
+              (n0 * z0 - s0 * k0, n0 * z1 + n1 * z0 - s0 * k1 - s1 * k0,
+               n1 * z1 + n2 * z0 - s0 * k2 - s1 * k1, n2 * z1 - s1 * k2),
+              (s0 * f - e * z0, s1 * f - e * z1))
+    return tuple(tuple([c % p if p else QQ._coerce(c) for c in m]) for m in triple)
 
 
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:

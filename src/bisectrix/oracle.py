@@ -11,12 +11,14 @@ line is affine in the offset v.  brute_bisectors solves the definition once
 per class: the bisecting offsets of a class are none, one or every v, and
 only the lines that are sides are judged one by one.  desargues_reflection
 clears a class whole by exact identities in v between the kernel's class
-polynomials and the oracle's own exchange rows, and walks it line by line,
-by the same per-line judgement as over Q, only when that fails.  Both
-read one exchange row, _raw_exchange_row, which gives each pair's row as
-polynomials in v: the walk evaluates them at each v, and the identities
-expand their products on plain coefficient tuples (_times), not in
-field._Poly, the ring that form.desargues_pencil multiplies in.
+polynomials and the oracle's own exchange rows, and by the roots of their
+factors, and walks it line by line, by the same per-line judgement as over
+Q, only when that fails.  The identities are decided once per quadrangle,
+on 7 classes, for every class whose kernel coefficients match their
+interpolant in the direction t (see _check_desargues).  The identities and
+the walk read one exchange row, _raw_exchange_row, which gives each pair's
+row as polynomials in v: the walk evaluates them at each v, and the
+identities expand their products on plain coefficient tuples (_times).
 bisector_field is decided in the same spirit:
 a line through its own midpoint m along which the side-pair products
 A*A' and B*B' have zero slope at m bisects, at m, every Q-pair whose
@@ -61,6 +63,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import reduce
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -182,13 +185,14 @@ def _class_crossings(t, u, refs, p: int | None) -> list:
             continue
         inv = pow(det, -1, p) if p else 1 / det
         crossing = (-u * rv * inv, ru * inv, -t * rv * inv, rt * inv)
-        out.append(tuple(c % p for c in crossing) if p else crossing)
+        out.append(tuple([c % p for c in crossing]) if p else crossing)
     return out
 
 
-def _class_bisectors(t, u, sides, p: int):
+def _class_bisectors(t, u, sides, crossings, p: int):
     """The bisectors of the class tX - uY + v = 0 of GF(p)^2, for the raw
-    sides A, A', B and B': (v, midpoint) in increasing v.
+    sides A, A', B and B' and the class's crossings with them
+    (_class_crossings): (v, midpoint) in increasing v.
 
     Off the offsets of the sides in the class, the midpoint of a pair with
     no side in the class is affine in v, so the definition is solved once
@@ -199,7 +203,6 @@ def _class_bisectors(t, u, sides, p: int):
     bisects.  The lines that are sides are judged by the rule itself,
     _bisector_mid.
     """
-    crossings = _class_crossings(t, u, sides, p)
     in_class = {side[2] for side, c in zip(sides, crossings) if c is None}
     # Each pair's midpoint doubled, (x0, x1, y0, y1) as for a crossing.
     sums = [None if c1 is None or c2 is None else [a + b for a, b in zip(c1, c2)]
@@ -227,14 +230,17 @@ def _class_bisectors(t, u, sides, p: int):
             yield v, ((x0 + x1 * v) * half % p, (y0 + y1 * v) * half % p)
 
 
-def _brute_solutions(q: Quadrilateral) -> frozenset:
+def _sweep(q: Quadrilateral) -> tuple[frozenset, list]:
     """Every line of the finite plane judged by the definition, the rule of
     bisectors.is_bisector: solved once per parallel class on raw residues
     (see _class_bisectors), as the raw ((t, u, v), midpoint) of each
-    bisector."""
+    bisector; and each class's (t, u, crossings) with A, A', B and B' (see
+    _class_crossings), in _p1 order, which desargues_reflection reads."""
+    p = q.field.p
     sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
-    return frozenset(((t, u, v), m) for u, t in _p1(q.field)
-                     for v, m in _class_bisectors(t, u, sides, q.field.p))
+    crossings = [(t, u, _class_crossings(t, u, sides, p)) for u, t in _p1(q.field)]
+    return frozenset(((t, u, v), m) for t, u, c in crossings
+                     for v, m in _class_bisectors(t, u, sides, c, p)), crossings
 
 
 def _bisectors_of(field: Field, solutions) -> set[Bisector]:
@@ -243,8 +249,8 @@ def _bisectors_of(field: Field, solutions) -> set[Bisector]:
 
 def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
     """Every bisector of the finite plane, by the definition: the values of
-    _brute_solutions."""
-    return _bisectors_of(q.field, _brute_solutions(q))
+    q's sweep (_sweep)."""
+    return _bisectors_of(q.field, _sweep(q)[0])
 
 
 def closed_form_bisectors(q: Quadrilateral, zeros=None) -> set[Bisector]:
@@ -379,33 +385,40 @@ def _fixture_probe_lines(q) -> list[Line]:
     return out[:4]
 
 
-def _chart_parameters(t, u, refs, p: int | None) -> list[tuple]:
-    """The chart parameters where the lines of the class tX - uY + v = 0
-    meet each raw line of refs, as homogeneous [x0 + x1*v : y] triples
-    (x0, x1, y).  The chart of a line reads an affine point as [x : 1],
-    with x its X coordinate, or its Y on a vertical line (u = 0), and the
-    line's own infinite point, where it meets a reference line of its own
-    direction, as [1 : 0]."""
+def _chart_parameters(u, crossings) -> list[tuple]:
+    """The chart parameters of a class tX - uY + v = 0 at its crossings
+    with reference lines (see _class_crossings), as homogeneous
+    [x0 + x1*v : y] triples (x0, x1, y).  The chart of a line reads an
+    affine point as [x : 1], with x its X coordinate, or its Y on a
+    vertical line (u = 0), and the line's own infinite point, where it
+    meets a reference line of its own direction, as [1 : 0]."""
     axis = 0 if u else 2
-    return [(1, 0, 0) if c is None else (c[axis], c[axis + 1], 1)
-            for c in _class_crossings(t, u, refs, p)]
+    return [(1, 0, 0) if c is None else (c[axis], c[axis + 1], 1) for c in crossings]
 
 
 def _quadrangle_sides(qr: Quadrangle) -> list[Line]:
     return [l for pair in qr.opposite_side_pairs() for l in pair.lines]
 
 
-def _desargues_classes(qr: Quadrangle):
+def _desargues_classes(q: Quadrilateral, crossings):
     """Each parallel class tX - uY + v = 0 of the finite plane, in
     enumerate_lines order, as raw residues (t, u, offsets, params): the
-    offsets v whose line passes through a vertex of qr, and the chart
+    offsets v whose line passes through a vertex of q, and the chart
     parameters (see _chart_parameters) of the class's crossings with the
-    six sides of qr, two per pair of opposite sides."""
-    p = qr.field.p
-    vertices = [pt.raw for pt in qr.points]
-    sides = [l.raw for l in _quadrangle_sides(qr)]
-    for u, t in _p1(qr.field):
-        yield t, u, {(u * y - t * x) % p for x, y in vertices}, _chart_parameters(t, u, sides, p)
+    six sides of q's quadrangle, two per pair of opposite sides.  A side
+    that is one of q's own lines (four are, when q's vertices are right)
+    takes its crossings from q's sweep (crossings, see _sweep); only the
+    others, the two diagonals, are crossed here."""
+    p = q.field.p
+    vertices = [pt.raw for pt in q.vertices]
+    swept = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
+    sides = [l.raw for l in _quadrangle_sides(q.quadrangle())]
+    others = [l for l in sides if l not in swept]
+    where = [(swept + others).index(l) for l in sides]
+    for t, u, crossed in crossings:
+        crossed = crossed + _class_crossings(t, u, others, p)
+        yield (t, u, {(u * y - t * x) % p for x, y in vertices},
+               _chart_parameters(u, [crossed[i] for i in where]))
 
 
 def _raw_exchange_row(pair) -> tuple:
@@ -421,9 +434,9 @@ def _raw_exchange_row(pair) -> tuple:
 
 
 def _times(f, g) -> list:
-    """The product of two polynomials in v given by their coefficient tuples
+    """The product of two polynomials given by their coefficient tuples
     (lowest degree first), unreduced: the one polynomial product of the
-    class identities."""
+    class identities and of the interpolant of _quadrangle_identities."""
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for k, b in enumerate(g, i):
@@ -502,10 +515,58 @@ def _roots_within(poly, offsets, p: int) -> bool:
     return sum(1 for k in offsets if (c0 + k * (c1 + k * c2)) % p == 0) == 2
 
 
+def _cross_factors(params, p: int) -> list:
+    """The cross determinants [P, Q] = x_P*y_Q - x_Q*y_P of each point P of
+    the first pair and Q of the third (params, see _chart_parameters), as
+    reduced coefficient lists in v."""
+    return [[(x0 * w - z0 * y) % p, (x1 * w - z1 * y) % p]
+            for x0, x1, y in params[:2] for z0, z1, w in params[4:]]
+
+
+def _desargues_identities(pencil, params, p: int) -> list | None:
+    """The identity half of _desargues_class_cleared: the kernel's triple
+    (pencil) reduced and padded to 3, 4 and 2 coefficients, when it has none
+    past them, each exchange row dotted with it is the zero polynomial and
+    the square identity holds; else None."""
+    sizes = (3, 4, 2)
+    m = [[c % p for c in coeffs] for coeffs in pencil]
+    if any(any(c[size:]) for c, size in zip(m, sizes)):
+        return None
+    m = [(c + [0] * size)[:size] for c, size in zip(m, sizes)]
+    rows = [_raw_exchange_row(params[i:i + 2]) for i in (0, 2, 4)]
+    if any(any(sum(c) % p for c in zip(*map(_times, row, m))) for row in rows):
+        return None
+    r, _, s = rows
+    m13 = [[(a - b) % p for a, b in zip(_times(r[i], s[j]), _times(r[j], s[i]))]
+           for i, j in ((1, 2), (2, 0), (0, 1))]
+    f, g, h, k = _cross_factors(params, p)
+    square = zip(_times(m13[0], m13[0]), _times(m13[1], m13[2]),
+                 _times(_times(f, g), _times(h, k)))
+    return None if any((a + b - c) % p for a, b, c in square) else m
+
+
+def _desargues_roots(m, params, offsets, bisecting, p: int) -> bool:
+    """The root half of _desargues_class_cleared, for a reduced triple m of
+    3, 4 and 2 coefficients that passes the identity half: the roots of
+    the cross determinants are vertex offsets, the roots of m2 off the
+    offsets are the offsets in bisecting, and m is nonzero at each of
+    them."""
+    if not all(_roots_within(factor, offsets, p) for factor in _cross_factors(params, p)):
+        return False
+    m0, m1, m2 = m
+    if not any(m2):
+        return len(bisecting - offsets) == p - len(offsets) and _roots_within(m0, offsets, p)
+    reflections = {-m2[0] * pow(m2[1], -1, p) % p} - offsets if m2[1] else set()
+    return reflections == bisecting - offsets and all(
+        _at(m0, v) % p or _at(m1, v) % p for v in reflections)
+
+
 def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool:
     """Whether _desargues_line passes every line of a class off its vertex
     offsets, decided by exact identities in v between coefficient tuples
-    (expanded by _times); a class not cleared is walked line by line.
+    (expanded by _times; _desargues_identities) and then by the roots of
+    their factors (_desargues_roots); a class not cleared is walked line by
+    line.
 
     The chart parameters (params) are affine in v, so the exchange row
     (s, e, -pi) = (x1*y2 + y1*x2, y1*y2, -x1*x2) of each pair
@@ -524,32 +585,43 @@ def _desargues_class_cleared(pencil, params, offsets, bisecting, p: int) -> bool
     - m is nonzero: at a root of m2, m0 or m1 is nonzero; where m2 is the
       zero polynomial, m0 has no root, since m0^2 = c^2 (...) there;
     - the roots of m2 are the offsets in bisecting.
+    The first two clauses' identities are the identity half; the rest, the
+    roots, is the root half, which is all that a class whose identities
+    are decided for its whole quadrangle runs (see _check_desargues).
     """
-    sizes = (3, 4, 2)
-    m = [[c % p for c in coeffs] for coeffs in pencil]
-    if any(any(c[size:]) for c, size in zip(m, sizes)):
-        return False
-    m0, m1, m2 = m = [(c + [0] * size)[:size] for c, size in zip(m, sizes)]
-    rows = [_raw_exchange_row(params[i:i + 2]) for i in (0, 2, 4)]
-    for row in rows:
-        if any(sum(c) % p for c in zip(*map(_times, row, m))):
-            return False
-    r, s = rows[0], rows[2]
-    m13 = [[(a - b) % p for a, b in zip(_times(r[i], s[j]), _times(r[j], s[i]))]
-           for i, j in ((1, 2), (2, 0), (0, 1))]
-    f, g, h, k = factors = [[(x0 * w - z0 * y) % p, (x1 * w - z1 * y) % p]
-                            for x0, x1, y in params[:2] for z0, z1, w in params[4:]]
-    square = zip(_times(m13[0], m13[0]), _times(m13[1], m13[2]),
-                 _times(_times(f, g), _times(h, k)))
-    if any((a + b - c) % p for a, b, c in square):
-        return False
-    if not all(_roots_within(factor, offsets, p) for factor in factors):
-        return False
-    on_lines = bisecting - offsets
-    if not any(m2):
-        return len(on_lines) == p - len(offsets) and _roots_within(m0, offsets, p)
-    reflections = {-m2[0] * pow(m2[1], -1, p) % p} - offsets if m2[1] else set()
-    return reflections == on_lines and all(_at(m0, v) % p or _at(m1, v) % p for v in reflections)
+    m = _desargues_identities(pencil, params, p)
+    return m is not None and _desargues_roots(m, params, offsets, bisecting, p)
+
+
+def _quadrangle_identities(classes, pencils, p: int) -> set:
+    """The classes whose identity half (_desargues_identities) is decided
+    once for the whole quadrangle, by index into classes: the chart classes
+    (u = 1 and no quadrangle side in the class) whose kernel triple equals,
+    at their t, the interpolant of degree at most 4 in t through the first
+    5 chart classes, provided the first 7 chart classes all match it and
+    pass the identity half; else none (see _check_desargues for why this
+    is sound).  A matching triple is reduced, as the root half needs it.
+
+    The interpolant is Lagrange's form, multiplied out by _times into one
+    reduced coefficient list (lowest degree first) per kernel coefficient.
+    """
+    chart = [i for i, (_, u, _, params) in enumerate(classes) if u and (1, 0, 0) not in params]
+    flat = {i: [c for m in pencils[i] for c in m] for i in chart
+            if [len(m) for m in pencils[i]] == [3, 4, 2]}
+    if len(chart) < 7 or any(i not in flat for i in chart[:7]):
+        return set()
+    ts, interpolant = [classes[i][0] for i in chart[:5]], [[0] * 5 for _ in range(9)]
+    for ti, i in zip(ts, chart):
+        basis = reduce(_times, [(-tj, 1) for tj in ts if tj != ti], [1])
+        scale = pow(_at(basis, ti), -1, p)
+        for coeffs, y in zip(interpolant, flat[i]):
+            coeffs[:] = [(c + y * scale * b) % p for c, b in zip(coeffs, basis)]
+    decided = {i for i, coeffs in flat.items() if coeffs == [
+        ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) % p
+        for t in (classes[i][0],) for c0, c1, c2, c3, c4 in interpolant]}
+    sound = all(i in decided and _desargues_identities(pencils[i], classes[i][3], p)
+                for i in chart[:7])
+    return decided if sound else set()
 
 
 def _check_desargues(q, ctx):
@@ -557,47 +629,63 @@ def _check_desargues(q, ctx):
     else the probe lines), the kernel's class polynomials
     (form.desargues_pencil) against the oracle's own exchange rows of the
     line's three conjugate pairs, and the reflection m2 = 0 against the
-    line's bisecting (_desargues_line).  Exhaustive verify judges each
-    parallel class whole (_desargues_class_cleared) against the bisecting
-    offsets of brute_bisectors, and walks it line by line only when that
-    cannot clear it."""
+    line's bisecting (_desargues_line).
+
+    Exhaustive verify judges each parallel class whole
+    (_desargues_class_cleared) against the bisecting offsets of
+    brute_bisectors, and walks it line by line only when that cannot clear
+    it.  The identity half of that rule is decided once per quadrangle
+    where it can be (_quadrangle_identities).  On the chart u = 1, off the
+    directions t = st/su of the six quadrangle sides, the oracle's chart
+    parameters are the homogeneous [-sv + su*v : st - t*su] over the
+    nonzero st - t*su, so its homogeneous exchange rows have degree at most
+    2 in t, and differ from the rows it uses by a nonzero factor; the
+    square identity involves only those rows and has degree at most 4.
+    With M the interpolant, of degree at most 4 in t, of the kernel's nine
+    coefficients through the first 5 such classes, each row-times-M
+    identity has degree at most 6 in t.  When the first 7 such classes
+    match M and pass the identity half, every identity vanishes at 7
+    values of t, so it is the zero polynomial, and holds at each class
+    whose kernel triple equals M at its t; such a class runs only the root
+    half (_desargues_roots).  Every other class (u = 0, a side direction,
+    one that differs from M or has a triple of another length, or any
+    class of a quadrangle with fewer than 7 such classes) runs the whole
+    rule.  Soundness never rests on the kernel's degree, and each class is
+    decided, and so each violation printed, as by the whole rule."""
     if not q.proper:
         return 0, []
     qr = q.quadrangle()
     field = q.field
     p = field.p
-    pencils = {}
-
-    def pencil(t, u):
-        if (t, u) not in pencils:
-            pencils[t, u] = desargues_pencil(qr, field.scalar(t), field.scalar(u))
-        return pencils[t, u]
-
     count = 0
     if ctx.exhaustive:
         bisecting = {}
         for (t, u, v), _ in ctx.solutions(q):
             bisecting.setdefault((t, u), set()).add(v)
+        # A class every line of which meets a vertex has nothing to judge.
+        classes = [c for c in _desargues_classes(q, ctx.once(_sweep, q)[1]) if len(c[2]) < p]
+        pencil = {c[:2]: desargues_pencil(qr, *map(field.scalar, c[:2])) for c in classes}
+        decided = _quadrangle_identities(classes, list(pencil.values()), p)
         lines = []
-        for t, u, offsets, params in _desargues_classes(qr):
-            if len(offsets) == p:  # every line of the class meets a vertex
-                continue
+        for i, (t, u, offsets, params) in enumerate(classes):
             on_class = bisecting.get((t, u), set())
-            if _desargues_class_cleared(pencil(t, u), params, offsets, on_class, p):
+            decide = _desargues_roots if i in decided else _desargues_class_cleared
+            if decide(pencil[t, u], params, offsets, on_class, p):
                 count += p - len(offsets)
             else:
                 lines += [(t, u, v, params, v in on_class) for v in range(p) if v not in offsets]
     else:
         probes = [l.raw for l in _fixture_probe_lines(q)]
+        pencil = {d: desargues_pencil(qr, *map(field.scalar, d)) for d in {l[:2] for l in probes}}
         sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
         opposite = [l.raw for l in _quadrangle_sides(qr)]
-        lines = [(*l, _chart_parameters(*l[:2], opposite, p),
+        lines = [(*l, _chart_parameters(l[1], _class_crossings(*l[:2], opposite, p)),
                   _bisector_mid([_meet(l, s, p) for s in sides], p) is not None)
                  for l in probes]
     out = []
     for t, u, v, params, bisects in lines:
         count += 1
-        problems = _desargues_line(pencil(t, u), params, v, bisects, p)
+        problems = _desargues_line(pencil[t, u], params, v, bisects, p)
         if problems:
             line = Line.of(field, (t, u, v))
             out.extend(f"{line}: {problem}" for problem in problems)
@@ -765,19 +853,26 @@ def _member_degeneration_entries(member, field, exhaustive):
     return entries
 
 
-def _pencil_members(q, ctx):
+def _pencil_members(q, ctx) -> dict:
+    """The pencil members judged, keyed by their raw coefficients (alpha,
+    beta); (1, 0) and (0, 1) are the generators A*A' and B*B'."""
     pen = pencil_of(q)
     field = q.field
     coeffs = _p1(field) if ctx.exhaustive else ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3))
-    return [pen.member(field.scalar(alpha), field.scalar(beta)) for alpha, beta in coeffs]
+    return {(alpha, beta): pen.member(field.scalar(alpha), field.scalar(beta))
+            for alpha, beta in coeffs}
 
 
 def _check_pencil_degenerations(q, ctx):
     members = _pencil_members(q, ctx)
     locus = ctx.once(bisector_locus, q)
     out = []
+    # Each generator contains the point at infinity of each of its lines.
+    for member, pair in ((members[1, 0], q.line_pairs[0]), (members[0, 1], q.line_pairs[1])):
+        out += [f"pencil member {member} misses the infinite point of {line}"
+                for line in pair if not member.contains(line.infinite_point())]
     seen_lines = set()
-    for member in members:
+    for member in members.values():
         for entry in _member_degeneration_entries(member, q.field, ctx.exhaustive):
             try:
                 if not ctx.once(is_q_pair, q, entry.pair):
@@ -1035,8 +1130,8 @@ class _Context:
         return value
 
     def solutions(self, q: Quadrilateral) -> frozenset:
-        """q's one sweep of the plane (see _brute_solutions)."""
-        return self.once(_brute_solutions, q)
+        """The raw bisectors of q's one sweep of the plane (see _sweep)."""
+        return self.once(_sweep, q)[0]
 
     def brute(self, q: Quadrilateral) -> set[Bisector]:
         """brute_bisectors(q), built from q's one sweep."""

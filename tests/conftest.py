@@ -314,7 +314,7 @@ def in_pencil(q, pair):
 
 
 # The involution of two point pairs on Scalar objects, the tests' reference
-# for desargues_involution and desargues_pencil.
+# for desargues_involution and desargues_pencil, and desargues_pencil on Scalars.
 
 
 def involution_from_pairs(pair1, pair2):
@@ -327,6 +327,46 @@ def involution_from_pairs(pair1, pair2):
         (p.x * q.y + p.y * q.x, p.y * q.y, -(p.x * q.x)) for p, q in (pair1, pair2)
     )
     return Involution(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def desargues_pencil_by_scalars(qr, t, u):
+    """desargues_pencil on Scalars, its polynomials in v as lists of Scalars
+    multiplied term by term.  Each side of qr meets the class tX - uY + v = 0
+    at the chart parameter [a + b*v : det] of Cramer's rule, det = u*st -
+    t*su, with (a, b) = (-u*sv, su), or (-t*sv, st) on a vertical class (u =
+    0), and at [1 : 0] when it is in the class's direction; the exchange
+    rows (x1*y2 + y1*x2, y1*y2, -x1*x2) of the first two pairs of opposite
+    sides are crossed.  Returned as desargues_pencil returns it: the raw
+    values of 3, 4 and 2 coefficients."""
+    field = qr.field
+
+    def times(f, g):
+        out = [field.zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] = out[i + j] + a * b
+        return out
+
+    def minus(f, g):
+        return [a - b for a, b in zip(f, g)]
+
+    def parameter(side):
+        det = u * side.t - t * side.u
+        if det.is_zero():
+            return [field.one, field.zero], [field.zero]
+        if u.is_zero():
+            return [-t * side.v, side.t], [det]
+        return [-u * side.v, side.u], [det]
+
+    rows = []
+    for pair in qr.opposite_side_pairs()[:2]:
+        (x1, y1), (x2, y2) = map(parameter, pair.lines)
+        sums = [a + b for a, b in zip(times(x1, y2), times(y1, x2))]
+        rows.append((sums, times(y1, y2), [-c for c in times(x1, x2)]))
+    (s, e, n), (z, f, k) = rows
+    triple = (minus(times(e, k), times(n, f)), minus(times(n, z), times(s, k)),
+              minus(times(s, f), times(e, z)))
+    return tuple(tuple(c.value for c in m) for m in triple)
 
 
 def chart_point(line, p):

@@ -19,10 +19,9 @@ from dataclasses import replace
 import pytest
 
 from bisectrix import (
-    AffineMap, Bisector, Line, LinePair, QuadraticData, Quadrilateral, bisectors, form, pencil,
-    plane,
+    AffineMap, Bisector, Conic, InfPoint, Line, LinePair, Point, QuadraticData, Quadrilateral,
+    bisectors, form, pencil, plane,
 )
-from bisectrix.field import _Poly
 from bisectrix.plane import _mid
 from bisectrix.cli import main
 
@@ -191,12 +190,13 @@ def _integral_last_negated(integral):
     return defect
 
 
-def _poly_sum_constant_plus_one(add):
-    """The sum of two class polynomials with its constant term off by one."""
+def _poly_sum_constant_plus_one(class_row):
+    """The sum entry of a class exchange row, a polynomial in the offset v,
+    with its constant term off by one."""
 
-    def defect(f, g):
-        s = add(f, g)
-        return _Poly((s[0] + 1, *s[1:]))
+    def defect(pair):
+        (s0, s1), e, n = class_row(pair)
+        return (s0 + 1, s1), e, n
 
     return defect
 
@@ -207,6 +207,18 @@ def _ratio_swapped(pencil_ratio):
     def defect(f, g, t, u):
         alpha, beta = pencil_ratio(f, g, t, u)
         return beta, alpha
+
+    return defect
+
+
+def _infinite_at_w_one(contains):
+    """Conic.contains judging a point at infinity [x : y] at (x, y, 1), the
+    affine point (x, y), instead of at (x, y, 0)."""
+
+    def defect(conic, pt):
+        if isinstance(pt, InfPoint):
+            pt = Point.of(pt.field, pt.raw)
+        return contains(conic, pt)
 
     return defect
 
@@ -364,9 +376,15 @@ DEFECTS = {
         },
     ),
     "poly_sum_constant_plus_one": (
-        _Poly, "__add__", _poly_sum_constant_plus_one, {
+        form, "_class_row", _poly_sum_constant_plus_one, {
             "GFp:7": ("desargues_reflection", {"desargues_reflection"}),
             "Q": ("desargues_reflection", {"desargues_reflection"}),
+        },
+    ),
+    "contains_infinite_w_one": (
+        Conic, "contains", _infinite_at_w_one, {
+            "GFp:7": ("pencil_degenerations", {"nine_points", "pencil_degenerations"}),
+            "Q": ("pencil_degenerations", {"pencil_degenerations"}),
         },
     ),
     "parallelogram_vertices_negated": (

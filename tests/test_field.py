@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bisectrix import GF, QQ, PrimeField, Rationals
 from bisectrix.errors import DivisionByZero, FieldMismatch
-from bisectrix.field import Scalar, _Poly, _Rat
+from bisectrix.field import Scalar, _Rat
 from bisectrix.oracle import Lcg64
 
 
@@ -265,52 +265,6 @@ def test_scalar_hash_and_immutability():
     assert a == b and hash(a) == hash(b)
     with pytest.raises(AttributeError):
         a.value = Fraction(1)
-
-
-def _at(poly, v):
-    acc = 0
-    for c in reversed(poly):
-        acc = acc * v + c
-    return acc
-
-
-def test_poly_ring_agrees_with_evaluation():
-    """Every _Poly operation against pointwise evaluation, at every v of
-    GF(3), GF(5) and GF(7) and at a few rationals over Q: the sum and the
-    difference with a longer polynomial on either side, negation, and
-    products with a polynomial and with a constant on either side (0 and 1,
-    which the product shortcuts, among them).  Each result's length depends
-    on its operands' lengths alone, so coefficient tuples keep their shape."""
-    rng = Lcg64(19)
-    for p in (3, 5, 7):
-        for _ in range(150):
-            f = _Poly(rng.below(3 * p) - p for _ in range(1 + rng.below(3)))
-            g = _Poly(rng.below(3 * p) - p for _ in range(len(f) + 1 + rng.below(2)))
-            c = rng.below(3 * p) - p
-            assert len(f * g) == len(g * f) == len(f) + len(g) - 1
-            assert len(f + g) == len(g - f) == len(g) and len(c * f) == len(f * c) == len(f)
-            for v in range(p):
-                fv, gv = _at(f, v), _at(g, v)
-                checks = [
-                    (f + g, fv + gv), (g + f, fv + gv),
-                    (f - g, fv - gv), (g - f, gv - fv), (-f, -fv),
-                    (f * g, fv * gv), (g * f, fv * gv), (c * f, c * fv), (f * c, c * fv),
-                ]
-                checks += [check for k in (0, 1) for check in ((k * f, k * fv), (f * k, k * fv))]
-                assert all((_at(x, v) - y) % p == 0 for x, y in checks), (p, f, g, c, v)
-        # A zero product keeps the length, as coefficient lists do.
-        assert len(0 * f) == len(f * 0) == len(f) and 1 * f == f * 1 == f
-    f = _Poly((Fraction(1, 2), Fraction(-3, 4)))
-    g = _Poly((Fraction(2, 3), 0, Fraction(5, 7)))
-    c = Fraction(-7, 3)
-    for v in (Fraction(0), Fraction(1, 2), Fraction(-3, 5), Fraction(7)):
-        fv, gv = _at(f, v), _at(g, v)
-        assert _at(f + g, v) == fv + gv and _at(f - g, v) == fv - gv
-        assert _at(g - f, v) == gv - fv
-        assert _at(f * g, v) == fv * gv and _at(-g, v) == -gv
-        assert _at(c * g, v) == _at(g * c, v) == c * gv
-        for k in (0, 1, Fraction(0), Fraction(1)):
-            assert _at(k * g, v) == _at(g * k, v) == k * gv
 
 
 # Zero, signs and multi-digit values, as ints, plain Fractions and _Rats.

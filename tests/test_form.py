@@ -31,8 +31,8 @@ from bisectrix.field import _Rat
 from bisectrix.oracle import _fixture_probe_lines, _p1, enumerate_lines, random_quadrilateral
 from bisectrix.quad import Quadrilateral
 from conftest import (
-    E1_SIDES, E2_SIDES, SPECIAL_SIDES, chart_point, involution_from_pairs, make_quad,
-    standard_by_transform,
+    E1_SIDES, E2_SIDES, SPECIAL_SIDES, chart_point, desargues_pencil_by_scalars,
+    involution_from_pairs, make_quad, standard_by_transform,
 )
 
 
@@ -281,6 +281,36 @@ def test_desargues_pencil_degree_and_parallel_directions():
             desargues_pencil(qr, field.zero, field.zero)
         with pytest.raises(FieldMismatch):
             desargues_pencil(qr, QQ.one, QQ.zero)
+
+
+def test_desargues_pencil_equals_the_scalar_reference():
+    """desargues_pencil, multiplied out on raw values, equals
+    desargues_pencil_by_scalars tuple for tuple, with the same raw types:
+    on every class of GF(7) and GF(101), side directions and u = 0
+    included, and over Q, for seeds 0-39, E1 and E2, in the directions of
+    the six quadrangle sides, X = 0 and five slopes."""
+    cases = []
+    for p in (7, 101):
+        field = GF(p)
+        quads = [random_quadrilateral(field, seed) for seed in range(6)]
+        quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+        cases += [(q, [(field.scalar(t), field.scalar(u)) for u, t in _p1(field)])
+                  for q in quads if q.proper]
+    quads = [random_quadrilateral(QQ, seed) for seed in range(40)]
+    quads += [make_quad(QQ, *sides) for sides in (E1_SIDES, E2_SIDES)]
+    slopes = [(QQ.scalar(Fraction(t)), QQ.one) for t in ("0", "1", "-1/2", "3/5", "7/3")]
+    for q in (q for q in quads if q.proper):
+        sides = [(l.t, l.u) for pair in q.quadrangle().opposite_side_pairs() for l in pair.lines]
+        cases.append((q, sides + [(QQ.one, QQ.zero)] + slopes))
+    compared = 0
+    for q, directions in cases:
+        qr = q.quadrangle()
+        for t, u in directions:
+            got, want = desargues_pencil(qr, t, u), desargues_pencil_by_scalars(qr, t, u)
+            assert got == want, (q, t, u)
+            assert [type(c) for m in got for c in m] == [type(c) for m in want for c in m]
+            compared += q.field is QQ
+    assert compared > 300
 
 
 def test_repairings_share_orthogonality(e1):

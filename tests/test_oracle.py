@@ -24,7 +24,7 @@ from bisectrix import (
 )
 from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
 from bisectrix.field import _Rat
-from bisectrix.oracle import Lcg64, _desargues_classes
+from bisectrix.oracle import Lcg64, _desargues_classes, _sweep
 from conftest import (
     E1_SIDES, SPECIAL_SIDES, bisector_by_definition, chart_point, involution_from_pairs, make_quad,
     mid_cross, verify_digest,
@@ -117,7 +117,7 @@ def test_desargues_class_parameters_equal_chart_points():
                 l for l in enumerate_lines(field) if not any(l.contains(v) for v in qr.points)
             ]
             lines = []
-            for t, u, offsets, params in _desargues_classes(qr):
+            for t, u, offsets, params in _desargues_classes(q, _sweep(q)[1]):
                 assert len(params) == 6
                 for v in (v for v in range(p) if v not in offsets):
                     line = Line(*(field.scalar(c) for c in (t, u, v)))
@@ -133,43 +133,146 @@ def test_desargues_class_parameters_equal_chart_points():
             assert lines == avoiding
 
 
+def _walked(patch, q, ctx):
+    """_check_desargues with every class walked line by line: no class
+    cleared, whether by the whole class rule or by the root half that the
+    quadrangle route runs alone."""
+    from bisectrix import oracle
+
+    with patch.context() as walk:
+        walk.setattr(oracle, "_desargues_class_cleared", lambda *args: False)
+        walk.setattr(oracle, "_desargues_roots", lambda *args: False)
+        return oracle._check_desargues(q, ctx)
+
+
+def _walk_test_quads():
+    """Proper quadrilaterals at p = 3, 5, 7, 11 and 13, where degrees reach
+    p and most quadrangles have fewer than 7 chart classes, and a few at
+    p = 31 and 101, where the quadrangle route engages."""
+    for p, seeds in ((3, 12), (5, 12), (7, 12), (11, 12), (13, 12), (31, 3), (101, 3)):
+        field = GF(p)
+        quads = [random_quadrilateral(field, seed) for seed in range(seeds)]
+        if p < 31:
+            quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+        yield from (q for q in quads if q.proper)
+
+
 def test_exhaustive_desargues_decides_classes_as_the_walk_does(monkeypatch):
     """Exhaustive desargues_reflection, which clears whole parallel classes
-    by identities in v, reports exactly what it reports when every class is
-    walked line by line: at p = 3, 5, 7 and 11, where degrees reach p, on
-    sound kernels (where every identity is one of polynomials and no class
-    is walked) and with two Desargues defects."""
+    by identities in v, and decides those identities once per quadrangle
+    where it can, reports exactly what it reports when every class is
+    walked line by line: on sound kernels (where every identity is one of
+    polynomials and no class is walked) and with two Desargues defects."""
     from bisectrix import form, oracle
 
     defects = (None, ("desargues_pencil", _m2_constant_plus_one),
                ("_exchange_row", _exchange_row_first_negated))
-    cleared = oracle._desargues_class_cleared
+    cleared, roots = oracle._desargues_class_cleared, oracle._desargues_roots
     decisions = []
 
-    def counted(*args):
-        decisions.append(cleared(*args))
-        return decisions[-1]
+    def counted(decide):
+        def decision(*args):
+            decisions.append(decide(*args))
+            return decisions[-1]
+        return decision
 
     for defect in defects:
         with monkeypatch.context() as patch:
             if defect:
                 _inject(patch, form, *defect)
+            patch.setattr(oracle, "_desargues_class_cleared", counted(cleared))
+            patch.setattr(oracle, "_desargues_roots", counted(roots))
             violations = 0
-            for p in (3, 5, 7, 11):
-                field = GF(p)
-                quads = [random_quadrilateral(field, seed) for seed in range(12)]
-                quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
-                for q in (q for q in quads if q.proper):
-                    ctx = oracle._Context(True, 0)
-                    patch.setattr(oracle, "_desargues_class_cleared", counted)
-                    decided = oracle._check_desargues(q, ctx)
-                    patch.setattr(oracle, "_desargues_class_cleared", lambda *args: False)
-                    assert decided == oracle._check_desargues(q, ctx), (defect, p, q)
-                    violations += len(decided[1])
+            for q in _walk_test_quads():
+                ctx = oracle._Context(True, 0)
+                decided = oracle._check_desargues(q, ctx)
+                assert decided == _walked(patch, q, ctx), (defect, q)
+                violations += len(decided[1])
             assert (violations > 0) == (defect is not None)
         # Sound kernels clear every class; a defect sends some to the walk.
         assert decisions and all(decisions) == (defect is None), defect
         del decisions[:]
+
+
+def _chart_classes(q):
+    """The t of q's chart classes, in order: the classes tX - Y + v = 0
+    with no side of q's quadrangle among their lines."""
+    sides = {l.raw[:2] for pair in q.quadrangle().opposite_side_pairs() for l in pair.lines}
+    return [t for t in range(q.field.p) if (t, 1) not in sides]
+
+
+def test_quadrangle_route_runs_the_identity_half_on_seven_classes(monkeypatch):
+    """Over GF(101) the identities of the class rule run, for a sound
+    kernel, only on the class u = 0, the side directions and the first 7
+    chart classes; the whole class rule runs on the first two kinds alone,
+    and every other class runs only the root half."""
+    from bisectrix import oracle
+
+    identities, cleared = oracle._desargues_identities, oracle._desargues_class_cleared
+    calls = {"identities": [], "cleared": []}
+
+    def recorded(name, fn):
+        def call(pencil, params, *args):
+            calls[name].append(tuple(params))
+            return fn(pencil, params, *args)
+        return call
+
+    monkeypatch.setattr(oracle, "_desargues_identities", recorded("identities", identities))
+    monkeypatch.setattr(oracle, "_desargues_class_cleared", recorded("cleared", cleared))
+    quads = [q for q in (random_quadrilateral(GF(101), seed) for seed in range(1, 6)) if q.proper]
+    assert len(quads) >= 3
+    for q in quads[:3]:
+        ctx = oracle._Context(True, 0)
+        classes = {tuple(params): (t, u)
+                   for t, u, _, params in oracle._desargues_classes(q, _sweep(q)[1])}
+        assert len(classes) == 102
+        chart = _chart_classes(q)
+        whole = {(t, u) for t, u in classes.values() if not u or t not in chart}
+        for found in calls.values():
+            del found[:]
+        instances, violations = oracle._check_desargues(q, ctx)
+        assert instances > 0 and violations == []
+        ran = {name: sorted(classes[params] for params in found) for name, found in calls.items()}
+        assert ran["cleared"] == sorted(whole), q
+        assert ran["identities"] == sorted(whole | {(t, 1) for t in chart[:7]}), q
+        assert 1 <= len(whole) <= 7 and len(chart) > 90
+
+
+def test_quadrangle_route_gives_the_walk_result_with_a_one_class_fault(monkeypatch):
+    """Over GF(101), with the constant term of the kernel's m1 or m2 off by
+    one at a single chart class, exhaustive desargues_reflection reports
+    what the walk of every class reports, and the fault.  Planted off the 7
+    identity classes, the route still decides the identities of the other
+    chart classes once and sends that class to the whole rule (an m1 fault
+    passes the root half and fails only the identities).  Planted at one of
+    the 5 interpolation samples, or at one of the 2 identity classes past
+    them, no class matches the interpolant or an identity class does not,
+    and every class runs the whole rule."""
+    from bisectrix import oracle
+
+    p = 101
+    q = next(q for q in (random_quadrilateral(GF(p), seed) for seed in range(1, 6)) if q.proper)
+    chart = _chart_classes(q)
+    pencil = oracle.desargues_pencil
+    for k, entry in ((40, 1), (40, 2), (2, 2), (6, 1), (6, 2)):
+        def faulty(qr, t, u, fault=chart[k], entry=entry):
+            triple = pencil(qr, t, u)
+            if (t.value, u.value) != (fault, 1):
+                return triple
+            m = triple[entry]
+            return (*triple[:entry], ((m[0] + 1) % p, *m[1:]), *triple[entry + 1:])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "desargues_pencil", faulty)
+            ctx = oracle._Context(True, 0)
+            decided = oracle._check_desargues(q, ctx)
+            assert decided == _walked(patch, q, ctx), (k, entry)
+            assert decided[1], (k, entry)
+            classes = list(oracle._desargues_classes(q, _sweep(q)[1]))
+            pencils = [faulty(q.quadrangle(), GF(p).scalar(t), GF(p).scalar(u))
+                       for t, u, _, _ in classes]
+            once = {classes[i][0] for i in oracle._quadrangle_identities(classes, pencils, p)}
+            assert once == (set(chart) - {chart[k]} if k == 40 else set()), (k, entry)
 
 
 def test_class_decision_root_rules_equal_evaluation():
