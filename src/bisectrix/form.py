@@ -135,11 +135,11 @@ def _cross(r1, r2) -> tuple:
     )
 
 
-def _class_parameters(qr: Quadrangle, t, u):
+def _class_parameters(pairs, t, u, p: int | None):
     """Where the lines tX - uY + v = 0 of the parallel class of raw (t, u)
-    meet each side of qr, as the chart parameter [a + b*v : det] of Cramer's
-    rule: one raw (a, b, det) per side (see plane; unreduced), two per pair
-    of opposite sides.
+    meet each side of the given pairs of opposite sides (LinePairs), as the
+    chart parameter [a + b*v : det] of Cramer's rule: one raw (a, b, det)
+    per side (see plane; unreduced), two per pair.
 
     The chart of a line reads an affine point as [x : 1], with x its X
     coordinate, or its Y on a vertical line, and the line's own infinite
@@ -147,18 +147,14 @@ def _class_parameters(qr: Quadrangle, t, u):
     every line of the class; a side of the class's direction meets each of
     its lines at [1 : 0].
     """
-    p = qr.field.p
-
-    def parameter(side):
-        st, su, sv = side.raw
+    def parameter(st, su, sv):
         det = u * st - t * su
         if not (det % p if p else det):
             return (1, 0, 0)
-        if not u:  # the chart reads Y on a vertical line
-            return (-t * sv, st, det)
-        return (-u * sv, su, det)
+        # The chart reads Y on a vertical line.
+        return (-u * sv, su, det) if u else (-t * sv, st, det)
 
-    return [[parameter(side) for side in pair.lines] for pair in qr.opposite_side_pairs()]
+    return [[parameter(*pair.a.raw), parameter(*pair.b.raw)] for pair in pairs]
 
 
 def _class_row(pair) -> tuple:
@@ -189,14 +185,15 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple
     With (t, u) normalised as in Line, v is the offset of the canonical
     line.  The triple is the cross product (_cross) of the first two pairs'
     exchange rows along the class (_class_row), multiplied out term by term
-    on raw values; no Line is built.
+    on raw values; only those two pairs are crossed (the third is
+    desargues_involution's check), and no Line is built.
     """
     if t.field is not qr.field or u.field is not qr.field:
         raise FieldMismatch("class direction and quadrangle from different fields")
     if t.is_zero() and u.is_zero():
         raise DegenerateInput(_NO_LINE)
     p = qr.field.p
-    first, second, _ = _class_parameters(qr, t.value, u.value)
+    first, second = _class_parameters(qr.opposite_side_pairs()[:2], t.value, u.value, p)
     (s0, s1), e, (n0, n1, n2) = _class_row(first)
     (z0, z1), f, (k0, k1, k2) = _class_row(second)
     triple = ((e * k0 - n0 * f, e * k1 - n1 * f, e * k2 - n2 * f),
@@ -221,7 +218,8 @@ def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
             raise LineThroughVertex(f"line passes through vertex {v}")
     field = line.field
     t, u, v = line.raw
-    pairs = [[(a + b * v, det) for a, b, det in pair] for pair in _class_parameters(qr, t, u)]
+    pairs = [[(a + b * v, det) for a, b, det in pair]
+             for pair in _class_parameters(qr.opposite_side_pairs(), t, u, field.p)]
     # Off the vertices the triple is never degenerate: m0^2 + m1*m2 is, up
     # to sign, the product of the cross determinants of the two pairs'
     # crossings, which are distinct points (the identity that

@@ -25,15 +25,17 @@ A*A' and B*B' have zero slope at m bisects, at m, every Q-pair whose
 product lies in their span plus a constant, so only the pairs and lines
 that fail these O(1) tests are met line by line.  The locus zero set
 shared by closed_form_oracle and locus_midpoints is solved column by
-column off a table of square roots.  These, and the direction and
-midpoint buckets of pair_redundancy, are raw as well: they read the raw
-tuples of points, lines and conics (see plane).  Values are built, by
-Line.of and Point.of, where a result goes back to the kernel or into a set:
-brute_bisectors makes a Line and a Point per bisector (repairing_bisectors
-compares the re-paired quadrilaterals' raw solutions), closed_form_oracle a
-Point per locus zero, vertex_line_bisectors the lines through each vertex,
-and bisector_lines the lines the kernel is asked about; violation texts
-build the rest.  Over Q the same helpers take p = None and run on _Rats, so
+column off a table of square roots.  The checks that read the sweep
+judge its raw ((t, u, v), midpoint) tuples (_Context.solutions):
+vertex_line_bisectors looks the raw lines through each vertex up among
+them, parallel_bisectors counts their directions, unique_midpoints groups
+them by midpoint, repairing_bisectors and closed_form_oracle compare raw
+sets, and pair_redundancy buckets them by direction and midpoint.  Values
+are built, by Line.of, Point.of and InfPoint.of, only where one goes to a
+kernel function under judgment (closed_form_oracle's Point per locus zero,
+the Lines of bisector_lines) or into a violation text; brute_bisectors and
+closed_form_bisectors build Bisectors for their callers outside verify.
+Over Q the same helpers take p = None and run on _Rats, so
 bisector_field and desargues_reflection each judge both fields by one rule
 and differ only in the lines fed in: every line when exhaustive, the sides
 and diagonals or the probe lines in the fixture.  The span tests and the
@@ -62,7 +64,6 @@ same seed.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from functools import reduce
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -139,10 +140,17 @@ def enumerate_lines(field: Field) -> list[Line]:
     return [Line.of(field, (t, u, v)) for u, t in _p1(field) for v in range(field.p)]
 
 
+def _raw_lines_through(field: Field, xy: tuple) -> list[tuple]:
+    """The raw (t, u, v) of the p + 1 lines of GF(p)^2 through the raw
+    point xy, in _p1 order, each reduced and normalized as Line's."""
+    x, y = xy
+    p = field.p
+    return [(t, u, (u * y - t * x) % p) for u, t in _p1(field)]
+
+
 def lines_through(field: Field, p: Point) -> list[Line]:
     """All p + 1 lines of GF(p)^2 through a point."""
-    x, y = p.raw
-    return [Line.of(field, (t, u, u * y - t * x)) for u, t in _p1(field)]
+    return [Line.of(field, l) for l in _raw_lines_through(field, p.raw)]
 
 
 def _zero_set(conic, p: int) -> set[tuple[int, int]]:
@@ -247,10 +255,33 @@ def _bisectors_of(field: Field, solutions) -> set[Bisector]:
     return {Bisector(Line.of(field, l), Point.of(field, m)) for l, m in solutions}
 
 
+def _offsets(solutions) -> dict:
+    out: dict[tuple, set] = {}
+    for (t, u, v), _ in solutions:
+        out.setdefault((t, u), set()).add(v)
+    return out
+
+
 def brute_bisectors(q: Quadrilateral) -> set[Bisector]:
     """Every bisector of the finite plane, by the definition: the values of
     q's sweep (_sweep)."""
     return _bisectors_of(q.field, _sweep(q)[0])
+
+
+def _closed_form_solutions(q: Quadrilateral, zeros) -> set:
+    """The closed-form route on raw tuples: bisector_through asked at each
+    point of the locus zero set zeros (see _zero_set), its answers as the
+    raw ((t, u, v), midpoint) of _sweep."""
+    field = q.field
+    found = set()
+    for xy in zeros:
+        result = bisector_through(q, Point.of(field, xy))
+        if isinstance(result, AllLinesThrough):
+            m = result.center.raw
+            found.update((l, m) for l in _raw_lines_through(field, m))
+        else:
+            found.update((b.line.raw, b.midpoint.raw) for b in result)
+    return found
 
 
 def closed_form_bisectors(q: Quadrilateral, zeros=None) -> set[Bisector]:
@@ -261,15 +292,7 @@ def closed_form_bisectors(q: Quadrilateral, zeros=None) -> set[Bisector]:
         raise InfiniteField("locus sweep needs a finite field")
     if zeros is None:
         zeros = _zero_set(bisector_locus(q).conic, field.p)
-    found = set()
-    for xy in zeros:
-        result = bisector_through(q, Point.of(field, xy))
-        if isinstance(result, AllLinesThrough):
-            for line in lines_through(field, result.center):
-                found.add(Bisector(line, result.center))
-        else:
-            found.update(result)
-    return found
+    return _bisectors_of(field, _closed_form_solutions(q, zeros))
 
 
 def random_scalar(field: Field, rng: Lcg64) -> Scalar:
@@ -659,9 +682,7 @@ def _check_desargues(q, ctx):
     p = field.p
     count = 0
     if ctx.exhaustive:
-        bisecting = {}
-        for (t, u, v), _ in ctx.solutions(q):
-            bisecting.setdefault((t, u), set()).add(v)
+        bisecting = ctx.offsets(q)
         # A class every line of which meets a vertex has nothing to judge.
         classes = [c for c in _desargues_classes(q, ctx.once(_sweep, q)[1]) if len(c[2]) < p]
         pencil = {c[:2]: desargues_pencil(qr, *map(field.scalar, c[:2])) for c in classes}
@@ -693,32 +714,40 @@ def _check_desargues(q, ctx):
 
 
 def _check_vertex_lines(q, ctx):
-    canonical = set(_canonical_bisectors(q))
-    bisecting = set(ctx.bisector_lines(q))
+    """Each line through a vertex bisects exactly when it is a side or a
+    diagonal, on the raw lines of the sweep."""
+    field = q.field
+    canonical = {l.raw for l in _canonical_bisectors(q)}
+    bisecting = {l for l, _ in ctx.solutions(q)}
+    vertices = {v.raw for v in q.vertices}
     out = []
-    count = 0
-    seen_vertices = set(q.vertices)
-    for v in seen_vertices:
-        for line in lines_through(q.field, v):
-            count += 1
-            bisects = line in bisecting
-            if bisects != (line in canonical):
-                out.append(f"{line} through {v}: bisector={bisects}")
-    return count, out
+    for xy in vertices:
+        for l in _raw_lines_through(field, xy):
+            bisects = l in bisecting
+            if bisects != (l in canonical):
+                out.append(f"{Line.of(field, l)} through {Point.of(field, xy)}: "
+                           f"bisector={bisects}")
+    return len(vertices) * (field.p + 1), out
 
 
 def _check_parallel_bisectors(q, ctx):
-    per_direction = Counter(l.infinite_point() for l in ctx.bisector_lines(q))
-    parallel_dirs = {l1.infinite_point() for l1, _ in _side_diag_parallel_pairs(q)}
-    directions = [InfPoint.of(q.field, ut) for ut in _p1(q.field)]
+    """Every line of a direction bisects when a pair of sides or the
+    diagonals is parallel in it, else at most one, counted on the raw
+    directions (t, u) of the sweep."""
+    field = q.field
+    offsets = ctx.offsets(q)
+    parallel_dirs = {l1.raw[:2] for l1, _ in _side_diag_parallel_pairs(q)}
+    directions = _p1(field)
     out = []
-    for direction in directions:
-        count = per_direction[direction]
-        if direction in parallel_dirs:
-            if count != q.field.p:
-                out.append(f"direction {direction}: only {count} of the class bisect")
+    for u, t in directions:
+        count = len(offsets.get((t, u), ()))
+        if (t, u) in parallel_dirs:
+            if count != field.p:
+                out.append(f"direction {InfPoint.of(field, (u, t))}: "
+                           f"only {count} of the class bisect")
         elif count > 1:
-            out.append(f"direction {direction}: {count} distinct parallel bisectors")
+            out.append(f"direction {InfPoint.of(field, (u, t))}: "
+                       f"{count} distinct parallel bisectors")
     return len(directions), out
 
 
@@ -744,33 +773,32 @@ def _check_two_three(q, ctx):
 
 
 def _check_unique_midpoints(q, ctx):
-    by_midpoint: dict[Point, set[Line]] = {}
-    for b in ctx.brute(q):
-        by_midpoint.setdefault(b.midpoint, set()).add(b.line)
-    shared = {m: ls for m, ls in by_midpoint.items() if len(ls) > 1}
+    """Two bisectors share a midpoint exactly when q has parallelogram
+    vertices, and then only at the centroid: the sweep's raw solutions
+    grouped by midpoint (each line is one solution)."""
+    field = q.field
+    lines_at: dict[tuple, int] = {}
+    for _, m in ctx.solutions(q):
+        lines_at[m] = lines_at.get(m, 0) + 1
+    shared = [m for m, count in lines_at.items() if count > 1]
     out = []
-    if bool(shared) != q.has_parallelogram_vertices():
-        out.append(
-            f"shared midpoints {sorted(str(m) for m in shared)} vs "
-            f"parallelogram-vertices={q.has_parallelogram_vertices()}"
-        )
-    for m in shared:
-        if m != q.centroid:
-            out.append(f"shared midpoint {m} is not the centroid")
-    return len(by_midpoint), out
+    parallelogram = q.has_parallelogram_vertices()
+    if bool(shared) != parallelogram:
+        out.append(f"shared midpoints {sorted(str(Point.of(field, m)) for m in shared)} vs "
+                   f"parallelogram-vertices={parallelogram}")
+    out += [f"shared midpoint {Point.of(field, m)} is not the centroid"
+            for m in shared if m != q.centroid.raw]
+    return len(lines_at), out
 
 
 def _check_closed_form(q, ctx):
-    brute = ctx.brute(q)
-    closed = closed_form_bisectors(q, ctx.locus_zeros(q))
+    """The closed-form route's bisectors equal the sweep's, as raw pairs."""
+    brute = ctx.solutions(q)
+    closed = _closed_form_solutions(q, ctx.locus_zeros(q))
     out = []
-    if brute != closed:
-        missing = brute - closed
-        extra = closed - brute
-        if missing:
-            out.append(f"closed form misses {sorted(str(b.line) for b in missing)}")
-        if extra:
-            out.append(f"closed form invents {sorted(str(b.line) for b in extra)}")
+    for verb, diff in (("misses", brute - closed), ("invents", closed - brute)):
+        if diff:
+            out.append(f"closed form {verb} {sorted(str(Line.of(q.field, l)) for l, _ in diff)}")
     return len(brute), out
 
 
@@ -917,15 +945,22 @@ def _integral_product(l1: Line, l2: Line, p: int | None) -> tuple:
 def _in_span(c, f, g, p: int | None) -> bool:
     """Whether the coefficients c (see _product) lie in span(f, g), for f
     and g with independent quadratic parts (their first three entries):
-    with n = f x g on those parts, the quadratic part of c is in their span
-    exactly when n.c = 0, and then c x g = alpha*n and f x c = beta*n, so
-    the linear parts (primed) must satisfy n_i*c' = (c x g)_i*f' +
-    (f x c)_i*g' for every i."""
-    n, a, b = _raw_cross(f, g, p), _raw_cross(c, g, p), _raw_cross(f, c, p)
-    residues = [n[0] * c[0] + n[1] * c[1] + n[2] * c[2]]
-    residues += [ni * ck - ai * fk - bi * gk
-                 for ni, ai, bi in zip(n, a, b) for fk, gk, ck in zip(f[3:], g[3:], c[3:])]
-    return not any(x % p if p else x for x in residues)
+    on the first nonzero 2x2 minor det of those parts, Cramer's rule gives
+    the only candidates alpha = a/det and beta = b/det, so c is in the span
+    exactly when det*c = a*f + b*g entrywise.  Dependent parts, which no
+    valid quadrilateral's side products have, leave c outside."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = f[i] * g[j] - f[j] * g[i]
+        if det % p if p else det:
+            break
+    else:
+        return False
+    a, b = c[i] * g[j] - c[j] * g[i], f[i] * c[j] - f[j] * c[i]
+    for fk, gk, ck in zip(f, g, c):
+        residue = det * ck - a * fk - b * gk
+        if residue % p if p else residue:
+            return False
+    return True
 
 
 def _slopes(f, g, m, line) -> list:
@@ -1007,15 +1042,22 @@ def _check_pair_redundancy(q, ctx):
     """Every pair of bisectors, taken once: Q-orthogonal exactly when
     Q-antipodal, up to the stated exceptions.  Only pairs in the direction
     bucket Q-orthogonal to a bisector, or in the midpoint bucket of its
-    antipode 2c - m, can be either, so the others are counted, not visited."""
-    p = q.field.p
-    bis = sorted(ctx.brute(q), key=lambda b: b.line.sort_key())
+    antipode 2c - m, can be either, so the others are counted, not visited,
+    and so are the buckets whose pairs are all exceptions.  Judged on the
+    sweep's raw solutions, sorted as Line.sort_key sorts."""
+    field = q.field
+    p = field.p
+    bis = sorted(ctx.solutions(q))
     d = ctx.once(quadratic_data, q)
     alpha, beta, gamma = d.alpha.value, d.beta.value, d.gamma.value
     cx, cy = q.centroid.raw
     parallel_dirs = {l1.raw[:2] for l1, _ in _side_diag_parallel_pairs(q)}
-    lines = [b.line.raw for b in bis]
-    mids = [b.midpoint.raw for b in bis]
+    lines = [l for l, _ in bis]
+    mids = [m for _, m in bis]
+
+    def shown(i, j):
+        return f"{{{Line.of(field, lines[i])}, {Line.of(field, lines[j])}}}"
+
     by_direction: dict[tuple[int, int], list[int]] = {}
     by_midpoint: dict[tuple[int, int], list[int]] = {}
     for j, ((t, u, _), m) in enumerate(zip(lines, mids)):
@@ -1031,18 +1073,26 @@ def _check_pair_redundancy(q, ctx):
             candidates = range(i, len(bis))
         else:
             orthogonal = ((-r * pow(s, -1, p)) % p, 1) if s else (1, 0)
-            found = by_direction.get(orthogonal, []) + by_midpoint.get(antipode, [])
+            found = []
+            # A bucket whose pairs are all stated exceptions raises nothing:
+            # the antipode's when it is the bisector's own midpoint (the
+            # pairs are antipodal and share it), the orthogonal direction's
+            # when both directions are parallel ones (orthogonal and
+            # both-parallel).
+            if antipode != (mx, my):
+                found += by_midpoint.get(antipode, [])
+            if (t, u) not in parallel_dirs or orthogonal not in parallel_dirs:
+                found += by_direction.get(orthogonal, [])
             candidates = sorted({j for j in found if j >= i})
         for j in candidates:
             tj, uj, _ = lines[j]
             orth = (r * uj + s * tj) % p == 0
             anti = mids[j] == antipode
             both_parallel = (t, u) in parallel_dirs and (tj, uj) in parallel_dirs
-            b1, b2 = bis[i], bis[j]
             if orth and not both_parallel and not anti:
-                out.append(f"orthogonal pair {{{b1.line}, {b2.line}}} is not antipodal")
+                out.append(f"orthogonal pair {shown(i, j)} is not antipodal")
             if anti and mids[i] != mids[j] and not orth:
-                out.append(f"antipodal pair {{{b1.line}, {b2.line}}} is not orthogonal")
+                out.append(f"antipodal pair {shown(i, j)} is not orthogonal")
     return len(bis) * (len(bis) + 1) // 2, out
 
 
@@ -1133,9 +1183,10 @@ class _Context:
         """The raw bisectors of q's one sweep of the plane (see _sweep)."""
         return self.once(_sweep, q)[0]
 
-    def brute(self, q: Quadrilateral) -> set[Bisector]:
-        """brute_bisectors(q), built from q's one sweep."""
-        return self.once(_bisectors_of, q.field, self.solutions(q))
+    def offsets(self, q: Quadrilateral) -> dict:
+        """The bisecting offsets v of each parallel class (t, u) of q's
+        sweep, as a set per class."""
+        return self.once(_offsets, self.solutions(q))
 
     def locus_zeros(self, q: Quadrilateral) -> set[tuple[int, int]]:
         """The zero set of q's locus conic over GF(p), as raw residues."""
@@ -1143,11 +1194,15 @@ class _Context:
 
     def bisector_lines(self, q: Quadrilateral) -> list[Line]:
         """Lines a check iterates, in Line.sort_key order: every bisector
-        when exhaustive, else the sides and diagonals."""
+        when exhaustive, built from the sweep's raw solutions, else the
+        sides and diagonals."""
         lines = self._lines.get(q)
         if lines is None:
-            found = [b.line for b in self.brute(q)] if self.exhaustive else _canonical_bisectors(q)
-            lines = self._lines[q] = sorted(found, key=Line.sort_key)
+            if self.exhaustive:
+                lines = [Line.of(q.field, l) for l in sorted(l for l, _ in self.solutions(q))]
+            else:
+                lines = sorted(_canonical_bisectors(q), key=Line.sort_key)
+            self._lines[q] = lines
         return lines
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from bisectrix.errors import (
 )
 from bisectrix.bisectors import _bisector_mid, _pencil_ratio
 from bisectrix.form import QuadraticData
+from bisectrix import oracle
 from bisectrix.oracle import _in_span
 from bisectrix.plane import _PARALLEL, _SAME, _gradient, _meet, _product
 
@@ -303,6 +305,125 @@ def q_pair_by_scalars(q, pair):
         raise NotBisectors(f"{pair} does not consist of bisectors")
     return midpoint_by_scalars(m1, m2) == q.centroid and q_orthogonal(
         quadratic_data(q), pair.a, pair.b)
+
+
+# The object routes of five exhaustive checks as they were before they ran
+# on the sweep's raw tuples: Line, Point, InfPoint and Bisector values built
+# for every line and bisector, the tests' reference for oracle's
+# _check_vertex_lines, _check_parallel_bisectors, _check_unique_midpoints,
+# _check_closed_form and _check_pair_redundancy.  Each takes (q, ctx) and
+# returns (instances, violations); kernel names are read through the oracle
+# module, so an injected defect reaches them as it reaches the checks.
+
+
+def _brute(q, ctx):
+    """The Bisector values of q's one sweep (see oracle._sweep)."""
+    return oracle._bisectors_of(q.field, ctx.solutions(q))
+
+
+def vertex_line_bisectors_by_objects(q, ctx):
+    canonical = set(oracle._canonical_bisectors(q))
+    bisecting = {b.line for b in _brute(q, ctx)}
+    out = []
+    count = 0
+    for v in set(q.vertices):
+        for line in oracle.lines_through(q.field, v):
+            count += 1
+            bisects = line in bisecting
+            if bisects != (line in canonical):
+                out.append(f"{line} through {v}: bisector={bisects}")
+    return count, out
+
+
+def parallel_bisectors_by_objects(q, ctx):
+    per_direction = Counter(b.line.infinite_point() for b in _brute(q, ctx))
+    parallel_dirs = {l1.infinite_point() for l1, l2 in q.line_pairs if l1.is_parallel(l2)}
+    directions = [InfPoint.of(q.field, ut) for ut in oracle._p1(q.field)]
+    out = []
+    for direction in directions:
+        count = per_direction[direction]
+        if direction in parallel_dirs:
+            if count != q.field.p:
+                out.append(f"direction {direction}: only {count} of the class bisect")
+        elif count > 1:
+            out.append(f"direction {direction}: {count} distinct parallel bisectors")
+    return len(directions), out
+
+
+def unique_midpoints_by_objects(q, ctx):
+    by_midpoint = {}
+    for b in _brute(q, ctx):
+        by_midpoint.setdefault(b.midpoint, set()).add(b.line)
+    shared = {m: ls for m, ls in by_midpoint.items() if len(ls) > 1}
+    out = []
+    if bool(shared) != q.has_parallelogram_vertices():
+        out.append(
+            f"shared midpoints {sorted(str(m) for m in shared)} vs "
+            f"parallelogram-vertices={q.has_parallelogram_vertices()}"
+        )
+    for m in shared:
+        if m != q.centroid:
+            out.append(f"shared midpoint {m} is not the centroid")
+    return len(by_midpoint), out
+
+
+def closed_form_oracle_by_objects(q, ctx):
+    field = q.field
+    closed = set()
+    for xy in ctx.locus_zeros(q):
+        result = oracle.bisector_through(q, Point.of(field, xy))
+        if isinstance(result, AllLinesThrough):
+            for line in oracle.lines_through(field, result.center):
+                closed.add(Bisector(line, result.center))
+        else:
+            closed.update(result)
+    brute = _brute(q, ctx)
+    out = []
+    if brute != closed:
+        missing = brute - closed
+        extra = closed - brute
+        if missing:
+            out.append(f"closed form misses {sorted(str(b.line) for b in missing)}")
+        if extra:
+            out.append(f"closed form invents {sorted(str(b.line) for b in extra)}")
+    return len(brute), out
+
+
+def pair_redundancy_by_objects(q, ctx):
+    p = q.field.p
+    bis = sorted(_brute(q, ctx), key=lambda b: b.line.sort_key())
+    d = ctx.once(oracle.quadratic_data, q)
+    alpha, beta, gamma = d.alpha.value, d.beta.value, d.gamma.value
+    cx, cy = q.centroid.raw
+    parallel_dirs = {l1.raw[:2] for l1, l2 in q.line_pairs if l1.is_parallel(l2)}
+    lines = [b.line.raw for b in bis]
+    mids = [b.midpoint.raw for b in bis]
+    by_direction = {}
+    by_midpoint = {}
+    for j, ((t, u, _), m) in enumerate(zip(lines, mids)):
+        by_direction.setdefault((t, u), []).append(j)
+        by_midpoint.setdefault(m, []).append(j)
+    out = []
+    for i, ((t, u, _), (mx, my)) in enumerate(zip(lines, mids)):
+        r, s = (gamma * u - beta * t) % p, (alpha * t - beta * u) % p
+        antipode = ((2 * cx - mx) % p, (2 * cy - my) % p)
+        if r == s == 0:
+            candidates = range(i, len(bis))
+        else:
+            orthogonal = ((-r * pow(s, -1, p)) % p, 1) if s else (1, 0)
+            found = by_direction.get(orthogonal, []) + by_midpoint.get(antipode, [])
+            candidates = sorted({j for j in found if j >= i})
+        for j in candidates:
+            tj, uj, _ = lines[j]
+            orth = (r * uj + s * tj) % p == 0
+            anti = mids[j] == antipode
+            both_parallel = (t, u) in parallel_dirs and (tj, uj) in parallel_dirs
+            b1, b2 = bis[i], bis[j]
+            if orth and not both_parallel and not anti:
+                out.append(f"orthogonal pair {{{b1.line}, {b2.line}}} is not antipodal")
+            if anti and mids[i] != mids[j] and not orth:
+                out.append(f"antipodal pair {{{b1.line}, {b2.line}}} is not orthogonal")
+    return len(bis) * (len(bis) + 1) // 2, out
 
 
 def in_pencil(q, pair):

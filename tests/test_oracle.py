@@ -26,8 +26,10 @@ from bisectrix.errors import GeometryError, InfiniteField, NotConjugate
 from bisectrix.field import _Rat
 from bisectrix.oracle import Lcg64, _desargues_classes, _sweep
 from conftest import (
-    E1_SIDES, SPECIAL_SIDES, bisector_by_definition, chart_point, involution_from_pairs, make_quad,
-    mid_cross, verify_digest,
+    E1_SIDES, SPECIAL_SIDES, bisector_by_definition, chart_point, closed_form_oracle_by_objects,
+    involution_from_pairs, make_quad, mid_cross, pair_redundancy_by_objects,
+    parallel_bisectors_by_objects, unique_midpoints_by_objects, verify_digest,
+    vertex_line_bisectors_by_objects,
 )
 from test_defects import (
     DEFECTS, _exchange_row_first_negated, _inject, _m2_constant_plus_one, alpha_plus_one,
@@ -624,9 +626,93 @@ def test_raw_routes_equal_the_scalar_definitions(monkeypatch):
                 field_check = oracle._check_bisector_field(q, ctx)
                 assert field_check == bisector_field_by_definition(q, oracle._q_pairs_of(q, ctx))
                 redundancy = oracle._check_pair_redundancy(q, ctx)
-                assert redundancy == _pair_redundancy_by_definition(q, ctx.brute(q))
+                assert redundancy == _pair_redundancy_by_definition(q, brute_bisectors(q))
                 violations += len(field_check[1]) + len(redundancy[1])
     assert violations > 0
+
+
+def test_raw_exhaustive_checks_equal_their_object_routes(monkeypatch):
+    """vertex_line_bisectors, parallel_bisectors, unique_midpoints,
+    closed_form_oracle and pair_redundancy, which judge the sweep's raw
+    tuples, give the (instances, violations) of the object routes they
+    replaced (conftest's *_by_objects) at p = 7, 11 and 31, on seeded,
+    parallelogram, improper, parallel-pair and parallelogram-vertex
+    quadrilaterals: on sound kernels and under three defects
+    (mid_swapped, bisector_rule_both_pairs, alpha_plus_one), so that every
+    check's violation texts are compared.  The object routes of
+    vertex_line_bisectors and unique_midpoints walked sets of values, so
+    their violations are compared as multisets; the others in order."""
+    from bisectrix import oracle
+
+    checks = {
+        "vertex_line_bisectors": (oracle._check_vertex_lines, vertex_line_bisectors_by_objects),
+        "parallel_bisectors": (oracle._check_parallel_bisectors, parallel_bisectors_by_objects),
+        "unique_midpoints": (oracle._check_unique_midpoints, unique_midpoints_by_objects),
+        "closed_form_oracle": (oracle._check_closed_form, closed_form_oracle_by_objects),
+        "pair_redundancy": (oracle._check_pair_redundancy, pair_redundancy_by_objects),
+    }
+    unordered = {"vertex_line_bisectors", "unique_midpoints"}
+
+    def outcome(check, q, ctx):
+        try:
+            return check(q, ctx)
+        except GeometryError as err:
+            return "aborted", f"{type(err).__name__}: {err}"
+
+    fired = set()
+    for defect in (None, "mid_swapped", "bisector_rule_both_pairs", "alpha_plus_one"):
+        with monkeypatch.context() as patch:
+            if defect:
+                _inject(patch, *DEFECTS[defect][:3])
+            for p in (7, 11, 31):
+                field = GF(p)
+                quads = [random_quadrilateral(field, seed) for seed in (1, 2, 3)]
+                quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+                for q in quads:
+                    ctx = oracle._Context(True, 0)
+                    for tag, (raw, objects) in checks.items():
+                        got, want = outcome(raw, q, ctx), outcome(objects, q, ctx)
+                        if tag in unordered:
+                            got, want = (got[0], sorted(got[1])), (want[0], sorted(want[1]))
+                        assert got == want, (defect, tag, p, q)
+                        if got[1] and defect:
+                            fired.add(tag)
+                        elif not defect:
+                            assert got[1] == [], (tag, p, q)
+    assert fired == set(checks)
+
+
+def test_raw_checks_build_no_values_on_a_passing_quadrilateral(monkeypatch):
+    """vertex_line_bisectors, parallel_bisectors, unique_midpoints and
+    pair_redundancy judge the sweep's raw tuples: on passing GF(31)
+    quadrilaterals of every family they make no Line.of, Point.of or
+    InfPoint.of call of their own (the kernel functions they ask may).
+    bisector_lines, which hands Lines to the kernel, shows that the count
+    sees the oracle's calls."""
+    import sys
+
+    from bisectrix import InfPoint, oracle
+
+    field = GF(31)
+    quads = [random_quadrilateral(field, 1)]
+    quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
+    calls = []
+    for cls in (Line, Point, InfPoint):
+        def counted(field, raw, of=cls.of, name=cls.__name__):
+            if sys._getframe(1).f_globals["__name__"] == oracle.__name__:
+                calls.append(name)
+            return of(field, raw)
+
+        monkeypatch.setattr(cls, "of", staticmethod(counted))
+    for q in quads:
+        ctx = oracle._Context(True, 0)
+        ctx.solutions(q)
+        for check in (oracle._check_vertex_lines, oracle._check_parallel_bisectors,
+                      oracle._check_unique_midpoints, oracle._check_pair_redundancy):
+            assert check(q, ctx)[1] == [], (check.__name__, q)
+        assert calls == [], q
+    ctx.bisector_lines(q)
+    assert calls and set(calls) == {"Line"}
 
 
 def test_raw_routes_over_q_equal_the_scalar_definitions(e1, monkeypatch):
@@ -721,7 +807,8 @@ def test_span_and_slopes_equal_their_definitions():
     """_in_span against a search over every (alpha, beta) of GF(p), on
     random coefficient vectors and on multiples of the side products shifted
     or not, and _slopes against the coefficient of s in C(m + s*d) and the
-    line evaluated at m, at p = 3, 5 and 7."""
+    line evaluated at m, at p = 3, 5 and 7; over Q, _in_span against a
+    rational solve."""
     from bisectrix import oracle
 
     rng = Lcg64(23)
@@ -753,6 +840,40 @@ def test_span_and_slopes_equal_their_definitions():
                 expected.append((conic(1) - conic(-1)) * (p + 1) // 2 % p)
             assert [x % p for x in oracle._slopes(f, g, m, line)] == expected
     assert inside > 100
+    # Over Q (p = None): the integral side products of random Q lines, and c
+    # a small integer combination of them, shifted or not, against a solve
+    # of the 5 x 2 system by Gaussian elimination on Fractions.
+    inside = outside = 0
+    for _ in range(300):
+        lines = [oracle.random_line(QQ, rng) for _ in range(4)]
+        f, g = (oracle._integral_product(*pair, None) for pair in (lines[:2], lines[2:]))
+        if not any(oracle._raw_cross(f, g, None)):
+            continue
+        alpha, beta = rng.below(7) - 3, rng.below(7) - 3
+        c = [alpha * x + beta * y for x, y in zip(f, g)]
+        if rng.below(2):
+            c[rng.below(5)] += rng.below(5) + 1
+        spanned = _solvable(f, g, c)
+        assert oracle._in_span(c, f, g, None) == spanned, (f, g, c)
+        inside += spanned
+        outside += not spanned
+    assert inside > 50 and outside > 50
+
+
+def _solvable(f, g, c) -> bool:
+    """Whether alpha*f + beta*g = c has a rational solution: the augmented
+    rows (f_k, g_k, c_k) reduced by Gaussian elimination on Fractions leave
+    no row (0, 0, nonzero)."""
+    from fractions import Fraction
+
+    rows = [[Fraction(x) for x in row] for row in zip(f, g, c)]
+    for col in (0, 1):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+    return not any(r[2] for r in rows)
 
 
 def test_zero_set_equals_the_trial_of_every_point():
