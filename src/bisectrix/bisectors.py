@@ -9,8 +9,9 @@ midpoint of the bisector and is always affine.  is_bisector runs this rule
 on the lines' raw tuples (_bisector_mid); the oracle solves it once per
 parallel class and applies it line by line only to the lines that are
 sides.  is_q_pair, q_partner and bisector_through read raw tuples too, the
-last two the pencil of the side products (see their docstrings), and build
-their answers with Line.of and Point.of.
+last two the pencil of the side products, memoised on the quadrilateral
+(_side_products; see their docstrings), and build their answers with
+Line.of and Point.of.
 """
 
 from __future__ import annotations
@@ -86,16 +87,15 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     two gradients are parallel, and the bisector is normal to the nonzero
     one.  Empty off the locus; AllLinesThrough(m) when both vanish, at the
     center of a parallelogram's vertex set.  Over Q the side products are
-    integral and m is cleared, so Line.of gets ints."""
+    integral (_side_products) and m is cleared, so Line.of gets ints."""
     field = _field_of(m, q)
     p = field.p
     # m = (x/w, y/w): w*grad C(m) is the gradient at (x, y) of C with its
     # linear part times w.
     x, y, w = _cleared(m.raw, p)
-    sides = [_integral(side.raw, p) for side in (q.a, q.a2, q.b, q.b2)]
     (fx, fy), (gx, gy) = (
         [d % p if p else d for d in _gradient((*c[:3], w * c[3], w * c[4]), (x, y))]
-        for c in (_product(*sides[:2]), _product(*sides[2:])))
+        for c in _side_products(q))
     if (fx * gy - fy * gx) % p if p else fx * gy - fy * gx:
         return []
     nx, ny = (fx, fy) if fx or fy else (gx, gy)
@@ -181,6 +181,16 @@ def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:
             and q_orthogonal(quadratic_data(q), pair.a, pair.b))
 
 
+def _side_products(q: Quadrilateral) -> tuple[tuple, tuple]:
+    """The side products F = A*A' and G = B*B' (plane._product) on the
+    sides' _integral tuples, memoised on q: the pencil that q_partner and
+    bisector_through read."""
+    if q._pencil is None:
+        sides = [_integral(side.raw, q.field.p) for side in (q.a, q.a2, q.b, q.b2)]
+        object.__setattr__(q, "_pencil", (_product(*sides[:2]), _product(*sides[2:])))
+    return q._pencil
+
+
 def _pencil_ratio(f, g, t, u) -> tuple:
     """[alpha : beta] = [Q_G(d) : -Q_F(d)] for d = (u, t) and the raw side
     products f and g (plane._product): alpha*F + beta*G has no d^2 term."""
@@ -199,16 +209,17 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     The partner, times u^2, is read off C's Y^2, XY and Y coefficients
     (u != 0), or, times t^2, off X^2, XY and X (u = 0), so C(m) is never
     needed.  Every step holds up to scale, so over Q it runs on the
-    _integral tuples of l and the sides."""
+    _integral tuples of l and the sides (_side_products)."""
     field = _field_of(l, q)
     p = field.p
     sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
     if _bisector_mid([_meet(l.raw, s, p) for s in sides], p) is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
     t, u, v = _integral(l.raw, p)
-    sides = [_integral(s, p) for s in sides]
-    f, g = _product(*sides[:2]), _product(*sides[2:])
+    f, g = _side_products(q)
     alpha, beta = _pencil_ratio(f, g, t, u)
-    xx, xy, yy, x, y = (alpha * a + beta * b for a, b in zip(f, g))
-    return Line.of(field, (-u * xy - t * yy, u * yy, -u * y - v * yy) if u
-                   else (t * xx, -t * xy, t * x - v * xx))
+    if u:
+        xy, yy, y = (alpha * f[i] + beta * g[i] for i in (1, 2, 4))
+        return Line.of(field, (-u * xy - t * yy, u * yy, -u * y - v * yy))
+    xx, xy, x = (alpha * f[i] + beta * g[i] for i in (0, 1, 3))
+    return Line.of(field, (t * xx, -t * xy, t * x - v * xx))

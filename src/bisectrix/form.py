@@ -7,6 +7,8 @@ form with matrix [[gamma, -beta], [-beta, alpha]].  Two lines are
 Q-orthogonal when their (u, t) coefficient vectors pair to zero; this is
 equivalent to their infinite points being conjugate under the involution
 with matrix [[beta, -alpha], [gamma, -beta]] on the line at infinity.
+phi, inner and Involution.conjugate compute on raw values (see plane) and
+wrap a Scalar only in what they return.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     NotConjugate,
 )
 from .field import QQ, Frozen, Scalar
-from .plane import _NO_LINE, InfPoint, Line, _cleared
+from .plane import _NO_LINE, InfPoint, Line, _cleared, _field_of
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -65,7 +67,11 @@ def quadratic_data(q: Quadrilateral) -> QuadraticData:
 
 
 def phi(d: QuadraticData, vx: Scalar, vy: Scalar) -> Scalar:
-    return d.gamma * vx * vx - 2 * d.beta * vx * vy + d.alpha * vy * vy
+    """The form at (vx, vy), on raw values, wrapped once as inner is."""
+    for v in (vx, vy):
+        _field_of(d, v)
+    g, b, a, x, y = (c.value for c in (d.gamma, d.beta, d.alpha, vx, vy))
+    return d.field.scalar(g * x * x - 2 * b * x * y + a * y * y)
 
 
 def inner(d: QuadraticData, v: Vec, w: Vec) -> Scalar:
@@ -94,8 +100,11 @@ class Involution(Frozen):
         self._write(m0, m1, m2)
 
     def conjugate(self, p: InfPoint, q: InfPoint) -> bool:
-        r0, r1, r2 = _exchange_row((p.x, p.y), (q.x, q.y))
-        return (r0 * self.m0 + r1 * self.m1 + r2 * self.m2).is_zero()
+        """The exchange row of the raw pairs dotted with the raw triple."""
+        _field_of(p, q)
+        field = _field_of(p, self)
+        r0, r1, r2 = _exchange_row(p.raw, q.raw)
+        return not field._coerce(r0 * self.m0.value + r1 * self.m1.value + r2 * self.m2.value)
 
     def fixes(self, p: InfPoint) -> bool:
         return self.conjugate(p, p)

@@ -526,16 +526,18 @@ def _desargues_line(pencil, params, v, bisects: bool, p: int | None) -> list[str
 
 def _roots_within(poly, offsets, p: int) -> bool:
     """Whether every root in GF(p) of a polynomial of degree at most 2
-    (reduced ints, lowest degree first) lies in offsets, which miss some v."""
+    (reduced ints, lowest degree first) lies in offsets, which miss some v.
+    A nonzero linear polynomial or square has one root and one with a
+    nonzero square discriminant two, so they all lie in offsets exactly
+    when that many offsets are roots; no root is inverted."""
     c0, c1, c2 = (*poly, 0, 0, 0)[:3]
-    if not c2:
-        return c0 != 0 if not c1 else -c0 * pow(c1, -1, p) % p in offsets
+    if not (c1 or c2):
+        return c0 != 0
     disc = (c1 * c1 - 4 * c0 * c2) % p
-    if not disc:
-        return -c1 * pow(2 * c2, -1, p) % p in offsets
-    if pow(disc, (p - 1) // 2, p) != 1:
+    if c2 and disc and pow(disc, (p - 1) // 2, p) != 1:
         return True
-    return sum(1 for k in offsets if (c0 + k * (c1 + k * c2)) % p == 0) == 2
+    roots = 2 if c2 and disc else 1
+    return sum(1 for k in offsets if (c0 + k * (c1 + k * c2)) % p == 0) == roots
 
 
 def _cross_factors(params, p: int) -> list:

@@ -11,6 +11,11 @@ Degenerations of a conic are the line pairs whose union is the zero set of
 the conic plus a constant; they are computed over the ground field only,
 and a pair that would need a quadratic extension is reported absent
 together with the nonsquare discriminant that witnesses it.
+
+The rules asked once per pencil member (is_degenerate, center, evaluate,
+degenerations, ParallelFamily.pair_at_offset) compute on raw coefficients,
+each formula in one helper (_evaluate, _discriminant, _det3_numerator,
+_center), and wrap a Scalar only in what they return.
 """
 
 from __future__ import annotations
@@ -52,6 +57,33 @@ def format_polynomial(terms) -> str:
     return out or "0"
 
 
+def _evaluate(raw, xy):
+    """The conic of raw coefficients at the raw affine point xy."""
+    (a, b, c, d, e, f), (x, y) = raw, xy
+    return (a * x + b * y + d) * x + (c * y + e) * y + f
+
+
+def _discriminant(raw):
+    """b^2 - 4ac of the conic's raw quadratic part, unreduced."""
+    a, b, c, *_ = raw
+    return b * b - 4 * a * c
+
+
+def _det3_numerator(raw):
+    """4*det3 of the conic of raw coefficients, unreduced."""
+    a, b, c, d, e, f = raw
+    return 4 * a * c * f - a * e * e - b * b * f + b * d * e - c * d * d
+
+
+def _center(raw, p: int | None):
+    """The raw center of the conic of raw coefficients: where the lines
+    2A*X + B*Y + D = 0 and B*X + 2C*Y + E = 0 meet, or None when they do
+    not meet in one point."""
+    A, B, C, D, E, _ = raw
+    o = _meet((2 * A, -B, D), (B, -2 * C, E), p)
+    return o if isinstance(o, tuple) else None
+
+
 class Conic(Frozen):
     """Six normalized coefficients of a quadratic polynomial."""
 
@@ -86,8 +118,7 @@ class Conic(Frozen):
         return Conic.of(_field_of(self, lam), (*rest, f + lam.value))
 
     def evaluate(self, p: Point) -> Scalar:
-        (a, b, c, d, e, f), (x, y) = self.raw, p.raw
-        return _field_of(self, p).scalar((a * x + b * y + d) * x + (c * y + e) * y + f)
+        return _field_of(self, p).scalar(_evaluate(self.raw, p.raw))
 
     def contains(self, pt: PlanePoint) -> bool:
         """Whether the homogenized conic vanishes at pt, on ints: at the
@@ -100,16 +131,15 @@ class Conic(Frozen):
         return not (value % p if p else value)
 
     def leading_discriminant(self) -> Scalar:
-        a, b, c, *_ = self.raw
-        return self.field.scalar(b * b - 4 * a * c)
+        return self.field.scalar(_discriminant(self.raw))
 
     def det3(self) -> Scalar:
         """Determinant of the symmetric 3x3 matrix of the homogenized conic."""
-        a, b, c, d, e, f = self.raw
-        return self.field.scalar(4 * a * c * f - a * e * e - b * b * f + b * d * e - c * d * d) / 4
+        return self.field.scalar(_det3_numerator(self.raw)) / 4
 
     def is_degenerate(self) -> bool:
-        return self.det3().is_zero()
+        """det3 = 0, tested on its raw numerator (4 is a unit)."""
+        return not self.field._coerce(_det3_numerator(self.raw))
 
     def __str__(self):
         return format_polynomial(zip(self.coeffs, ("X^2", "X*Y", "Y^2", "X", "Y", "")))
@@ -170,22 +200,23 @@ class DegenerationReport:
 
 def _lambda_for(conic: Conic, l1: Line, l2: Line) -> Scalar:
     """The constant lam with conic + lam equal to the product l1*l2: both
-    are normalized, so their constant terms differ by exactly lam."""
+    are normalized, so that holds exactly when their raw quadratic and
+    linear parts agree, and their constant terms differ by lam."""
     product = Conic.from_lines(l1, l2)
-    lam = product.f - conic.f
-    if conic.shift(lam) != product:
+    lam = _field_of(product, conic).scalar(product.raw[5] - conic.raw[5])
+    if conic.raw[:5] != product.raw[:5]:
         raise InvariantViolation(f"{conic} shifted by {lam} is not {product}")
     return lam
 
 
-def _central_pair(c: Conic, o: Point, root: Scalar) -> LinePair:
-    """The lines through o along the null directions [dx : dy] of c's
-    quadratic part, whose discriminant has the nonzero square root root.
-    The directions hold up to scale and o = (x/w, y/w), so over Q each line
-    is built from ints."""
+def _central_pair(c: Conic, o: tuple, root) -> LinePair:
+    """The lines through the raw point o along the null directions [dx :
+    dy] of c's quadratic part, whose discriminant has the nonzero raw
+    square root root.  The directions hold up to scale and o = (x/w, y/w),
+    so over Q each line is built from ints."""
     p = c.field.p
-    A, B, C, r = _integral((*c.raw[:3], root.value), p)
-    x, y, w = _cleared(o.raw, p)
+    A, B, C, r = _integral((*c.raw[:3], root), p)
+    x, y, w = _cleared(o, p)
     if not A:
         directions = ((1, A), (-C, B))  # A is zero here
     else:
@@ -237,17 +268,19 @@ def classify(c: Conic) -> ConicClass:
 
 
 def degenerations(c: Conic) -> DegenerationReport:
-    """All constants lam with c + lam reducible over the ground field."""
-    disc = c.leading_discriminant()
-    if not disc.is_zero():
-        root = disc.sqrt()
+    """All constants lam with c + lam reducible over the ground field,
+    computed on raw values; lam and absent_witness are wrapped once."""
+    field = c.field
+    disc = field._coerce(_discriminant(c.raw))
+    if disc:
+        root = field._sqrt(disc)
         if root is None:
-            return DegenerationReport(entries=(), absent_witness=disc)
+            return DegenerationReport(entries=(), absent_witness=field._make(disc))
         # c = c(o) + Q(X - o) for its center o and quadratic part Q, as the
         # gradient vanishes at o, so c - c(o) splits into the lines through
         # o along the null directions of Q.
-        o = center(c)
-        entry = Degeneration(-c.evaluate(o), _central_pair(c, o, root))
+        o = _center(c.raw, field.p)
+        entry = Degeneration(field.scalar(-_evaluate(c.raw, o)), _central_pair(c, o, root))
         return DegenerationReport(entries=(entry,))
     # Perfect-square leading form: either a parabola (no degenerations) or
     # a one-parameter family of parallel pairs sharing a midline.
@@ -258,11 +291,9 @@ def degenerations(c: Conic) -> DegenerationReport:
 
 
 def center(c: Conic) -> Point | None:
-    """Solution of the gradient system, where the lines 2A*X + B*Y + D = 0
-    and B*X + 2C*Y + E = 0 meet; None when it is not unique."""
-    A, B, C, D, E, _ = c.raw
-    o = _meet((2 * A, -B, D), (B, -2 * C, E), c.field.p)
-    return Point.of(c.field, o) if isinstance(o, tuple) else None
+    """Solution of the gradient system (_center); None when it is not unique."""
+    o = _center(c.raw, c.field.p)
+    return None if o is None else Point.of(c.field, o)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ pairs {A, A'} and {B, B'}; adjacent sides may not be parallel and the four
 lines may not be concurrent.  Three sides through one point are allowed
 (improper case, two coincident vertices).  All derived data is computed
 eagerly at validation time on raw values (see plane), except the quadratic
-data (form.quadratic_data), memoised on first use; standard_form, analyze's
-printed normal form, is computed on each call.
+data (form.quadratic_data) and the side products of the pencil
+(bisectors._side_products), each memoised on first use; standard_form,
+analyze's printed normal form, is computed on each call.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
     __slots__ = (
         "a", "b", "a2", "b2",
         "vertices", "centroid", "proper", "double_vertex",
-        "diagonal_lines", "line_pairs", "_quadratic_data", "_hash",
+        "diagonal_lines", "line_pairs", "_quadratic_data", "_pencil", "_hash",
     )
 
     def __init__(self, a: Line, b: Line, a2: Line, b2: Line):
@@ -85,7 +86,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
         self._write(
             a, b, a2, b2, vertices, Point.of(field, centroid), double is None, double, diagonals,
-            ((a, a2), (b, b2), diagonals), None, None,
+            ((a, a2), (b, b2), diagonals), None, None, None,
         )
 
     def __hash__(self):

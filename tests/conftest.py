@@ -4,18 +4,19 @@ from collections import Counter
 import pytest
 
 from bisectrix import (
-    GF, AllLinesThrough, Bisector, InfPoint, Involution, Line, LinePair, Point, QQ,
+    GF, AllLinesThrough, Bisector, Conic, InfPoint, Involution, Line, LinePair, Point, QQ,
     Quadrilateral, is_bisector, q_orthogonal, quadratic_data, random_quadrilateral,
     standard_form, verify_all,
 )
 from bisectrix.errors import (
     AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
-    IdenticalLines, NotABisector, NotBisectors,
+    IdenticalLines, InvariantViolation, NotABisector, NotBisectors,
 )
 from bisectrix.bisectors import _bisector_mid, _pencil_ratio
 from bisectrix.form import QuadraticData
 from bisectrix import oracle
 from bisectrix.oracle import _in_span
+from bisectrix.pencil import Degeneration, DegenerationReport, ParallelFamily, _midline
 from bisectrix.plane import _PARALLEL, _SAME, _gradient, _meet, _product
 
 
@@ -488,6 +489,91 @@ def desargues_pencil_by_scalars(qr, t, u):
     triple = (minus(times(e, k), times(n, f)), minus(times(n, z), times(s, k)),
               minus(times(s, f), times(e, z)))
     return tuple(tuple(c.value for c in m) for m in triple)
+
+
+def outcome(fn, *args, key=lambda result: result):
+    """key of what fn(*args) returns, or the type and text of what it raises."""
+    try:
+        return "returns", key(fn(*args))
+    except Exception as err:
+        return "raises", type(err), str(err)
+
+
+def typed(x):
+    """A Scalar with its class and the class of its raw value, which equality
+    alone does not tell apart (a _Rat equals a Fraction, an int, ...)."""
+    return x if x is None else (x, type(x), type(x.value))
+
+
+def kernel_quads():
+    """Quadrilaterals of every family: seeds 1-3 and SPECIAL_SIDES over
+    GF(7), GF(11) and GF(101), and seeds 0-39 over Q."""
+    for p in (7, 11, 101):
+        yield from (random_quadrilateral(GF(p), seed) for seed in (1, 2, 3))
+        yield from (make_quad(GF(p), *sides) for sides in SPECIAL_SIDES)
+    yield from (random_quadrilateral(QQ, seed) for seed in range(40))
+
+
+# The kernel rules that exhaustive verify asks once per P1 direction or
+# pencil member, on Scalar objects as they were before they ran on raw
+# values: the tests' reference for phi, Involution.conjugate,
+# Conic.is_degenerate, degenerations and ParallelFamily.pair_at_offset.
+
+
+def phi_by_scalars(d, vx, vy):
+    return d.gamma * vx * vx - 2 * d.beta * vx * vy + d.alpha * vy * vy
+
+
+def conjugate_by_scalars(inv, p, q):
+    """The exchange row of [p.x : p.y] and [q.x : q.y] dotted with the
+    involution's triple is zero."""
+    r0, r1, r2 = p.x * q.y + p.y * q.x, p.y * q.y, -(p.x * q.x)
+    return (r0 * inv.m0 + r1 * inv.m1 + r2 * inv.m2).is_zero()
+
+
+def is_degenerate_by_scalars(c):
+    """det3, the determinant of the symmetric matrix of the homogenized
+    conic, is zero."""
+    a, b, cc, d, e, f = c.coeffs
+    return ((4 * a * cc * f - a * e * e - b * b * f + b * d * e - cc * d * d) / 4).is_zero()
+
+
+def degenerations_by_scalars(c):
+    """degenerations on Scalars: for a nonsquare leading discriminant its
+    witness; for a nonzero square one, c minus its value at its center o
+    (Cramer's rule on the gradient system) as the two lines through o along
+    the null directions of the quadratic part; for a zero one, the parallel
+    family of pencil._midline, if any."""
+    field = c.field
+    A, B, C, D, E, F = c.coeffs
+    disc = B * B - 4 * A * C
+    if disc.is_zero():
+        midline = _midline(c)
+        return DegenerationReport(
+            entries=(), family=None if midline is None else ParallelFamily(c, midline))
+    root = disc.sqrt()
+    if root is None:
+        return DegenerationReport(entries=(), absent_witness=disc)
+    det = 4 * A * C - B * B
+    o = Point((B * E - 2 * C * D) / det, (B * D - 2 * A * E) / det)
+    directions = (((field.one, A), (-C, B)) if A.is_zero()
+                  else ((root - B, 2 * A), (-root - B, 2 * A)))
+    pair = LinePair(*(Line(dy, dx, dx * o.y - dy * o.x) for dx, dy in directions))
+    x, y = o.x, o.y
+    value = A * x * x + B * x * y + C * y * y + D * x + E * y + F
+    return DegenerationReport(entries=(Degeneration(-value, pair),))
+
+
+def pair_at_offset_by_scalars(family, r):
+    """The pair midline + r, midline - r and the constant lam with conic +
+    lam their product, checked by shifting the conic."""
+    m = family.midline
+    pair = LinePair(Line(m.t, m.u, m.v + r), Line(m.t, m.u, m.v - r))
+    product = Conic.from_lines(pair.a, pair.b)
+    lam = product.f - family.conic.f
+    if family.conic.shift(lam) != product:
+        raise InvariantViolation(f"{family.conic} shifted by {lam} is not {product}")
+    return Degeneration(lam, pair)
 
 
 def chart_point(line, p):

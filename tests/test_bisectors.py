@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -29,16 +30,18 @@ from bisectrix.errors import (
     ExhaustedSampling, FieldMismatch, GeometryError, InvariantViolation, NotABisector,
     NotBisectors,
 )
+from bisectrix import plane
 from bisectrix.field import _Rat
 from bisectrix.oracle import (
     _gram, _pulled_back_gram, _raw_cross, brute_bisectors, enumerate_lines, random_quadrilateral,
     verify_all,
 )
 from bisectrix.pencil import Conic, center
+from bisectrix.plane import _integral, _product
 from conftest import (
     E1_SIDES, SPECIAL_SIDES, bisector_through_by_rats, bisector_through_by_standard_form,
-    make_quad, mid_cross, pulled_back_gram_by_scalars, q_pair_by_scalars, q_partner_by_rats,
-    q_partner_by_standard_form, quadratic_data_by_rats, slope_product,
+    kernel_quads, make_quad, mid_cross, outcome, pulled_back_gram_by_scalars, q_pair_by_scalars,
+    q_partner_by_rats, q_partner_by_standard_form, quadratic_data_by_rats, slope_product,
 )
 from test_oracle import bisector_field_by_definition
 
@@ -506,3 +509,66 @@ def test_bisector_field_check_corrupted_pair(e1):
     checked, violations = bisector_field_by_definition(e1, pairs)
     assert checked == 4
     assert any("not a bisector" in v for v in violations)
+
+
+def _kernel_probes(q):
+    """Lines and points to ask q_partner and bisector_through about: every
+    bisector and its midpoint (the brute sweep over GF(p); over Q the
+    bisectors through the midpoints of the six vertex pairs, with the sides
+    and diagonals), non-bisectors, the vertices and the centroid."""
+    field = q.field
+    if field.p:
+        found = list(brute_bisectors(q))
+        lines = [b.line for b in found] + enumerate_lines(field)[:6]
+    else:
+        v = q.vertices
+        mids = [midpoint(a, b) for i, a in enumerate(v) for b in v[i + 1:] if a != b]
+        found = [b for m in mids for b in bisector_through(q, m) if isinstance(b, Bisector)]
+        lines = [b.line for b in found] + list(q.sides) + list(q.diagonal_lines)
+        lines += [Line.parse(QQ, text) for text in ("X=3", "Y=2X+5")]
+    return lines, [b.midpoint for b in found] + list(q.vertices) + [q.centroid]
+
+
+def test_side_product_memo_keeps_partner_and_bisector_through():
+    """q_partner and bisector_through answer alike, errors included, with the
+    side-product memo empty before each call and once it is filled, and the
+    memo holds the products of the _integral sides."""
+    asked = 0
+    for q in kernel_quads():
+        lines, points = _kernel_probes(q)
+        calls = [(q_partner, l) for l in lines] + [(bisector_through, m) for m in points]
+        cold = []
+        for fn, arg in calls:
+            object.__setattr__(q, "_pencil", None)
+            cold.append(outcome(fn, q, arg))
+        assert q._pencil is not None
+        assert [outcome(fn, q, arg) for fn, arg in calls] == cold
+        sides = [_integral(l.raw, q.field.p) for l in (q.a, q.a2, q.b, q.b2)]
+        assert q._pencil == (_product(*sides[:2]), _product(*sides[2:]))
+        asked += len(calls)
+    assert asked > 2000
+
+
+def test_side_products_run_twice_per_quadrilateral(monkeypatch):
+    """However often q_partner and bisector_through are asked, the side
+    products (plane._product) are multiplied out at most twice per
+    quadrilateral."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "bisectrix"]
+    original = plane._product
+
+    def counted(l, m):
+        calls[current] += 1
+        return original(l, m)
+
+    for module in modules:
+        if getattr(module, "_product", None) is original:
+            monkeypatch.setattr(module, "_product", counted)
+    for current, q in enumerate(kernel_quads()):
+        lines, points = _kernel_probes(q)
+        for _ in range(2):
+            for l in lines:
+                outcome(q_partner, q, l)
+            for m in points:
+                outcome(bisector_through, q, m)
+        assert calls[current] <= 2, (q, calls[current])

@@ -223,6 +223,17 @@ def _infinite_at_w_one(contains):
     return defect
 
 
+def _det3_cdd_negated(numerator):
+    """The numerator 4*det3 of a conic (shared by det3 and is_degenerate)
+    with the sign of its c*d^2 term flipped."""
+
+    def defect(raw):
+        _, _, c, d, _, _ = raw
+        return numerator(raw) + 2 * c * d * d
+
+    return defect
+
+
 def _negated(predicate):
     return lambda *args: not predicate(*args)
 
@@ -387,6 +398,11 @@ DEFECTS = {
             "Q": ("pencil_degenerations", {"pencil_degenerations"}),
         },
     ),
+    "det3_cdd_negated": (
+        pencil, "_det3_numerator", _det3_cdd_negated, {
+            "GFp:7": ("locus_degeneracy", {"locus_degeneracy"}),
+        },
+    ),
     "parallelogram_vertices_negated": (
         Quadrilateral, "has_parallelogram_vertices", _negated, {
             "GFp:7": ("unique_midpoints", {"unique_midpoints"}),
@@ -396,7 +412,11 @@ DEFECTS = {
 
 # Seed 3 over GF(7) draws an improper quadrilateral, on which
 # desargues_reflection does not run.
-_SEEDS = {"desargues_m2_constant_plus_one": (1, 2), "poly_sum_constant_plus_one": (1, 2)}
+# The flipped c*d^2 term of det3 changes a verdict only where it moves the
+# numerator onto or off 0 mod 7: locus_degeneracy sees it on GF(7) seeds 1,
+# 3 and 5-8 of 1-10, not on 2 and 4.
+_SEEDS = {"desargues_m2_constant_plus_one": (1, 2), "poly_sum_constant_plus_one": (1, 2),
+          "det3_cdd_negated": (5, 6, 7, 8)}
 
 
 def _inject(monkeypatch, home, name, wrap):

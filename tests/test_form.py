@@ -345,3 +345,30 @@ def test_affine_image_scaling(e1):
             v = (QQ.scalar(a), QQ.scalar(b))
             w = (QQ.scalar(b), QQ.scalar(a + 1))
             assert inner(d_q, v, w) == lam * inner(d_fq, image(v), image(w))
+
+
+def test_conjugate_and_phi_build_no_scalars_but_phis_result(monkeypatch):
+    """On GF(31), Involution.conjugate and fixes construct no Scalar and phi
+    constructs one, its result: no field._make call and no Scalar operator
+    runs in the first two, one field._make call in phi."""
+    field = GF(31)
+    q = random_quadrilateral(field, 1)
+    d = quadratic_data(q)
+    inv = lambda_q(d)
+    points = [InfPoint.of(field, xy) for xy in _p1(field)]
+    coords = [(pt.x, pt.y) for pt in points]
+    built = []
+    scalar = type(field.one)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__neg__"):
+        op = getattr(scalar, name)
+        monkeypatch.setattr(scalar, name, lambda *args, _op=op: built.append(1) or _op(*args))
+    make = field._make
+    monkeypatch.setattr(field, "_make", lambda value: built.append(1) or make(value))
+    for pt in points:
+        assert inv.conjugate(pt, points[0]) in (True, False) and inv.fixes(pt) in (True, False)
+    assert built == []
+    for x, y in coords:
+        phi(d, x, y)
+        assert len(built) == 1
+        built.clear()

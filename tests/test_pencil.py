@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,12 +18,20 @@ from bisectrix import (
     classify,
     degenerations,
     is_q_pair,
+    lambda_q,
     pencil_of,
+    phi,
     q_partner,
+    quadratic_data,
 )
 from bisectrix.errors import DegenerateInput, FieldMismatch
-from bisectrix.oracle import brute_bisectors, enumerate_lines, random_quadrilateral
-from conftest import conic_contains_by_scalars, in_pencil
+from bisectrix.oracle import _p1, brute_bisectors, enumerate_lines, random_quadrilateral
+from bisectrix.pencil import ParallelFamily
+from conftest import (
+    conic_contains_by_scalars, conjugate_by_scalars, degenerations_by_scalars, in_pencil,
+    is_degenerate_by_scalars, kernel_quads, outcome, pair_at_offset_by_scalars, phi_by_scalars,
+    typed,
+)
 
 
 def conic(field, *values):
@@ -31,6 +40,10 @@ def conic(field, *values):
 
 def pt(x, y, field=QQ):
     return Point(field.scalar(Fraction(x)), field.scalar(Fraction(y)))
+
+
+def ip(x, y, field=QQ):
+    return InfPoint(field.scalar(Fraction(x)), field.scalar(Fraction(y)))
 
 
 def test_pencil_generators_e1(e1):
@@ -361,3 +374,95 @@ def test_classify_parallel_pair_non_unit_slope():
         assert result.kind == "degenerate_pair"
         assert result.pair == LinePair(l1, l2)
         assert str(result.pair) == ("{Y=2X-3, Y=2X+1}" if field is QQ else "{Y=2X+1, Y=2X+4}")
+
+
+def _degeneration(entry):
+    return typed(entry.lam), entry.pair
+
+
+def test_raw_kernel_equals_the_scalar_routes():
+    """phi, Involution.conjugate and fixes, Conic.is_degenerate,
+    degenerations and ParallelFamily.pair_at_offset, which run on raw
+    values, against their Scalar routes in conftest: at every P1 direction
+    and on every pencil member over GF(p) (a sample over Q), of quadrilaterals
+    of every family.  Results are compared with the class of each Scalar and
+    of its raw value; errors by type and text, a field mismatch and a
+    midline that does not split the conic included."""
+    seen = Counter()
+    for q in kernel_quads():
+        field = q.field
+        p = field.p
+        d = quadratic_data(q)
+        inv = lambda_q(d)
+        if p:
+            directions = [InfPoint.of(field, xy) for xy in _p1(field)]
+            coeffs = _p1(field)
+            offsets = [field.scalar(r) for r in range(p)]
+        else:
+            directions = [ip(*xy) for xy in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3), (3, -5))]
+            directions += [l.infinite_point() for pair in q.line_pairs for l in pair]
+            coeffs = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 3), (-3, 7))
+            offsets = [QQ.scalar(Fraction(r)) for r in (0, 1, "1/2", -3)]
+        stranger = GF(5) if p is None else QQ
+        alien = ip(1, 2, stranger)
+        partners = directions if p is None or p < 100 else directions[:4]
+        for point in directions:
+            for v in ((point.x, point.y), (point.x + 1, 2 * point.y), (point.x, stranger.one),
+                      (stranger.one, point.y)):
+                new = outcome(phi, d, *v, key=typed)
+                assert new == outcome(phi_by_scalars, d, *v, key=typed)
+                seen["phi " + new[0]] += 1
+            assert inv.fixes(point) == conjugate_by_scalars(inv, point, point)
+            for other in partners + [alien]:
+                new = outcome(inv.conjugate, point, other)
+                assert new == outcome(conjugate_by_scalars, inv, point, other)
+                seen["conjugate " + str(new[1] if new[0] == "returns" else new[0])] += 1
+        assert outcome(inv.conjugate, alien, alien) == outcome(
+            conjugate_by_scalars, inv, alien, alien)
+        pen = pencil_of(q)
+        for alpha, beta in coeffs:
+            member = pen.member(field.scalar(alpha), field.scalar(beta))
+            assert member.is_degenerate() == is_degenerate_by_scalars(member)
+            seen[f"degenerate {member.is_degenerate()}"] += 1
+            new, ref = degenerations(member), degenerations_by_scalars(member)
+            assert [_degeneration(e) for e in new.entries] == [
+                _degeneration(e) for e in ref.entries]
+            assert (new.family, typed(new.absent_witness)) == (
+                ref.family, typed(ref.absent_witness))
+            seen["entry" if new.entries else "family" if new.family
+                 else "witness" if new.absent_witness else "none"] += 1
+            if new.family is None:
+                continue
+            for family in (new.family, ParallelFamily(member, q.a), ParallelFamily(member, q.b)):
+                for r in offsets:
+                    got = outcome(family.pair_at_offset, r, key=_degeneration)
+                    assert got == outcome(pair_at_offset_by_scalars, family, r, key=_degeneration)
+                    seen["pair_at_offset " + got[0]] += 1
+    assert all(seen[k] for k in (
+        "phi returns", "phi raises", "conjugate True", "conjugate False", "conjugate raises", "degenerate True", "degenerate False", "entry", "family", "witness",
+        "none", "pair_at_offset returns", "pair_at_offset raises")), seen
+
+
+def test_degenerations_and_pair_at_offset_never_shift_a_conic(monkeypatch):
+    """degenerations and ParallelFamily.pair_at_offset decide on raw
+    coefficients: on every pencil member of quadrilaterals of every family
+    over GF(p), and at every offset of each parallel family, neither builds a
+    shifted conic."""
+
+    def refuse(self, lam):
+        raise AssertionError("a conic was shifted")
+
+    monkeypatch.setattr(Conic, "shift", refuse)
+    kinds = Counter()
+    for q in kernel_quads():
+        field = q.field
+        if not field.p:
+            continue
+        pen = pencil_of(q)
+        for alpha, beta in _p1(field):
+            report = degenerations(pen.member(field.scalar(alpha), field.scalar(beta)))
+            kinds["entry" if report.entries else "family" if report.family else "other"] += 1
+            if report.family is not None:
+                for r in range(field.p):
+                    report.family.pair_at_offset(field.scalar(r))
+    assert kinds["entry"] and kinds["family"] and kinds["other"]
