@@ -7,8 +7,10 @@ form with matrix [[gamma, -beta], [-beta, alpha]].  Two lines are
 Q-orthogonal when their (u, t) coefficient vectors pair to zero; this is
 equivalent to their infinite points being conjugate under the involution
 with matrix [[beta, -alpha], [gamma, -beta]] on the line at infinity.
-phi, inner and Involution.conjugate compute on raw values (see plane) and
-wrap a Scalar only in what they return.
+inner and Involution.conjugate compute on raw values (see plane) and wrap a
+Scalar only in what they return; each quantity has one formula, so phi is
+inner of a vector with itself and desargues_involution is desargues_pencil
+evaluated at the line's offset v.
 """
 
 from __future__ import annotations
@@ -67,21 +69,24 @@ def quadratic_data(q: Quadrilateral) -> QuadraticData:
 
 
 def phi(d: QuadraticData, vx: Scalar, vy: Scalar) -> Scalar:
-    """The form at (vx, vy), on raw values, wrapped once as inner is."""
-    for v in (vx, vy):
-        _field_of(d, v)
-    g, b, a, x, y = (c.value for c in (d.gamma, d.beta, d.alpha, vx, vy))
-    return d.field.scalar(g * x * x - 2 * b * x * y + a * y * y)
+    """The form at (vx, vy): inner of the vector with itself."""
+    return inner(d, (vx, vy), (vx, vy))
 
 
 def inner(d: QuadraticData, v: Vec, w: Vec) -> Scalar:
-    """The form on two pairs of Scalars, or of raw values (see plane)."""
+    """The bilinear form on two pairs of Scalars of d's field (FieldMismatch
+    otherwise), or of raw values (see plane), wrapped once."""
+    for c in (*v, *w):
+        if isinstance(c, Scalar):
+            _field_of(d, c)
     v0, v1, w0, w1 = (c.value if isinstance(c, Scalar) else c for c in (*v, *w))
     g, b, a = d.gamma.value, d.beta.value, d.alpha.value
     return d.field.scalar(g * v0 * w0 - b * (v0 * w1 + v1 * w0) + a * v1 * w1)
 
 
 def q_orthogonal(d: QuadraticData, l1: Line, l2: Line) -> bool:
+    _field_of(d, l1)
+    _field_of(l1, l2)
     (t1, u1, _), (t2, u2, _) = l1.raw, l2.raw
     return inner(d, (u1, t1), (u2, t2)).is_zero()
 
@@ -131,7 +136,7 @@ def _exchange_row(p, q) -> tuple:
     # Linear constraint on (m0, m1, m2) with M = [[m0, m1], [m2, -m0]]
     # expressing M(p) proportional to q, for homogeneous pairs p = (x, y)
     # and q of any ring: Scalars, or raw values (_class_row and
-    # desargues_involution).
+    # Involution.conjugate).
     (px, py), (qx, qy) = p, q
     return (px * qy + py * qx, py * qy, -(px * qx))
 
@@ -213,29 +218,26 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple
 
 
 def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
-    """The involution induced on a line by the conics through a quadrangle.
-
-    desargues_pencil of the line's class at the line's offset v, on raw
-    values (the chart parameters at v go through the same exchange rows and
-    cross product); the third pair of opposite sides is conjugate under the
-    same involution, which is checked (NotConjugate otherwise).  The
-    involution acts on the chart parameters of _class_parameters; it is a
-    reflection, fixing the line's infinite point, exactly when m2 = 0.
+    """The involution induced on a line by the conics through a quadrangle:
+    desargues_pencil of the line's class at the line's offset v.  The third
+    pair of opposite sides is conjugate under the same involution, which is
+    checked (NotConjugate otherwise).  The involution acts on the chart
+    parameters of _class_parameters; it is a reflection, fixing the line's
+    infinite point, exactly when m2 = 0.  Off the vertices the triple is
+    never degenerate: m0^2 + m1*m2 is, up to sign, the product of the cross
+    determinants of the first two pairs' crossings, which are distinct points
+    (the identity oracle._desargues_class_cleared checks), so a
+    DegenerateInput here is a kernel fault.
     """
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
     field = line.field
     t, u, v = line.raw
-    pairs = [[(a + b * v, det) for a, b, det in pair]
-             for pair in _class_parameters(qr.opposite_side_pairs(), t, u, field.p)]
-    # Off the vertices the triple is never degenerate: m0^2 + m1*m2 is, up
-    # to sign, the product of the cross determinants of the two pairs'
-    # crossings, which are distinct points (the identity that
-    # oracle._desargues_class_cleared checks), so a DegenerateInput here is
-    # a kernel fault.
-    inv = Involution(*map(field.scalar, _cross(*(_exchange_row(*pair) for pair in pairs[:2]))))
-    third = (InfPoint(field.scalar(x), field.scalar(y)) for x, y in pairs[2])
-    if not inv.conjugate(*third):
+    inv = Involution(*(field.scalar(sum(c * v ** k for k, c in enumerate(m)))
+                       for m in desargues_pencil(qr, line.t, line.u)))
+    (third,) = _class_parameters(qr.opposite_side_pairs()[2:], t, u, field.p)
+    if not inv.conjugate(*(InfPoint(field.scalar(a + b * v), field.scalar(det))
+                           for a, b, det in third)):
         raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

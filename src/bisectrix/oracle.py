@@ -30,11 +30,14 @@ judge its raw ((t, u, v), midpoint) tuples (_Context.solutions):
 vertex_line_bisectors looks the raw lines through each vertex up among
 them, parallel_bisectors counts their directions, unique_midpoints groups
 them by midpoint, repairing_bisectors and closed_form_oracle compare raw
-sets, and pair_redundancy buckets them by direction and midpoint.  Values
-are built, by Line.of, Point.of and InfPoint.of, only where one goes to a
-kernel function under judgment (closed_form_oracle's Point per locus zero,
-the Lines of bisector_lines) or into a violation text; brute_bisectors and
-closed_form_bisectors build Bisectors for their callers outside verify.
+sets, and pair_redundancy buckets them by direction and midpoint.
+repairing_bisectors tests the forms of the re-pairings for proportionality
+as affine_invariance does, by the cross product (_raw_cross) of their Gram
+triples (_gram).  Values are built, by Line.of, Point.of and InfPoint.of,
+only where one goes to a kernel function under judgment
+(closed_form_oracle's Point per locus zero, the Lines of bisector_lines)
+or into a violation text; brute_bisectors and closed_form_bisectors build
+Bisectors for their callers outside verify.
 Over Q the same helpers take p = None and run on _Rats, so
 bisector_field and desargues_reflection each judge both fields by one rule
 and differ only in the lines fed in: every line when exhaustive, the sides
@@ -48,10 +51,13 @@ pins to it line by line: it is the definition itself, not a closed form,
 so every closed form is still checked against an independent route.
 
 One verify_all call asks the kernel once per quadrilateral for each of
-quadratic_data, bisector_locus, q_partner of a line and is_q_pair of a pair
-(_Context.once), and affine_invariance is one exact test per trial: the
-Gram matrix of q against its pullback F^T G' F from the image under a
-random linear map.
+quadratic_data, bisector_locus, q_partner of a line and is_q_pair of a pair,
+and builds the Lines of bisector_lines once, all through _Context.once.
+lambda_involution and locus_midpoints judge the null directions and the
+locus by the kernel's phi, which is its inner of a vector with itself, and
+opposite_orthogonal by q_orthogonal, which reads the same inner.
+affine_invariance is one exact test per trial: the Gram matrix of q against
+its pullback F^T G' F from the image under a random linear map.
 
 The sampler is a plain 64-bit linear congruential generator
 (state <- state * 6364136223846793005 + 1442695040888963407 mod 2^64,
@@ -284,15 +290,13 @@ def _closed_form_solutions(q: Quadrilateral, zeros) -> set:
     return found
 
 
-def closed_form_bisectors(q: Quadrilateral, zeros=None) -> set[Bisector]:
+def closed_form_bisectors(q: Quadrilateral) -> set[Bisector]:
     """The closed-form route: solve for the bisector at each point of the
-    locus; zeros is the locus's zero set (see _zero_set) when known."""
-    field = q.field
-    if not isinstance(field, PrimeField):
+    locus's zero set (see _zero_set)."""
+    if not isinstance(q.field, PrimeField):
         raise InfiniteField("locus sweep needs a finite field")
-    if zeros is None:
-        zeros = _zero_set(bisector_locus(q).conic, field.p)
-    return _bisectors_of(field, _closed_form_solutions(q, zeros))
+    zeros = _zero_set(bisector_locus(q).conic, q.field.p)
+    return _bisectors_of(q.field, _closed_form_solutions(q, zeros))
 
 
 def random_scalar(field: Field, rng: Lcg64) -> Scalar:
@@ -641,9 +645,8 @@ def _quadrangle_identities(classes, pencils, p: int) -> set:
         scale = pow(_at(basis, ti), -1, p)
         for coeffs, y in zip(interpolant, flat[i]):
             coeffs[:] = [(c + y * scale * b) % p for c, b in zip(coeffs, basis)]
-    decided = {i for i, coeffs in flat.items() if coeffs == [
-        ((((c4 * t + c3) * t + c2) * t + c1) * t + c0) % p
-        for t in (classes[i][0],) for c0, c1, c2, c3, c4 in interpolant]}
+    decided = {i for i, coeffs in flat.items()
+               if coeffs == [_at(c, classes[i][0]) % p for c in interpolant]}
     sound = all(i in decided and _desargues_identities(pencils[i], classes[i][3], p)
                 for i in chart[:7])
     return decided if sound else set()
@@ -758,18 +761,12 @@ def _check_two_three(q, ctx):
         return 0, []
     quads = [c for c in requadrilate(q.quadrangle()) if isinstance(c, Quadrilateral)]
     out = []
-    d_ref = ctx.once(quadratic_data, q)
-    triple_ref = (d_ref.alpha, d_ref.beta, d_ref.gamma)
+    p = q.field.p
+    g = _gram(ctx.once(quadratic_data, q), p)
     for other in quads:
         if ctx.solutions(other) != ctx.solutions(q):
             out.append("re-pairing changed the bisector set")
-        d_other = quadratic_data(other)
-        triple_other = (d_other.alpha, d_other.beta, d_other.gamma)
-        if any(
-            triple_ref[i] * triple_other[j] != triple_ref[j] * triple_other[i]
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ):
+        if any(_raw_cross(g, _gram(quadratic_data(other), p), p)):
             out.append("quadratic data not proportional across re-pairing")
     return len(quads), out
 
@@ -1160,6 +1157,14 @@ _CHECKS = (
 )
 
 
+def _bisector_lines(q: Quadrilateral, solutions) -> list[Line]:
+    """The Lines of the raw solutions of q's sweep, or of q's sides and
+    diagonals when solutions is None, in Line.sort_key order."""
+    if solutions is None:
+        return sorted(_canonical_bisectors(q), key=Line.sort_key)
+    return [Line.of(q.field, l) for l in sorted(l for l, _ in solutions)]
+
+
 class _Context:
     _MISSING = object()  # once's mark of a key with no answer yet
 
@@ -1169,7 +1174,6 @@ class _Context:
         # Keys hold no reference back to the context: the bisector sets it keeps
         # are freed when verify_all returns, not by the cycle collector.
         self._answers: dict = {}
-        self._lines: dict[Quadrilateral, list[Line]] = {}
 
     def once(self, fn, *args):
         """fn(*args), computed once per verify_all call.  Checks pass the
@@ -1195,17 +1199,9 @@ class _Context:
         return self.once(_zero_set, self.once(bisector_locus, q).conic, q.field.p)
 
     def bisector_lines(self, q: Quadrilateral) -> list[Line]:
-        """Lines a check iterates, in Line.sort_key order: every bisector
-        when exhaustive, built from the sweep's raw solutions, else the
-        sides and diagonals."""
-        lines = self._lines.get(q)
-        if lines is None:
-            if self.exhaustive:
-                lines = [Line.of(q.field, l) for l in sorted(l for l, _ in self.solutions(q))]
-            else:
-                lines = sorted(_canonical_bisectors(q), key=Line.sort_key)
-            self._lines[q] = lines
-        return lines
+        """Lines a check iterates (_bisector_lines): every bisector when
+        exhaustive, else the sides and diagonals."""
+        return self.once(_bisector_lines, q, self.solutions(q) if self.exhaustive else None)
 
 
 def verify_all(q: Quadrilateral, profile: str = "fixture", seed: int = 0) -> list[TheoremReport]:

@@ -12,7 +12,7 @@ the conic plus a constant; they are computed over the ground field only,
 and a pair that would need a quadratic extension is reported absent
 together with the nonsquare discriminant that witnesses it.
 
-The rules asked once per pencil member (is_degenerate, center, evaluate,
+The rules asked once per pencil member (is_degenerate, center,
 degenerations, ParallelFamily.pair_at_offset) compute on raw coefficients,
 each formula in one helper (_evaluate, _discriminant, _det3_numerator,
 _center), and wrap a Scalar only in what they return.
@@ -117,9 +117,6 @@ class Conic(Frozen):
         *rest, f = self.raw
         return Conic.of(_field_of(self, lam), (*rest, f + lam.value))
 
-    def evaluate(self, p: Point) -> Scalar:
-        return _field_of(self, p).scalar(_evaluate(self.raw, p.raw))
-
     def contains(self, pt: PlanePoint) -> bool:
         """Whether the homogenized conic vanishes at pt, on ints: at the
         cleared (x, y, w) of a Point, at (x, y, 0) for an InfPoint."""
@@ -133,12 +130,9 @@ class Conic(Frozen):
     def leading_discriminant(self) -> Scalar:
         return self.field.scalar(_discriminant(self.raw))
 
-    def det3(self) -> Scalar:
-        """Determinant of the symmetric 3x3 matrix of the homogenized conic."""
-        return self.field.scalar(_det3_numerator(self.raw)) / 4
-
     def is_degenerate(self) -> bool:
-        """det3 = 0, tested on its raw numerator (4 is a unit)."""
+        """Whether det3, the determinant of the symmetric 3x3 matrix of the
+        homogenized conic, is 0, tested on its raw numerator (4 is a unit)."""
         return not self.field._coerce(_det3_numerator(self.raw))
 
     def __str__(self):

@@ -160,12 +160,9 @@ class Line(Frozen):
     def is_vertical(self) -> bool:
         return not self.raw[1]
 
-    def evaluate(self, p: Point) -> Scalar:
-        (t, u, v), (x, y) = self.raw, p.raw
-        return _field_of(self, p).scalar(t * x - u * y + v)
-
     def contains(self, p: Point) -> bool:
-        return self.evaluate(p).is_zero()
+        (t, u, v), (x, y) = self.raw, p.raw
+        return not _field_of(self, p)._coerce(t * x - u * y + v)
 
     def infinite_point(self) -> InfPoint:
         t, u, _ = self.raw
@@ -230,6 +227,7 @@ class LinePair(Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, l1: Line, l2: Line):
+        _field_of(l1, l2)
         if l2.raw < l1.raw:
             l1, l2 = l2, l1
         self._write(l1, l2)
@@ -344,6 +342,8 @@ class AffineMap(Frozen):
     __slots__ = ("m00", "m01", "m10", "m11", "b0", "b1")
 
     def __init__(self, m00, m01, m10, m11, b0, b1):
+        for x in (m01, m10, m11, b0, b1):
+            _field_of(m00, x)
         det = m00 * m11 - m01 * m10
         if det.is_zero():
             raise SingularMap("linear part has determinant 0")

@@ -5,11 +5,11 @@ and is patched into every bisectrix module that holds the name: the oracle
 and the CLI bind names at import, so patching the defining module alone is
 not enough.  Each defect has two columns: exhaustive verify over GF(7) and
 fixture verify over Q.  In each, verify must report the defect under the
-column's tag on every seed (SEEDS, unless _SEEDS names others), the set of
-tags that fire is pinned, and every violation line must end in a reproduce
-command that prints it again.  A defect that only an exhaustive-only tag
-can see has the GF(7) column alone, and one in a branch that only Q takes
-has the Q column alone.
+column's tag on every seed (SEEDS, unless _SEEDS names others for that row
+and column), the set of tags that fire is pinned, and every violation line
+must end in a reproduce command that prints it again.  A defect that only
+an exhaustive-only tag can see has the GF(7) column alone, and one in a
+branch that only Q takes has the Q column alone.
 """
 
 import shlex
@@ -401,6 +401,7 @@ DEFECTS = {
     "det3_cdd_negated": (
         pencil, "_det3_numerator", _det3_cdd_negated, {
             "GFp:7": ("locus_degeneracy", {"locus_degeneracy"}),
+            "Q": ("locus_degeneracy", {"locus_degeneracy"}),
         },
     ),
     "parallelogram_vertices_negated": (
@@ -414,9 +415,13 @@ DEFECTS = {
 # desargues_reflection does not run.
 # The flipped c*d^2 term of det3 changes a verdict only where it moves the
 # numerator onto or off 0 mod 7: locus_degeneracy sees it on GF(7) seeds 1,
-# 3 and 5-8 of 1-10, not on 2 and 4.
-_SEEDS = {"desargues_m2_constant_plus_one": (1, 2), "poly_sum_constant_plus_one": (1, 2),
-          "det3_cdd_negated": (5, 6, 7, 8)}
+# 3 and 5-8 of 1-10, not on 2 and 4.  Over Q it changes one only where the
+# locus splits: on seeds 58, 62, 71, 100, 121 and 164 of 0-199.
+_SEEDS = {
+    "desargues_m2_constant_plus_one": {"GFp:7": (1, 2), "Q": (1, 2)},
+    "poly_sum_constant_plus_one": {"GFp:7": (1, 2), "Q": (1, 2)},
+    "det3_cdd_negated": {"GFp:7": (5, 6, 7, 8), "Q": (58,)},
+}
 
 
 def _inject(monkeypatch, home, name, wrap):
@@ -467,4 +472,4 @@ def test_defect_fires_its_tag_and_reproduces(defect, monkeypatch, capsys):
     home, name, wrap, columns = DEFECTS[defect]
     _inject(monkeypatch, home, name, wrap)
     for field, (tag, fired) in columns.items():
-        _check_column(capsys, field, tag, fired, _SEEDS.get(defect, SEEDS))
+        _check_column(capsys, field, tag, fired, _SEEDS.get(defect, {}).get(field, SEEDS))

@@ -86,6 +86,23 @@ def test_q_orthogonal_examples(e1):
     assert not q_orthogonal(d, e1.b, e1.b)
 
 
+def test_form_refuses_vectors_and_lines_of_another_field():
+    """inner, phi and q_orthogonal raise FieldMismatch when a Scalar or a
+    line is not of the form's field, rather than computing a value of it."""
+    seven = GF(7)
+    d = quadratic_data(random_quadrilateral(seven, 1))
+    calls = [
+        lambda: inner(d, (QQ.one, QQ.zero), (QQ.zero, QQ.one)),
+        lambda: inner(d, (seven.one, seven.zero), (seven.zero, QQ.one)),
+        lambda: phi(d, seven.one, QQ.one),
+        lambda: q_orthogonal(d, Line.parse(QQ, "Y=X"), Line.parse(QQ, "Y=-X")),
+        lambda: q_orthogonal(d, Line.parse(seven, "Y=X"), Line.parse(QQ, "Y=-X")),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatch, match="GF\\(7\\) vs Q"):
+            call()
+
+
 def test_discriminant_identity_random():
     """beta^2 - alpha*gamma equals the product of the four adjacent-side
     cross terms, exactly."""

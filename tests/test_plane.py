@@ -9,6 +9,7 @@ from bisectrix import (
     Conic,
     InfPoint,
     Line,
+    LinePair,
     Point,
     QQ,
     intersect,
@@ -268,6 +269,21 @@ def test_intersect_and_midpoint_refuse_mixed_fields():
         intersect(Line.parse(QQ, "Y=X"), Line.parse(GF(7), "Y=2X"))
     with pytest.raises(FieldMismatch):
         midpoint(pt(0, 0), pt(1, 1, GF(7)))
+
+
+def test_line_pair_and_affine_map_refuse_mixed_fields():
+    """A LinePair of lines, or an AffineMap of entries, of two fields raises
+    FieldMismatch: a Q offset on a GF(7) linear part would otherwise put a
+    Fraction among the residues of an image line."""
+    seven = GF(7)
+    with pytest.raises(FieldMismatch):
+        LinePair(Line.parse(seven, "Y=X"), Line.parse(QQ, "Y=X"))
+    identity = [seven.one, seven.zero, seven.zero, seven.one, seven.zero, seven.zero]
+    for i in range(6):
+        entries = list(identity)
+        entries[i] = QQ.scalar(Fraction(1, 2))
+        with pytest.raises(FieldMismatch):
+            AffineMap(*entries)
 
 
 # Zero, ±1 and 30-digit numerators and denominators; lines in canonical form,
