@@ -5,13 +5,14 @@ parallel to both; its midpoint across the pair is the midpoint of the two
 intersection points (the line's own infinite point if exactly one of them
 is at infinity).  A line bisects a quadrilateral when its midpoints across
 the two opposite-side pairs it crosses agree; that common point is the
-midpoint of the bisector and is always affine.  is_bisector runs this rule
-on the lines' raw tuples (_bisector_mid); the oracle solves it once per
-parallel class and applies it line by line only to the lines that are
-sides.  is_q_pair, q_partner and bisector_through read raw tuples too, the
-last two the pencil of the side products, memoised on the quadrilateral
-(_side_products; see their docstrings), and build their answers with
-Line.of and Point.of.
+midpoint of the bisector and is always affine.  That definition, on the
+meets with the four sides, is the oracle's alone (oracle._bisector_mid).
+The kernel reads the pencil of the side products F = A*A' and G = B*B'
+instead, memoised on the quadrilateral (_side_products; arXiv 2305.11762:
+the pencil is asymptotically the bisector field): is_bisector, is_q_pair
+and q_partner decide a line by one rule on it (_pencil_mid), and q_partner
+and bisector_through read their answers off it.  All of them run on raw
+tuples and build their answers with Line.of and Point.of.
 """
 
 from __future__ import annotations
@@ -24,16 +25,15 @@ from .field import Scalar
 from .form import QuadraticData, phi, q_orthogonal, quadratic_data
 from .pencil import Conic
 from .plane import (
-    _PARALLEL,
     Line,
     LinePair,
     PlanePoint,
     Point,
+    _affine,
     _cleared,
     _field_of,
     _gradient,
     _integral,
-    _meet,
     _mid,
     _product,
     intersect,
@@ -56,26 +56,16 @@ class AllLinesThrough:
     center: Point
 
 
-def _bisector_mid(crossings, p: int | None):
-    """The midpoint of a line as a bisector from its crossings with A, A',
-    B and B', or None when it does not bisect."""
-    a, a2, b, b2 = crossings
-    mids = [m for m in (_mid(a, a2, p), _mid(b, b2, p)) if m is not None]
-    if not mids:
-        raise InvariantViolation("a line always crosses at least one opposite-side pair")
-    return mids[0] if mids[0] == mids[-1] and mids[0] is not _PARALLEL else None
-
-
 def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
     """The midpoint of l as a bisector of q, or None if l does not bisect.
 
     Only the two opposite-side pairs are consulted (sides and diagonals
     come out as bisectors of themselves); agreement with the third pair of
-    the quadrangle is a theorem, not part of the predicate.
+    the quadrangle is a theorem, not part of the predicate.  Decided on the
+    side-product pencil (_pencil_mid).
     """
     field = _field_of(l, q)
-    p = field.p
-    m = _bisector_mid([_meet(l.raw, side.raw, p) for side in (q.a, q.a2, q.b, q.b2)], p)
+    m = _pencil_mid(q, l.raw)
     return None if m is None else Point.of(field, m)
 
 
@@ -170,11 +160,9 @@ def nine_points(qr: Quadrangle) -> list[PlanePoint]:
 
 def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:
     """Q-antipodal and Q-orthogonal; the two lines may coincide.  Both
-    midpoints come from one raw read of the sides, by is_bisector's rule."""
-    sides, mids = [side.raw for side in (q.a, q.a2, q.b, q.b2)], []
-    for l in pair.lines:
-        p = _field_of(l, q).p
-        mids.append(_bisector_mid([_meet(l.raw, s, p) for s in sides], p))
+    midpoints come from is_bisector's rule (_pencil_mid)."""
+    p = _field_of(pair.a, q).p
+    mids = [_pencil_mid(q, l.raw) for l in pair.lines]
     if None in mids:
         raise NotBisectors(f"{pair} does not consist of bisectors")
     return (_mid(*mids, p) == q.centroid.raw
@@ -198,6 +186,35 @@ def _pencil_ratio(f, g, t, u) -> tuple:
             -(f[0] * u * u + f[1] * u * t + f[2] * t * t))
 
 
+def _pencil_mid(q: Quadrilateral, l) -> tuple | None:
+    """The raw midpoint of the raw line l as a bisector of q, or None when l
+    does not bisect, read off the pencil of F = A*A' and G = B*B'
+    (_side_products).  Along l, through its point P = (0, v/u), or (-v/t, 0)
+    when u = 0, in direction d = (u, t), C(P + s*d) = Q_C(d)*s^2 +
+    L_C(P, d)*s + C(P).  The roots of F are l's crossings with A and A', so
+    its midpoint across that pair is P - L_F/(2*Q_F)*d when Q_F != 0, and
+    likewise for G.  A pair that l does not cross (l is one of its lines or
+    parallel to both) has Q_C = L_C = 0 on l, and a pair that l meets once
+    at infinity has Q_C = 0 != L_C.  So l bisects exactly when Q_F*L_G =
+    Q_G*L_F, i.e. alpha*L_F + beta*L_G = 0 for [alpha : beta] of
+    _pencil_ratio (never [0 : 0], as a side of one pair is adjacent to both
+    sides of the other), and the midpoint is read off a C with Q_C != 0.
+    Every step holds up to scale, so over Q it runs on l's _integral tuple,
+    with P = (x/w, y/w) and w*L_C read off the gradient of C with its linear
+    part times w, as in bisector_through."""
+    field = q.field
+    t, u, v = _integral(l, field.p)
+    x, y, w = (0, v, u) if u else (-v, 0, t)
+    f, g = _side_products(q)
+    alpha, beta = _pencil_ratio(f, g, t, u)
+    lf, lg = (gx * u + gy * t for gx, gy in
+              (_gradient((*c[:3], w * c[3], w * c[4]), (x, y)) for c in (f, g)))
+    if field._coerce(alpha * lf + beta * lg):
+        return None
+    qc, lc = (alpha, lg) if field._coerce(alpha) else (-beta, lf)
+    return _affine(2 * qc * x - lc * u, 2 * qc * y - lc * t, 2 * w * qc, field.p)
+
+
 def q_partner(q: Quadrilateral, l: Line) -> Line:
     """The unique line making a Q-pair with the bisector l, read off the
     pencil of F = A*A' and G = B*B' (arXiv 2305.11762: the pencil is
@@ -211,11 +228,9 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     needed.  Every step holds up to scale, so over Q it runs on the
     _integral tuples of l and the sides (_side_products)."""
     field = _field_of(l, q)
-    p = field.p
-    sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
-    if _bisector_mid([_meet(l.raw, s, p) for s in sides], p) is None:
+    if _pencil_mid(q, l.raw) is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
-    t, u, v = _integral(l.raw, p)
+    t, u, v = _integral(l.raw, field.p)
     f, g = _side_products(q)
     alpha, beta = _pencil_ratio(f, g, t, u)
     if u:

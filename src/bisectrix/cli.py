@@ -39,9 +39,10 @@ from .svgplot import PLOT_KINDS, render_svg
 _FORMATS = ("text", "record")
 
 # The largest p for which verify runs its exhaustive profile over GF(p):
-# verify_all on random_quadrilateral(GF(p), 3) takes 0.04-0.06 s at p = 101,
-# 0.32-0.39 s at p = 997 and 0.68-0.78 s at p = 1,999 on a shared 2-vCPU
-# machine; the bound keeps one instance under a second.
+# verify_all on random_quadrilateral(GF(p), 3) takes 0.02-0.04 s at p = 101,
+# 0.15-0.28 s at p = 997 and 0.33-0.52 s at p = 1,999 on a shared 2-vCPU
+# machine with Python 3.11 (the spread is the machine's, run to run); the
+# bound keeps one instance under a second.
 _VERIFY_MAX_P = 1000
 
 

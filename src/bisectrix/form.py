@@ -37,6 +37,10 @@ class QuadraticData:
     beta: Scalar
     gamma: Scalar
 
+    def __post_init__(self):
+        _field_of(self.alpha, self.beta)
+        _field_of(self.alpha, self.gamma)
+
     @property
     def field(self):
         return self.alpha.field

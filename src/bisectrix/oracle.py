@@ -44,11 +44,15 @@ and differ only in the lines fed in: every line when exhaustive, the sides
 and diagonals or the probe lines in the fixture.  The span tests and the
 Gram test hold up to a nonzero scale, so over Q their operands are
 integral (plane._integral).
-Whether a line bisects is judged by the kernel's own rule, plane's raw
-meet and midpoint combined by bisectors._bisector_mid as is_bisector runs
-it, or by its per-class solution in brute_bisectors, which a small-p test
-pins to it line by line: it is the definition itself, not a closed form,
-so every closed form is still checked against an independent route.
+Whether a line bisects is judged by the definition, which lives here
+alone: _bisector_mid meets the line with the four sides (plane's raw meet
+and midpoint) and compares its midpoints across the pairs it crosses, and
+brute_bisectors solves it per class, which a small-p test pins to it line
+by line.  The kernel decides bisection on the side-product pencil instead
+(is_bisector, is_q_pair and q_partner), so every kernel rule, that one
+included, is checked against an independent route; the fixture's
+locus_midpoints compares is_bisector with _bisector_mid on the sides and
+diagonals.
 
 One verify_all call asks the kernel once per quadrilateral for each of
 quadratic_data, bisector_locus, q_partner of a line and is_q_pair of a pair,
@@ -77,7 +81,6 @@ from fractions import Fraction
 from .bisectors import (
     AllLinesThrough,
     Bisector,
-    _bisector_mid,
     bisector_locus,
     bisector_through,
     is_bisector,
@@ -85,13 +88,13 @@ from .bisectors import (
     nine_points,
     q_partner,
 )
-from .errors import ExhaustedSampling, GeometryError, InfiniteField, NotBisectors
+from .errors import (ExhaustedSampling, GeometryError, InfiniteField, InvariantViolation,
+                     NotBisectors)
 from .field import Field, PrimeField, Scalar
 from .form import desargues_pencil, lambda_q, phi, q_orthogonal, quadratic_data
 from .pencil import center, degenerations, pencil_of
 from .plane import (
     _PARALLEL,
-    _SAME,
     AffineMap,
     InfPoint,
     Line,
@@ -185,6 +188,18 @@ def _zero_set(conic, p: int) -> set[tuple[int, int]]:
     return found
 
 
+def _bisector_mid(l, sides, p: int | None):
+    """The definition of a bisector on raw values: the midpoint of the raw
+    line l as a bisector of the quadrilateral of raw sides A, A', B and B',
+    from its meets with them (plane._meet, plane._mid), or None when l does
+    not bisect."""
+    a, a2, b, b2 = (_meet(l, side, p) for side in sides)
+    mids = [m for m in (_mid(a, a2, p), _mid(b, b2, p)) if m is not None]
+    if not mids:
+        raise InvariantViolation("a line always crosses at least one opposite-side pair")
+    return mids[0] if mids[0] == mids[-1] and mids[0] is not _PARALLEL else None
+
+
 def _class_crossings(t, u, refs, p: int | None) -> list:
     """Where the lines tX - uY + v = 0 of one parallel class meet each raw
     line (rt, ru, rv) of refs, by Cramer's rule with the class's determinant
@@ -214,7 +229,7 @@ def _class_bisectors(t, u, sides, crossings, p: int):
     no v, one v or every v.  With one side of a pair in the class, that
     pair's midpoint is at infinity and no line bisects.  With both sides of
     a pair in the class, only the other pair is crossed and every line
-    bisects.  The lines that are sides are judged by the rule itself,
+    bisects.  The lines that are sides are judged by the definition itself,
     _bisector_mid.
     """
     in_class = {side[2] for side, c in zip(sides, crossings) if c is None}
@@ -233,20 +248,15 @@ def _class_bisectors(t, u, sides, crossings, p: int):
     x0, x1, y0, y1 = next(s for s in sums if s is not None)
     half = (p + 1) // 2
     for v in sorted({*solved, *in_class}):
-        if v in in_class:
-            at = [(_SAME if side[2] == v else _PARALLEL) if c is None
-                  else ((c[0] + c[1] * v) % p, (c[2] + c[3] * v) % p)
-                  for side, c in zip(sides, crossings)]
-            m = _bisector_mid(at, p)
-            if m is not None:
-                yield v, m
-        else:
-            yield v, ((x0 + x1 * v) * half % p, (y0 + y1 * v) * half % p)
+        m = (_bisector_mid((t, u, v), sides, p) if v in in_class
+             else ((x0 + x1 * v) * half % p, (y0 + y1 * v) * half % p))
+        if m is not None:
+            yield v, m
 
 
 def _sweep(q: Quadrilateral) -> tuple[frozenset, list]:
-    """Every line of the finite plane judged by the definition, the rule of
-    bisectors.is_bisector: solved once per parallel class on raw residues
+    """Every line of the finite plane judged by the definition
+    (_bisector_mid): solved once per parallel class on raw residues
     (see _class_bisectors), as the raw ((t, u, v), midpoint) of each
     bisector; and each class's (t, u, crossings) with A, A', B and B' (see
     _class_crossings), in _p1 order, which desargues_reflection reads."""
@@ -706,7 +716,7 @@ def _check_desargues(q, ctx):
         sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
         opposite = [l.raw for l in _quadrangle_sides(qr)]
         lines = [(*l, _chart_parameters(l[1], _class_crossings(*l[:2], opposite, p)),
-                  _bisector_mid([_meet(l, s, p) for s in sides], p) is not None)
+                  _bisector_mid(l, sides, p) is not None)
                  for l in probes]
     out = []
     for t, u, v, params, bisects in lines:
@@ -825,12 +835,15 @@ def _check_locus(q, ctx):
             )
         instances += len(zero_set)
     else:
+        sides = [l.raw for l in (q.a, q.a2, q.b, q.b2)]
         for line in _canonical_bisectors(q):
             instances += 1
             m = is_bisector(q, line)
             if m is None:
                 out.append(f"canonical line {line} does not bisect")
                 continue
+            if m.raw != _bisector_mid(line.raw, sides, q.field.p):
+                out.append(f"midpoint {m} of {line} is not the definition's")
             if not locus.conic.contains(m):
                 out.append(f"midpoint {m} of {line} is off the locus")
             found = bisector_through(q, m)
@@ -1007,7 +1020,7 @@ def _check_bisector_field(q, ctx):
             if l in seen:
                 continue
             seen.add(l)
-            m = _bisector_mid([_meet(l, side, p) for side in sides], p)
+            m = _bisector_mid(l, sides, p)
             if m is None:
                 out.append(f"{line} is not a bisector")
                 continue

@@ -160,9 +160,11 @@ class Line(Frozen):
     def is_vertical(self) -> bool:
         return not self.raw[1]
 
-    def contains(self, p: Point) -> bool:
+    def contains(self, p: PlanePoint) -> bool:
+        """Whether tX - uY + vW vanishes at p: at (x, y, 1) for a Point, at
+        (x, y, 0) for an InfPoint [x : y], as Conic.contains evaluates."""
         (t, u, v), (x, y) = self.raw, p.raw
-        return not _field_of(self, p)._coerce(t * x - u * y + v)
+        return not _field_of(self, p)._coerce(t * x - u * y + (0 if type(p) is InfPoint else v))
 
     def infinite_point(self) -> InfPoint:
         t, u, _ = self.raw

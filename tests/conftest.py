@@ -12,12 +12,12 @@ from bisectrix.errors import (
     AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
     IdenticalLines, InvariantViolation, NotABisector, NotBisectors,
 )
-from bisectrix.bisectors import _bisector_mid, _pencil_ratio
+from bisectrix.bisectors import _pencil_ratio
 from bisectrix.form import QuadraticData
 from bisectrix import oracle
-from bisectrix.oracle import _in_span
+from bisectrix.oracle import _bisector_mid, _in_span
 from bisectrix.pencil import Degeneration, DegenerationReport, ParallelFamily, _midline
-from bisectrix.plane import _PARALLEL, _SAME, _gradient, _meet, _product
+from bisectrix.plane import _PARALLEL, _SAME, _gradient, _product
 
 
 def make_quad(field, *literals):
@@ -160,7 +160,7 @@ def q_partner_by_rats(q, l):
     p = q.field.p
     t, u, v = raw = l.raw
     sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
-    if _bisector_mid([_meet(raw, s, p) for s in sides], p) is None:
+    if _bisector_mid(raw, sides, p) is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
     f, g = _product(*sides[:2]), _product(*sides[2:])
     alpha, beta = _pencil_ratio(f, g, t, u)
@@ -222,7 +222,7 @@ def quadrilateral_by_scalars(a, b, a2, b2):
 
 
 # The bisector definition on Scalar objects, the tests' reference for the
-# kernel's raw rule (bisectors._bisector_mid).
+# oracle's raw definition (oracle._bisector_mid).
 
 
 def mid_cross(l, pair):

@@ -21,6 +21,7 @@ from bisectrix import (
     bisector_through,
     is_bisector,
     is_q_pair,
+    line_from_points,
     midpoint,
     nine_points,
     q_partner,
@@ -78,13 +79,51 @@ def test_is_bisector_rejects_a_line_of_another_field():
 
 def test_bisector_rule_needs_a_crossed_pair():
     """No valid quadrilateral has a line that crosses neither opposite-side
-    pair, so the raw rule reports one as a kernel bug."""
-    from bisectrix.bisectors import _bisector_mid
-    from bisectrix.plane import _PARALLEL, _SAME
+    pair, so the oracle's definition reports one (a side of four parallel
+    lines) as a kernel bug."""
+    from bisectrix.oracle import _bisector_mid
 
-    for p in (7, None):
+    for field in (GF(7), QQ):
+        sides = [Line.parse(field, f"Y={k}").raw for k in range(4)]
         with pytest.raises(InvariantViolation):
-            _bisector_mid((_SAME, _PARALLEL, _PARALLEL, _PARALLEL), p)
+            _bisector_mid(sides[0], sides, field.p)
+
+
+def test_pencil_rule_equals_the_oracle_definition_on_every_line():
+    """is_bisector's rule on the side-product pencil gives the midpoint,
+    or None, that the oracle's definition gives from the meets with the
+    four sides: on every line of GF(7), GF(11) and GF(31) for seeds 1-3 and
+    the special quadrilaterals; over Q, seeds 0-39, on the sides, the
+    diagonals, a line parallel to each side, and the lines through each
+    vertex pair's midpoint and a vertex or along its bisectors."""
+    from bisectrix.oracle import _bisector_mid
+
+    def agree(q, lines):
+        sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
+        for line in lines:
+            m = is_bisector(q, line)
+            assert (m and m.raw) == _bisector_mid(line.raw, sides, q.field.p), (q, line)
+            found[m is not None] += 1
+
+    found = Counter()
+    for p in (7, 11, 31):
+        field = GF(p)
+        lines = enumerate_lines(field)
+        for q in [random_quadrilateral(field, seed) for seed in (1, 2, 3)]:
+            agree(q, lines)
+        for sides in SPECIAL_SIDES:
+            agree(make_quad(field, *sides), lines)
+    for seed in range(40):
+        q = random_quadrilateral(QQ, seed)
+        v = q.vertices
+        lines = [*q.sides, *q.diagonal_lines, *(Line(s.t, s.u, s.v + QQ.one) for s in q.sides)]
+        for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            m = midpoint(v[i], v[j])
+            lines += [line_from_points(m, w) for w in v if w != m]
+            found_at = bisector_through(q, m)
+            lines += [] if isinstance(found_at, AllLinesThrough) else [b.line for b in found_at]
+        agree(q, lines)
+    assert found[True] > 1000 and found[False] > 1000
 
 
 def test_bisector_through_examples(e1, e2):

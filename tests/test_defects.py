@@ -1,9 +1,10 @@
 """Named kernel defects and the verify tags that catch them.
 
-Each defect wraps one closed form of the kernel so that it answers wrongly,
-and is patched into every bisectrix module that holds the name: the oracle
-and the CLI bind names at import, so patching the defining module alone is
-not enough.  Each defect has two columns: exhaustive verify over GF(7) and
+Each defect wraps one closed form of the kernel so that it answers wrongly
+(one row, bisector_rule_both_pairs, wraps the oracle's own bisector
+definition instead), and is patched into every bisectrix module that holds
+the name: the oracle and the CLI bind names at import, so patching the
+defining module alone is not enough.  Each defect has two columns: exhaustive verify over GF(7) and
 fixture verify over Q.  In each, verify must report the defect under the
 column's tag on every seed (SEEDS, unless _SEEDS names others for that row
 and column), the set of tags that fire is pinned, and every violation line
@@ -20,9 +21,9 @@ import pytest
 
 from bisectrix import (
     AffineMap, Bisector, Conic, InfPoint, Line, LinePair, Point, QuadraticData, Quadrilateral,
-    bisectors, form, pencil, plane,
+    bisectors, form, oracle, pencil, plane,
 )
-from bisectrix.plane import _mid
+from bisectrix.plane import _meet, _mid
 from bisectrix.cli import main
 
 SEEDS = (1, 2, 3)
@@ -127,13 +128,31 @@ def _apply_line_sheared(apply):
 
 
 def _both_pairs_crossed(bisector_mid):
-    """The bisector rule demanding that a line cross both opposite-side pairs."""
+    """The oracle's bisector definition demanding that a line cross both
+    opposite-side pairs."""
 
-    def defect(crossings, p):
-        a, a2, b, b2 = crossings
+    def defect(l, sides, p):
+        a, a2, b, b2 = (_meet(l, side, p) for side in sides)
         if _mid(a, a2, p) is None or _mid(b, b2, p) is None:
             return None
-        return bisector_mid(crossings, p)
+        return bisector_mid(l, sides, p)
+
+    return defect
+
+
+def _pencil_mid_reflected(pencil_mid):
+    """The kernel's bisector midpoint stepped the wrong way along the line,
+    P + L_C/(2*Q_C)*d: the true one reflected through the line's point P,
+    (0, v) on a raw line with u = 1, else (-v, 0)."""
+
+    def defect(q, l):
+        m = pencil_mid(q, l)
+        if m is None:
+            return m
+        t, u, v = l
+        x, y = (-m[0], 2 * v - m[1]) if u else (-2 * v - m[0], -m[1])
+        p = q.field.p
+        return (x % p, y % p) if p else (x, y)
 
     return defect
 
@@ -254,7 +273,8 @@ DEFECTS = {
             "GFp:7": ("partner_involution",
                       {"bisector_field", "partner_involution", "pencil_degenerations"}),
             "Q": ("partner_involution",
-                  {"bisector_field", "partner_involution", "pencil_degenerations"}),
+                  {"bisector_field", "locus_midpoints", "partner_involution",
+                   "pencil_degenerations"}),
         },
     ),
     "alpha_plus_one": (
@@ -287,8 +307,12 @@ DEFECTS = {
     ),
     "gradient_swapped": (
         plane, "_gradient", _gradient_swapped, {
-            "GFp:7": ("closed_form_oracle", {"closed_form_oracle"}),
-            "Q": ("locus_midpoints", {"locus_midpoints"}),
+            "GFp:7": ("closed_form_oracle",
+                      {"bisector_field", "closed_form_oracle", "partner_involution",
+                       "pencil_degenerations"}),
+            "Q": ("locus_midpoints",
+                  {"bisector_field", "locus_midpoints", "partner_involution",
+                   "pencil_degenerations"}),
         },
     ),
     "inner_off_by_one": (
@@ -324,14 +348,19 @@ DEFECTS = {
         },
     ),
     "bisector_rule_both_pairs": (
-        bisectors, "_bisector_mid", _both_pairs_crossed, {
+        oracle, "_bisector_mid", _both_pairs_crossed, {
             "GFp:7": ("vertex_line_bisectors",
                       {"bisector_field", "closed_form_oracle", "locus_midpoints",
-                       "parallel_bisectors", "partner_involution", "pencil_degenerations",
-                       "repairing_bisectors", "vertex_line_bisectors"}),
+                       "parallel_bisectors", "pencil_degenerations", "repairing_bisectors",
+                       "vertex_line_bisectors"}),
+            "Q": ("locus_midpoints", {"bisector_field", "locus_midpoints"}),
+        },
+    ),
+    "pencil_mid_reflected": (
+        bisectors, "_pencil_mid", _pencil_mid_reflected, {
+            "GFp:7": ("partner_involution", {"partner_involution", "pencil_degenerations"}),
             "Q": ("locus_midpoints",
-                  {"bisector_field", "locus_midpoints", "partner_involution",
-                   "pencil_degenerations"}),
+                  {"locus_midpoints", "partner_involution", "pencil_degenerations"}),
         },
     ),
     "meet_x_negated": (
@@ -339,8 +368,9 @@ DEFECTS = {
             "GFp:7": ("locus_midpoints",
                       {"closed_form_oracle", "desargues_reflection", "lambda_involution",
                        "locus_degeneracy", "locus_midpoints", "nine_points",
-                       "opposite_orthogonal", "pair_redundancy", "pencil_degenerations",
-                       "repairing_bisectors", "vertex_line_bisectors"}),
+                       "opposite_orthogonal", "pair_redundancy", "partner_involution",
+                       "pencil_degenerations", "repairing_bisectors", "unique_midpoints",
+                       "vertex_line_bisectors"}),
             "Q": ("locus_midpoints",
                   {"bisector_field", "lambda_involution", "locus_midpoints", "nine_points",
                    "opposite_orthogonal", "partner_involution", "pencil_degenerations"}),
@@ -350,9 +380,11 @@ DEFECTS = {
         plane, "_mid", _mid_swapped, {
             "GFp:7": ("closed_form_oracle",
                       {"closed_form_oracle", "locus_degeneracy", "locus_midpoints",
-                       "nine_points", "pair_redundancy", "pencil_degenerations",
-                       "repairing_bisectors", "unique_midpoints"}),
-            "Q": ("nine_points", {"locus_midpoints", "nine_points"}),
+                       "nine_points", "pair_redundancy", "partner_involution",
+                       "pencil_degenerations", "repairing_bisectors", "unique_midpoints"}),
+            "Q": ("nine_points",
+                  {"locus_midpoints", "nine_points", "partner_involution",
+                   "pencil_degenerations"}),
         },
     ),
     "affine_swapped": (

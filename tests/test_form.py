@@ -9,6 +9,7 @@ from bisectrix import (
     Line,
     Point,
     QQ,
+    QuadraticData,
     desargues_involution,
     desargues_pencil,
     inner,
@@ -101,6 +102,18 @@ def test_form_refuses_vectors_and_lines_of_another_field():
     for call in calls:
         with pytest.raises(FieldMismatch, match="GF\\(7\\) vs Q"):
             call()
+
+
+def test_quadratic_data_refuses_mixed_fields():
+    """A QuadraticData whose alpha, beta and gamma are not of one field
+    raises FieldMismatch, rather than evaluating phi on the residue of one
+    field and the fraction of another."""
+    seven, half = GF(7), QQ.scalar(Fraction(1, 2))
+    for triple in ((seven.one, half, seven.one), (seven.one, seven.one, half),
+                   (half, seven.one, seven.one)):
+        with pytest.raises(FieldMismatch):
+            QuadraticData(*triple)
+    assert phi(QuadraticData(seven.one, seven.zero, seven.one), seven.one, seven.one) == seven.scalar(2)
 
 
 def test_discriminant_identity_random():

@@ -741,10 +741,10 @@ def test_raw_routes_over_q_equal_the_scalar_definitions(e1, monkeypatch):
 
 
 def _midpoint_shifted(bisector_mid):
-    """The bisector rule answering every midpoint one step off in X."""
+    """The bisector definition answering every midpoint one step off in X."""
 
-    def defect(crossings, p):
-        m = bisector_mid(crossings, p)
+    def defect(l, sides, p):
+        m = bisector_mid(l, sides, p)
         return m if m is None else ((m[0] + 1) % p if p else m[0] + 1, m[1])
 
     return defect
@@ -756,9 +756,10 @@ def test_bisector_field_decision_agrees_with_the_walk(monkeypatch):
     L_G vanish at its midpoint, which lies on it), reports exactly what it
     reports when every line is met with every pair: at p = 3, 5, 7 and 11,
     on sound kernels (where no pair and no line is walked), with a shifted
-    Q-partner (whose pairs leave the span) and the both-pairs bisector rule
-    of test_defects, and with a shifted midpoint in the oracle's rule
-    (which only the slopes see)."""
+    Q-partner (whose pairs leave the span) and the both-pairs bisector
+    definition of test_defects (which rejects the kernel's partners that
+    are sides before any decision), and with a shifted midpoint in the
+    oracle's definition (which only the slopes see)."""
     from bisectrix import oracle
 
     in_span, slopes_of = oracle._in_span, oracle._slopes
@@ -796,11 +797,13 @@ def test_bisector_field_decision_agrees_with_the_walk(monkeypatch):
                         assert oracle._check_bisector_field(q, ctx) == decided, (name, p, q)
                     violations += len(decided[1])
         # Each injection reaches the decision; only the shifted partner sends
-        # pairs to the walk, and only the shifted midpoint sends lines.
+        # pairs to the walk, and only the shifted midpoint sends lines.  Only
+        # the both-pairs definition reports a line before the decision.
         assert outside and slopes, name
         assert any(outside) == (name == "q_partner_shifted"), name
         assert any(slopes) == (name == "oracle_midpoint_shifted"), name
-        assert (violations > 0) == (any(outside) or any(slopes)), name
+        early = name == "bisector_rule_both_pairs"
+        assert (violations > 0) == (any(outside) or any(slopes) or early), name
 
 
 def test_span_and_slopes_equal_their_definitions():
@@ -1007,16 +1010,16 @@ def test_bisector_lines_come_in_the_same_order_in_every_process():
 
 
 def test_violations_come_in_the_same_order_in_every_process():
-    """Under the both-pairs bisector rule, vertex_line_bisectors and
+    """Under the both-pairs bisector definition, vertex_line_bisectors and
     unique_midpoints walk sets of points, whose order follows the hash of
     their raw tuples: verify over GF(7), seeds 1-5, prints the same
     violations in the same order in every process."""
     printed = _printed_in_three_processes(
         "import pytest\n"
-        "from bisectrix import bisectors\n"
+        "from bisectrix import oracle\n"
         "from bisectrix.cli import main\n"
         "from test_defects import _both_pairs_crossed, _inject\n"
-        "_inject(pytest.MonkeyPatch(), bisectors, '_bisector_mid', _both_pairs_crossed)\n"
+        "_inject(pytest.MonkeyPatch(), oracle, '_bisector_mid', _both_pairs_crossed)\n"
         "main(['--field', 'GFp:7', '--cmd', 'verify', '--seed', '1', '--instances', '5'])\n"
     )
     violations = [[l for l in out.splitlines() if l.startswith("violation ")] for out in printed]
@@ -1042,14 +1045,16 @@ def test_verify_all_frees_its_memo_when_it_returns():
     assert alive == []
 
 
-def test_oracle_runs_the_kernel_bisector_rule():
+def test_oracle_owns_the_bisector_definition():
     """Each raw rule has one home: plane.py alone defines the meet and
-    midpoint rule, the side products and their gradients, bisectors.py
-    alone the bisector rule (_bisector_mid).  No other
-    module of the package defines any of them; bisectors, quad, pencil and
-    oracle hold the home module's objects, and the defect matrix takes _mid
-    from plane.  bisectors holds no standard form: its closed forms read
-    the pencil."""
+    midpoint rule, the side products and their gradients, oracle.py alone
+    the bisector definition (_bisector_mid), and bisectors.py alone the
+    kernel's bisector rule on the side-product pencil (_pencil_mid).  No
+    other module of the package defines any of them; bisectors, quad,
+    pencil and oracle hold the home module's objects, and the defect matrix
+    takes _mid from plane.  bisectors neither meets lines nor holds the
+    definition or a standard form: its rules read the pencil.  The oracle
+    reaches the kernel's rule only through the functions it judges."""
     import ast
     from pathlib import Path
 
@@ -1057,7 +1062,8 @@ def test_oracle_runs_the_kernel_bisector_rule():
 
     homes = dict.fromkeys(("_PARALLEL", "_SAME", "_meet", "_mid", "_product", "_gradient"),
                           plane)
-    homes["_bisector_mid"] = bisectors
+    homes["_bisector_mid"] = oracle
+    homes["_pencil_mid"] = bisectors
 
     def tree(path):
         return ast.parse(Path(path).read_text(encoding="utf-8"))
@@ -1075,7 +1081,9 @@ def test_oracle_runs_the_kernel_bisector_rule():
         assert used, module.__name__
         for name in used:
             assert getattr(module, name) is getattr(homes[name], name), (module.__name__, name)
-    assert not {"standard_form", "AffineMap"} & vars(bisectors).keys()
+    assert not {"standard_form", "AffineMap", "_meet", "_PARALLEL", "_SAME",
+                "_bisector_mid"} & vars(bisectors).keys()
+    assert "_pencil_mid" not in vars(oracle)
     defects = tree(Path(__file__).with_name("test_defects.py"))
     imports = {(node.module, alias.name) for node in ast.walk(defects)
                if isinstance(node, ast.ImportFrom) for alias in node.names}

@@ -264,6 +264,19 @@ def test_intersect_and_midpoint_over_q_heights():
     assert _meet_or_error(intersect, line, line) == ("IdenticalLines", "lines coincide")
 
 
+def test_line_contains_its_own_infinite_point_only():
+    """Line.contains evaluates an InfPoint [x : y] at w = 0, as
+    Conic.contains does: a line holds its own infinite point and no other,
+    wherever the affine point (x, y) lies."""
+    for field in (QQ, GF(7)):
+        lines = [Line.parse(field, text) for text in ("Y=X+1", "Y=2X+1", "X=3", "Y=5", "Y=X")]
+        for line in lines:
+            for other in lines:
+                held = line.contains(other.infinite_point())
+                assert held == line.is_parallel(other), (field, line, other)
+    assert Line.parse(QQ, "Y=X+1").contains(InfPoint(QQ.one, QQ.one))
+
+
 def test_intersect_and_midpoint_refuse_mixed_fields():
     with pytest.raises(FieldMismatch):
         intersect(Line.parse(QQ, "Y=X"), Line.parse(GF(7), "Y=2X"))
