@@ -11,19 +11,23 @@ The kernel reads the pencil of the side products F = A*A' and G = B*B'
 instead, memoised on the quadrilateral (_side_products; arXiv 2305.11762:
 the pencil is asymptotically the bisector field): is_bisector, is_q_pair
 and q_partner decide a line by one rule on it (_pencil_mid), and q_partner
-and bisector_through read their answers off it.  All of them run on raw
-tuples and build their answers with Line.of and Point.of.
+and bisector_through read their answers off it.  The bisector locus is the
+set of centers of the pencil's conics (_jacobian), where the gradients of
+F and G are parallel, which is bisector_through's test at a point.  All of
+them run on raw tuples and build their answers with Line.of, Point.of and
+Conic.of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 from .errors import InvariantViolation, NotABisector, NotBisectors
 from .field import Scalar
-from .form import QuadraticData, phi, q_orthogonal, quadratic_data
-from .pencil import Conic
+from .form import QuadraticData, q_orthogonal, quadratic_data
+from .pencil import Conic, _evaluate
 from .plane import (
     Line,
     LinePair,
@@ -65,7 +69,7 @@ def is_bisector(q: Quadrilateral, l: Line) -> Point | None:
     side-product pencil (_pencil_mid).
     """
     field = _field_of(l, q)
-    m = _pencil_mid(q, l.raw)
+    m = _pencil_mid(q, l.raw)[0]
     return None if m is None else Point.of(field, m)
 
 
@@ -75,17 +79,15 @@ def bisector_through(q: Quadrilateral, m: Point) -> list[Bisector] | AllLinesThr
     m exactly when grad F(m) . d = grad G(m) . d = 0 (plane._gradient).  So
     m is on the locus, the centers of the pencil's conics, exactly when the
     two gradients are parallel, and the bisector is normal to the nonzero
-    one.  Empty off the locus; AllLinesThrough(m) when both vanish, at the
+    one: J = F_x*G_y - F_y*G_x (_jacobian, bisector_locus's conic) vanishes
+    at m.  Empty off the locus; AllLinesThrough(m) when both vanish, at the
     center of a parallelogram's vertex set.  Over Q the side products are
     integral (_side_products) and m is cleared, so Line.of gets ints."""
     field = _field_of(m, q)
     p = field.p
-    # m = (x/w, y/w): w*grad C(m) is the gradient at (x, y) of C with its
-    # linear part times w.
     x, y, w = _cleared(m.raw, p)
-    (fx, fy), (gx, gy) = (
-        [d % p if p else d for d in _gradient((*c[:3], w * c[3], w * c[4]), (x, y))]
-        for c in _side_products(q))
+    (fx, fy), (gx, gy) = ([d % p if p else d for d in _gradient(c, (x, y, w))]
+                          for c in _side_products(q))
     if (fx * gy - fy * gx) % p if p else fx * gy - fy * gx:
         return []
     nx, ny = (fx, fy) if fx or fy else (gx, gy)
@@ -100,8 +102,8 @@ class LocusConic:
 
     components is None for a nondegenerate locus; otherwise it is the pair
     (midline of the parallel sides or diagonals, line through their
-    midpoints).  The centered representation
-    phi(X - h, Y - k) = constant is kept for rendering.
+    midpoints).  The centered representation phi(X - h, Y - k) = constant,
+    for the form data of quadratic_data, is kept for rendering.
     """
 
     conic: Conic
@@ -120,22 +122,21 @@ _PAIR_SEGMENTS = (((0, 3), (1, 2)), ((0, 1), (2, 3)), ((0, 2), (1, 3)))
 
 
 def bisector_locus(q: Quadrilateral) -> LocusConic:
-    """The locus of midpoints of bisectors: phi(X-h, Y-k) = phi(a-h, b-k)
-    for the first affine diagonal point (a, b)."""
-    d = quadratic_data(q)
-    c = q.centroid
-    h, k = c.x, c.y
-    anchor = next(p for p in q.diagonal_points() if isinstance(p, Point))
-    constant = phi(d, anchor.x - h, anchor.y - k)
-    alpha, beta, gamma = d.alpha, d.beta, d.gamma
-    conic = Conic(
-        gamma,
-        -2 * beta,
-        alpha,
-        -2 * gamma * h + 2 * beta * k,
-        2 * beta * h - 2 * alpha * k,
-        phi(d, h, k) - constant,
-    )
+    """The locus of midpoints of bisectors: the centers of the conics of
+    the pencil of F = A*A' and G = B*B', the conic J = F_x*G_y - F_y*G_x
+    (_jacobian; bisector_through tests J at a point).  J equals
+    -2*(phi(X - h, Y - k) - constant) for the centroid (h, k), so the
+    constant is J(h, k)/2.  J is taken on the memoised _side_products, on
+    which over Q it comes out times the product of the sides' W's
+    (plane._cleared); the constant divides that out, to be exact in
+    quadratic_data's scale."""
+    field, c = q.field, q.centroid
+    j = _jacobian(*_side_products(q))
+    x, y, w = _cleared(c.raw, field.p)
+    value = _evaluate((*j[:3], j[3] * w, j[4] * w, j[5] * w * w), (x, y))
+    scale = 2 * w * w * prod(_cleared(side.raw, field.p)[-1] for side in q.sides)
+    constant = field.scalar(value) / field.scalar(scale)
+    conic = Conic.of(field, j)
     components = None
     v = q.vertices
     for (l1, l2), ((i1, j1), (i2, j2)) in zip(q.line_pairs, _PAIR_SEGMENTS):
@@ -148,7 +149,7 @@ def bisector_locus(q: Quadrilateral) -> LocusConic:
         raise InvariantViolation("the locus splits exactly when its constant vanishes")
     if components is not None and Conic.from_lines(*components) != conic:
         raise InvariantViolation("a split locus is the product of its two lines")
-    return LocusConic(conic, c, components, d, constant)
+    return LocusConic(conic, c, components, quadratic_data(q), constant)
 
 
 def nine_points(qr: Quadrangle) -> list[PlanePoint]:
@@ -162,7 +163,7 @@ def is_q_pair(q: Quadrilateral, pair: LinePair) -> bool:
     """Q-antipodal and Q-orthogonal; the two lines may coincide.  Both
     midpoints come from is_bisector's rule (_pencil_mid)."""
     p = _field_of(pair.a, q).p
-    mids = [_pencil_mid(q, l.raw) for l in pair.lines]
+    mids = [_pencil_mid(q, l.raw)[0] for l in pair.lines]
     if None in mids:
         raise NotBisectors(f"{pair} does not consist of bisectors")
     return (_mid(*mids, p) == q.centroid.raw
@@ -179,6 +180,16 @@ def _side_products(q: Quadrilateral) -> tuple[tuple, tuple]:
     return q._pencil
 
 
+def _jacobian(f, g) -> tuple:
+    """J = F_x*G_y - F_y*G_x for the conics of raw coefficients f and g
+    (see plane._product), as raw coefficients of X^2, XY, Y^2, X, Y and 1:
+    its value at a point is the cross product of the two gradients there
+    (plane._gradient), the test of bisector_through."""
+    (a, b, c, d, e), (k, l, m, n, o) = f, g
+    return (2 * (a * l - b * k), 4 * (a * m - c * k), 2 * (b * m - c * l),
+            2 * (a * o - e * k) + d * l - b * n, b * o - e * l + 2 * (d * m - c * n), d * o - e * n)
+
+
 def _pencil_ratio(f, g, t, u) -> tuple:
     """[alpha : beta] = [Q_G(d) : -Q_F(d)] for d = (u, t) and the raw side
     products f and g (plane._product): alpha*F + beta*G has no d^2 term."""
@@ -186,9 +197,10 @@ def _pencil_ratio(f, g, t, u) -> tuple:
             -(f[0] * u * u + f[1] * u * t + f[2] * t * t))
 
 
-def _pencil_mid(q: Quadrilateral, l) -> tuple | None:
-    """The raw midpoint of the raw line l as a bisector of q, or None when l
-    does not bisect, read off the pencil of F = A*A' and G = B*B'
+def _pencil_mid(q: Quadrilateral, l) -> tuple:
+    """The raw midpoint of the raw line l as a bisector of q (None when l
+    does not bisect), with l's _integral tuple and [alpha : beta], which
+    q_partner reads on, all off the pencil of F = A*A' and G = B*B'
     (_side_products).  Along l, through its point P = (0, v/u), or (-v/t, 0)
     when u = 0, in direction d = (u, t), C(P + s*d) = Q_C(d)*s^2 +
     L_C(P, d)*s + C(P).  The roots of F are l's crossings with A and A', so
@@ -200,19 +212,19 @@ def _pencil_mid(q: Quadrilateral, l) -> tuple | None:
     _pencil_ratio (never [0 : 0], as a side of one pair is adjacent to both
     sides of the other), and the midpoint is read off a C with Q_C != 0.
     Every step holds up to scale, so over Q it runs on l's _integral tuple,
-    with P = (x/w, y/w) and w*L_C read off the gradient of C with its linear
-    part times w, as in bisector_through."""
+    with P = (x/w, y/w) and w*L_C read off the gradient at (x, y, w), as in
+    bisector_through."""
     field = q.field
-    t, u, v = _integral(l, field.p)
+    line = t, u, v = _integral(l, field.p)
     x, y, w = (0, v, u) if u else (-v, 0, t)
     f, g = _side_products(q)
     alpha, beta = _pencil_ratio(f, g, t, u)
-    lf, lg = (gx * u + gy * t for gx, gy in
-              (_gradient((*c[:3], w * c[3], w * c[4]), (x, y)) for c in (f, g)))
-    if field._coerce(alpha * lf + beta * lg):
-        return None
-    qc, lc = (alpha, lg) if field._coerce(alpha) else (-beta, lf)
-    return _affine(2 * qc * x - lc * u, 2 * qc * y - lc * t, 2 * w * qc, field.p)
+    lf, lg = (gx * u + gy * t for gx, gy in (_gradient(c, (x, y, w)) for c in (f, g)))
+    mid = None
+    if not field._coerce(alpha * lf + beta * lg):
+        qc, lc = (alpha, lg) if field._coerce(alpha) else (-beta, lf)
+        mid = _affine(2 * qc * x - lc * u, 2 * qc * y - lc * t, 2 * w * qc, field.p)
+    return mid, line, (alpha, beta)
 
 
 def q_partner(q: Quadrilateral, l: Line) -> Line:
@@ -228,11 +240,10 @@ def q_partner(q: Quadrilateral, l: Line) -> Line:
     needed.  Every step holds up to scale, so over Q it runs on the
     _integral tuples of l and the sides (_side_products)."""
     field = _field_of(l, q)
-    if _pencil_mid(q, l.raw) is None:
+    m, (t, u, v), (alpha, beta) = _pencil_mid(q, l.raw)
+    if m is None:
         raise NotABisector(f"{l} does not bisect the quadrilateral")
-    t, u, v = _integral(l.raw, field.p)
     f, g = _side_products(q)
-    alpha, beta = _pencil_ratio(f, g, t, u)
     if u:
         xy, yy, y = (alpha * f[i] + beta * g[i] for i in (1, 2, 4))
         return Line.of(field, (-u * xy - t * yy, u * yy, -u * y - v * yy))

@@ -1,16 +1,21 @@
 """The inner product and quadratic form induced by a quadrilateral.
 
-From the canonical side coefficients a quadrilateral yields a triple
-(alpha, beta, gamma); these define the quadratic form
+A quadrilateral yields a triple (alpha, beta, gamma), read off the pencil
+of its side products F = A*A' and G = B*B' (arXiv 2305.11762): minus the
+cross product of their quadratic parts.  It defines the quadratic form
 Phi(X, Y) = gamma*X^2 - 2*beta*X*Y + alpha*Y^2 and the symmetric bilinear
 form with matrix [[gamma, -beta], [-beta, alpha]].  Two lines are
 Q-orthogonal when their (u, t) coefficient vectors pair to zero; this is
 equivalent to their infinite points being conjugate under the involution
 with matrix [[beta, -alpha], [gamma, -beta]] on the line at infinity.
-inner and Involution.conjugate compute on raw values (see plane) and wrap a
-Scalar only in what they return; each quantity has one formula, so phi is
-inner of a vector with itself and desargues_involution is desargues_pencil
-evaluated at the line's offset v.
+The Desargues involution of a quadrangle along a parallel class is read
+off the same kind of pencil, the products of two pairs of opposite sides
+restricted to the class (_restriction); the oracle derives it from each
+side's crossing with the class instead.  inner and Involution.conjugate
+compute on raw values (see plane) and wrap a Scalar only in what they
+return; each quantity has one formula, so phi is inner of a vector with
+itself and desargues_involution is desargues_pencil evaluated at the
+line's offset v.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import (
     NotConjugate,
 )
 from .field import QQ, Frozen, Scalar
-from .plane import _NO_LINE, InfPoint, Line, _cleared, _field_of
+from .plane import _NO_LINE, InfPoint, Line, _cleared, _field_of, _integral, _product
 from .quad import Quadrangle, Quadrilateral
 
 Vec = tuple[Scalar, Scalar]
@@ -50,25 +55,25 @@ class QuadraticData:
 
 
 def quadratic_data(q: Quadrilateral) -> QuadraticData:
-    """The (alpha, beta, gamma) triple from the raw canonical coefficients,
-    wrapped once and memoised on q.
+    """The (alpha, beta, gamma) triple, wrapped once and memoised on q:
+    minus the cross product of the quadratic parts Q_F and Q_G (the first
+    three entries of plane._product) of the side products F = A*A' and
+    G = B*B', so that beta^2 - alpha*gamma is the resultant of Q_F and Q_G.
 
     No rescaling is applied; proportionality of the triples across
-    re-pairings of a quadrangle is a theorem, not a normalization.  The
-    triple is linear in each side's (t, u), so it is computed on each side's
-    cleared (T, U, W) and divided once by the product of the W's.
+    re-pairings of a quadrangle is a theorem, not a normalization.  Q_F and
+    Q_G are linear in each side's (t, u), so they are computed on each
+    side's cleared (T, U, W), which _product reads as a line TX - UY + W
+    (the quadratic part does not involve W), and the triple is divided
+    once by the product of the W's.
     """
     if q._quadratic_data is not None:
         return q._quadratic_data
-    p = q.field.p
-    (ta, ua, wa), (tb, ub, wb), (tc, uc, wc), (td, ud, wd) = (
-        _cleared(l.raw[:2], p) for l in q.sides)
-    alpha = ta * ub * uc * ud - ua * tb * uc * ud + ua * ub * tc * ud - ua * ub * uc * td
-    beta = ta * ub * tc * ud - ua * tb * uc * td
-    gamma = ta * tb * tc * ud - ta * tb * uc * td + ta * ub * tc * td - ua * tb * tc * td
-    w = q.field.scalar(wa * wb * wc * wd)
-    data = QuadraticData(*(q.field.scalar(c) / w for c in (alpha, beta, gamma)))
-    object.__setattr__(q, "_quadratic_data", data)
+    field = q.field
+    a, b, a2, b2 = (_cleared(l.raw[:2], field.p) for l in q.sides)
+    w = field.scalar(-a[2] * b[2] * a2[2] * b2[2])
+    triple = _cross(_product(a, a2)[:3], _product(b, b2)[:3])
+    object.__setattr__(q, "_quadratic_data", QuadraticData(*(field.scalar(c) / w for c in triple)))
     return q._quadratic_data
 
 
@@ -138,9 +143,8 @@ def lambda_q(d: QuadraticData) -> Involution:
 
 def _exchange_row(p, q) -> tuple:
     # Linear constraint on (m0, m1, m2) with M = [[m0, m1], [m2, -m0]]
-    # expressing M(p) proportional to q, for homogeneous pairs p = (x, y)
-    # and q of any ring: Scalars, or raw values (_class_row and
-    # Involution.conjugate).
+    # expressing M(p) proportional to q, for homogeneous raw pairs p =
+    # (x, y) and q (Involution.conjugate).
     (px, py), (qx, qy) = p, q
     return (px * qy + py * qx, py * qy, -(px * qx))
 
@@ -153,42 +157,30 @@ def _cross(r1, r2) -> tuple:
     )
 
 
-def _class_parameters(pairs, t, u, p: int | None):
-    """Where the lines tX - uY + v = 0 of the parallel class of raw (t, u)
-    meet each side of the given pairs of opposite sides (LinePairs), as the
-    chart parameter [a + b*v : det] of Cramer's rule: one raw (a, b, det)
-    per side (see plane; unreduced), two per pair.
-
-    The chart of a line reads an affine point as [x : 1], with x its X
-    coordinate, or its Y on a vertical line, and the line's own infinite
-    point as [1 : 0].  det = u*st - t*su (plane.line_det) is the same for
-    every line of the class; a side of the class's direction meets each of
-    its lines at [1 : 0].
-    """
-    def parameter(st, su, sv):
-        det = u * st - t * su
-        if not (det % p if p else det):
-            return (1, 0, 0)
-        # The chart reads Y on a vertical line.
-        return (-u * sv, su, det) if u else (-t * sv, st, det)
-
-    return [[parameter(*pair.a.raw), parameter(*pair.b.raw)] for pair in pairs]
+def _restriction(c, t, u) -> tuple:
+    """The conic of raw coefficients c (see plane._product, then its
+    constant) on the lines tX - uY + v = 0 of a parallel class, in the
+    chart parameter x of each (its X coordinate, or its Y when u = 0): times
+    u^2 (t^2 when u = 0) it is a*x^2 + b*x + e, with b of degree 1 and e
+    of degree 2 in v.  Returned as the exchange row (-b, a, -e) of its two
+    roots (see _exchange_row; a root at the line's infinite point [1 : 0]
+    when a = 0), -b and -e as coefficient tuples in v (lowest degree
+    first, 2 and 3 entries)."""
+    xx, xy, yy, x, y, k = c
+    if u:
+        return ((-(x * u + y * t) * u, -(xy * u + 2 * yy * t)),
+                xx * u * u + xy * u * t + yy * t * t, (-k * u * u, -y * u, -yy))
+    return (-y * t * t, xy * t), yy * t * t, (-k * t * t, x * t, -xx)
 
 
-def _class_row(pair) -> tuple:
-    """The exchange row of a pair of chart parameters [a + b*v : det] (see
-    _class_parameters) along the class, as raw coefficient tuples in v
-    (lowest degree first): the sum x1*y2 + y1*x2 (2 entries), the product
-    y1*y2 (1) and -x1*x2 (3).  The row is bilinear in the two points, so
-    its coefficient of v^k is the sum of the _exchange_row of the points'
-    parts [a : det] (degree 0) and [b : 0] (degree 1) whose degrees add to
-    k."""
-    (a1, b1, d1), (a2, b2, d2) = pair
-    s0, e, n0 = _exchange_row((a1, d1), (a2, d2))
-    s1, _, n1 = _exchange_row((a1, d1), (b2, 0))
-    t1, _, m1 = _exchange_row((b1, 0), (a2, d2))
-    n2 = _exchange_row((b1, 0), (b2, 0))[2]
-    return (s0, s1 + t1), e, (n0, n1 + m1, n2)
+def _pair_rows(pairs, t, u, p: int | None) -> list:
+    """_restriction of the product of each pair of lines (LinePairs), on
+    their _integral tuples: one row per pair, up to a nonzero scale."""
+    rows = []
+    for pair in pairs:
+        l, m = (_integral(line.raw, p) for line in pair.lines)
+        rows.append(_restriction((*_product(l, m), l[2] * m[2]), t, u))
+    return rows
 
 
 def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple, tuple]:
@@ -201,19 +193,20 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple
     desargues_involution is the matrix [[m0(v), m1(v)], [m2(v), -m0(v)]] up
     to scale.  Its reflections, the class's bisectors, are the roots of m2.
     With (t, u) normalised as in Line, v is the offset of the canonical
-    line.  The triple is the cross product (_cross) of the first two pairs'
-    exchange rows along the class (_class_row), multiplied out term by term
-    on raw values; only those two pairs are crossed (the third is
-    desargues_involution's check), and no Line is built.
+    line.  By Desargues' theorem the conics through qr's vertices cut the
+    involution's pairs on each line, so the triple is the cross product
+    (_cross) of the exchange rows of two of them, the products F and G of
+    the first two pairs of opposite sides, restricted to the class
+    (_restriction), multiplied out term by term on raw values; the third
+    pair is desargues_involution's check, and no Line is built.
     """
     if t.field is not qr.field or u.field is not qr.field:
         raise FieldMismatch("class direction and quadrangle from different fields")
     if t.is_zero() and u.is_zero():
         raise DegenerateInput(_NO_LINE)
     p = qr.field.p
-    first, second = _class_parameters(qr.opposite_side_pairs()[:2], t.value, u.value, p)
-    (s0, s1), e, (n0, n1, n2) = _class_row(first)
-    (z0, z1), f, (k0, k1, k2) = _class_row(second)
+    ((s0, s1), e, (n0, n1, n2)), ((z0, z1), f, (k0, k1, k2)) = _pair_rows(
+        qr.opposite_side_pairs()[:2], t.value, u.value, p)
     triple = ((e * k0 - n0 * f, e * k1 - n1 * f, e * k2 - n2 * f),
               (n0 * z0 - s0 * k0, n0 * z1 + n1 * z0 - s0 * k1 - s1 * k0,
                n1 * z1 + n2 * z0 - s0 * k2 - s1 * k1, n2 * z1 - s1 * k2),
@@ -225,23 +218,26 @@ def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
     """The involution induced on a line by the conics through a quadrangle:
     desargues_pencil of the line's class at the line's offset v.  The third
     pair of opposite sides is conjugate under the same involution, which is
-    checked (NotConjugate otherwise).  The involution acts on the chart
-    parameters of _class_parameters; it is a reflection, fixing the line's
-    infinite point, exactly when m2 = 0.  Off the vertices the triple is
-    never degenerate: m0^2 + m1*m2 is, up to sign, the product of the cross
-    determinants of the first two pairs' crossings, which are distinct points
-    (the identity oracle._desargues_class_cleared checks), so a
-    DegenerateInput here is a kernel fault.
+    checked on its restriction to the line (_restriction; NotConjugate
+    otherwise).  The involution acts on the chart parameter of the line
+    (see _restriction); it is a reflection, fixing the line's infinite
+    point, exactly when m2 = 0.  Off the vertices the triple is never
+    degenerate: m0^2 + m1*m2 is, up to a nonzero factor, the product of
+    the cross determinants of the first two pairs' crossings, which are
+    distinct points (the identity oracle._desargues_class_cleared checks on
+    its own rows), so a DegenerateInput here is a kernel fault.
     """
     for v in qr.points:
         if line.contains(v):
             raise LineThroughVertex(f"line passes through vertex {v}")
-    field = line.field
-    t, u, v = line.raw
-    inv = Involution(*(field.scalar(sum(c * v ** k for k, c in enumerate(m)))
-                       for m in desargues_pencil(qr, line.t, line.u)))
-    (third,) = _class_parameters(qr.opposite_side_pairs()[2:], t, u, field.p)
-    if not inv.conjugate(*(InfPoint(field.scalar(a + b * v), field.scalar(det))
-                           for a, b, det in third)):
+    field, (t, u, v) = line.field, line.raw
+
+    def at(coeffs):
+        return sum(c * v ** k for k, c in enumerate(coeffs))
+
+    m = [at(coeffs) for coeffs in desargues_pencil(qr, line.t, line.u)]
+    inv = Involution(*map(field.scalar, m))
+    ((s, e, n),) = _pair_rows(qr.opposite_side_pairs()[2:], t, u, field.p)
+    if field._coerce(at(s) * m[0] + e * m[1] + at(n) * m[2]):
         raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

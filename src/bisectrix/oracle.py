@@ -13,7 +13,11 @@ only the lines that are sides are judged one by one.  desargues_reflection
 clears a class whole by exact identities in v between the kernel's class
 polynomials and the oracle's own exchange rows, and by the roots of their
 factors, and walks it line by line, by the same per-line judgement as over
-Q, only when that fails.  The identities are decided once per quadrangle,
+Q, only when that fails.  The two sides take different routes: the
+kernel restricts the products of two pairs of opposite sides to the class
+(form._restriction), while the oracle's rows come from each side's own
+crossing with the class, as a chart parameter (_chart_parameters), for
+all three pairs.  The identities are decided once per quadrangle,
 on 7 classes, for every class whose kernel coefficients match their
 interpolant in the direction t (see _check_desargues).  The identities and
 the walk read one exchange row, _raw_exchange_row, which gives each pair's
@@ -57,9 +61,11 @@ diagonals.
 One verify_all call asks the kernel once per quadrilateral for each of
 quadratic_data, bisector_locus, q_partner of a line and is_q_pair of a pair,
 and builds the Lines of bisector_lines once, all through _Context.once.
-lambda_involution and locus_midpoints judge the null directions and the
-locus by the kernel's phi, which is its inner of a vector with itself, and
-opposite_orthogonal by q_orthogonal, which reads the same inner.
+lambda_involution judges the null directions by the kernel's phi, which is
+its inner of a vector with itself, opposite_orthogonal by q_orthogonal,
+which reads the same inner, and locus_midpoints the locus's constant,
+which the kernel reads off the side-product pencil, against phi at each
+diagonal point.
 affine_invariance is one exact test per trial: the Gram matrix of q against
 its pullback F^T G' F from the image under a random linear map.
 
@@ -981,7 +987,7 @@ def _slopes(f, g, m, line) -> list:
     l(m), then L_C(m, d) = grad C(m) . d, the coefficient of s in C(m +
     s*d), for the conics C of f and g (see _product and _gradient)."""
     (mx, my), (t, u, v) = m, line
-    grads = _gradient(f, m), _gradient(g, m)
+    grads = _gradient(f, (mx, my, 1)), _gradient(g, (mx, my, 1))
     return [t * mx - u * my + v] + [cx * u + cy * t for cx, cy in grads]
 
 

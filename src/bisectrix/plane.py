@@ -290,10 +290,11 @@ def _product(l, m) -> tuple:
 
 
 def _gradient(c, m) -> tuple:
-    """grad C(m) for the conic C of coefficients c (see _product) at a raw
-    point m: L_C(m, d) = grad C(m) . d is the coefficient of s in C(m + s*d)."""
-    (xx, xy, yy, x, y), (mx, my) = c, m
-    return (2 * xx * mx + xy * my + x, xy * mx + 2 * yy * my + y)
+    """w*grad C(x/w, y/w) for the conic C of coefficients c (see _product)
+    at the homogeneous raw point m = (x, y, w): L_C(m, d) = grad C(m) . d
+    is the coefficient of s in C(m + s*d)."""
+    (xx, xy, yy, x, y), (mx, my, w) = c, m
+    return (2 * xx * mx + xy * my + x * w, xy * mx + 2 * yy * my + y * w)
 
 
 def _mid(c1, c2, p: int | None):

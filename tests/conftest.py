@@ -145,7 +145,9 @@ def apply_by_rats(f, line):
 # The routes of quadratic_data, q_partner, bisector_through and the Gram
 # matrices of affine_invariance before they ran on plane._integral tuples:
 # over Q, _Rat arithmetic on the canonical raw values, one gcd per
-# operation.  The tests' reference for those routes on both fields.
+# operation; quadratic_data by its four-side formula, and bisector_locus by
+# the form at an anchor diagonal point.  The tests' reference for those
+# routes on both fields.
 
 
 def quadratic_data_by_rats(q):
@@ -172,7 +174,7 @@ def bisector_through_by_rats(q, m):
     p = q.field.p
     mx, my = xy = m.raw
     sides = [side.raw for side in (q.a, q.a2, q.b, q.b2)]
-    (fx, fy), (gx, gy) = ([c % p if p else c for c in _gradient(_product(*pair), xy)]
+    (fx, fy), (gx, gy) = ([c % p if p else c for c in _gradient(_product(*pair), (*xy, 1))]
                           for pair in (sides[:2], sides[2:]))
     if (fx * gy - fy * gx) % p if p else fx * gy - fy * gx:
         return []
@@ -180,6 +182,21 @@ def bisector_through_by_rats(q, m):
     if not (nx or ny):
         return AllLinesThrough(m)
     return [Bisector(Line.of(q.field, (-nx, ny, nx * mx + ny * my)), m)]
+
+
+def bisector_locus_by_phi(q):
+    """The conic and constant of bisector_locus by the form, on Scalars:
+    phi(X - h, Y - k) = phi(a - h, b - k) for the centroid (h, k), the first
+    affine diagonal point (a, b) and the four-side triple
+    (quadratic_data_by_rats)."""
+    d = quadratic_data_by_rats(q)
+    h, k = q.centroid.x, q.centroid.y
+    anchor = next(p for p in q.diagonal_points() if isinstance(p, Point))
+    constant = phi_by_scalars(d, anchor.x - h, anchor.y - k)
+    alpha, beta, gamma = d.alpha, d.beta, d.gamma
+    conic = Conic(gamma, -2 * beta, alpha, -2 * gamma * h + 2 * beta * k,
+                  2 * beta * h - 2 * alpha * k, phi_by_scalars(d, h, k) - constant)
+    return conic, constant
 
 
 def pulled_back_gram_by_scalars(d, f):
@@ -436,7 +453,9 @@ def in_pencil(q, pair):
 
 
 # The involution of two point pairs on Scalar objects, the tests' reference
-# for desargues_involution and desargues_pencil, and desargues_pencil on Scalars.
+# for desargues_involution and desargues_pencil, and desargues_pencil by the
+# chart parameters of the sides' crossings on Scalars, the route the kernel
+# took before it read the side-product pencil.
 
 
 def involution_from_pairs(pair1, pair2):
@@ -458,8 +477,9 @@ def desargues_pencil_by_scalars(qr, t, u):
     t*su, with (a, b) = (-u*sv, su), or (-t*sv, st) on a vertical class (u =
     0), and at [1 : 0] when it is in the class's direction; the exchange
     rows (x1*y2 + y1*x2, y1*y2, -x1*x2) of the first two pairs of opposite
-    sides are crossed.  Returned as desargues_pencil returns it: the raw
-    values of 3, 4 and 2 coefficients."""
+    sides are crossed.  Returned in desargues_pencil's shape, the raw
+    values of 3, 4 and 2 coefficients, which equal desargues_pencil's only
+    up to a factor (see test_form)."""
     field = qr.field
 
     def times(f, g):

@@ -40,9 +40,10 @@ from bisectrix.oracle import (
 from bisectrix.pencil import Conic, center
 from bisectrix.plane import _integral, _product
 from conftest import (
-    E1_SIDES, SPECIAL_SIDES, bisector_through_by_rats, bisector_through_by_standard_form,
-    kernel_quads, make_quad, mid_cross, outcome, pulled_back_gram_by_scalars, q_pair_by_scalars,
-    q_partner_by_rats, q_partner_by_standard_form, quadratic_data_by_rats, slope_product,
+    E1_SIDES, SPECIAL_SIDES, bisector_locus_by_phi, bisector_through_by_rats,
+    bisector_through_by_standard_form, kernel_quads, make_quad, mid_cross, outcome,
+    pulled_back_gram_by_scalars, q_pair_by_scalars, q_partner_by_rats, q_partner_by_standard_form,
+    quadratic_data_by_rats, slope_product,
 )
 from test_oracle import bisector_field_by_definition
 
@@ -566,6 +567,24 @@ def _kernel_probes(q):
         lines = [b.line for b in found] + list(q.sides) + list(q.diagonal_lines)
         lines += [Line.parse(QQ, text) for text in ("X=3", "Y=2X+5")]
     return lines, [b.midpoint for b in found] + list(q.vertices) + [q.centroid]
+
+
+def test_form_and_locus_equal_the_four_side_and_anchor_routes():
+    """quadratic_data, minus the cross product of the side products'
+    quadratic parts, equals the four-side formula, and bisector_locus, the
+    centers of the pencil's conics, equals the locus by the form at an
+    anchor diagonal point (conftest), conic and constant exactly, its
+    components splitting that conic exactly when the constant is 0."""
+    compared = 0
+    for q in kernel_quads():
+        locus = bisector_locus(q)
+        assert quadratic_data(q) == quadratic_data_by_rats(q), q
+        assert (locus.conic, locus.constant) == bisector_locus_by_phi(q), q
+        assert (locus.components is None) != locus.constant.is_zero(), q
+        if locus.components is not None:
+            assert Conic.from_lines(*locus.components) == locus.conic, q
+            compared += 1
+    assert compared >= 9
 
 
 def test_side_product_memo_keeps_partner_and_bisector_through():

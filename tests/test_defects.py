@@ -146,13 +146,13 @@ def _pencil_mid_reflected(pencil_mid):
     (0, v) on a raw line with u = 1, else (-v, 0)."""
 
     def defect(q, l):
-        m = pencil_mid(q, l)
+        m, *rest = pencil_mid(q, l)
         if m is None:
-            return m
+            return (m, *rest)
         t, u, v = l
         x, y = (-m[0], 2 * v - m[1]) if u else (-2 * v - m[0], -m[1])
         p = q.field.p
-        return (x % p, y % p) if p else (x, y)
+        return ((x % p, y % p) if p else (x, y), *rest)
 
     return defect
 
@@ -209,13 +209,13 @@ def _integral_last_negated(integral):
     return defect
 
 
-def _poly_sum_constant_plus_one(class_row):
-    """The sum entry of a class exchange row, a polynomial in the offset v,
-    with its constant term off by one."""
+def _restriction_constant_plus_one(restriction):
+    """A conic restricted to a parallel class, a*x^2 + b*x + e, with the
+    constant term of e, a polynomial in the offset v, off by one."""
 
-    def defect(pair):
-        (s0, s1), e, n = class_row(pair)
-        return (s0 + 1, s1), e, n
+    def defect(c, t, u):
+        s, a, (n0, *n) = restriction(c, t, u)
+        return s, a, (n0 - 1, *n)
 
     return defect
 
@@ -280,15 +280,13 @@ DEFECTS = {
     "alpha_plus_one": (
         form, "quadratic_data", alpha_plus_one, {
             "GFp:7": ("pair_redundancy",
-                      {"affine_invariance", "closed_form_oracle",
-                       "eq1_discriminant", "lambda_involution", "locus_degeneracy",
-                       "locus_midpoints", "nine_points", "opposite_orthogonal",
-                       "pair_redundancy", "partner_involution", "pencil_degenerations",
-                       "repairing_bisectors"}),
+                      {"affine_invariance", "eq1_discriminant", "lambda_involution",
+                       "locus_midpoints", "opposite_orthogonal", "pair_redundancy",
+                       "partner_involution", "pencil_degenerations", "repairing_bisectors"}),
             "Q": ("eq1_discriminant",
                   {"affine_invariance", "eq1_discriminant", "lambda_involution",
-                   "locus_midpoints", "nine_points", "opposite_orthogonal",
-                   "partner_involution", "pencil_degenerations"}),
+                   "locus_midpoints", "opposite_orthogonal", "partner_involution",
+                   "pencil_degenerations"}),
         },
     ),
     "locus_constant_off": (
@@ -331,8 +329,8 @@ DEFECTS = {
     ),
     "exchange_row_first_negated": (
         form, "_exchange_row", _exchange_row_first_negated, {
-            "GFp:7": ("lambda_involution", {"desargues_reflection", "lambda_involution"}),
-            "Q": ("desargues_reflection", {"desargues_reflection", "lambda_involution"}),
+            "GFp:7": ("lambda_involution", {"lambda_involution"}),
+            "Q": ("lambda_involution", {"lambda_involution"}),
         },
     ),
     "degenerations_pair_shifted": (
@@ -403,23 +401,27 @@ DEFECTS = {
     "product_xy_plus_one": (
         plane, "_product", _product_xy_plus_one, {
             "GFp:7": ("bisector_field",
-                      {"bisector_field", "closed_form_oracle", "locus_degeneracy",
-                       "locus_midpoints", "nine_points", "partner_involution",
+                      {"affine_invariance", "bisector_field", "closed_form_oracle",
+                       "desargues_reflection", "eq1_discriminant", "lambda_involution",
+                       "locus_degeneracy", "locus_midpoints", "nine_points",
+                       "opposite_orthogonal", "pair_redundancy", "partner_involution",
                        "pencil_degenerations"}),
             "Q": ("bisector_field",
-                  {"bisector_field", "locus_midpoints", "partner_involution",
-                   "pencil_degenerations"}),
+                  {"affine_invariance", "bisector_field", "desargues_reflection",
+                   "eq1_discriminant", "lambda_involution", "locus_midpoints", "nine_points",
+                   "opposite_orthogonal", "partner_involution", "pencil_degenerations"}),
         },
     ),
     "integral_last_negated": (
         plane, "_integral", _integral_last_negated, {
             "Q": ("affine_invariance",
-                  {"affine_invariance", "bisector_field", "locus_midpoints", "nine_points",
-                   "partner_involution", "pencil_degenerations"}),
+                  {"affine_invariance", "bisector_field", "desargues_reflection",
+                   "locus_midpoints", "nine_points", "partner_involution",
+                   "pencil_degenerations"}),
         },
     ),
-    "poly_sum_constant_plus_one": (
-        form, "_class_row", _poly_sum_constant_plus_one, {
+    "restriction_constant_plus_one": (
+        form, "_restriction", _restriction_constant_plus_one, {
             "GFp:7": ("desargues_reflection", {"desargues_reflection"}),
             "Q": ("desargues_reflection", {"desargues_reflection"}),
         },
@@ -451,7 +453,7 @@ DEFECTS = {
 # locus splits: on seeds 58, 62, 71, 100, 121 and 164 of 0-199.
 _SEEDS = {
     "desargues_m2_constant_plus_one": {"GFp:7": (1, 2), "Q": (1, 2)},
-    "poly_sum_constant_plus_one": {"GFp:7": (1, 2), "Q": (1, 2)},
+    "restriction_constant_plus_one": {"GFp:7": (1, 2), "Q": (1, 2)},
     "det3_cdd_negated": {"GFp:7": (5, 6, 7, 8), "Q": (58,)},
 }
 

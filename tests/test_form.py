@@ -218,10 +218,15 @@ def test_desargues_involution_e1(e1):
 
 
 def test_desargues_involution_raises_when_third_pair_not_conjugate(e1, monkeypatch):
-    """The third-pair check is a raise, so it also holds under python -O."""
+    """The third-pair check is a raise, so it also holds under python -O.
+    With every restriction's constant off by one, the third pair's row
+    misses the involution of the first two."""
+    from bisectrix import form
+    from test_defects import _restriction_constant_plus_one
+
     qr = e1.quadrangle()
     line = Line.parse(QQ, "X=3")
-    monkeypatch.setattr(Involution, "conjugate", lambda self, p, q: False)
+    monkeypatch.setattr(form, "_restriction", _restriction_constant_plus_one(form._restriction))
     with pytest.raises(NotConjugate, match="third pair"):
         desargues_involution(qr, line)
 
@@ -313,34 +318,76 @@ def test_desargues_pencil_degree_and_parallel_directions():
             desargues_pencil(qr, QQ.one, QQ.zero)
 
 
-def test_desargues_pencil_equals_the_scalar_reference():
-    """desargues_pencil, multiplied out on raw values, equals
-    desargues_pencil_by_scalars tuple for tuple, with the same raw types:
-    on every class of GF(7) and GF(101), side directions and u = 0
-    included, and over Q, for seeds 0-39, E1 and E2, in the directions of
-    the six quadrangle sides, X = 0 and five slopes."""
+def _reduced(xs, p):
+    return [x % p if p else x for x in xs]
+
+
+def _proportional(r, s, p):
+    """Whether two raw triples are nonzero multiples of each other."""
+    cross = (r[1] * s[2] - r[2] * s[1], r[2] * s[0] - r[0] * s[2], r[0] * s[1] - r[1] * s[0])
+    return any(_reduced(r, p)) and any(_reduced(s, p)) and not any(_reduced(cross, p))
+
+
+def test_desargues_pencil_is_proportional_to_the_chart_parameter_route():
+    """desargues_pencil, read off the side-product pencil, against
+    desargues_pencil_by_scalars, the route through each side's chart
+    parameter [a + b*v : det] and the pairs' exchange rows.  At every line
+    of GF(7) and GF(11) off the vertices, and over Q on the fixture probe
+    lines of seeds 0-39, E1 and E2, the two triples at v are nonzero
+    multiples of each other.  Off the directions of the quadrangle's sides
+    the two triples of a class differ by one constant factor, coefficient
+    by coefficient (over GF(7), GF(11) and GF(101) in every such
+    direction, and over Q in X = 0, five slopes and the directions of the
+    probe lines).  In a side direction the factor is a polynomial in v
+    whose roots are offsets of sides (every v of GF(p) judged)."""
     cases = []
-    for p in (7, 101):
+    for p in (7, 11, 101):
         field = GF(p)
         quads = [random_quadrilateral(field, seed) for seed in range(6)]
         quads += [make_quad(field, *sides) for sides in SPECIAL_SIDES]
-        cases += [(q, [(field.scalar(t), field.scalar(u)) for u, t in _p1(field)])
-                  for q in quads if q.proper]
+        lines = enumerate_lines(field) if p < 101 else []
+        cases += [(q, list(_p1(field)), lines) for q in quads if q.proper]
     quads = [random_quadrilateral(QQ, seed) for seed in range(40)]
     quads += [make_quad(QQ, *sides) for sides in (E1_SIDES, E2_SIDES)]
-    slopes = [(QQ.scalar(Fraction(t)), QQ.one) for t in ("0", "1", "-1/2", "3/5", "7/3")]
+    slopes = [(1, Fraction(t)) for t in ("0", "1", "-1/2", "3/5", "7/3")]
     for q in (q for q in quads if q.proper):
-        sides = [(l.t, l.u) for pair in q.quadrangle().opposite_side_pairs() for l in pair.lines]
-        cases.append((q, sides + [(QQ.one, QQ.zero)] + slopes))
-    compared = 0
-    for q, directions in cases:
-        qr = q.quadrangle()
-        for t, u in directions:
-            got, want = desargues_pencil(qr, t, u), desargues_pencil_by_scalars(qr, t, u)
-            assert got == want, (q, t, u)
-            assert [type(c) for m in got for c in m] == [type(c) for m in want for c in m]
-            compared += q.field is QQ
-    assert compared > 300
+        probes = _fixture_probe_lines(q)
+        sides = [l for pair in q.quadrangle().opposite_side_pairs() for l in pair.lines]
+        cases.append((q, [(0, 1)] + slopes + [l.raw[1::-1] for l in probes + sides], probes))
+    constant = lines_seen = side_classes = 0
+    for q, directions, lines in cases:
+        qr, field, p = q.quadrangle(), q.field, q.field.p
+        sides = [l.raw for pair in qr.opposite_side_pairs() for l in pair.lines]
+        pencils = {}
+        for u, t in directions:
+            d = (field.scalar(t).value, field.scalar(u).value)
+            got = desargues_pencil(qr, *map(field.scalar, (t, u)))
+            want = desargues_pencil_by_scalars(qr, *map(field.scalar, (t, u)))
+            pencils[d] = got, want
+            flat_got = [c for m in got for c in m]
+            flat_want = [c for m in want for c in m]
+            offsets = {l[2] for l in sides if l[:2] == d}
+            if not offsets:
+                # One constant factor k != 0: k*want - got is zero coefficient by coefficient.
+                i = next(i for i, c in enumerate(_reduced(flat_want, p)) if c)
+                k = flat_got[i] * (pow(flat_want[i], -1, p) if p else 1 / flat_want[i])
+                assert any(_reduced([k], p))
+                assert not any(_reduced([k * w - g for g, w in zip(flat_got, flat_want)], p))
+                constant += 1
+            elif p:
+                for v in range(p):
+                    r, s = ([_at(c, v) for c in m] for m in (got, want))
+                    assert _proportional(r, s, p) or not any(_reduced(s, p)) or (
+                        not any(_reduced(r, p)) and v in offsets), (q, d, v)
+                side_classes += 1
+        for line in lines:
+            if any(line.contains(v) for v in qr.points):
+                continue
+            got, want = pencils[line.raw[:2]]
+            v = line.raw[2]
+            assert _proportional(*([_at(c, v) for c in m] for m in (got, want)), p), (q, line)
+            lines_seen += 1
+    assert constant > 1000 and side_classes > 50 and lines_seen > 800
 
 
 def test_repairings_share_orthogonality(e1):

@@ -32,7 +32,7 @@ from conftest import (
     vertex_line_bisectors_by_objects,
 )
 from test_defects import (
-    DEFECTS, _exchange_row_first_negated, _inject, _m2_constant_plus_one, alpha_plus_one,
+    DEFECTS, _inject, _m2_constant_plus_one, _restriction_constant_plus_one, alpha_plus_one,
     partner_shifted,
 )
 
@@ -168,7 +168,7 @@ def test_exhaustive_desargues_decides_classes_as_the_walk_does(monkeypatch):
     from bisectrix import form, oracle
 
     defects = (None, ("desargues_pencil", _m2_constant_plus_one),
-               ("_exchange_row", _exchange_row_first_negated))
+               ("_restriction", _restriction_constant_plus_one))
     cleared, roots = oracle._desargues_class_cleared, oracle._desargues_roots
     decisions = []
 
@@ -423,14 +423,16 @@ def test_verify_all_rejects_bad_input(e1):
 
 
 def test_verify_all_flags_corrupted_data():
-    """Corrupting the memoised quadratic data (alpha doubled) surfaces a
-    named violation in the oracle-equivalence check."""
-    from bisectrix import QuadraticData, quadratic_data
+    """Corrupting the memoised side products (the XY coefficient of B*B'
+    off by one), which bisector_locus and bisector_through read, surfaces a
+    named violation in the oracle-equivalence check, which compares them
+    with the sweep of the definition."""
+    from bisectrix.bisectors import _side_products
 
     q = random_quadrilateral(GF(7), 3)
-    d = quadratic_data(q)
+    f, g = _side_products(q)
     # The memo is a frozen slot: inject the corruption past the guard.
-    object.__setattr__(q, "_quadratic_data", QuadraticData(2 * d.alpha, d.beta, d.gamma))
+    object.__setattr__(q, "_pencil", (f, (g[0], g[1] + 1, *g[2:])))
     reports = verify_all(q, "exhaustive")
     failing = {r.tag for r in reports if r.violations}
     assert "closed_form_oracle" in failing
