@@ -15,7 +15,6 @@ rejected rather than silently resolved.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -145,10 +144,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 def load_config(argv) -> JobConfig:
     # Attach a value such as "-1/4,0" to the flag before it, as in
     # "--point=-1/4,0": argparse would read it as an unknown flag, and no
-    # flag starts with '-' and a digit.
+    # flag starts with '-' and a decimal digit (str.isdecimal).
     tokens: list[str] = []
     for token in sys.argv[1:] if argv is None else argv:
-        if tokens and re.fullmatch(r"--[^=]+", tokens[-1]) and re.match(r"-\d", token):
+        last = tokens[-1] if tokens else ""
+        if (last[:2] == "--" and len(last) > 2 and "=" not in last
+                and token[:1] == "-" and token[1:2].isdecimal()):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
@@ -174,9 +175,9 @@ def load_config(argv) -> JobConfig:
 
 
 def _render_point(p: PlanePoint) -> str:
-    if isinstance(p, InfPoint):
-        return f"{p.x}:{p.y}:0"
-    return f"{p.x} {p.y}"
+    # A raw value prints as its Scalar does.
+    x, y = p.raw
+    return f"{x}:{y}:0" if isinstance(p, InfPoint) else f"{x} {y}"
 
 
 def _phi_string(alpha: Scalar, beta: Scalar, gamma: Scalar) -> str:
@@ -223,7 +224,7 @@ def cmd_analyze(cfg: JobConfig) -> tuple[int, list[str]]:
     ]
     for i, v in enumerate(q.vertices):
         records.append((f"vertex_{i}", _render_point(v)))
-    records.append(("centroid", f"{q.centroid.x}, {q.centroid.y}"))
+    records.append(("centroid", ", ".join(map(str, q.centroid.raw))))
     records.append(("alpha_beta_gamma", f"{d.alpha} {d.beta} {d.gamma}"))
     records.append(("phi", _phi_string(d.alpha, d.beta, d.gamma)))
     records.append(("mu", str(mu)))
@@ -231,7 +232,7 @@ def cmd_analyze(cfg: JobConfig) -> tuple[int, list[str]]:
         ("map", f"{f.m00} {f.m01} {f.m10} {f.m11} {f.b0} {f.b1}")
     )
     records.append(("locus", _locus_string(locus)))
-    records.append(("locus_conic", " ".join(str(c) for c in locus.conic.coeffs)))
+    records.append(("locus_conic", " ".join(map(str, locus.conic.raw))))
     records.append(("locus_class", classify(locus.conic).kind))
     if locus.components is not None:
         records.append(
@@ -273,7 +274,7 @@ def cmd_pencil(cfg: JobConfig) -> tuple[int, list[str]]:
     beta = cfg.beta if cfg.beta is not None else cfg.field.zero
     member = pencil_of(cfg.quad).member(alpha, beta)
     records = [
-        ("conic", " ".join(str(c) for c in member.coeffs)),
+        ("conic", " ".join(map(str, member.raw))),
         ("polynomial", str(member)),
         ("class", str(classify(member))),
     ]

@@ -189,10 +189,19 @@ class Rationals(Field):
         raise TypeError(f"cannot make a rational out of {value!r}")
 
     def _coerce_text(self, text):
-        decimal = ("e" in text or "E" in text) and _DECIMAL.fullmatch(text)
-        if decimal and abs(int(decimal[1])) > _MAX_EXPONENT:
-            raise ValueError(f"exponent of {text!r} is past ±{_MAX_EXPONENT:,}")
+        # An integer or n/d of digits skips Fraction's regex parser: int()
+        # accepts only texts of its grammar, with the same value, and a text
+        # int() refuses (such as '²') falls through to the parser's error.
+        num, slash, den = text.partition("/")
         try:
+            if num[-1:].isdigit() and (not slash or den.isdigit()):
+                try:
+                    return _quotient(int(num), int(den) if slash else 1)
+                except ValueError:
+                    pass
+            decimal = ("e" in text or "E" in text) and _DECIMAL.fullmatch(text)
+            if decimal and abs(int(decimal[1])) > _MAX_EXPONENT:
+                raise ValueError(f"exponent of {text!r} is past ±{_MAX_EXPONENT:,}")
             return _Rat(text)
         except ZeroDivisionError:
             raise DivisionByZero(f"zero denominator in {text!r}") from None

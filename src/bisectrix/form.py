@@ -173,14 +173,20 @@ def _restriction(c, t, u) -> tuple:
     return (-y * t * t, xy * t), yy * t * t, (-k * t * t, x * t, -xx)
 
 
-def _pair_rows(pairs, t, u, p: int | None) -> list:
-    """_restriction of the product of each pair of lines (LinePairs), on
-    their _integral tuples: one row per pair, up to a nonzero scale."""
-    rows = []
-    for pair in pairs:
-        l, m = (_integral(line.raw, p) for line in pair.lines)
-        rows.append(_restriction((*_product(l, m), l[2] * m[2]), t, u))
-    return rows
+def _pair_product(pair, p: int | None) -> tuple:
+    """The conic product of a pair of lines (a LinePair; plane._product,
+    then the constant) on their _integral tuples, up to a nonzero scale."""
+    l, m = (_integral(line.raw, p) for line in pair.lines)
+    return (*_product(l, m), l[2] * m[2])
+
+
+def _pair_products(qr: Quadrangle) -> tuple:
+    """_pair_product of the first two pairs of opposite sides, F and G,
+    memoised on qr: they do not depend on the parallel class."""
+    if qr._products is None:
+        pairs = qr.opposite_side_pairs()[:2]
+        object.__setattr__(qr, "_products", tuple(_pair_product(pair, qr.field.p) for pair in pairs))
+    return qr._products
 
 
 def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple, tuple]:
@@ -196,17 +202,18 @@ def desargues_pencil(qr: Quadrangle, t: Scalar, u: Scalar) -> tuple[tuple, tuple
     line.  By Desargues' theorem the conics through qr's vertices cut the
     involution's pairs on each line, so the triple is the cross product
     (_cross) of the exchange rows of two of them, the products F and G of
-    the first two pairs of opposite sides, restricted to the class
-    (_restriction), multiplied out term by term on raw values; the third
-    pair is desargues_involution's check, and no Line is built.
+    the first two pairs of opposite sides (memoised on qr by
+    _pair_products), restricted to the class (_restriction), multiplied
+    out term by term on raw values; the third pair is
+    desargues_involution's check, and no Line is built.
     """
     if t.field is not qr.field or u.field is not qr.field:
         raise FieldMismatch("class direction and quadrangle from different fields")
     if t.is_zero() and u.is_zero():
         raise DegenerateInput(_NO_LINE)
     p = qr.field.p
-    ((s0, s1), e, (n0, n1, n2)), ((z0, z1), f, (k0, k1, k2)) = _pair_rows(
-        qr.opposite_side_pairs()[:2], t.value, u.value, p)
+    ((s0, s1), e, (n0, n1, n2)), ((z0, z1), f, (k0, k1, k2)) = (
+        _restriction(c, t.value, u.value) for c in _pair_products(qr))
     triple = ((e * k0 - n0 * f, e * k1 - n1 * f, e * k2 - n2 * f),
               (n0 * z0 - s0 * k0, n0 * z1 + n1 * z0 - s0 * k1 - s1 * k0,
                n1 * z1 + n2 * z0 - s0 * k2 - s1 * k1, n2 * z1 - s1 * k2),
@@ -237,7 +244,7 @@ def desargues_involution(qr: Quadrangle, line: Line) -> Involution:
 
     m = [at(coeffs) for coeffs in desargues_pencil(qr, line.t, line.u)]
     inv = Involution(*map(field.scalar, m))
-    ((s, e, n),) = _pair_rows(qr.opposite_side_pairs()[2:], t, u, field.p)
+    s, e, n = _restriction(_pair_product(qr.opposite_side_pairs()[2], field.p), t, u)
     if field._coerce(at(s) * m[0] + e * m[1] + at(n) * m[2]):
         raise NotConjugate(f"the third pair of opposite sides is not conjugate on {line}")
     return inv

@@ -1243,8 +1243,9 @@ def verify_all(q: Quadrilateral, profile: str = "fixture", seed: int = 0) -> lis
         start = time.perf_counter()
         try:
             instances, violations = fn(q, ctx)
-        except GeometryError as err:
-            # A crashing check is a failed check, not an aborted run.
+        except Exception as err:
+            # A crashing check is a failed check, not an aborted run: a kernel
+            # fault of any type exits 1 with its reproduce line.
             instances, violations = 0, [f"check aborted: {type(err).__name__}: {err}"]
         reports.append(
             TheoremReport(

@@ -5,14 +5,16 @@ Points, lines and conics (pencil) hold their field and a raw tuple (ints in
 x, y, t, u and v wrap as Scalars on access and Point.of, InfPoint.of and
 Line.of build from.  A line tX - uY + v = 0 holds (t, u, v) under the
 normalization u = 1 when u != 0, else t = 1, so equal lines have equal raw
-tuples.  The meet, the line through two points and a map's image of a
-line are one formula for both fields, on cleared integers (_cleared: raw
-followed by 1 over GF(p)), normalised once: _affine for a point (one
+tuples.  The meet, the line through two points (_join) and a map's image
+of a line are one formula for both fields, on cleared integers (_cleared:
+raw followed by 1 over GF(p)), normalised once: _affine for a point (one
 inverse mod p, or one gcd per coordinate over Q), Line.of for a line.  The
 rules that hold up to scale (the meet, the form, the side-product pencil)
-run on _integral tuples.  Points at infinity are explicit values
-(InfPoint), never sentinel coordinates; PlanePoint is the union of the two
-kinds.
+run on _integral tuples.  Line.parse coerces each scalar text straight to
+a raw value (Field._coerce_text) and builds the line once by Line.of, and
+a line prints from its raw tuple, so neither builds a Scalar.  Points at
+infinity are explicit values (InfPoint), never sentinel coordinates;
+PlanePoint is the union of the two kinds.
 """
 
 from __future__ import annotations
@@ -179,39 +181,39 @@ class Line(Frozen):
 
     @classmethod
     def parse(cls, field: Field, text: str) -> "Line":
-        """Parse "t u v" or the sugar "Y=mX+b" / "X=c"."""
+        """Parse "t u v" or the sugar "Y=mX+b" / "X=c": each scalar text is
+        coerced to a raw value and the line built once by Line.of."""
         text = text.strip()
         upper = text.replace(" ", "").upper()
+        coerce = field._coerce_text
         if upper.startswith("X="):
-            c = field.parse(upper[2:])
-            return cls(field.one, field.zero, -c)
+            return cls.of(field, (1, 0, -coerce(upper[2:].strip())))
         if upper.startswith("Y="):
             rest = upper[2:]
             if "X" not in rest:
-                return cls(field.zero, field.one, field.parse(rest))
+                return cls.of(field, (0, 1, coerce(rest.strip())))
             m = _SLOPE_RE.match(rest)
             if m is None:
                 raise DegenerateInput(f"cannot parse line literal {text!r}")
             coeff, tail = m.group(1).rstrip("*"), m.group(2)
-            slope = field.parse(coeff + "1" if coeff in ("", "+", "-") else coeff)
-            intercept = field.parse(tail) if tail else field.zero
-            return cls(slope, field.one, intercept)
+            slope = coerce(coeff + "1" if coeff in ("", "+", "-") else coeff)
+            return cls.of(field, (slope, 1, coerce(tail) if tail else 0))
         parts = text.split()
         if len(parts) != 3:
             raise DegenerateInput(f"cannot parse line literal {text!r}")
-        t, u, v = (field.parse(p) for p in parts)
-        return cls(t, u, v)
+        return cls.of(field, tuple(coerce(p) for p in parts))
 
     def __str__(self):
-        if self.is_vertical:
-            return f"X={-self.v}"
-        if self.t.is_zero():
-            return f"Y={self.v}"
-        t = str(self.t)
+        t, u, v = self.raw
+        if not u:
+            return f"X={self.field._coerce(-v)}"
+        if not t:
+            return f"Y={v}"
+        t = str(t)
         term = "X" if t == "1" else ("-X" if t == "-1" else f"{t}X")
-        if self.v.is_zero():
+        if not v:
             return f"Y={term}"
-        v = str(self.v)
+        v = str(v)
         sign = "" if v.startswith("-") else "+"
         return f"Y={term}{sign}{v}"
 
@@ -251,8 +253,14 @@ def line_from_points(p: Point, q: Point) -> Line:
     if p == q:
         raise DegenerateInput("two coincident points do not span a line")
     field = _field_of(p, q)
-    (x, y, w), (qx, qy, qw) = _cleared(p.raw, field.p), _cleared(q.raw, field.p)
-    return Line.of(field, (y * qw - w * qy, x * qw - w * qx, x * qy - y * qx))
+    return Line.of(field, _join(p.raw, q.raw, field.p))
+
+
+def _join(a, b, p: int | None) -> tuple:
+    """The raw line through two distinct raw points, not normalised: the
+    cross product of the _cleared points, ints for Line.of."""
+    (x, y, w), (qx, qy, qw) = _cleared(a, p), _cleared(b, p)
+    return (y * qw - w * qy, x * qw - w * qx, x * qy - y * qx)
 
 
 def line_det(l1: Line, l2: Line):

@@ -4,10 +4,13 @@ A quadrilateral ABA'B' is four distinct lines in cyclic order with opposite
 pairs {A, A'} and {B, B'}; adjacent sides may not be parallel and the four
 lines may not be concurrent.  Three sides through one point are allowed
 (improper case, two coincident vertices).  All derived data is computed
-eagerly at validation time on raw values (see plane), except the quadratic
-data (form.quadratic_data) and the side products of the pencil
-(bisectors._side_products), each memoised on first use; standard_form,
-analyze's printed normal form, is computed on each call.
+eagerly at validation time on raw values (see plane): the vertices are the
+raw meets of adjacent sides, and the diagonals the raw joins of opposite
+vertices (plane._join), so no Scalar is built.  The quadratic data
+(form.quadratic_data) and the side products of the pencil
+(bisectors._side_products) are memoised on first use, as a quadrangle's
+products of two pairs of opposite sides are (form._pair_products);
+standard_form, analyze's printed normal form, is computed on each call.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .plane import (
     Point,
     _affine,
     _cleared,
+    _join,
     _meet,
     _mid,
     intersect,
@@ -81,8 +85,7 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
                 double = vertices[i]
         # For an improper quadrilateral these come out as the pair of
         # opposite sides through the double vertex.
-        diagonals = (line_from_points(vertices[0], vertices[2]),
-                     line_from_points(vertices[1], vertices[3]))
+        diagonals = (Line.of(field, _join(v[0], v[2], p)), Line.of(field, _join(v[1], v[3], p)))
         # line_pairs: (A, A'), (B, B') and the diagonals, in that order.
         self._write(
             a, b, a2, b2, vertices, Point.of(field, centroid), double is None, double, diagonals,
@@ -137,9 +140,11 @@ class Quadrilateral(Frozen, identity=("a", "b", "a2", "b2")):
 
 
 class Quadrangle(Frozen, identity=("points",)):
-    """Four distinct affine points and the six lines through them."""
+    """Four distinct affine points and the six lines through them.  The
+    products of its first two pairs of opposite sides are memoised on
+    first use (form._pair_products), as a quadrilateral's side products are."""
 
-    __slots__ = ("points", "_side_pairs")
+    __slots__ = ("points", "_side_pairs", "_products")
 
     def __init__(self, p0: Point, p1: Point, p2: Point, p3: Point):
         points = (p0, p1, p2, p3)
@@ -153,7 +158,7 @@ class Quadrangle(Frozen, identity=("points",)):
             LinePair(line_from_points(p0, p1), line_from_points(p2, p3)),
             LinePair(line_from_points(p0, p2), line_from_points(p1, p3)),
             LinePair(line_from_points(p0, p3), line_from_points(p1, p2)),
-        ))
+        ), None)
 
     @property
     def field(self):

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,15 +10,15 @@ from bisectrix import (
     standard_form, verify_all,
 )
 from bisectrix.errors import (
-    AdjacentParallel, Concurrent4Lines, DegenerateInput, DuplicateLine, ExhaustedSampling,
-    IdenticalLines, InvariantViolation, NotABisector, NotBisectors,
+    AdjacentParallel, Concurrent4Lines, DegenerateInput, DivisionByZero, DuplicateLine,
+    ExhaustedSampling, IdenticalLines, InvariantViolation, NotABisector, NotBisectors,
 )
 from bisectrix.bisectors import _pencil_ratio
 from bisectrix.form import QuadraticData
 from bisectrix import oracle
 from bisectrix.oracle import _bisector_mid, _in_span
 from bisectrix.pencil import Degeneration, DegenerationReport, ParallelFamily, _midline
-from bisectrix.plane import _PARALLEL, _SAME, _gradient, _product
+from bisectrix.plane import _PARALLEL, _SAME, _SLOPE_RE, _gradient, _product
 
 
 def make_quad(field, *literals):
@@ -107,6 +108,70 @@ def conic_contains_by_scalars(conic, pt):
     if isinstance(pt, Point):
         value = value + d * x + e * y + f
     return value.is_zero()
+
+
+# The parse and render routes of the query path on Scalar objects, as they
+# were before they ran on raw values: every literal through Fraction's
+# parser, a line built from three Scalars by Line.__init__, and a line or
+# point printed from its Scalar views.  The tests' reference for
+# Field.parse's integer and n/d path, Line.parse, Line.__str__ and
+# cli._render_point.
+
+
+def parse_by_fraction(field, text):
+    """Field.parse with Fraction's parser for every literal (exponents
+    within the bound; a zero denominator is DivisionByZero as in parse)."""
+    text = text.strip()
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise DivisionByZero(f"zero denominator in {text!r}") from None
+    return field.scalar(value)
+
+
+def line_parse_by_scalars(field, text):
+    """Line.parse on Scalars: "t u v" or the sugar "Y=mX+b" / "X=c"."""
+    text = text.strip()
+    upper = text.replace(" ", "").upper()
+    if upper.startswith("X="):
+        c = field.parse(upper[2:])
+        return Line(field.one, field.zero, -c)
+    if upper.startswith("Y="):
+        rest = upper[2:]
+        if "X" not in rest:
+            return Line(field.zero, field.one, field.parse(rest))
+        m = _SLOPE_RE.match(rest)
+        if m is None:
+            raise DegenerateInput(f"cannot parse line literal {text!r}")
+        coeff, tail = m.group(1).rstrip("*"), m.group(2)
+        slope = field.parse(coeff + "1" if coeff in ("", "+", "-") else coeff)
+        intercept = field.parse(tail) if tail else field.zero
+        return Line(slope, field.one, intercept)
+    parts = text.split()
+    if len(parts) != 3:
+        raise DegenerateInput(f"cannot parse line literal {text!r}")
+    t, u, v = (field.parse(p) for p in parts)
+    return Line(t, u, v)
+
+
+def line_str_by_scalars(line):
+    if line.is_vertical:
+        return f"X={-line.v}"
+    if line.t.is_zero():
+        return f"Y={line.v}"
+    t = str(line.t)
+    term = "X" if t == "1" else ("-X" if t == "-1" else f"{t}X")
+    if line.v.is_zero():
+        return f"Y={term}"
+    v = str(line.v)
+    sign = "" if v.startswith("-") else "+"
+    return f"Y={term}{sign}{v}"
+
+
+def render_point_by_scalars(p):
+    if isinstance(p, InfPoint):
+        return f"{p.x}:{p.y}:0"
+    return f"{p.x} {p.y}"
 
 
 # The rational formulas of plane's raw helpers over Q before they ran on

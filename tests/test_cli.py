@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import bisectrix.cli
-from bisectrix.cli import main
+from bisectrix.cli import _render_point, main
 from bisectrix.errors import ExhaustedSampling
+from bisectrix.plane import InfPoint
+from conftest import kernel_quads, line_str_by_scalars, render_point_by_scalars
 
 E1_QUAD = "Y=0; Y=X+1; X=0; Y=2X-1"
 E2_QUAD = "Y=0; X=0; Y=1; X=1"
@@ -87,6 +89,20 @@ def test_analyze_record_round_trip(capsys):
             records = dict(line.split("\t", 1) for line in out)
             member = pencil_of(q).member(field.scalar(2), field.scalar(3))
             assert tuple(map(parse, records["conic"].split())) == member.coeffs
+
+
+def test_lines_and_points_render_as_their_scalars_print():
+    """str(line) and _render_point read raw values; they print what the
+    Scalar views printed, on the sides, diagonals, vertices, centroids and
+    diagonal points (finite and infinite) of the kernel's quadrilaterals."""
+    infinite = 0
+    for q in kernel_quads():
+        for line in (*q.sides, *q.diagonal_lines):
+            assert str(line) == line_str_by_scalars(line)
+        for point in (*q.vertices, q.centroid, *q.diagonal_points()):
+            assert _render_point(point) == render_point_by_scalars(point)
+            infinite += isinstance(point, InfPoint)
+    assert infinite
 
 
 def test_partner(capsys):
@@ -170,6 +186,28 @@ def test_verify_exit_zero(capsys):
         parts = line.split()
         assert parts[-1] == "0"
         assert parts[1] == "GF(7)"
+
+
+def test_verify_reports_a_crashing_check_with_its_reproduce_line(capsys, monkeypatch):
+    """A kernel fault that is no GeometryError (here a TypeError inside the
+    pencil_degenerations check) fails that check, exit 1, instead of
+    escaping main as a traceback; its violation lines carry their reproduce
+    command."""
+    from bisectrix import oracle
+
+    def broken(member):
+        raise TypeError("injected fault")
+
+    monkeypatch.setattr(oracle, "degenerations", broken)
+    code, out, _ = run(
+        capsys, "--field", "GFp:7", "--cmd", "verify", "--seed", "1", "--instances", "2",
+    )
+    assert code == 1
+    aborted = [line for line in out if "check aborted: TypeError: injected fault" in line]
+    assert aborted and all(
+        line.startswith("violation pencil_degenerations: check aborted: ")
+        and " [reproduce: bisectrix --cmd verify --field GFp:7 --seed " in line
+        for line in aborted)
 
 
 def test_verify_draws_each_instance_when_its_turn_comes(capsys, monkeypatch):
@@ -338,6 +376,37 @@ def test_negative_values_as_separate_arguments(capsys):
     ) == (0, out, "")
     pencil = ("--field", "Q", "--quad", E1_QUAD, "--cmd", "pencil", "--beta", "1")
     assert run(capsys, *pencil, "--alpha", "-1/2") == run(capsys, *pencil, "--alpha=-1/2")
+
+
+def test_value_attaching_prepass_matches_its_regex_form(monkeypatch):
+    """load_config's string tests attach a token to the flag before it
+    exactly where re.fullmatch(r"--[^=]+", flag) and re.match(r"-\\d", token)
+    hold, non-ASCII decimal digits and digits that are no decimal ('²')
+    included."""
+    def by_regex(argv):
+        tokens = []
+        for token in argv:
+            if tokens and re.fullmatch(r"--[^=]+", tokens[-1]) and re.match(r"-\d", token):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
+        return tokens
+
+    seen = []
+
+    def parse_args(tokens):
+        seen.append(tokens)
+        raise bisectrix.cli.ConfigError("tokens seen")
+
+    monkeypatch.setattr(bisectrix.cli._PARSER, "parse_args", parse_args)
+    flags = ("--point", "--", "---", "--a=b", "--x\n", "-p", "point", "--pöint", "--=", "")
+    values = ("-1", "-1/4,0", "-٣", "-²", "--1", "-", "-x", "1", "-.5", "", "-1=2")
+    for flag in flags:
+        for value in values:
+            argv = [flag, value, value]
+            with pytest.raises(bisectrix.cli.ConfigError):
+                bisectrix.cli.load_config(argv)
+            assert seen.pop() == by_regex(argv), argv
 
 
 def test_modulus_above_primality_bound_exit_2(capsys):

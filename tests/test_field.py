@@ -10,6 +10,7 @@ from bisectrix import GF, QQ, PrimeField, Rationals
 from bisectrix.errors import DivisionByZero, FieldMismatch
 from bisectrix.field import Scalar, _Rat
 from bisectrix.oracle import Lcg64
+from conftest import outcome, parse_by_fraction, typed
 
 
 def test_rational_arithmetic():
@@ -57,6 +58,43 @@ def test_prime_field_parses_the_rational_grammar():
     assert GF(7).parse("14/7") == GF(7).scalar(2)
     with pytest.raises(DivisionByZero):
         GF(7).parse("1/0")
+
+
+# Texts near the integer and n/d path's edges: underscores, signs in each
+# place, spaces around the slash, zero denominators, non-ASCII decimal
+# digits (which int() and Fraction both read), digits that are no decimal
+# digits ('²', which isdigit() accepts and int() refuses), empty halves and
+# integers past 2**64.
+_LITERALS = (
+    "0", "7", "-7", "+0", "-0/5", "14/7", "-14/21", "00012", "1_000", "1_000/3", "+9/4",
+    "1/+2", "1/-2", "1 /2", "1/ 2", "1 / 2", " 3/4 ", "\t3", "1/0", "0/0", "-3/0", "٣/٤",
+    "-٣/٤", "１２", "²", "1/²", "²/3", "--1", "+-1", "/2", "2/", "/", "1/2/3", "1__0", "_1",
+    "1_", "1/1_0", "1/_1", "1.5", ".5", "1.", "1e3", "2E-2", "x", "", "-", "0x10",
+    "12345678901234567890/3", "-98765432109876543210987654321/12345678901234567890",
+)
+
+
+def test_literals_parse_as_fractions_parser_reads_them():
+    """parse over Q and GF(7) gives the value (and raw type) of Fraction's
+    parser, or raises the same error type and message."""
+    for field in (QQ, GF(7)):
+        for text in _LITERALS:
+            got = outcome(field.parse, text, key=typed)
+            assert got == outcome(parse_by_fraction, field, text, key=typed), (field, text)
+
+
+_SIGNS = st.sampled_from(("", "+", "-"))
+_SIGNED_QUOTIENTS = st.builds(
+    "{}{}{}".format, _SIGNS, st.integers(0, 10 ** 40),
+    st.one_of(st.just(""), st.integers(0, 10 ** 25).map("/{}".format)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_SIGNED_QUOTIENTS)
+def test_signed_quotients_parse_as_fractions_parser_reads_them(text):
+    for field in (QQ, GF(7), GF(2 ** 61 - 1)):
+        got = outcome(field.parse, text, key=typed)
+        assert got == outcome(parse_by_fraction, field, text, key=typed), (field, text)
 
 
 def test_int_coercion_in_expressions():

@@ -24,6 +24,7 @@ from bisectrix import (
     Quadrangle,
     Quadrilateral,
     bisector_locus,
+    desargues_pencil,
     lambda_q,
     quadratic_data,
 )
@@ -81,12 +82,16 @@ def test_values_copy_and_pickle(e1):
     """copy, deepcopy and a pickle round trip rebuild an equal value of the
     same type, with an equal hash, although the slots refuse setattr."""
     quadratic_data(e1), hash(e1)  # the memo slots are copied too
-    for value in _values(e1) + [GF(7).scalar(3)] + _raw_values(GF(7)):
+    values = _values(e1)
+    desargues_pencil(values[-2], QQ.one, QQ.one)  # and the quadrangle's (_products)
+    for value in values + [GF(7).scalar(3)] + _raw_values(GF(7)):
         for clone in (
             copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
         ):
             assert type(clone) is type(value)
             assert clone == value
+            if isinstance(value, Quadrangle):
+                assert clone._products == value._products and clone._products is not None
             if not isinstance(value, Involution):
                 assert hash(clone) == hash(value)
 

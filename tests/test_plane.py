@@ -21,8 +21,8 @@ from bisectrix.field import _Rat
 from bisectrix.oracle import Lcg64, enumerate_lines, random_line, random_quadrilateral
 from bisectrix.plane import _PARALLEL, _SAME, _meet, _mid
 from conftest import (
-    apply_by_rats, intersect_by_scalars, line_from_points_by_rats, map_point, meet_by_rats,
-    mid_by_rats, midpoint_by_scalars,
+    apply_by_rats, intersect_by_scalars, kernel_quads, line_from_points_by_rats,
+    line_parse_by_scalars, map_point, meet_by_rats, mid_by_rats, midpoint_by_scalars, outcome,
 )
 
 
@@ -174,6 +174,48 @@ def test_slope_sugar_takes_decimal_and_exponent_slopes(field):
     assert Line.parse(field, "Y=1_0.0_1X") == Line.parse(field, "1001/100 1 0")
     for text in ("Y=1.2.3X", "Y=1eX", "Y=1/2e3X", "Y=/2X", "Y=.X", "Y=1e2.5X"):
         with pytest.raises(DegenerateInput, match="cannot parse line literal"):
+            Line.parse(field, text)
+
+
+# Line literals of every route (sugar, X=c, Y=c and "t u v"), with
+# whitespace, non-ASCII digits, values that are 0 mod 7, and literals that
+# do not parse or name no line.
+_LINE_LITERALS = (
+    *(text for pair in _SUGAR for text in pair), *_BAD_SUGAR,
+    "Y=0", "Y=X+1", "Y=2X-1", "Y=1.5X+1", "Y=1e2X", "Y=-.5*X", "y=2.5e-1x-1E1", "Y=\t3",
+    "Y=X+1\t", "Y=٣X+١", "Y=14X-7/2", "Y=1/7X", "X=0", "X=5", "X = -7/3", "x=1e3", "X=14",
+    "X=1/0", "X=\t1/0", "Y=\t1/0", "Y=X+1\t/0", "X=²", "X=", "Y=", " 1 2 3 ", "0 1 0",
+    "3 0 6", "-1/2 4 1e3", "7 0 1", "1 14 7", "1 1/7 0", "0 0 1", "0 7 1", "1 2", "1 2 3 4",
+    "1 2 x", "", "Z=1",
+)
+
+
+def test_line_parse_builds_the_line_the_scalar_route_builds():
+    """Line.parse on raw values gives the line, with the same raw types,
+    that three Scalars through Line.__init__ gave, or raises the same error
+    type and message, over Q, GF(7) and GF(2^61 - 1); also on the sides of
+    the kernel's quadrilaterals, printed as sugar and as "t u v"."""
+    def key(line):
+        return line, tuple(map(type, line.raw))
+
+    for field in (QQ, GF(7), GF(2 ** 61 - 1)):
+        for text in _LINE_LITERALS:
+            got = outcome(Line.parse, field, text, key=key)
+            assert got == outcome(line_parse_by_scalars, field, text, key=key), (field, text)
+    for q in kernel_quads():
+        for side in q.sides:
+            for text in (str(side), f"{side.t} {side.u} {side.v}"):
+                assert key(Line.parse(q.field, text)) == key(line_parse_by_scalars(q.field, text))
+                assert Line.parse(q.field, text) == side
+
+
+def test_line_parse_builds_no_scalar(monkeypatch):
+    def make(value):
+        raise AssertionError(f"a Scalar of {value!r} was built")
+
+    for field in (QQ, GF(7)):
+        monkeypatch.setattr(field, "_make", make)
+        for text in ("Y=2X+1/2", "Y=-X", "Y=3", "X=-5", "1 2 3", "2 0 4"):
             Line.parse(field, text)
 
 

@@ -13,6 +13,7 @@ from bisectrix import (
     Quadrangle,
     Quadrilateral,
     intersect,
+    line_from_points,
     midpoint,
     requadrilate,
     standard_form,
@@ -276,7 +277,8 @@ def _side_sets(field, line, n, rng):
 
 def test_quadrilateral_matches_the_scalar_rules():
     """Quadrilateral validates on raw values; its derived data, and the class
-    and message of each refusal, are those of the rules on Scalars."""
+    and message of each refusal, are those of the rules on Scalars.  Its
+    diagonals, joined on raw vertices, are line_from_points of its vertices."""
     rng = Lcg64(5)
     cases = [(GF(7), random_line, 400), (GF(101), random_line, 120),
              (GF(2**61 - 1), _wide_line, 60), (QQ, random_line, 120), (QQ, _wide_line, 60)]
@@ -285,6 +287,9 @@ def test_quadrilateral_matches_the_scalar_rules():
         for sides in _side_sets(field, line, n, rng):
             got = _built(Quadrilateral, sides)
             assert got == _built(quadrilateral_by_scalars, sides), sides
+            if isinstance(got, dict):
+                v0, v1, v2, v3 = got["vertices"]
+                assert got["diagonal_lines"] == (line_from_points(v0, v2), line_from_points(v1, v3))
             seen.add(got[0] if isinstance(got, tuple) else got["proper"])
     assert seen == {True, False, "DuplicateLine", "AdjacentParallel", "Concurrent4Lines"}
 
